@@ -317,8 +317,11 @@ class DistributedKL:
                 if popped is None:
                     break
                 u, gain = popped
-                # Offer a deep candidate list so the buffer can fill its
-                # batch with nodes it does not already hold.
+                # Offer a deep candidate walk so the buffer can fill its
+                # batch with nodes it does not already hold. The walk is
+                # lazy and reads the live index: get() draws from it only
+                # on a miss and is done with it before apply_switch
+                # mutates the index.
                 record = buffer.get(
                     u,
                     prefetch_candidates=state.prefetch_candidates(

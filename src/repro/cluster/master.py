@@ -14,7 +14,7 @@ ever see structure fetches.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.gains import GainIndex, make_gain_index
 from ..core.objectives import LEGITIMATE, SUSPICIOUS
@@ -90,8 +90,16 @@ class MasterState:
         """Next node to tentatively switch (max gain), or ``None``."""
         return self.index.pop_max()
 
-    def prefetch_candidates(self, count: int) -> List[int]:
-        """Current top-gain nodes — the prefetcher's ride-along set."""
+    def prefetch_candidates(self, count: int) -> Iterator[int]:
+        """Lazy walk over the current top-gain nodes — the prefetcher's
+        ride-along set.
+
+        The walk reads the live gain index, so it must be consumed (or
+        dropped) before :meth:`apply_switch` or :meth:`pop_best` mutates
+        the index. The engine hands it straight to
+        :meth:`PrefetchBuffer.get`, which draws from it only on a miss
+        and only inside that call.
+        """
         return self.index.top_nodes(count)
 
     def apply_switch(self, record: NodeRecord) -> None:

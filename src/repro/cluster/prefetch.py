@@ -84,7 +84,9 @@ class PrefetchBuffer:
 
         ``prefetch_candidates`` should be the current highest-gain nodes
         (likely next accesses); at most ``batch_size − 1`` of them ride
-        along with the missed key. The effective batch is further capped
+        along with the missed key. It may be a lazy iterable: a hit never
+        iterates it, and a miss stops drawing once the batch is full, all
+        before this call returns. The effective batch is further capped
         at ``capacity``, and the requested key is inserted as the most
         recently used entry — so a fetch batch can never evict the very
         record it was issued for.
@@ -96,15 +98,18 @@ class PrefetchBuffer:
 
         self.stats.misses += 1
         wanted: List[Any] = [key]
-        if self.capacity:
-            limit = min(self.batch_size, self.capacity)
+        room = min(self.batch_size, self.capacity) - 1
+        if room > 0:
+            entries = self._entries
             seen = {key}
             for candidate in prefetch_candidates:
-                if len(wanted) >= limit:
+                if candidate in entries or candidate in seen:
+                    continue
+                wanted.append(candidate)
+                seen.add(candidate)
+                room -= 1
+                if room == 0:
                     break
-                if candidate not in seen and candidate not in self._entries:
-                    wanted.append(candidate)
-                    seen.add(candidate)
         fetched = self._fetch_batch(wanted)
         self.stats.fetch_batches += 1
         self.stats.records_fetched += len(fetched)

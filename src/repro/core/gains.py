@@ -24,7 +24,8 @@ other and against a naive dictionary scan.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["GainIndex", "BucketGainIndex", "HeapGainIndex", "make_gain_index"]
 
@@ -65,12 +66,16 @@ class GainIndex:
         """
         raise NotImplementedError
 
-    def top_nodes(self, count: int) -> List[int]:
-        """Up to ``count`` highest-gain nodes without removing them.
+    def top_nodes(self, count: int) -> Iterator[int]:
+        """Lazily walk up to ``count`` highest-gain nodes, removing none.
 
         Used by the cluster engine's prefetcher ("the prefetched nodes
         are those with the highest potential move gains in the bucket
-        list", Section V). Order within equal gains is unspecified.
+        list", Section V). Gains come out in descending order, and the
+        order within equal gains is fixed by each implementation: the
+        cluster's fetch batches, and so its wire ledger, depend on it.
+        Nothing is computed until the first node is drawn. The walk reads
+        the live index, so finish (or drop) it before the next mutation.
         """
         raise NotImplementedError
 
@@ -106,9 +111,14 @@ class BucketGainIndex(GainIndex):
         "_bucket_of",
         "_max_bucket",
         "_size",
+        "_steps",
     )
 
     _ABSENT = -1
+    #: Most distinct deltas :meth:`adjust` remembers the bucket step of.
+    #: Unweighted KL sees four (±2, ±k); weighted graphs see a pair per
+    #: distinct edge weight, so the memo is capped rather than unbounded.
+    _STEP_MEMO_LIMIT = 64
 
     def __init__(self, num_nodes: int, max_abs_gain: float, resolution: int = 8) -> None:
         if resolution < 1:
@@ -123,6 +133,8 @@ class BucketGainIndex(GainIndex):
         self._bucket_of: List[int] = [self._ABSENT] * num_nodes
         self._max_bucket = -1
         self._size = 0
+        # delta -> integer bucket step, filled by adjust on first use.
+        self._steps: Dict[float, int] = {}
 
     def _scale(self, gain: float) -> int:
         scaled = gain * self.resolution
@@ -169,9 +181,16 @@ class BucketGainIndex(GainIndex):
         idx = self._bucket_of[node]
         if idx == self._ABSENT:
             raise KeyError(f"node {node} not present")
-        new_idx = idx + self._scale(delta)
-        if new_idx == idx:
+        step = self._steps.get(delta)
+        if step is None:
+            # _scale raises on an off-grid delta before it is remembered,
+            # so a bad delta fails on every call, not just the first.
+            step = self._scale(delta)
+            if len(self._steps) < self._STEP_MEMO_LIMIT:
+                self._steps[delta] = step
+        if step == 0:
             return
+        new_idx = idx + step
         if not 0 <= new_idx < len(self._heads):
             raise ValueError("adjusted gain exceeds the declared max_abs_gain bound")
         self._unlink(node)
@@ -205,20 +224,23 @@ class BucketGainIndex(GainIndex):
         self._size -= 1
         return node, (idx - self._offset) / self.resolution
 
-    def top_nodes(self, count: int) -> List[int]:
-        if count < 1 or self._size == 0:
-            return []
-        while self._max_bucket >= 0 and self._heads[self._max_bucket] == self._ABSENT:
-            self._max_bucket -= 1
-        result: List[int] = []
+    def top_nodes(self, count: int) -> Iterator[int]:
+        """Buckets in descending order, LIFO within a bucket: the order
+        successive :meth:`pop_max` calls would return."""
+        remaining = min(count, self._size)
+        if remaining < 1:
+            return
+        heads, nxt, absent = self._heads, self._next, self._ABSENT
         idx = self._max_bucket
-        while idx >= 0 and len(result) < count:
-            node = self._heads[idx]
-            while node != self._ABSENT and len(result) < count:
-                result.append(node)
-                node = self._next[node]
+        while idx >= 0:
+            node = heads[idx]
+            while node != absent:
+                yield node
+                remaining -= 1
+                if remaining == 0:
+                    return
+                node = nxt[node]
             idx -= 1
-        return result
 
     def __contains__(self, node: int) -> bool:
         return self._bucket_of[node] != self._ABSENT
@@ -289,11 +311,14 @@ class HeapGainIndex(GainIndex):
                 return node, gain
         return None
 
-    def top_nodes(self, count: int) -> List[int]:
-        if count < 1 or not self._gain:
-            return []
-        ordered = sorted(self._gain.items(), key=lambda item: -item[1])
-        return [node for node, _ in ordered[:count]]
+    def top_nodes(self, count: int) -> Iterator[int]:
+        """Descending gain; equal gains in insertion order (an adjust
+        keeps a node's place). ``nlargest`` is documented equal to the stable
+        ``sorted(..., reverse=True)[:count]``, at O(n log count)."""
+        if count < 1:
+            return
+        for node, _ in heapq.nlargest(count, self._gain.items(), key=itemgetter(1)):
+            yield node
 
     def __contains__(self, node: int) -> bool:
         return node in self._gain

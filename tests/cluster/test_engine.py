@@ -237,6 +237,67 @@ class TestShardedProtocol:
             ClusterConfig(broadcast_mode="compressed")
 
 
+_LEDGER_COMMON_BYTES = {
+    "broadcast": 10080,
+    "delta": 32320,
+    "gains": 27840,
+    "upload": 84256,
+}
+_LEDGER_COMMON_MESSAGES = {"broadcast": 20, "delta": 10, "gains": 120, "upload": 20}
+
+
+class TestWireLedgerPin:
+    """The full wire ledger of a fixed ``distributed_maar`` sweep, pinned.
+
+    Partition parity alone lets a change to the prefetch candidates slip
+    through: the cut stays the same while different nodes ride along in
+    each fetch batch. These values were captured from the eager-list
+    candidate walk; any change to which nodes a fetch batch requests, or
+    in what order, moves the fetch bytes and counters. The tight buffer
+    evicts, so the batch contents matter more there."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "gain_index, buffer, expected",
+        [
+            ("bucket", (4096, 64), (369520, 437, 37, 1920, 2843)),
+            ("heap", (4096, 64), (369472, 436, 37, 1920, 2843)),
+            ("bucket", (96, 16), (1108416, 3797, 554, 5673, 2326)),
+            ("heap", (96, 16), (1081680, 3658, 524, 5568, 2356)),
+        ],
+    )
+    def test_ledger_matches_pinned_values(
+        self, scenario, backend, gain_index, buffer, expected
+    ):
+        capacity, batch = buffer
+        fetch_bytes, fetch_messages, batches, records, hits = expected
+        stats = ClusterRunStats()
+        suspicious, _, _ = distributed_maar(
+            scenario.graph.csr(backend),
+            ClusterConfig(
+                gain_index=gain_index,
+                buffer_capacity=capacity,
+                prefetch_batch=batch,
+            ),
+            MAARConfig(k_steps=4),
+            stats=stats,
+        )
+        # A real detection, so the pinned run exercises the whole sweep.
+        assert len(suspicious) == 78
+        assert set(suspicious) <= set(scenario.fakes)
+        assert stats.network.bytes_by_kind == {
+            **_LEDGER_COMMON_BYTES,
+            "fetch": fetch_bytes,
+        }
+        assert stats.network.by_kind == {
+            **_LEDGER_COMMON_MESSAGES,
+            "fetch": fetch_messages,
+        }
+        assert stats.fetch_batches == batches
+        assert stats.records_fetched == records
+        assert stats.prefetch_hits == hits
+
+
 class TestValidation:
     def test_invalid_k(self, scenario):
         engine = DistributedKL(scenario.graph)

@@ -91,6 +91,36 @@ class TestPrefetchBuffer:
         assert 1 not in buffer
         assert 2 in buffer
 
+    def test_hit_never_iterates_candidates(self):
+        """The engine hands over a lazy top-gain walk on every pop; a hit
+        must not start it."""
+
+        class Untouchable:
+            def __iter__(self):
+                raise AssertionError("candidates iterated on a hit")
+
+        _, fetch, fetches = make_store()
+        buffer = PrefetchBuffer(capacity=10, fetch_batch=fetch, batch_size=4)
+        buffer.get(3)
+        assert buffer.get(3, prefetch_candidates=Untouchable()) == "record-3"
+        assert buffer.stats.hits == 1
+        assert len(fetches) == 1
+
+    def test_miss_stops_drawing_at_batch_size(self):
+        _, fetch, fetches = make_store()
+        buffer = PrefetchBuffer(capacity=10, fetch_batch=fetch, batch_size=4)
+        buffer.get(1)
+        drawn = []
+
+        def candidates():
+            for node in range(1, 50):  # 1 is already resident
+                drawn.append(node)
+                yield node
+
+        buffer.get(0, prefetch_candidates=candidates())
+        assert fetches[1] == [0, 2, 3, 4]
+        assert drawn == [1, 2, 3, 4]  # nothing drawn past the full batch
+
     def test_missing_key_raises(self):
         _, fetch, _ = make_store(size=3)
         buffer = PrefetchBuffer(capacity=4, fetch_batch=fetch, batch_size=2)

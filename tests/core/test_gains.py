@@ -89,6 +89,44 @@ class TestBucketGainIndex:
         assert 4 not in idx
         assert len(idx) == 1
 
+    def test_off_grid_adjust_rejected_every_time(self):
+        """adjust remembers the bucket step of each delta; an off-grid
+        delta must fail on first use and on every later use, and must
+        leave the gain untouched."""
+        idx = make_bucket(resolution=8)
+        idx.insert(0, 1.0)
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                idx.adjust(0, 0.1)
+        assert idx.gain_of(0) == 1.0
+        idx.adjust(0, 0.125)  # on-grid deltas still apply
+        with pytest.raises(ValueError):
+            idx.adjust(0, 0.1)
+        assert idx.gain_of(0) == 1.125
+
+    def test_adjust_beyond_bound_rejected_with_known_step(self):
+        """The bound check runs on every adjust, also once the delta's
+        step is remembered from an earlier in-bound call."""
+        idx = BucketGainIndex(4, max_abs_gain=4, resolution=1)
+        idx.insert(0, 0.0)
+        idx.adjust(0, 2.0)
+        idx.adjust(0, 2.0)
+        with pytest.raises(ValueError):
+            idx.adjust(0, 2.0)
+        assert idx.gain_of(0) == 4.0
+
+    def test_top_nodes_is_a_lazy_capped_walk(self):
+        idx = make_bucket()
+        for node, gain in ((0, 1.0), (1, 3.0), (2, 1.0), (3, -2.0)):
+            idx.insert(node, gain)
+        walk = idx.top_nodes(3)
+        assert not isinstance(walk, list)
+        assert list(walk) == [1, 2, 0]  # LIFO within the 1.0 bucket
+        assert list(idx.top_nodes(10)) == [1, 2, 0, 3]
+        assert list(idx.top_nodes(0)) == []
+        assert [idx.pop_max()[0] for _ in range(4)] == [1, 2, 0, 3]
+        assert list(idx.top_nodes(5)) == []
+
 
 class TestHeapGainIndex:
     def test_insert_and_pop_max(self):
@@ -128,6 +166,16 @@ class TestHeapGainIndex:
         idx.insert(5, 1.0)
         idx.insert(7, 1.0)
         assert idx.pop_max()[0] == 7
+
+    def test_top_nodes_ties_in_insertion_order(self):
+        idx = HeapGainIndex()
+        for node, gain in ((5, 1.0), (7, 1.0), (2, 0.5), (9, 2.0)):
+            idx.insert(node, gain)
+        idx.adjust(5, 0.0)  # an adjust keeps a node's place
+        walk = idx.top_nodes(3)
+        assert not isinstance(walk, list)
+        assert list(walk) == [9, 5, 7]
+        assert list(idx.top_nodes(10)) == [9, 5, 7, 2]
 
 
 class TestFactory:
@@ -223,6 +271,69 @@ def test_bucket_and_heap_pop_equal_gains(ops):
     bucket_gains = [p[1] for p in bucket_pops if p is not None]
     heap_gains = [p[1] for p in heap_pops if p is not None]
     assert bucket_gains == pytest.approx(heap_gains)
+
+
+def _eager_top_nodes(index, count):
+    """The eager list ``top_nodes`` returned before it became a lazy
+    walk, rebuilt from the index internals: buckets from the top of the
+    array down, LIFO within a bucket; the heap's stable sort by gain."""
+    if isinstance(index, BucketGainIndex):
+        result = []
+        idx = len(index._heads) - 1
+        while idx >= 0 and len(result) < count:
+            node = index._heads[idx]
+            while node != BucketGainIndex._ABSENT and len(result) < count:
+                result.append(node)
+                node = index._next[node]
+            idx -= 1
+        return result
+    if count < 1:
+        return []
+    ordered = sorted(index._gain.items(), key=lambda item: -item[1])
+    return [node for node, _ in ordered[:count]]
+
+
+_walk_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "adjust", "remove", "pop"]),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=-16, max_value=16),  # gain in eighths
+        st.integers(min_value=0, max_value=20),  # walk length
+    ),
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize(
+    "make_index",
+    [lambda: BucketGainIndex(16, max_abs_gain=260, resolution=8), HeapGainIndex],
+    ids=["bucket", "heap"],
+)
+@given(ops=_walk_ops)
+@settings(max_examples=100, deadline=None)
+def test_lazy_walk_matches_eager_list(make_index, ops):
+    """After every insert/adjust/remove/pop, the lazy walk yields exactly
+    the eager list, whole or cut short the way the prefetch buffer cuts
+    it. Narrow gains force ties, so the tie order is exercised."""
+    index = make_index()
+    for op, node, eighths, count in ops:
+        gain = eighths / 8
+        if op == "insert":
+            if node not in index:
+                index.insert(node, gain)
+        elif op == "adjust":
+            if node in index:
+                index.adjust(node, gain)
+        elif op == "remove":
+            index.remove(node)
+        else:
+            index.pop_max()
+        expected = _eager_top_nodes(index, count)
+        assert list(index.top_nodes(count)) == expected
+        walk = index.top_nodes(count)
+        assert [node for node, _ in zip(walk, range(count // 2))] == (
+            expected[: count // 2]
+        )
 
 
 # ----------------------------------------------------------------------
