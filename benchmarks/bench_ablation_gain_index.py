@@ -1,13 +1,12 @@
-"""Ablation: gain-index variants and the flat-array CSR engine.
+"""Ablation: gain-index variants of the flat-array CSR engine.
 
-Two comparisons at the paper's default attack scale (2000 legitimate
-users, 400 fakes):
+At the paper's default attack scale (2000 legitimate users, 400 fakes):
 
 * FM bucket list vs lazy-deletion heap inside a single extended-KL
   solve (Section IV-C's data-structure choice), and
-* the legacy dict-adjacency engine vs the flat-array CSR engine for the
-  full end-to-end MAAR sweep (``solve_maar``), which is what Rejecto
-  runs once per detection round.
+* the end-to-end MAAR sweep (``solve_maar``), which is what Rejecto
+  runs once per detection round, with its precision against the planted
+  fakes.
 
 Running this module directly (``PYTHONPATH=src python
 benchmarks/bench_ablation_gain_index.py``) writes the wall-clock
@@ -66,8 +65,6 @@ def run_ablation(rounds=ROUNDS):
     for label, config in (
         ("csr_bucket", KLConfig(gain_index="bucket")),
         ("csr_heap", KLConfig(gain_index="heap")),
-        ("legacy_bucket", KLConfig(gain_index="bucket", engine="legacy")),
-        ("legacy_heap", KLConfig(gain_index="heap", engine="legacy")),
     ):
         kl_times[label], kl_results[label] = _best_of(
             lambda config=config: extended_kl(graph, 2.0, initial, config=config),
@@ -78,18 +75,11 @@ def run_ablation(rounds=ROUNDS):
     for label, result in kl_results.items():
         assert result.objective(2.0) == pytest.approx(reference), label
 
-    maar_times = {}
-    maar_results = {}
-    for label, config in (
-        ("csr", MAARConfig()),
-        ("legacy", MAARConfig(kl=KLConfig(engine="legacy"))),
-    ):
-        maar_times[label], maar_results[label] = _best_of(
-            lambda config=config: solve_maar(graph, config), rounds
-        )
-    assert maar_results["csr"].found and maar_results["legacy"].found
-
-    speedup = maar_times["legacy"] / maar_times["csr"]
+    maar_seconds, maar = _best_of(lambda: solve_maar(graph, MAARConfig()), rounds)
+    detected = set(maar.suspicious_nodes())
+    precision = (
+        len(detected & set(SCENARIO.fakes)) / len(detected) if detected else 0.0
+    )
     return {
         "meta": bench_metadata(),
         "scenario": {
@@ -101,9 +91,10 @@ def run_ablation(rounds=ROUNDS):
         },
         "rounds": rounds,
         "kl_single_solve_seconds": kl_times,
-        "maar_end_to_end_seconds": maar_times,
-        "maar_speedup_csr_over_legacy": speedup,
-        "maar_acceptance_rate": maar_results["csr"].acceptance_rate,
+        "maar_end_to_end_seconds": {"csr": maar_seconds},
+        "maar_acceptance_rate": maar.acceptance_rate,
+        "maar_detected": len(detected),
+        "maar_precision": precision,
     }
 
 
@@ -115,11 +106,9 @@ def write_report(payload):
 def bench_gain_index(benchmark):
     payload = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
     write_report(payload)
-    # Tentpole acceptance: the CSR core at least doubles end-to-end
-    # KL+MAAR throughput at the default attack scale.
-    assert payload["maar_speedup_csr_over_legacy"] >= 2.0
-    times = payload["kl_single_solve_seconds"]
-    assert times["csr_bucket"] <= times["legacy_bucket"]
+    # The timed sweep must be a real detection, not a fast empty one.
+    assert payload["maar_detected"] > 0
+    assert payload["maar_precision"] >= 0.9
 
 
 if __name__ == "__main__":

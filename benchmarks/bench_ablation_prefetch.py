@@ -1,11 +1,11 @@
-"""Ablation: prefetching and delta broadcasts on the mini-cluster.
+"""Ablation: prefetching on the mini-cluster.
 
 Section V's I/O optimization: each miss pulls the bucket list's
 top-gain candidates in one batched block-slice fetch, with LRU eviction;
 between passes only the switched node ids are broadcast. Measures wall
 time and reports the per-kind message/byte breakdown; the computed cut
-must be identical across every configuration — both knobs are pure I/O
-optimizations.
+must be identical with and without prefetching — it is a pure I/O
+optimization.
 """
 
 import pytest
@@ -23,20 +23,13 @@ INIT = [
 
 
 @pytest.mark.parametrize(
-    "label,capacity,broadcast_mode",
-    [
-        ("prefetch+delta", 4096, "delta"),
-        ("prefetch+full", 4096, "full"),
-        ("no_prefetch+delta", 0, "delta"),
-    ],
+    "label,capacity",
+    [("prefetch", 4096), ("no_prefetch", 0)],
 )
-def bench_prefetch(benchmark, label, capacity, broadcast_mode):
+def bench_prefetch(benchmark, label, capacity):
     def solve():
         engine = DistributedKL(
-            SCENARIO.graph,
-            ClusterConfig(
-                buffer_capacity=capacity, broadcast_mode=broadcast_mode
-            ),
+            SCENARIO.graph, ClusterConfig(buffer_capacity=capacity)
         )
         outcome = engine.run(2.0, INIT)
         return outcome, engine.network.stats
@@ -74,7 +67,7 @@ def bench_prefetch(benchmark, label, capacity, broadcast_mode):
         )
     )
     assert sum(kinds.values()) == net.bytes_sent
-    # Identical result regardless of prefetching or broadcast encoding.
+    # Identical result regardless of prefetching.
     reference = DistributedKL(
         SCENARIO.graph, ClusterConfig(buffer_capacity=4096)
     ).run(2.0, INIT)

@@ -305,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable dirty-frontier gain rebuilds between passes (ablation)",
     )
-    p.add_argument(
-        "--engine",
-        choices=("csr", "legacy"),
-        default="csr",
-        help="csr (flat-array kernels) or the legacy dict-adjacency baseline",
-    )
     p.add_argument("--legit-seeds", type=int, nargs="*", default=[])
     p.add_argument("--spammer-seeds", type=int, nargs="*", default=[])
     p.add_argument(
@@ -500,14 +494,13 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
     from .core.multilevel import MultilevelConfig
     from .experiments.runner import load_graph_source
 
-    graph = load_graph_source(args.graph, as_csr=args.engine == "csr")
+    graph = load_graph_source(args.graph, as_csr=True).csr()
     refine_jobs = args.refine_jobs
     if refine_jobs <= 0:
         from .core.parallel import default_jobs
 
         refine_jobs = default_jobs()
     config = MultilevelConfig(
-        engine=args.engine,
         frontier=args.frontier,
         incremental=not args.no_incremental,
         refine_tolerance=args.refine_tolerance,
@@ -515,8 +508,6 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
         refine_stall=args.refine_stall if args.refine_stall > 0 else None,
         jobs=_resolve_jobs(args),
     )
-    if args.engine == "csr":
-        graph = graph.csr()
     start = _time.perf_counter()
     result = solve_maar_multilevel(
         graph,
@@ -573,7 +564,6 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
             "timings": timings,
             "seconds": seconds,
             "config": {
-                "engine": args.engine,
                 "frontier": args.frontier,
                 "incremental": not args.no_incremental,
                 "refine_tolerance": args.refine_tolerance,
@@ -713,9 +703,23 @@ def _run_all(quick: bool, out, jobs: int = 1) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Console entry point."""
+    """Console entry point.
+
+    Bad input — a missing or unreadable file, a malformed graph file, a
+    corrupt snapshot — stops with one ``rejecto: error: ...`` line on
+    stderr and exit code 2 (argparse's usage-error code) instead of a
+    traceback.
+    """
+    from .core.storage import SnapshotFormatError
+    from .graphgen.loaders import LoaderError
+    from .io import FormatError
+
     args = build_parser().parse_args(argv)
-    _run_command(args)
+    try:
+        _run_command(args)
+    except (OSError, FormatError, SnapshotFormatError, LoaderError) as exc:
+        print(f"rejecto: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

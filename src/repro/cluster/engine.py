@@ -23,8 +23,6 @@ Implements the architecture of Section V:
   installed once per run (1 byte per node), and each subsequent pass
   ships only the ids of the nodes its best prefix actually switched
   (8 bytes per id) — broadcast volume scales with churn, not graph size.
-  ``ClusterConfig(broadcast_mode="full")`` restores the re-broadcast-
-  everything behaviour as an ablation reference.
 
 Every message's size follows from its array lengths (see the wire
 constants in :mod:`repro.cluster.blocks`), so the per-kind byte
@@ -70,11 +68,7 @@ class ClusterConfig:
 
     Defaults mirror the paper's five-node evaluation cluster. A
     ``buffer_capacity`` of 0 disables prefetching (the "fetch per node
-    on demand" strawman of Section V). ``broadcast_mode`` selects the
-    status-sync protocol: ``"delta"`` (default) ships only switched node
-    ids between passes, ``"full"`` re-broadcasts the whole side vector
-    every pass (the ablation reference — results are identical either
-    way, only the wire bytes differ). ``shard_transport`` selects how
+    on demand" strawman of Section V). ``shard_transport`` selects how
     blocks reach the workers: ``"auto"`` (default) ships O(1) snapshot
     references when the graph was opened from a ``.csrbin`` snapshot
     and falls back to array payloads otherwise; ``"payload"`` /
@@ -91,15 +85,9 @@ class ClusterConfig:
     resolution: int = 8
     max_passes: int = 30
     replication: int = 1
-    broadcast_mode: str = "delta"
     shard_transport: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.broadcast_mode not in ("delta", "full"):
-            raise ValueError(
-                f"broadcast_mode must be 'delta' or 'full', "
-                f"got {self.broadcast_mode!r}"
-            )
         if self.shard_transport not in ("auto", "payload", "reference"):
             raise ValueError(
                 f"shard_transport must be 'auto', 'payload', or "
@@ -174,7 +162,8 @@ class DistributedKL:
         )
 
     def _max_abs_gain(self, k: float) -> float:
-        """Lifetime gain bound at weight ``k`` (cf. ``kl._max_abs_gain``)."""
+        """Lifetime gain bound at weight ``k``: each incident friendship
+        contributes at most 1 and each incident rejection at most ``k``."""
         return max(self._max_f_degree + k * self._max_r_degree, 1.0)
 
     # ------------------------------------------------------------------
@@ -347,10 +336,7 @@ class DistributedKL:
             # Sync the replicas for the next pass: each surviving switch
             # flipped its node exactly once, so the applied prefix *is*
             # the side-vector delta.
-            if config.broadcast_mode == "delta":
-                self._broadcast_delta(switched)
-            else:
-                self._broadcast_full(sides)
+            self._broadcast_delta(switched)
 
         if stats is not None:
             stats.network = self.network.stats

@@ -59,7 +59,6 @@ class AugmentedSocialGraph:
         "_friend_set",
         "_rej_set",
         "_csr_cache",
-        "_deg_maxima",
     )
 
     def __init__(self, num_nodes: int) -> None:
@@ -75,7 +74,6 @@ class AugmentedSocialGraph:
         self._friend_set: set = set()
         self._rej_set: set = set()
         self._csr_cache = None
-        self._deg_maxima = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -110,7 +108,6 @@ class AugmentedSocialGraph:
         self.rej_in.append([])
         self.num_nodes += 1
         self._csr_cache = None
-        self._deg_maxima = None
         return self.num_nodes - 1
 
     def add_nodes(self, count: int) -> List[int]:
@@ -136,7 +133,6 @@ class AugmentedSocialGraph:
         self.friends[u].append(v)
         self.friends[v].append(u)
         self._csr_cache = None
-        self._deg_maxima = None
         return True
 
     def add_rejection(self, rejecter: int, sender: int) -> bool:
@@ -156,7 +152,6 @@ class AugmentedSocialGraph:
         self.rej_out[rejecter].append(sender)
         self.rej_in[sender].append(rejecter)
         self._csr_cache = None
-        self._deg_maxima = None
         return True
 
     # ------------------------------------------------------------------
@@ -207,28 +202,6 @@ class AugmentedSocialGraph:
         """All node ids."""
         return range(self.num_nodes)
 
-    def degree_maxima(self) -> Tuple[int, int]:
-        """``(max friend degree, max total rejection degree)``.
-
-        Memoized until the next mutation, so the legacy ``k``-sweep's
-        per-``k`` gain bound ``max_F + k·max_R`` costs O(1) instead of
-        an O(V) scan per ``k`` value.
-        """
-        maxima = self._deg_maxima
-        if maxima is None:
-            maxima = (
-                max((len(adj) for adj in self.friends), default=0),
-                max(
-                    (
-                        len(self.rej_out[u]) + len(self.rej_in[u])
-                        for u in range(self.num_nodes)
-                    ),
-                    default=0,
-                ),
-            )
-            self._deg_maxima = maxima
-        return maxima
-
     # ------------------------------------------------------------------
     # Finalization
     # ------------------------------------------------------------------
@@ -269,10 +242,10 @@ class AugmentedSocialGraph:
         """Induced subgraph on the nodes in ``keep``.
 
         Returns ``(graph, old_ids)`` where ``old_ids[new_id]`` maps each
-        node of the subgraph back to its id in this graph. The legacy
-        engine of the iterative detector (:mod:`repro.core.rejecto`) uses
-        this to prune detected spammer groups between rounds; the CSR
-        engine uses zero-copy residual views instead. Edges are inserted
+        node of the subgraph back to its id in this graph. The iterative
+        detector (:mod:`repro.core.rejecto`) prunes detected groups with
+        zero-copy residual views instead; its tests use this as the
+        materialized reference those views must match. Edges are inserted
         in sorted order so the subgraph's adjacency lists are ascending —
         deterministic regardless of this graph's insertion history.
         """

@@ -25,23 +25,20 @@ Seed nodes (Section IV-F) are *locked*: they are pre-placed on their
 known side and never enter the gain index, which prunes the misleading
 low-ratio cuts inside the legitimate region from the search space.
 
-Engines
--------
-Two engines implement the identical greedy discipline (same gain
-arithmetic, same FM LIFO tie-breaks, same best-prefix rollback — parity
-is asserted in ``tests/core/test_parity.py``):
-
-* ``engine="csr"`` (default) — runs on the flat-array
-  :class:`repro.core.csr.PartitionState`. On the default 1/8 ``k`` grid
-  it uses an *inlined* integer-scaled bucket list: counter updates and
-  neighbour gain adjustments happen in one fused sweep per switched
-  node, with zero per-edge function calls. Int64-weighted coarse graphs
-  (the multilevel hierarchy) run a weighted twin of the same fused
-  engine; off-grid ``k`` (Dinkelbach refinement), float-weighted
-  graphs, and weighted residual views fall back to the lazy heap.
-* ``engine="legacy"`` — the original loop over the builder's
-  list-of-lists adjacency and the :mod:`repro.core.gains` index objects;
-  kept as the parity/benchmark reference.
+Engine
+------
+One engine runs on the flat-array :class:`repro.core.csr.PartitionState`.
+On the default 1/8 ``k`` grid it uses an *inlined* integer-scaled bucket
+list: counter updates and neighbour gain adjustments happen in one fused
+sweep per switched node, with zero per-edge function calls. Int64-weighted
+coarse graphs (the multilevel hierarchy) run a weighted twin of the same
+fused engine; off-grid ``k`` (Dinkelbach refinement), float-weighted
+graphs, and weighted residual views fall back to the lazy heap. All three
+share one greedy discipline (same gain arithmetic, same FM LIFO
+tie-breaks, same best-prefix rollback). The simulated cluster engine
+(:class:`repro.cluster.engine.DistributedKL`) reimplements it over the
+:mod:`repro.core.gains` index objects and is the independent reference
+``tests/core/test_parity.py`` checks this module against.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
 from .csr import PartitionState
-from .gains import HeapGainIndex, _on_grid, make_gain_index
+from .gains import HeapGainIndex, _on_grid
 from .graph import AugmentedSocialGraph
 from .kernels import (
     boundary_nodes,
@@ -97,10 +94,6 @@ class KLConfig:
         ``None`` performs the full pass (the paper's behaviour); a finite
         limit trades a little cut quality for a large speedup on big
         graphs (see the ablation benchmark).
-    engine:
-        ``"csr"`` (default) runs on the flat-array CSR core;
-        ``"legacy"`` runs the original list-of-lists loop. Both produce
-        identical results on sorted-adjacency inputs.
     incremental:
         When ``True`` (default), passes after the first rebuild their
         gain structure from the *dirty frontier* — the previous pass's
@@ -138,7 +131,6 @@ class KLConfig:
     resolution: int = 8
     max_passes: int = 30
     stall_limit: Optional[int] = None
-    engine: str = "csr"
     incremental: bool = True
     frontier: str = "full"
 
@@ -153,9 +145,6 @@ class KLStats:
     objective_history: List[float] = field(default_factory=list)
 
 
-# ----------------------------------------------------------------------
-# CSR engine
-# ----------------------------------------------------------------------
 def adjust_neighbor_gains(
     index, state: PartitionState, u: int, prev_side: int, k: float
 ) -> None:
@@ -216,12 +205,12 @@ def _run_bucket_passes(
     """The fused integer-scaled FM bucket engine (unweighted, on-grid k).
 
     Gains are stored as integers scaled by ``resolution``; on the 1/8
-    grid every legacy float gain is binary-exact, so the integer engine
-    reproduces the legacy pop order and best-prefix decisions bit for
+    grid every float gain is binary-exact, so the integer engine
+    reproduces the float-gain pop order and best-prefix decisions bit for
     bit. The per-switch loop fuses the cut-counter update with the
     neighbour bucket relinks — one sweep per incident edge, no function
-    calls — which is where the end-to-end speedup over the legacy engine
-    comes from (see ``BENCH_gain_index.json``).
+    calls — which is where its speed comes from (see
+    ``BENCH_gain_index.json``).
 
     Pass-invariant setup (the gain bound) comes memoized from
     :meth:`CSRGraph.bucket_gain_bound`; pass 1 fills the start-of-pass
@@ -335,7 +324,7 @@ def _run_bucket_passes(
         max_b = -1
         size = 0
 
-        # Insert in ascending node order (the legacy discipline — LIFO
+        # Insert in ascending node order (the FM discipline — LIFO
         # within each bucket). The lists above are fresh, so only the
         # displaced head needs a prv write.
         for u in eligible:
@@ -373,7 +362,7 @@ def _run_bucket_passes(
             fd = 0
             rd = 0
             # Fused switch: counter deltas and neighbour bucket relinks in
-            # one sweep per edge, in the legacy order (friends, rejections
+            # one sweep per edge, in the fixed order (friends, rejections
             # cast, rejections received). Slice iteration over the
             # filtered adjacency — no index arithmetic, no mask checks.
             for v in fi[fp[u] : fp[u + 1]]:
@@ -1227,107 +1216,6 @@ def refine_subset(
     return moved, delta_f, delta_r, tested, applied
 
 
-# ----------------------------------------------------------------------
-# Legacy engine (list-of-lists adjacency + gain index objects)
-# ----------------------------------------------------------------------
-def _initial_gains(partition: Partition, k: float, locked: Sequence[bool]):
-    """Per-node switch gains for all unlocked nodes."""
-    return [
-        (u, partition.switch_gain(u, k))
-        for u in range(partition.graph.num_nodes)
-        if not locked[u]
-    ]
-
-
-def _max_abs_gain(graph: AugmentedSocialGraph, k: float) -> float:
-    """A lifetime bound on ``|gain(u)|``: each incident friendship edge
-    contributes at most 1 and each incident rejection edge at most k.
-
-    Derived O(1) from the builder's memoized degree maxima, so the
-    legacy ``k``-sweep stops re-scanning all V nodes per ``k``. The
-    maxima may come from two different nodes, making this bound looser
-    than the old per-node maximum — harmless, since a gain bound only
-    sizes the bucket array (a uniform offset shift) and never alters
-    pop order.
-    """
-    max_f, max_r = graph.degree_maxima()
-    return max_f + k * max_r
-
-
-def _extended_kl_legacy(
-    graph: AugmentedSocialGraph,
-    k: float,
-    initial: Partition,
-    locked: Sequence[bool],
-    config: KLConfig,
-    stats: Optional[KLStats],
-) -> Partition:
-    partition = initial.copy()
-    n = graph.num_nodes
-    max_abs = _max_abs_gain(graph, k)
-    sides = partition.sides
-
-    for _ in range(config.max_passes):
-        if stats is not None:
-            stats.passes += 1
-            stats.objective_history.append(partition.objective(k))
-
-        index = make_gain_index(
-            config.gain_index, n, max_abs, k, resolution=config.resolution
-        )
-        index.bulk_load(_initial_gains(partition, k, locked))
-
-        # Tentatively switch nodes in greedy max-gain order, tracking the
-        # best cumulative-gain prefix of the switch sequence.
-        sequence: List[int] = []
-        cumulative = 0.0
-        best_cumulative = 0.0
-        best_length = 0
-        stall = 0
-        while True:
-            if config.stall_limit is not None and stall >= config.stall_limit:
-                break
-            popped = index.pop_max()
-            if popped is None:
-                break
-            u, gain = popped
-            partition.switch(u)
-            sequence.append(u)
-            cumulative += gain
-            if stats is not None:
-                stats.switches_tested += 1
-            if cumulative > best_cumulative + _EPS:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-                stall = 0
-            else:
-                stall += 1
-
-            # O(1) gain updates for u's still-indexed neighbours. u's
-            # previous side determines every delta's sign.
-            prev_side = 1 - sides[u]
-            for v in graph.friends[u]:
-                if v in index:
-                    index.adjust(v, 2.0 if sides[v] == prev_side else -2.0)
-            rej_sign = k * (1 - 2 * prev_side)
-            for v in graph.rej_out[u]:
-                if v in index:
-                    index.adjust(v, (2 * sides[v] - 1) * rej_sign)
-            for w in graph.rej_in[u]:
-                if w in index:
-                    index.adjust(w, (2 * sides[w] - 1) * rej_sign)
-
-        # Roll back every switch beyond the best prefix.
-        for u in reversed(sequence[best_length:]):
-            partition.switch(u)
-        if stats is not None:
-            stats.switches_applied += best_length
-        if best_length == 0:
-            break
-
-    return partition
-
-
 def extended_kl(
     graph: AugmentedSocialGraph,
     k: float,
@@ -1349,9 +1237,7 @@ def extended_kl(
     locked:
         Optional per-node flags; locked nodes (seeds) never switch.
     config:
-        Search configuration; defaults to :class:`KLConfig`. The
-        ``engine`` field selects the CSR core (default) or the legacy
-        list-of-lists loop.
+        Search configuration; defaults to :class:`KLConfig`.
     stats:
         Optional diagnostics accumulator.
 
@@ -1368,20 +1254,6 @@ def extended_kl(
         locked = [False] * n
     elif len(locked) != n:
         raise ValueError(f"locked has length {len(locked)}, expected {n}")
-    if config.engine == "legacy":
-        if not isinstance(graph, AugmentedSocialGraph):
-            raise ValueError(
-                "engine='legacy' needs the mutable AugmentedSocialGraph "
-                f"builder, got {type(graph).__name__}"
-            )
-        if config.frontier != "full":
-            raise ValueError(
-                "the legacy engine has no boundary frontier; use "
-                "engine='csr' or frontier='full'"
-            )
-        return _extended_kl_legacy(graph, k, initial, locked, config, stats)
-    if config.engine != "csr":
-        raise ValueError(f"unknown engine {config.engine!r}")
     state = PartitionState(graph.csr().view(), initial.sides, locked)
     out = extended_kl_state(state, k, config, stats)
     return Partition.from_counts(graph, out.sides, out.f_cross, out.r_cross)

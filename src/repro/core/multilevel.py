@@ -22,9 +22,9 @@ on large graphs — the expensive full-graph sweep happens only at the
 coarsest level — at a small quality cost versus the flat solver
 (measured in ``bench_ablation_multilevel.py``).
 
-Engines
--------
-``engine="csr"`` (default) is CSR-native end to end, which makes
+Engine
+------
+The solver is CSR-native end to end, which makes
 ``solve_maar_multilevel`` the recommended entry point for large graphs:
 
 * every level is a flat-array graph — the unit-weight level 0 plus
@@ -40,10 +40,6 @@ Engines
 * the coarse-level ``k`` sweep fans out through
   :func:`repro.core.maar.sweep_k_states`, honouring
   ``MultilevelConfig(jobs, executor)`` exactly like the flat MAAR sweep.
-
-``engine="legacy"`` keeps the original dict-adjacency coarsening with
-scalar heap-based weighted refinement, as the baseline the benchmark
-measures against; it has no parallel sweep (``jobs > 1`` warns).
 """
 
 from __future__ import annotations
@@ -62,24 +58,16 @@ from .kernels import (
     matching_to_mapping,
     weighted_gain_deltas,
 )
-from .kl import KLConfig, KLStats, extended_kl, extended_kl_state, refine_subset
+from .kl import KLConfig, KLStats, extended_kl_state, refine_subset
 from .maar import check_seeds, geometric_k_sequence, sweep_k_states
-from .parallel import chunk_evenly, parallel_map, warn_jobs_ignored
-from .partition import Partition
+from .parallel import chunk_evenly, parallel_map
 from .objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
-from .weighted import (
-    WeightedAugmentedGraph,
-    WeightedPartition,
-    weighted_extended_kl,
-)
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "MultilevelConfig",
     "MultilevelResult",
-    "random_heavy_edge_matching",
-    "coarsen",
     "solve_maar_multilevel",
 ]
 
@@ -92,15 +80,12 @@ class MultilevelConfig:
     or a level shrinks by less than ``min_shrink`` (matching has stalled,
     e.g. on a star). The ``k`` grid mirrors :class:`MAARConfig`.
 
-    ``engine`` selects the CSR-native pipeline (``"csr"``, default) or
-    the original dict-adjacency path (``"legacy"``); ``backend`` is the
-    CSR array backend (``"python"``/``"numpy"``/``"auto"``).
-    ``matching_rounds`` bounds the mutual heavy-edge matching rounds per
-    level. ``jobs``/``executor`` fan the coarse-level ``k`` sweep out
-    through :mod:`repro.core.parallel` (csr engine only — the legacy
-    engine warns and runs serially).
+    ``backend`` is the CSR array backend (``"python"``/``"numpy"``/
+    ``"auto"``). ``matching_rounds`` bounds the mutual heavy-edge
+    matching rounds per level. ``jobs``/``executor`` fan the coarse-level
+    ``k`` sweep out through :mod:`repro.core.parallel`.
 
-    Refinement (csr engine):
+    Refinement:
 
     ``frontier``
         ``"boundary"`` (default) refines each uncoarsened level only
@@ -156,7 +141,6 @@ class MultilevelConfig:
     min_suspicious: int = 1
     max_suspicious_fraction: float = 0.6
     seed: int = 0
-    engine: str = "csr"
     backend: str = "auto"
     matching_rounds: int = 8
     jobs: int = 1
@@ -172,7 +156,7 @@ class MultilevelConfig:
 class MultilevelResult:
     """Final fine-level cut plus per-level diagnostics.
 
-    ``timings`` (csr engine) breaks the wall clock down into
+    ``timings`` breaks the wall clock down into
     ``"coarsen"`` (seconds per built level), ``"coarse_sweep"`` (the
     coarsest-level ``k`` sweep), ``"refine"`` (seconds per uncoarsening
     level, finest last — the last entry includes the Dinkelbach polish)
@@ -198,90 +182,6 @@ class MultilevelResult:
     @property
     def levels(self) -> int:
         return len(self.level_sizes)
-
-
-def random_heavy_edge_matching(
-    graph: WeightedAugmentedGraph,
-    rng: random.Random,
-    locked: Optional[Sequence[bool]] = None,
-) -> List[int]:
-    """A maximal matching preferring heavy friendship edges (legacy
-    engine: greedy over a shuffled node order).
-
-    Returns ``match`` with ``match[u] == v`` for matched pairs and
-    ``match[u] == u`` for singletons. Locked nodes (seeds) are never
-    matched, so their identities — and pinned sides — survive
-    coarsening unmerged.
-    """
-    n = graph.num_nodes
-    locked = locked or [False] * n
-    match = list(range(n))
-    order = list(range(n))
-    rng.shuffle(order)
-    taken = [False] * n
-    for u in order:
-        if taken[u] or locked[u]:
-            continue
-        best_v = -1
-        best_weight = 0.0
-        for v, weight in graph.friends[u].items():
-            if not taken[v] and not locked[v] and v != u and weight > best_weight:
-                best_weight = weight
-                best_v = v
-        if best_v >= 0:
-            match[u] = best_v
-            match[best_v] = u
-            taken[u] = taken[best_v] = True
-    return match
-
-
-def coarsen(
-    graph: WeightedAugmentedGraph, match: Sequence[int]
-) -> Tuple[WeightedAugmentedGraph, List[int]]:
-    """Contract matched pairs into super-nodes (legacy dict walk).
-
-    Returns ``(coarse_graph, mapping)`` where ``mapping[u]`` is the
-    coarse id of fine node ``u``. Edge weights between distinct coarse
-    nodes accumulate; edges internal to a merged pair disappear (their
-    endpoints are now the same node). The csr engine does the same
-    contraction through :func:`repro.core.kernels.contract_arrays`.
-    """
-    n = graph.num_nodes
-    mapping = [-1] * n
-    next_id = 0
-    for u in range(n):
-        if mapping[u] >= 0:
-            continue
-        v = match[u]
-        mapping[u] = next_id
-        if v != u:
-            mapping[v] = next_id
-        next_id += 1
-    coarse = WeightedAugmentedGraph(next_id)
-    for u in range(n):
-        coarse.node_weight[mapping[u]] = 0
-    for u in range(n):
-        coarse.node_weight[mapping[u]] += graph.node_weight[u]
-    for u in range(n):
-        cu = mapping[u]
-        for v, weight in graph.friends[u].items():
-            if u < v and mapping[v] != cu:
-                coarse.add_friendship(cu, mapping[v], weight)
-        for v, weight in graph.rej_out[u].items():
-            if mapping[v] != cu:
-                coarse.add_rejection(cu, mapping[v], weight)
-    return coarse, mapping
-
-
-def _is_valid(
-    partition: WeightedPartition, total_nodes: int, config: MultilevelConfig
-) -> bool:
-    size = partition.suspicious_size()
-    return (
-        config.min_suspicious <= size <= config.max_suspicious_fraction * total_nodes
-        and size < total_nodes
-        and partition.r_cross > 0
-    )
 
 
 def _sides_valid(
@@ -325,44 +225,6 @@ def _project_coarse_labels(
     return coarse_locked, coarse_sides
 
 
-def solve_maar_multilevel(
-    graph,
-    config: Optional[MultilevelConfig] = None,
-    legit_seeds: Sequence[int] = (),
-    spammer_seeds: Sequence[int] = (),
-) -> MultilevelResult:
-    """Approximate the MAAR cut via the multilevel scheme.
-
-    Interface mirrors :func:`repro.core.maar.solve_maar`: returns the
-    suspicious node set of the best valid cut (empty when none exists).
-    ``graph`` may be an :class:`AugmentedSocialGraph` builder or (csr
-    engine only) an already-finalized unweighted
-    :class:`~repro.core.csr.CSRGraph`.
-    """
-    config = config or MultilevelConfig()
-    if config.engine == "legacy":
-        if config.jobs > 1:
-            warn_jobs_ignored(
-                logger,
-                "MultilevelConfig",
-                config.jobs,
-                "the legacy engine has no parallel coarse-level k-sweep; "
-                "use engine='csr' for fan-out",
-            )
-        if not isinstance(graph, AugmentedSocialGraph):
-            raise ValueError(
-                "engine='legacy' needs the mutable AugmentedSocialGraph "
-                f"builder, got {type(graph).__name__}"
-            )
-        return _solve_multilevel_legacy(graph, config, legit_seeds, spammer_seeds)
-    if config.engine != "csr":
-        raise ValueError(f"unknown engine {config.engine!r}")
-    return _solve_multilevel_csr(graph, config, legit_seeds, spammer_seeds)
-
-
-# ----------------------------------------------------------------------
-# CSR engine
-# ----------------------------------------------------------------------
 #: Frontier fraction beyond which the scoped region machinery would just
 #: re-derive the whole-graph pass with extra bookkeeping — fall back to
 #: one classic full refinement run instead. Only a saturated frontier
@@ -602,13 +464,21 @@ def _refine_level_boundary(
     return f_cross, r_cross, detail
 
 
-def _solve_multilevel_csr(
+def solve_maar_multilevel(
     graph,
-    config: MultilevelConfig,
-    legit_seeds: Sequence[int],
-    spammer_seeds: Sequence[int],
+    config: Optional[MultilevelConfig] = None,
+    legit_seeds: Sequence[int] = (),
+    spammer_seeds: Sequence[int] = (),
 ) -> MultilevelResult:
+    """Approximate the MAAR cut via the multilevel scheme.
+
+    Interface mirrors :func:`repro.core.maar.solve_maar`: returns the
+    suspicious node set of the best valid cut (empty when none exists).
+    ``graph`` may be an :class:`AugmentedSocialGraph` builder or an
+    already-finalized unweighted :class:`~repro.core.csr.CSRGraph`.
+    """
     t_start = time.perf_counter()
+    config = config or MultilevelConfig()
     if config.frontier not in ("full", "boundary"):
         raise ValueError(
             f"unknown frontier {config.frontier!r}; expected 'full' or "
@@ -899,153 +769,4 @@ def _solve_multilevel_csr(
         k=best_k,
         level_sizes=level_sizes,
         timings=timings(sweep_time, refine_times, refine_detail, early_exits),
-    )
-
-
-# ----------------------------------------------------------------------
-# Legacy engine (dict-adjacency coarsening, heap-based refinement)
-# ----------------------------------------------------------------------
-def _solve_multilevel_legacy(
-    graph: AugmentedSocialGraph,
-    config: MultilevelConfig,
-    legit_seeds: Sequence[int],
-    spammer_seeds: Sequence[int],
-) -> MultilevelResult:
-    rng = random.Random(config.seed)
-    total_nodes = graph.num_nodes
-    if total_nodes == 0:
-        return MultilevelResult([], 1.0, None)
-    check_seeds(total_nodes, legit_seeds, spammer_seeds)
-
-    # The heap-based weighted KL of the original implementation, kept
-    # behind an explicit config so this path stays the fixed baseline the
-    # benchmark measures the csr engine against.
-    sweep_config = KLConfig(gain_index="heap", max_passes=config.max_passes)
-    refine_config = KLConfig(gain_index="heap", max_passes=config.refine_passes)
-
-    # --- Coarsening phase -------------------------------------------------
-    fine = WeightedAugmentedGraph.from_graph(graph)
-    locked = [False] * total_nodes
-    init_sides = [
-        SUSPICIOUS if graph.rej_in[u] else LEGITIMATE for u in range(total_nodes)
-    ]
-    for u in legit_seeds:
-        locked[u] = True
-        init_sides[u] = LEGITIMATE
-    for u in spammer_seeds:
-        locked[u] = True
-        init_sides[u] = SUSPICIOUS
-
-    levels: List[WeightedAugmentedGraph] = [fine]
-    mappings: List[List[int]] = []
-    locked_levels: List[List[bool]] = [locked]
-    sides_levels: List[List[int]] = [init_sides]
-    for _ in range(config.max_levels):
-        current = levels[-1]
-        if current.num_nodes <= config.coarsest_nodes:
-            break
-        match = random_heavy_edge_matching(current, rng, locked_levels[-1])
-        coarse, mapping = coarsen(current, match)
-        if coarse.num_nodes > (1 - config.min_shrink) * current.num_nodes:
-            break
-        coarse_locked, coarse_sides = _project_coarse_labels(
-            mapping, coarse.num_nodes, locked_levels[-1], sides_levels[-1]
-        )
-        levels.append(coarse)
-        mappings.append(mapping)
-        locked_levels.append(coarse_locked)
-        sides_levels.append(coarse_sides)
-    logger.debug(
-        "multilevel: %d levels, sizes %s",
-        len(levels),
-        [g.num_nodes for g in levels],
-    )
-
-    # --- Initial partitioning: k sweep on the coarsest level ---------------
-    coarsest = levels[-1]
-    best_sides: Optional[List[int]] = None
-    best_key = (float("inf"), 0.0)
-    best_k: Optional[float] = None
-    for k in geometric_k_sequence(config.k_min, config.k_factor, config.k_steps):
-        partition = weighted_extended_kl(
-            coarsest,
-            k,
-            sides_levels[-1],
-            locked=locked_levels[-1],
-            config=sweep_config,
-        )
-        if not _is_valid(partition, total_nodes, config):
-            continue
-        rate = acceptance_rate(partition.f_cross, partition.r_cross)
-        key = (rate, -partition.r_cross)
-        if key < best_key:
-            best_key = key
-            best_sides = list(partition.sides)
-            best_k = k
-    if best_sides is None or best_k is None:
-        return MultilevelResult(
-            [], 1.0, None, level_sizes=[g.num_nodes for g in levels]
-        )
-
-    # --- Uncoarsening + refinement -----------------------------------------
-    # Intermediate levels refine on the weighted graphs; the finest level
-    # refines with the fast unweighted KL (the level-0 graph has unit
-    # weights, so the two objectives coincide there).
-    sides = best_sides
-    for level in range(len(levels) - 2, 0, -1):
-        mapping = mappings[level]
-        projected = [sides[mapping[u]] for u in range(levels[level].num_nodes)]
-        refined = weighted_extended_kl(
-            levels[level],
-            best_k,
-            projected,
-            locked=locked_levels[level],
-            config=refine_config,
-        )
-        sides = refined.sides
-    if mappings:
-        mapping = mappings[0]
-        sides = [sides[mapping[u]] for u in range(total_nodes)]
-    fine_partition = extended_kl(
-        graph,
-        best_k,
-        Partition(graph, sides),
-        locked=locked_levels[0],
-        config=KLConfig(max_passes=config.refine_passes),
-    )
-    # Dinkelbach polish: re-refine at the cut's own ratio (Theorem 1's
-    # fixpoint), which corrects the coarse level's k estimate.
-    for _ in range(2):
-        if fine_partition.r_cross <= 0:
-            break
-        ratio = fine_partition.f_cross / fine_partition.r_cross
-        if not ratio > 0:
-            break
-        candidate = extended_kl(
-            graph,
-            ratio,
-            fine_partition,
-            locked=locked_levels[0],
-            config=KLConfig(max_passes=config.refine_passes),
-        )
-        if candidate.acceptance_rate() >= fine_partition.acceptance_rate() or not (
-            _sides_valid(candidate.sides, total_nodes, config)
-        ):
-            break
-        fine_partition = candidate
-        best_k = ratio
-    sides = fine_partition.sides
-
-    final = WeightedPartition(levels[0], sides)
-    suspicious = [u for u, s in enumerate(sides) if s == SUSPICIOUS]
-    rate = acceptance_rate(final.f_cross, final.r_cross)
-    if not _is_valid(final, total_nodes, config):
-        return MultilevelResult(
-            [], 1.0, None, level_sizes=[g.num_nodes for g in levels]
-        )
-    return MultilevelResult(
-        suspicious=suspicious,
-        acceptance_rate=rate,
-        k=best_k,
-        level_sizes=[g.num_nodes for g in levels],
     )

@@ -83,7 +83,7 @@ def warn_jobs_ignored(logger, owner: str, jobs: int, reason: str) -> None:
     """Emit the standard "``jobs`` ignored" warning.
 
     Every solver that accepts a ``jobs`` knob but cannot honour it for
-    the current configuration (coupled steps, legacy engines, …) warns
+    the current configuration (e.g. coupled steps) warns
     through this helper so the message shape — *which* config, *how
     many* jobs, *why* it runs serially — stays uniform and the tests can
     pin it once.

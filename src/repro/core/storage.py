@@ -55,7 +55,7 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .csr import CSRGraph, WeightedCSRGraph, resolve_backend
 

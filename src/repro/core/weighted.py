@@ -1,4 +1,4 @@
-"""Weighted rejection-augmented graphs and weighted KL refinement.
+"""Weighted rejection-augmented graphs.
 
 The multilevel MAAR solver (:mod:`repro.core.multilevel`) coarsens the
 social graph by merging matched node pairs; merged parallel edges must
@@ -9,9 +9,12 @@ friendships and rejections. This module provides:
   weights, for both the undirected friendship layer and the directed
   rejection layer;
 * :class:`WeightedPartition` — the incremental MAAR cut counters over
-  weighted edges;
-* :func:`weighted_extended_kl` — the single-node-switch KL pass loop of
-  :mod:`repro.core.kl` generalized to weighted edges.
+  weighted edges, the reference the CSR weighted counters are checked
+  against.
+
+The KL search itself runs on the builder's CSR finalization:
+``extended_kl_state(PartitionState(graph.csr().view(), sides, locked),
+k)`` (see :mod:`repro.core.kl`).
 
 Objective semantics are identical to the unweighted case with every
 edge count replaced by a weight sum; an unweighted graph embedded with
@@ -33,21 +36,15 @@ bit-identical python fallbacks, and dirty-frontier incremental passes
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from .csr import PartitionState
-from .gains import HeapGainIndex
 from .graph import AugmentedSocialGraph
-from .kl import KLConfig, extended_kl_state
 from .objectives import LEGITIMATE, SUSPICIOUS
 
 __all__ = [
     "WeightedAugmentedGraph",
     "WeightedPartition",
-    "weighted_extended_kl",
 ]
-
-_EPS = 1e-9
 
 
 class WeightedAugmentedGraph:
@@ -208,88 +205,3 @@ class WeightedPartition:
 
     def objective(self, k: float) -> float:
         return self.f_cross - k * self.r_cross
-
-
-def weighted_extended_kl(
-    graph: WeightedAugmentedGraph,
-    k: float,
-    initial_sides: Sequence[int],
-    locked: Optional[Sequence[bool]] = None,
-    max_passes: int = 30,
-    engine: str = "csr",
-    config: Optional[KLConfig] = None,
-) -> WeightedPartition:
-    """The extended KL pass loop over weighted edges.
-
-    With ``engine="csr"`` (default) the search runs on the weighted CSR
-    finalization via :func:`repro.core.kl.extended_kl_state` —
-    integral-weight graphs finalize to int64 and take the fused bucket
-    engine on on-grid ``k`` (``config.gain_index="auto"``), float
-    weights fall back to the heap. ``engine="legacy"`` keeps the
-    original dict-adjacency loop. All follow the same greedy discipline
-    — results may differ only in float-summation order on ties.
-
-    ``config`` overrides the full :class:`~repro.core.kl.KLConfig` for
-    the csr engine (``max_passes`` is ignored then); pass
-    ``KLConfig(gain_index="heap", max_passes=...)`` to reproduce the
-    pre-integer-weight behaviour exactly.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    n = graph.num_nodes
-    if locked is None:
-        locked = [False] * n
-    if engine == "csr":
-        state = PartitionState(graph.csr().view(), initial_sides, locked)
-        if config is None:
-            config = KLConfig(max_passes=max_passes)
-        out = extended_kl_state(state, k, config=config)
-        result = WeightedPartition(graph, out.sides)
-        return result
-    if engine != "legacy":
-        raise ValueError(f"unknown engine {engine!r}")
-    partition = WeightedPartition(graph, initial_sides)
-    sides = partition.sides
-
-    for _ in range(max_passes):
-        index = HeapGainIndex()
-        index.bulk_load(
-            (u, partition.switch_gain(u, k)) for u in range(n) if not locked[u]
-        )
-
-        sequence: List[int] = []
-        cumulative = 0.0
-        best_cumulative = 0.0
-        best_length = 0
-        while True:
-            popped = index.pop_max()
-            if popped is None:
-                break
-            u, gain = popped
-            prev_side = sides[u]
-            partition.switch(u)
-            sequence.append(u)
-            cumulative += gain
-            if cumulative > best_cumulative + _EPS:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-            # O(1)-per-edge neighbour updates, weighted analogues of the
-            # unweighted deltas in repro.core.kl.
-            for v, weight in graph.friends[u].items():
-                if v in index:
-                    index.adjust(
-                        v, 2.0 * weight if sides[v] == prev_side else -2.0 * weight
-                    )
-            rej_sign = k * (1 - 2 * prev_side)
-            for v, weight in graph.rej_out[u].items():
-                if v in index:
-                    index.adjust(v, (2 * sides[v] - 1) * rej_sign * weight)
-            for w, weight in graph.rej_in[u].items():
-                if w in index:
-                    index.adjust(w, (2 * sides[w] - 1) * rej_sign * weight)
-
-        for u in reversed(sequence[best_length:]):
-            partition.switch(u)
-        if best_length == 0:
-            break
-    return partition

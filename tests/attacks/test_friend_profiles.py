@@ -6,7 +6,6 @@ import statistics
 import pytest
 
 from repro.attacks import (
-    FriendProfile,
     FriendProfileModelConfig,
     sample_friend_profiles,
 )

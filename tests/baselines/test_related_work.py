@@ -8,7 +8,6 @@ import pytest
 from repro.attacks import ScenarioConfig, build_scenario
 from repro.baselines import (
     SignedTrust,
-    SignedTrustConfig,
     SybilFence,
     SybilFenceConfig,
     balance_filter,
@@ -16,7 +15,6 @@ from repro.baselines import (
     triad_census,
 )
 from repro.core import AugmentedSocialGraph, Rejecto, RejectoConfig
-from repro.metrics import precision_recall
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,6 @@ import pytest
 from repro.attacks import (
     ScenarioConfig,
     SybilRegionConfig,
-    add_careless_requests,
-    add_collusion_edges,
     build_scenario,
     inject_sybil_region,
 )

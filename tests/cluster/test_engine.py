@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
-from ..conftest import augmented_graphs, random_augmented_graph
+from ..conftest import augmented_graphs
 
 try:
     import numpy  # noqa: F401
@@ -135,22 +135,19 @@ class TestAccounting:
 
 
 class TestShardedProtocol:
-    """The CSR-sharded wire protocol: backend × prefetch × broadcast-mode
-    parity (partitions, counters, *and* objective history) plus the
+    """The CSR-sharded wire protocol: backend × prefetch parity
+    (partitions, counters, *and* objective history) plus the
     delta-broadcast and per-kind byte accounting."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("broadcast_mode", ["delta", "full"])
     @pytest.mark.parametrize("buffer_capacity", [4096, 0])
-    def test_bit_identical_to_local_engine(
-        self, scenario, backend, broadcast_mode, buffer_capacity
-    ):
+    def test_bit_identical_to_local_engine(self, scenario, backend, buffer_capacity):
         """Full-fidelity parity with the local engine: same partitions,
         same counters, same number of passes, same switch counts, same
         per-pass objective history — for every backend, with and without
-        prefetching, under both broadcast encodings. The worker gains
-        come from replica side vectors, so this also proves the delta
-        protocol keeps every replica exactly in sync."""
+        prefetching. The worker gains come from replica side vectors, so
+        this also proves the delta protocol keeps every replica exactly
+        in sync."""
         graph = scenario.graph
         init = rejection_init(graph)
         k = 8.0
@@ -164,10 +161,7 @@ class TestShardedProtocol:
         )
         engine = DistributedKL(
             graph.csr(backend),
-            ClusterConfig(
-                buffer_capacity=buffer_capacity,
-                broadcast_mode=broadcast_mode,
-            ),
+            ClusterConfig(buffer_capacity=buffer_capacity),
         )
         stats = ClusterRunStats()
         sides, f_cross, r_cross = engine.run(k, init, stats=stats)
@@ -187,17 +181,6 @@ class TestShardedProtocol:
         # One full sync opens the run; each further pass ships a delta.
         assert stats.network.by_kind["broadcast"] == workers
         assert stats.network.by_kind["delta"] == (stats.passes - 1) * workers
-
-    def test_full_mode_rebroadcasts_every_pass(self, scenario):
-        stats = ClusterRunStats()
-        engine = DistributedKL(
-            scenario.graph, ClusterConfig(broadcast_mode="full")
-        )
-        engine.run(8.0, rejection_init(scenario.graph), stats=stats)
-        workers = engine.config.num_workers
-        assert stats.passes > 1
-        assert "delta" not in stats.network.by_kind
-        assert stats.network.by_kind["broadcast"] == stats.passes * workers
 
     def test_bytes_by_kind_partitions_total(self, scenario):
         stats = ClusterRunStats()
@@ -231,10 +214,6 @@ class TestShardedProtocol:
         assert stats.fetch_batches > first[1]
         assert stats.passes > first[2]
         assert len(stats.objective_history) == stats.passes
-
-    def test_invalid_broadcast_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(broadcast_mode="compressed")
 
 
 _LEDGER_COMMON_BYTES = {

@@ -1,28 +1,46 @@
-"""Legacy-engine vs CSR-engine parity.
+"""Parity of the CSR engine against independent references.
 
-The tentpole refactor keeps the original dict-adjacency KL/MAAR/Rejecto
-implementations behind ``KLConfig(engine="legacy")``. These tests pin
-the new flat-array core to the old behavior: on canonicalized graphs
-(edges inserted in sorted order, so the legacy engine's insertion-order
-adjacency equals the CSR's sorted adjacency) the two paths must produce
-*identical* partitions, cut counters, and detected groups — not merely
-equally good ones.
+The CSR engine is the only KL/MAAR/Rejecto implementation in
+``repro.core``; these tests pin it to references that do not share its
+code:
+
+* **KL level** — the simulated cluster engine
+  (:class:`repro.cluster.engine.DistributedKL`) runs the same greedy
+  single-switch discipline over the :mod:`repro.core.gains` index
+  objects, with gains computed worker-side by the shard kernels. On
+  canonicalized graphs (edges inserted in sorted order) the two must
+  produce *identical* partitions and cut counters, not merely equally
+  good ones.
+* **MAAR level** — unseeded sweeps are checked against
+  :func:`repro.cluster.engine.distributed_maar` (its own validity rules
+  and tie-break), per ``k`` and for the winning cut, including small
+  graphs whose best cuts tie on acceptance rate; seeded and
+  Dinkelbach-refined sweeps against per-``k`` values pinned when a
+  second, dict-adjacency engine still existed and agreed with this one.
+* **Rejecto level** — zero-copy residual views must equal rounds run on
+  materialized ``graph.subgraph(remaining)`` copies.
+
+Every comparison on a planted scenario also asserts that the detection
+is non-empty and precise against the fakes, so two empty answers cannot
+pass as parity.
 """
 
 import pytest
 from hypothesis import given, settings
 
 from repro.attacks.scenario import ScenarioConfig, build_scenario
+from repro.cluster.engine import ClusterConfig, DistributedKL, distributed_maar
 from repro.core import AugmentedSocialGraph, Partition
 from repro.core.csr import PartitionState
 from repro.core.kl import KLConfig, KLStats, extended_kl, extended_kl_state
 from repro.core.maar import MAARConfig, solve_maar
-from repro.core.rejecto import Rejecto, RejectoConfig
+from repro.core.objectives import LEGITIMATE, SUSPICIOUS
+from repro.core.rejecto import DetectedGroup, Rejecto, RejectoConfig, RejectoResult
 
 from ..conftest import graphs_with_sides
 
-LEGACY_KL = KLConfig(engine="legacy")
 FULL_REBUILD = KLConfig(incremental=False)
+PRECISION_FLOOR = 0.9
 
 try:
     import numpy  # noqa: F401
@@ -35,9 +53,10 @@ except ImportError:  # pragma: no cover
 def canonical(graph):
     """Rebuild ``graph`` with sorted edge insertion.
 
-    Sorted insertion makes every legacy adjacency list ascending, i.e.
-    identical to the CSR ordering, so both engines visit neighbors in
-    the same order and tie-breaks resolve identically.
+    Sorted insertion makes every builder adjacency list ascending, i.e.
+    identical to the CSR ordering, so engines that walk the builder and
+    engines that walk the CSR arrays visit neighbours in the same order
+    and tie-breaks resolve identically.
     """
     return AugmentedSocialGraph.from_edges(
         graph.num_nodes,
@@ -58,22 +77,44 @@ SCENARIOS = {
 }
 
 
-def assert_maar_results_equal(legacy, new):
-    assert legacy.found == new.found
-    assert legacy.k == new.k
-    assert legacy.acceptance_rate == pytest.approx(new.acceptance_rate)
-    if legacy.found:
-        assert legacy.suspicious_nodes() == new.suspicious_nodes()
-        assert legacy.partition.f_cross == new.partition.f_cross
-        assert legacy.partition.r_cross == new.partition.r_cross
-    assert len(legacy.per_k) == len(new.per_k)
-    for old_c, new_c in zip(legacy.per_k, new.per_k):
+def assert_precise(detected, scenario):
+    """A parity comparison is meaningful only on a real detection: it
+    must be non-empty and mostly planted fakes."""
+    detected = set(detected)
+    assert detected, "empty detection"
+    precision = len(detected & set(scenario.fakes)) / len(detected)
+    assert precision >= PRECISION_FLOOR, precision
+
+
+def assert_maar_results_equal(reference, new):
+    assert reference.found == new.found
+    assert reference.k == new.k
+    assert reference.acceptance_rate == pytest.approx(new.acceptance_rate)
+    if reference.found:
+        assert reference.suspicious_nodes() == new.suspicious_nodes()
+        assert reference.partition.f_cross == new.partition.f_cross
+        assert reference.partition.r_cross == new.partition.r_cross
+    assert len(reference.per_k) == len(new.per_k)
+    for old_c, new_c in zip(reference.per_k, new.per_k):
         assert old_c.k == new_c.k
         assert old_c.valid == new_c.valid
         assert old_c.f_cross == new_c.f_cross
         assert old_c.r_cross == new_c.r_cross
         assert old_c.suspicious_size == new_c.suspicious_size
         assert old_c.acceptance_rate == pytest.approx(new_c.acceptance_rate)
+
+
+def per_k_values(result):
+    return [
+        (c.k, c.f_cross, c.r_cross, c.suspicious_size, c.valid)
+        for c in result.per_k
+    ]
+
+
+def cluster_kl(graph, k, sides, locked=None, gain_index="bucket"):
+    """``(sides, f_cross, r_cross)`` of the cluster engine's KL run."""
+    engine = DistributedKL(graph, ClusterConfig(gain_index=gain_index))
+    return engine.run(k, list(sides), locked=locked)
 
 
 class TestExtendedKLParity:
@@ -83,22 +124,20 @@ class TestExtendedKLParity:
         graph, sides = graph_and_sides
         graph = canonical(graph)
         for k in (0.125, 1.0, 4.0):
-            initial = Partition(graph, list(sides))
-            legacy = extended_kl(graph, k, initial, config=LEGACY_KL)
-            new = extended_kl(graph, k, initial)
-            assert new.sides == legacy.sides
-            assert (new.f_cross, new.r_cross) == (legacy.f_cross, legacy.r_cross)
+            new = extended_kl(graph, k, Partition(graph, list(sides)))
+            assert (new.sides, new.f_cross, new.r_cross) == tuple(
+                cluster_kl(graph, k, sides)
+            )
 
     @given(graphs_with_sides())
     @settings(max_examples=40, deadline=None)
     def test_off_grid_k_uses_heap_on_both_engines(self, graph_and_sides):
         graph, sides = graph_and_sides
         graph = canonical(graph)
-        initial = Partition(graph, list(sides))
-        legacy = extended_kl(graph, 0.3, initial, config=LEGACY_KL)
-        new = extended_kl(graph, 0.3, initial)
-        assert new.sides == legacy.sides
-        assert (new.f_cross, new.r_cross) == (legacy.f_cross, legacy.r_cross)
+        new = extended_kl(graph, 0.3, Partition(graph, list(sides)))
+        assert (new.sides, new.f_cross, new.r_cross) == tuple(
+            cluster_kl(graph, 0.3, sides, gain_index="heap")
+        )
 
     @given(graphs_with_sides())
     @settings(max_examples=40, deadline=None)
@@ -106,13 +145,91 @@ class TestExtendedKLParity:
         graph, sides = graph_and_sides
         graph = canonical(graph)
         locked = [u % 3 == 0 for u in range(graph.num_nodes)]
-        initial = Partition(graph, list(sides))
-        legacy = extended_kl(graph, 1.0, initial, locked=locked, config=LEGACY_KL)
-        new = extended_kl(graph, 1.0, initial, locked=locked)
-        assert new.sides == legacy.sides
+        new = extended_kl(graph, 1.0, Partition(graph, list(sides)), locked=locked)
+        assert (new.sides, new.f_cross, new.r_cross) == tuple(
+            cluster_kl(graph, 1.0, sides, locked=locked)
+        )
         for u in range(graph.num_nodes):
             if locked[u]:
                 assert new.sides[u] == sides[u]
+
+
+def assert_matches_cluster_sweep(graph, result):
+    """Check an unseeded default :func:`solve_maar` result against the
+    cluster engine: the same cut at every grid ``k`` and the same winner
+    under :func:`distributed_maar`'s own validity rules and tie-break."""
+    engine = DistributedKL(graph)
+    init = [
+        SUSPICIOUS if graph.rej_in[u] else LEGITIMATE
+        for u in range(graph.num_nodes)
+    ]
+    for candidate in result.per_k:
+        sides, f_cross, r_cross = engine.run(candidate.k, init)
+        assert (f_cross, r_cross, sum(sides)) == (
+            candidate.f_cross,
+            candidate.r_cross,
+            candidate.suspicious_size,
+        )
+    suspicious, rate, best_k = distributed_maar(graph)
+    assert result.suspicious_nodes() == suspicious
+    assert result.k == best_k
+    assert result.acceptance_rate == pytest.approx(rate)
+
+
+#: Per-``k`` ``(k, f_cross, r_cross, suspicious_size, valid)`` of the
+#: seeded (``sample_seeds(20, 5, seed=11)``) and ``refine_rounds=2``
+#: sweeps on the canonical baseline scenario, captured when the
+#: dict-adjacency and CSR engines still agreed on both.
+SEEDED_PER_K = [
+    (0.125, 96, 73, 5, True),
+    (0.25, 96, 73, 5, True),
+    (0.5, 407, 821, 62, True),
+    (1.0, 412, 830, 62, True),
+    (2.0, 420, 835, 64, True),
+    (4.0, 584, 884, 91, True),
+    (8.0, 824, 939, 105, True),
+    (16.0, 842, 941, 109, True),
+    (32.0, 842, 941, 109, True),
+    (64.0, 842, 941, 109, True),
+]
+REFINED_PER_K = [
+    (0.125, 0, 0, 360, False),
+    (0.25, 0, 0, 360, False),
+    (0.5, 407, 822, 63, True),
+    (1.0, 412, 831, 63, True),
+    (2.0, 416, 834, 63, True),
+    (4.0, 765, 934, 111, True),
+    (8.0, 847, 950, 116, True),
+    (16.0, 855, 951, 117, True),
+    (32.0, 855, 951, 117, True),
+    (64.0, 855, 951, 117, True),
+    (407 / 822, 407, 822, 63, True),
+]
+
+
+#: ``(num_nodes, friendships, rejections)`` of small graphs whose MAAR
+#: sweep ends on an acceptance-rate tie between cuts with different
+#: ``r_cross`` (found by a random search; the scenario sweeps never
+#: tie).
+TIED_SWEEPS = [
+    (
+        13,
+        [(6, 7)],
+        [(0, 3), (0, 6), (0, 8), (1, 3), (2, 7), (2, 9), (4, 10), (5, 6),
+         (6, 4), (7, 2), (7, 5), (7, 9), (10, 4), (10, 5), (11, 5), (12, 2),
+         (12, 3)],
+    ),
+    (
+        10,
+        [(0, 2), (0, 6), (0, 8), (1, 4)],
+        [(2, 9), (3, 7), (6, 3), (6, 9), (7, 4), (7, 9), (8, 5), (8, 9)],
+    ),
+    (
+        10,
+        [(1, 3), (3, 4), (3, 7), (4, 8), (5, 6), (7, 8), (7, 9)],
+        [(2, 8), (4, 1)],
+    ),
+]
 
 
 class TestMAARParity:
@@ -120,28 +237,38 @@ class TestMAARParity:
     def test_scenario_sweep_identical(self, name):
         scenario = scenario_graph(**SCENARIOS[name])
         graph = canonical(scenario.graph)
-        legacy = solve_maar(graph, MAARConfig(kl=LEGACY_KL))
         new = solve_maar(graph, MAARConfig())
-        assert_maar_results_equal(legacy, new)
-        assert legacy.found
+        assert_precise(new.suspicious_nodes(), scenario)
+        assert_matches_cluster_sweep(graph, new)
+
+    @pytest.mark.parametrize("edges", TIED_SWEEPS)
+    def test_acceptance_ties_prefer_more_rejections(self, edges):
+        """Small graphs whose sweep yields two valid cuts at the same
+        acceptance rate but different ``r_cross``: the winner must be the
+        one explaining more rejections, as the cluster sweep picks it."""
+        num_nodes, friendships, rejections = edges
+        graph = AugmentedSocialGraph.from_edges(num_nodes, friendships, rejections)
+        new = solve_maar(graph, MAARConfig())
+        best = new.acceptance_rate
+        tied = {c.r_cross for c in new.per_k if c.valid and c.acceptance_rate == best}
+        assert len(tied) > 1
+        assert new.partition.r_cross == max(tied)
+        assert_matches_cluster_sweep(graph, new)
 
     def test_seeded_sweep_identical(self):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
         legit_seeds, spammer_seeds = scenario.sample_seeds(20, 5, seed=11)
-        legacy = solve_maar(
-            graph,
-            MAARConfig(kl=LEGACY_KL),
-            legit_seeds=legit_seeds,
-            spammer_seeds=spammer_seeds,
-        )
         new = solve_maar(
             graph,
             MAARConfig(),
             legit_seeds=legit_seeds,
             spammer_seeds=spammer_seeds,
         )
-        assert_maar_results_equal(legacy, new)
+        assert per_k_values(new) == SEEDED_PER_K
+        assert new.k == 0.5
+        assert new.acceptance_rate == pytest.approx(407 / (407 + 821))
+        assert_precise(new.suspicious_nodes(), scenario)
         suspicious = set(new.suspicious_nodes())
         assert suspicious.issuperset(spammer_seeds)
         assert suspicious.isdisjoint(legit_seeds)
@@ -149,9 +276,10 @@ class TestMAARParity:
     def test_refinement_rounds_identical(self):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
-        legacy = solve_maar(graph, MAARConfig(kl=LEGACY_KL, refine_rounds=2))
         new = solve_maar(graph, MAARConfig(refine_rounds=2))
-        assert_maar_results_equal(legacy, new)
+        assert per_k_values(new) == REFINED_PER_K
+        assert new.k == 0.5
+        assert_precise(new.suspicious_nodes(), scenario)
 
 
 class TestParallelSweepParity:
@@ -165,11 +293,12 @@ class TestParallelSweepParity:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_maar_sweep_identical(self, name, backend):
-        graph = canonical(scenario_graph(**SCENARIOS[name]).graph)
+        scenario = scenario_graph(**SCENARIOS[name])
+        graph = canonical(scenario.graph)
         serial = solve_maar(graph, MAARConfig())
         parallel = solve_maar(graph, MAARConfig(jobs=2, executor=backend))
         assert_maar_results_equal(serial, parallel)
-        assert serial.found
+        assert_precise(serial.suspicious_nodes(), scenario)
         assert parallel.suspicious_nodes() == serial.suspicious_nodes()
         assert parallel.stats.passes == serial.stats.passes
         assert parallel.stats.switches_applied == serial.stats.switches_applied
@@ -194,12 +323,13 @@ class TestParallelSweepParity:
             spammer_seeds=spammer_seeds,
         )
         assert_maar_results_equal(serial, parallel)
-        assert parallel.suspicious_nodes() == serial.suspicious_nodes()
+        assert_precise(serial.suspicious_nodes(), scenario)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rejecto_groups_identical(self, name, backend):
-        graph = canonical(scenario_graph(**SCENARIOS[name]).graph)
+        scenario = scenario_graph(**SCENARIOS[name])
+        graph = canonical(scenario.graph)
         serial = Rejecto().detect(graph)
         parallel = Rejecto(
             RejectoConfig(maar=MAARConfig(jobs=2, executor=backend))
@@ -213,20 +343,25 @@ class TestParallelSweepParity:
             assert new_g.k == old_g.k
             assert new_g.acceptance_rate == pytest.approx(old_g.acceptance_rate)
         assert parallel.detected() == serial.detected()
+        assert_precise(serial.detected(limit=len(scenario.fakes)), scenario)
 
     def test_warm_start_falls_back_to_serial_semantics(self):
         """``warm_start`` couples the k steps; ``jobs`` must not change
         the result (the sweep ignores the fan-out and stays serial)."""
-        graph = canonical(scenario_graph().graph)
+        scenario = scenario_graph()
+        graph = canonical(scenario.graph)
         serial = solve_maar(graph, MAARConfig(warm_start=True))
         parallel = solve_maar(graph, MAARConfig(warm_start=True, jobs=2))
         assert_maar_results_equal(serial, parallel)
+        assert_precise(serial.suspicious_nodes(), scenario)
 
     def test_refinement_after_parallel_sweep_identical(self):
-        graph = canonical(scenario_graph().graph)
+        scenario = scenario_graph()
+        graph = canonical(scenario.graph)
         serial = solve_maar(graph, MAARConfig(refine_rounds=2))
         parallel = solve_maar(graph, MAARConfig(refine_rounds=2, jobs=2))
         assert_maar_results_equal(serial, parallel)
+        assert_precise(serial.suspicious_nodes(), scenario)
 
 
 def assert_stats_equal(reference: KLStats, other: KLStats) -> None:
@@ -305,20 +440,23 @@ class TestIncrementalParity:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_maar_sweep_identical(self, name):
-        graph = canonical(scenario_graph(**SCENARIOS[name]).graph)
+        scenario = scenario_graph(**SCENARIOS[name])
+        graph = canonical(scenario.graph)
         full = solve_maar(graph, MAARConfig(kl=FULL_REBUILD))
         inc = solve_maar(graph, MAARConfig())
         assert_maar_results_equal(full, inc)
         assert_stats_equal(full.stats, inc.stats)
-        assert full.found
+        assert_precise(full.suspicious_nodes(), scenario)
 
     def test_rejecto_groups_identical(self):
-        graph = canonical(scenario_graph().graph)
+        scenario = scenario_graph()
+        graph = canonical(scenario.graph)
         full = Rejecto(RejectoConfig(maar=MAARConfig(kl=FULL_REBUILD))).detect(graph)
         inc = Rejecto().detect(graph)
         assert inc.termination == full.termination
         assert [g.members for g in inc.groups] == [g.members for g in full.groups]
         assert inc.detected() == full.detected()
+        assert_precise(full.detected(limit=len(scenario.fakes)), scenario)
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
@@ -366,6 +504,68 @@ class TestBackendParity:
             g.members for g in py_res.groups
         ]
         assert np_res.detected() == py_res.detected()
+        assert_precise(py_res.detected(limit=len(scenario.fakes)), scenario)
+
+
+def materialized_rounds(graph, config, legit_seeds=(), spammer_seeds=()):
+    """Rejecto's rounds run on materialized residual graphs.
+
+    Each round copies ``graph.subgraph(remaining)``, solves it with
+    :func:`solve_maar`, orders the cut by in-rejections inside the copy
+    and maps it back to original ids — the reference the zero-copy
+    residual views of :meth:`Rejecto.detect` must reproduce.
+    """
+    remaining = list(range(graph.num_nodes))
+    groups = []
+    detected_total = 0
+    termination = "max_rounds"
+    for round_index in range(config.max_rounds):
+        if not remaining:
+            termination = "exhausted"
+            break
+        residual, old_ids = graph.subgraph(remaining)
+        position = {old: new for new, old in enumerate(old_ids)}
+        result = solve_maar(
+            residual,
+            config.maar,
+            legit_seeds=[position[u] for u in sorted(legit_seeds) if u in position],
+            spammer_seeds=[
+                position[u] for u in sorted(spammer_seeds) if u in position
+            ],
+        )
+        if not result.found:
+            termination = "no_cut"
+            break
+        if (
+            config.acceptance_threshold is not None
+            and result.acceptance_rate > config.acceptance_threshold
+        ):
+            termination = "acceptance_threshold"
+            break
+        local = result.partition.suspicious_nodes()
+        local.sort(key=lambda u: len(residual.rej_in[u]), reverse=True)
+        members = [old_ids[u] for u in local]
+        groups.append(
+            DetectedGroup(
+                members=members,
+                acceptance_rate=result.acceptance_rate,
+                ratio=result.partition.ratio(),
+                f_cross=result.partition.f_cross,
+                r_cross=result.partition.r_cross,
+                k=result.k,
+                round_index=round_index,
+            )
+        )
+        detected_total += len(members)
+        cut = set(members)
+        remaining = [u for u in remaining if u not in cut]
+        if (
+            config.estimated_spammers is not None
+            and detected_total >= config.estimated_spammers
+        ):
+            termination = "estimated_spammers"
+            break
+    return RejectoResult(groups, len(groups), termination)
 
 
 class TestRejectoParity:
@@ -373,31 +573,30 @@ class TestRejectoParity:
     def test_detected_groups_identical(self, name):
         scenario = scenario_graph(**SCENARIOS[name])
         graph = canonical(scenario.graph)
-        legacy = Rejecto(RejectoConfig(maar=MAARConfig(kl=LEGACY_KL))).detect(graph)
+        reference = materialized_rounds(graph, RejectoConfig())
         new = Rejecto().detect(graph)
-        assert new.termination == legacy.termination
-        assert new.rounds_run == legacy.rounds_run
-        assert len(new.groups) == len(legacy.groups)
-        for old_g, new_g in zip(legacy.groups, new.groups):
+        assert new.termination == reference.termination
+        assert new.rounds_run == reference.rounds_run > 1
+        for old_g, new_g in zip(reference.groups, new.groups):
             assert new_g.members == old_g.members
             assert new_g.f_cross == old_g.f_cross
             assert new_g.r_cross == old_g.r_cross
+            assert new_g.k == old_g.k
             assert new_g.acceptance_rate == pytest.approx(old_g.acceptance_rate)
-        assert new.detected() == legacy.detected()
+        assert new.detected() == reference.detected()
+        assert_precise(new.detected(limit=len(scenario.fakes)), scenario)
 
     def test_seeded_detection_identical(self):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
         legit_seeds, spammer_seeds = scenario.sample_seeds(20, 5, seed=3)
         config = RejectoConfig(estimated_spammers=len(scenario.fakes))
-        legacy = Rejecto(
-            RejectoConfig(
-                maar=MAARConfig(kl=LEGACY_KL),
-                estimated_spammers=len(scenario.fakes),
-            )
-        ).detect(graph, legit_seeds=legit_seeds, spammer_seeds=spammer_seeds)
+        reference = materialized_rounds(graph, config, legit_seeds, spammer_seeds)
         new = Rejecto(config).detect(
             graph, legit_seeds=legit_seeds, spammer_seeds=spammer_seeds
         )
-        assert new.termination == legacy.termination
-        assert [g.members for g in new.groups] == [g.members for g in legacy.groups]
+        assert new.termination == reference.termination
+        assert [g.members for g in new.groups] == [
+            g.members for g in reference.groups
+        ]
+        assert_precise(new.detected(limit=len(scenario.fakes)), scenario)

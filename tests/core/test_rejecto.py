@@ -4,7 +4,6 @@ import random
 
 from repro.core import (
     AugmentedSocialGraph,
-    MAARConfig,
     Rejecto,
     RejectoConfig,
     RejectoResult,
@@ -206,14 +205,3 @@ class TestResidualViewRounds:
         # every round only allocated an O(V) active mask on top of it.
         assert graph.csr() is csr
         assert result.rounds_run >= 2
-
-    def test_legacy_engine_still_copies(self):
-        from repro.core.kl import KLConfig
-
-        graph, group_a, _ = two_group_spam_graph()
-        config = RejectoConfig(
-            maar=MAARConfig(kl=KLConfig(engine="legacy")),
-            estimated_spammers=24,
-        )
-        result = Rejecto(config).detect(graph)
-        assert set(group_a) <= result.detected_set()

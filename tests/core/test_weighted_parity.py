@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.core.csr import CSRGraph, PartitionState, WeightedCSRGraph
+from repro.core.csr import PartitionState, WeightedCSRGraph
 from repro.core.kernels import (
     contract_arrays,
     heavy_edge_matching,

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import _run_command, build_parser
+from repro.cli import _run_command, build_parser, main
 
 
 def run_cli(argv):
@@ -171,3 +171,29 @@ class TestGraphCommands:
         )
         assert "users" in out_text
         assert report.exists()
+
+
+class TestBadInput:
+    """Bad input stops with one clear error line and exit code 2."""
+
+    def assert_clean_error(self, capsys, argv, needle):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("rejecto: error: ")
+        assert needle in captured.err
+
+    def test_detect_missing_graph(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        self.assert_clean_error(capsys, ["detect", "--graph", missing], missing)
+
+    def test_multilevel_missing_graph(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        self.assert_clean_error(
+            capsys, ["multilevel", "--graph", missing], missing
+        )
+
+    def test_detect_malformed_graph(self, tmp_path, capsys):
+        bad = tmp_path / "bad.graph"
+        bad.write_text("nodes 3\nF 0 1\nF 0 oops\n")
+        self.assert_clean_error(capsys, ["detect", "--graph", str(bad)], str(bad))
