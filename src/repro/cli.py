@@ -300,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="end a region pass after this many consecutive non-improving "
         "tentative switches (0 restores exhaustive FM passes)",
     )
-    p.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable dirty-frontier gain rebuilds between passes (ablation)",
-    )
     p.add_argument("--legit-seeds", type=int, nargs="*", default=[])
     p.add_argument("--spammer-seeds", type=int, nargs="*", default=[])
     p.add_argument(
@@ -502,7 +497,6 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
         refine_jobs = default_jobs()
     config = MultilevelConfig(
         frontier=args.frontier,
-        incremental=not args.no_incremental,
         refine_tolerance=args.refine_tolerance,
         refine_jobs=refine_jobs,
         refine_stall=args.refine_stall if args.refine_stall > 0 else None,
@@ -565,7 +559,6 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
             "seconds": seconds,
             "config": {
                 "frontier": args.frontier,
-                "incremental": not args.no_incremental,
                 "refine_tolerance": args.refine_tolerance,
                 "refine_jobs": refine_jobs,
             },

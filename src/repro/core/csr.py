@@ -479,7 +479,7 @@ class CSRGraph:
         ``(resolution, k_scaled)`` serves every pass of every KL solve
         at that ``k`` — the whole MAAR ``k``-sweep and all of Rejecto's
         residual rounds share this cache instead of re-scanning O(V)
-        degrees per ``_run_bucket_passes`` call."""
+        degrees per KL solve."""
         key = (resolution, k_scaled)
         bound = self._bound_cache.get(key)
         if bound is None:

@@ -27,24 +27,34 @@ low-ratio cuts inside the legitimate region from the search space.
 
 Engine
 ------
-One engine runs on the flat-array :class:`repro.core.csr.PartitionState`.
-On the default 1/8 ``k`` grid it uses an *inlined* integer-scaled bucket
-list: counter updates and neighbour gain adjustments happen in one fused
-sweep per switched node, with zero per-edge function calls. Int64-weighted
-coarse graphs (the multilevel hierarchy) run a weighted twin of the same
-fused engine; off-grid ``k`` (Dinkelbach refinement), float-weighted
-graphs, and weighted residual views fall back to the lazy heap. All three
-share one greedy discipline (same gain arithmetic, same FM LIFO
-tie-breaks, same best-prefix rollback). The simulated cluster engine
-(:class:`repro.cluster.engine.DistributedKL`) reimplements it over the
-:mod:`repro.core.gains` index objects and is the independent reference
-``tests/core/test_parity.py`` checks this module against.
+One pass skeleton (:func:`_run_passes`) drives the search over the
+flat-array :class:`repro.core.csr.PartitionState`. It owns everything
+the passes share: the pass loop and :class:`KLStats`, the start-of-pass
+gain refresh (batch kernel or dirty frontier), the ``frontier=
+"boundary"`` scope with its convergence closure, and the final counter
+write-back. Each pass itself runs in one of two bodies:
+
+* :func:`_bucket_pass` — an *inlined* integer-scaled FM bucket list for
+  ``k`` on the ``1/resolution`` grid, over unweighted graphs and
+  int64-weighted coarse graphs (the multilevel hierarchy). Counter
+  updates and neighbour relinks happen in one fused sweep per switched
+  node with zero per-edge function calls; unit-weight and weighted
+  edges each get their own sweep, picked once per switched node.
+* :func:`_heap_pass` — a lazy-deletion heap of float gains for off-grid
+  ``k`` (Dinkelbach refinement), float-weighted graphs and weighted
+  residual views.
+
+Both bodies keep one greedy discipline (same gain arithmetic, same FM
+LIFO tie-breaks, same best-prefix rollback). The simulated cluster
+engine (:class:`repro.cluster.engine.DistributedKL`) reimplements it over
+the :mod:`repro.core.gains` index objects and is the independent
+reference ``tests/core/test_parity.py`` checks this module against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Tuple
 
 from .csr import PartitionState
 from .gains import HeapGainIndex, _on_grid
@@ -78,31 +88,33 @@ class KLConfig:
     Attributes
     ----------
     gain_index:
-        ``"bucket"`` (FM bucket list), ``"heap"`` (lazy-deletion heap) or
+        The pass body the shared skeleton runs: ``"bucket"`` (integer FM
+        bucket list), ``"heap"`` (lazy-deletion heap of float gains) or
         ``"auto"`` (bucket when ``k`` sits on the ``1/resolution`` grid
         and the graph is unweighted — or int64-weighted on an all-active
-        view).
+        view — heap otherwise).
     resolution:
-        Grid denominator for the bucket list. With the default geometric
-        ``k`` sequence (k = 1/8 · 2^i) every gain is a multiple of 1/8.
+        Grid denominator for the bucket list (a positive int). With the
+        default geometric ``k`` sequence (k = 1/8 · 2^i) every gain is a
+        multiple of 1/8.
     max_passes:
         Upper bound on improvement passes. KL converges in a handful of
         passes in practice [21]; the bound only guards pathologies.
     stall_limit:
-        If set, a pass stops tentatively switching once this many
-        consecutive switches failed to improve the best prefix gain.
-        ``None`` performs the full pass (the paper's behaviour); a finite
-        limit trades a little cut quality for a large speedup on big
-        graphs (see the ablation benchmark).
+        If set (a positive int), a pass stops tentatively switching once
+        this many consecutive switches failed to improve the best prefix
+        gain. ``None`` performs the full pass (the paper's behaviour); a
+        finite limit trades a little cut quality for a large speedup on
+        big graphs (see the ablation benchmark).
     incremental:
-        When ``True`` (default), passes after the first rebuild their
-        gain structure from the *dirty frontier* — the previous pass's
-        applied prefix plus its neighbours, the only nodes whose
-        start-of-pass gains can have changed — instead of re-sweeping
-        all V+E edges. Bit-identical to the full rebuild (gains are
-        recomputed to the same integers/floats and re-inserted in the
-        same ascending node order); ``False`` forces the full O(V+E)
-        re-sweep every pass, kept as the parity/benchmark reference.
+        When ``True`` (default), passes after the first refresh their
+        start-of-pass gains only on the *dirty frontier* — the previous
+        pass's applied prefix plus its neighbours, the only nodes whose
+        gains can have changed — instead of re-sweeping all V+E edges.
+        Bit-identical to the full refresh (gains are recomputed to the
+        same integers/floats and loaded in the same ascending node
+        order); ``False`` forces the full O(V+E) refresh every pass and
+        is kept only as the parity/benchmark reference.
     frontier:
         ``"full"`` (default) loads every unlocked active node into the
         gain index — the classic KL pass, whose tentative sweep costs
@@ -116,8 +128,9 @@ class KLConfig:
         positive-gain node the scope missed — so the scoped search never
         stops while a profitable single switch exists anywhere (the
         invariant ``tests/core/test_refinement.py`` checks on arbitrary
-        workloads). On refinement workloads the scoped pass is almost
-        always bit-identical to the full one — partitions, counters and
+        workloads). Both pass bodies run under the same scope. On
+        refinement workloads the scoped pass is almost always
+        bit-identical to the full one — partitions, counters and
         objective history (pinned on fixed workloads in the same test
         file); rarely (~0.5 % of random refinement workloads) the two
         take different compound-move paths through interior nodes and
@@ -145,17 +158,30 @@ class KLStats:
     objective_history: List[float] = field(default_factory=list)
 
 
+def _check_config(config: KLConfig) -> None:
+    """Reject settings that would silently turn the search off."""
+    if config.stall_limit is not None and config.stall_limit < 1:
+        raise ValueError(
+            "stall_limit must be a positive int or None, got "
+            f"{config.stall_limit}"
+        )
+    if config.resolution < 1:
+        raise ValueError(
+            f"resolution must be a positive int, got {config.resolution}"
+        )
+
+
 def adjust_neighbor_gains(
     index, state: PartitionState, u: int, prev_side: int, k: float
 ) -> None:
     """Apply the O(1)-per-edge gain updates for the neighbours of a node
     that just switched away from ``prev_side``.
 
-    This is the single shared update rule of every engine (core bucket,
-    core heap, weighted, distributed): friends move by ``±2·w``; each
-    rejection edge moves its *other* endpoint by ``(2·side−1)·k·(1−2·
-    prev_side)·w``. Exported so the property tests can drive the gain
-    indexes through the exact production update path.
+    This is the single shared update rule of every gain-index engine
+    (heap pass, region refinement, distributed): friends move by
+    ``±2·w``; each rejection edge moves its *other* endpoint by
+    ``(2·side−1)·k·(1−2·prev_side)·w``. Exported so the property tests
+    can drive the gain indexes through the exact production update path.
     """
     _adjust_gains(index, state.view, state.sides, u, prev_side, k)
 
@@ -199,48 +225,103 @@ def _adjust_gains(index, view, sides, u: int, prev_side: int, k: float) -> None:
                 index.adjust(w, (2 * sides[w] - 1) * rej_sign * iw[i])
 
 
-def _run_bucket_passes(
-    state: PartitionState, k: float, config: KLConfig, stats: Optional[KLStats]
+def _run_passes(
+    state: PartitionState,
+    k: float,
+    config: KLConfig,
+    stats: Optional[KLStats],
+    bucket: bool,
 ) -> None:
-    """The fused integer-scaled FM bucket engine (unweighted, on-grid k).
+    """The pass skeleton of Algorithm 1, shared by both pass bodies.
 
-    Gains are stored as integers scaled by ``resolution``; on the 1/8
-    grid every float gain is binary-exact, so the integer engine
-    reproduces the float-gain pop order and best-prefix decisions bit for
-    bit. The per-switch loop fuses the cut-counter update with the
-    neighbour bucket relinks — one sweep per incident edge, no function
-    calls — which is where its speed comes from (see
-    ``BENCH_gain_index.json``).
+    ``vals`` holds each eligible node's start-of-pass gain: a float for
+    the heap pass, and for the bucket pass the integer bucket index
+    ``k_scaled·rd − fd·res + offset``, where ``fd``/``rd`` are the
+    switch's friend/rejection counter deltas (weight sums on weighted
+    graphs). On the 1/``res`` grid every float gain is binary-exact, so
+    the integer pass reproduces the float pop order and best-prefix
+    decisions bit for bit. ``zero`` is the value of a zero gain.
 
-    Pass-invariant setup (the gain bound) comes memoized from
-    :meth:`CSRGraph.bucket_gain_bound`; pass 1 fills the start-of-pass
-    bucket indices with the batch :func:`gain_deltas` kernel, and later
-    passes refresh only the previous pass's dirty frontier (see
-    ``KLConfig.incremental``). The full-graph bound can exceed the old
-    active-only one on residual views — that only offset-shifts every
-    bucket index uniformly, so pop order and recorded gains (``b −
-    offset``) are untouched.
+    Pass 1 (and ``incremental=False``) fills ``vals`` with one batch
+    kernel call; later passes recompute only the previous pass's dirty
+    frontier — identical values either way. On the numpy backend a
+    frontier above a quarter of the eligible nodes flips back to the
+    batch kernel, a pure-speed choice. The bucket bound comes memoized from
+    :meth:`CSRGraph.bucket_gain_bound`; on residual views the full-graph
+    bound only offset-shifts every bucket index uniformly, which leaves
+    pop order and recorded gains (``b − offset``) untouched.
     """
     view = state.view
     csr = view.csr
-    # Active-filtered adjacency: every neighbour in these arrays is
-    # active, so the hot loops below carry no per-edge mask checks.
-    fp, fi, op, oi, ip_, ii = view.hot_active()
     active = view.active
     sides = state.sides
     locked = state.locked
     n = csr.num_nodes
-    res = config.resolution
-    k_scaled = round(k * res)
-    two_res = 2 * res
-    f_cross = state.f_cross
-    r_cross = state.r_cross
-    stall_limit = config.stall_limit
+    weights = csr.hot_weights()
+    numpy_batch = csr.backend == "numpy" and (
+        not csr.weighted or csr.int_weighted
+    )
+    # Bucket passes switch over the active-filtered adjacency (no
+    # per-edge mask checks); weighted buckets need an all-active view,
+    # where it is the full CSR the weights are positional against.
+    adj = view.hot_active() if bucket else csr.hot()
+    fp, fi, op, oi, ip_, ii = adj
 
-    bound = csr.bucket_gain_bound(res, k_scaled)
-    offset = bound + 1
-    num_buckets = 2 * bound + 3
-    absent = -1
+    if bucket:
+        res = config.resolution
+        k_scaled = round(k * res)
+        zero = csr.bucket_gain_bound(res, k_scaled) + 1
+
+        def batch() -> list:
+            kernel = gain_deltas if weights is None else weighted_gain_deltas
+            fd_all, rd_all = kernel(view, sides)
+            return [
+                k_scaled * rd - fd * res + zero for fd, rd in zip(fd_all, rd_all)
+            ]
+
+        def fill(vals: list, nodes) -> None:
+            for u in nodes:
+                if not active[u] or locked[u]:
+                    continue
+                s = sides[u]
+                fd = rd = 0
+                if weights is None:
+                    for v in fi[fp[u] : fp[u + 1]]:
+                        fd += 1 if sides[v] == s else -1
+                    for v in oi[op[u] : op[u + 1]]:
+                        if sides[v]:
+                            rd += 1
+                    for v in ii[ip_[u] : ip_[u + 1]]:
+                        if not sides[v]:
+                            rd -= 1
+                else:
+                    fw, ow, iw = weights
+                    lo, hi = fp[u], fp[u + 1]
+                    for v, w in zip(fi[lo:hi], fw[lo:hi]):
+                        fd += w if sides[v] == s else -w
+                    lo, hi = op[u], op[u + 1]
+                    for v, w in zip(oi[lo:hi], ow[lo:hi]):
+                        if sides[v]:
+                            rd += w
+                    lo, hi = ip_[u], ip_[u + 1]
+                    for v, w in zip(ii[lo:hi], iw[lo:hi]):
+                        if not sides[v]:
+                            rd -= w
+                # A legitimate node's switch reverses every rejection delta.
+                vals[u] = k_scaled * (rd if s else -rd) - fd * res + zero
+
+    else:
+        zero = 0.0
+
+        def batch() -> list:
+            if csr.weighted:
+                return weighted_heap_gains(view, sides, k)
+            return heap_gains(view, sides, k)
+
+        def fill(vals: list, nodes) -> None:
+            for u in nodes:
+                if active[u] and not locked[u]:
+                    vals[u] = state.switch_gain(u, k)
 
     eligible = [u for u in range(n) if active[u] and not locked[u]]
     # Boundary frontier (KLConfig.frontier="boundary"): restrict the
@@ -250,121 +331,198 @@ def _run_bucket_passes(
     # scope missed, so no profitable single switch is ever left behind.
     scope: Optional[List[bool]] = None
     if config.frontier == "boundary":
+        kernel = weighted_boundary_nodes if csr.weighted else boundary_nodes
+        eligible = [u for u in kernel(view, sides, k) if not locked[u]]
         scope = [False] * n
-        scoped = []
-        for u in boundary_nodes(view, sides, k):
-            if not locked[u]:
-                scope[u] = True
-                scoped.append(u)
-        eligible = scoped
-    gain_b: Optional[List[int]] = None  # start-of-pass bucket index per node
-    dirty: Optional[Set[int]] = None  # None -> full rebuild
+        for u in eligible:
+            scope[u] = True
+    # Scalar refreshes where no batch kernel fits: float-weighted graphs
+    # (their summation order is part of the contract), python heaps,
+    # and scoped python buckets, whose small boundary should not pay
+    # the O(V+E) kernel.
+    use_batch = numpy_batch or (bucket and scope is None)
+    vals: Optional[list] = None
+    dirty: Optional[set] = None  # None -> full refresh
 
     for _ in range(config.max_passes):
         if stats is not None:
             stats.passes += 1
-            stats.objective_history.append(f_cross - k * r_cross)
+            stats.objective_history.append(state.objective(k))
 
-        # Refresh start-of-pass bucket indices. Pass 1 (and the
-        # non-incremental reference mode) rebuilds every eligible node
-        # via the batch kernel; later passes recompute only the dirty
-        # frontier — identical integers either way. On the numpy backend
-        # a large frontier flips back to the batch kernel (a pure-speed
-        # choice: both paths produce the same values).
-        refresh_all = (
-            gain_b is None
+        if (
+            vals is None
             or dirty is None
-            or (csr.backend == "numpy" and 4 * len(dirty) > len(eligible))
-        )
-        if refresh_all and scope is not None and csr.backend != "numpy":
-            # Scoped python rebuilds sweep only the frontier — the same
-            # scalar recomputation as the dirty path, same integers —
-            # so a small boundary never pays the full O(V+E) kernel.
-            if gain_b is None:
-                gain_b = [0] * n
-            dirty = set(eligible)
-            refresh_all = False
-        if refresh_all:
-            fd_all, rd_all = gain_deltas(view, sides)
-            if gain_b is None:
-                gain_b = [0] * n
-            for u in eligible:
-                gain_b[u] = k_scaled * rd_all[u] - fd_all[u] * res + offset
+            or (numpy_batch and 4 * len(dirty) > len(eligible))
+        ):
+            if use_batch:
+                vals = batch()
+            else:
+                if vals is None:
+                    vals = [zero] * n
+                fill(vals, eligible)
         else:
-            # dirty ⊆ active (the prefix is eligible, the frontier comes
-            # from the filtered adjacency), so only locks need checking.
-            for u in dirty:
-                if locked[u]:
-                    continue
-                s = sides[u]
-                fd = 0
-                for v in fi[fp[u] : fp[u + 1]]:
-                    fd += 1 if sides[v] == s else -1
-                rd = 0
-                if s:
-                    for v in oi[op[u] : op[u + 1]]:
-                        if sides[v]:
-                            rd += 1
-                    for w in ii[ip_[u] : ip_[u + 1]]:
-                        if not sides[w]:
-                            rd -= 1
-                else:
-                    for v in oi[op[u] : op[u + 1]]:
-                        if sides[v]:
-                            rd -= 1
-                    for w in ii[ip_[u] : ip_[u + 1]]:
-                        if not sides[w]:
-                            rd += 1
-                gain_b[u] = k_scaled * rd - fd * res + offset
+            fill(vals, dirty)
 
-        heads = [absent] * num_buckets
-        nxt = [absent] * n
-        prv = [absent] * n
-        bucket_of = [absent] * n
-        max_b = -1
-        size = 0
+        if bucket:
+            applied, tested = _bucket_pass(
+                state, eligible, vals, adj, weights, k_scaled, res, zero,
+                config.stall_limit,
+            )
+        else:
+            applied, tested = _heap_pass(
+                state, eligible, vals, k, config.stall_limit
+            )
+        if stats is not None:
+            stats.switches_tested += tested
+            stats.switches_applied += len(applied)
 
-        # Insert in ascending node order (the FM discipline — LIFO
-        # within each bucket). The lists above are fresh, so only the
-        # displaced head needs a prv write.
-        for u in eligible:
-            b = gain_b[u]
-            h = heads[b]
-            nxt[u] = h
-            if h >= 0:
-                prv[h] = u
-            heads[b] = u
-            bucket_of[u] = b
-            if b > max_b:
-                max_b = b
-            size += 1
-
-        sequence: List[tuple] = []
-        cumulative = 0
-        best_cumulative = 0
-        best_length = 0
-        stall = 0
-        while size:
-            if stall_limit is not None and stall >= stall_limit:
+        if not applied:
+            if scope is None:
                 break
-            while heads[max_b] < 0:
-                max_b -= 1
-            b = max_b
-            u = heads[b]
-            nx = nxt[u]
-            heads[b] = nx
-            if nx >= 0:
-                prv[nx] = absent
-            bucket_of[u] = absent
-            size -= 1
+            # Convergence closure: readmit every positive-gain node
+            # outside the scope. If none exists the scoped search has
+            # genuinely converged — no profitable single switch remains
+            # anywhere in the graph. The pass applied nothing, so a batch
+            # refresh leaves the in-scope gains as they were.
+            outside = [
+                u
+                for u in range(n)
+                if active[u] and not locked[u] and not scope[u]
+            ]
+            if use_batch:
+                vals = batch()
+            else:
+                fill(vals, outside)
+            fresh = [u for u in outside if vals[u] > zero]
+            if not fresh:
+                break
+            for u in fresh:
+                scope[u] = True
+            eligible = sorted(eligible + fresh)
+            dirty = set()
+            continue
 
-            s = sides[u]
-            fd = 0
-            rd = 0
-            # Fused switch: counter deltas and neighbour bucket relinks in
-            # one sweep per edge, in the fixed order (friends, rejections
-            # cast, rejections received). Slice iteration over the
-            # filtered adjacency — no index arithmetic, no mask checks.
+        track_dirty = config.incremental and not (
+            numpy_batch and 4 * len(applied) > len(eligible)
+        )
+        if track_dirty or scope is not None:
+            # Rolled-back switches are net no-ops, so only the applied
+            # prefix and its neighbourhood can enter the next pass with
+            # a changed gain. (When the prefix alone already exceeds the
+            # batch-refresh threshold, skip collecting the frontier —
+            # the next pass refreshes in full either way. In boundary
+            # mode the frontier is always collected: it is also how the
+            # scope grows.)
+            dirty = set(applied)
+            for u in applied:
+                dirty.update(fi[fp[u] : fp[u + 1]])
+                dirty.update(oi[op[u] : op[u + 1]])
+                dirty.update(ii[ip_[u] : ip_[u + 1]])
+            if scope is not None:
+                grown = [
+                    v
+                    for v in dirty
+                    if active[v] and not locked[v] and not scope[v]
+                ]
+                if grown:
+                    for v in grown:
+                        scope[v] = True
+                    eligible = sorted(eligible + grown)
+            if not track_dirty:
+                dirty = None
+        else:
+            dirty = None
+
+    ones = sum(s for s, a in zip(sides, active) if a)
+    state.side_sizes = [view.num_active - ones, ones]
+
+
+def _bucket_pass(
+    state: PartitionState,
+    eligible: List[int],
+    gain_b: list,
+    adj: Tuple[list, ...],
+    weights,
+    k_scaled: int,
+    res: int,
+    offset: int,
+    stall_limit: Optional[int],
+) -> Tuple[List[int], int]:
+    """One pass over the fused integer-scaled FM bucket list, in place.
+
+    Loads ``eligible`` at their bucket indices ``gain_b`` in ascending
+    node order (the FM discipline — LIFO within each bucket), pops
+    switches in max-gain order, rolls back to the best prefix (exact
+    integer reversal of the recorded counter deltas) and writes the cut
+    counters back to ``state``. Each switch fuses the counter update with
+    the neighbour bucket relinks — one sweep per incident edge in the
+    fixed order (friends, rejections cast, rejections received), no
+    function calls — which is where the speed comes from (see
+    ``BENCH_gain_index.json``). Unweighted graphs take the unit sweep
+    over the active-filtered adjacency; int64-weighted graphs take the
+    weighted sweep, which scales every step by the edge weight.
+
+    Returns ``(applied prefix, switches tested)``.
+    """
+    fp, fi, op, oi, ip_, ii = adj
+    sides = state.sides
+    n = len(sides)
+    two_res = 2 * res
+    absent = -1
+    heads = [absent] * (2 * offset + 1)
+    nxt = [absent] * n
+    prv = [absent] * n
+    bucket_of = [absent] * n
+    max_b = -1
+    # The lists above are fresh, so only the displaced head needs a prv
+    # write.
+    for u in eligible:
+        b = gain_b[u]
+        h = heads[b]
+        nxt[u] = h
+        if h >= 0:
+            prv[h] = u
+        heads[b] = u
+        bucket_of[u] = b
+        if b > max_b:
+            max_b = b
+    size = len(eligible)
+    if weights is not None:
+        fw, ow, iw = weights
+
+    f_cross = state.f_cross
+    r_cross = state.r_cross
+    sequence: List[tuple] = []
+    cumulative = 0
+    best_cumulative = 0
+    best_length = 0
+    stall = 0
+    while size:
+        if stall_limit is not None and stall >= stall_limit:
+            break
+        while heads[max_b] < 0:
+            max_b -= 1
+        b = max_b
+        u = heads[b]
+        nx = nxt[u]
+        heads[b] = nx
+        if nx >= 0:
+            prv[nx] = absent
+        bucket_of[u] = absent
+        size -= 1
+
+        s = sides[u]
+        fd = 0
+        rd = 0
+        if s:
+            rs = -k_scaled
+            rd_on_susp = 1
+            rd_on_legit = -1
+        else:
+            rs = k_scaled
+            rd_on_susp = -1
+            rd_on_legit = 1
+        if weights is None:
             for v in fi[fp[u] : fp[u + 1]]:
                 if sides[v] == s:
                     fd += 1
@@ -392,14 +550,6 @@ def _run_bucket_passes(
                     bucket_of[v] = nbv
                     if nbv > max_b:
                         max_b = nbv
-            if s:
-                rs = -k_scaled
-                rd_on_susp = 1
-                rd_on_legit = -1
-            else:
-                rs = k_scaled
-                rd_on_susp = -1
-                rd_on_legit = 1
             for v in oi[op[u] : op[u + 1]]:
                 if sides[v]:
                     rd += rd_on_susp
@@ -452,244 +602,9 @@ def _run_bucket_passes(
                     bucket_of[v] = nbv
                     if nbv > max_b:
                         max_b = nbv
-
-            f_cross += fd
-            r_cross += rd
-            sides[u] = 1 - s
-            sequence.append((u, fd, rd))
-            cumulative += b - offset
-            if stats is not None:
-                stats.switches_tested += 1
-            if cumulative > best_cumulative:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-                stall = 0
-            else:
-                stall += 1
-
-        # Roll back every switch beyond the best prefix (exact integer
-        # reversal of the recorded deltas).
-        for u, fd, rd in reversed(sequence[best_length:]):
-            f_cross -= fd
-            r_cross -= rd
-            sides[u] = 1 - sides[u]
-        if stats is not None:
-            stats.switches_applied += best_length
-        if best_length == 0:
-            if scope is None:
-                break
-            # Convergence closure: one batch sweep readmits every active
-            # positive-gain node outside the scope. If none exists the
-            # scoped search has genuinely converged — no profitable
-            # single switch remains anywhere in the graph.
-            fd_all, rd_all = gain_deltas(view, sides)
-            fresh = [
-                u
-                for u in range(n)
-                if active[u]
-                and not locked[u]
-                and not scope[u]
-                and k_scaled * rd_all[u] - fd_all[u] * res > 0
-            ]
-            if not fresh:
-                break
-            for u in fresh:
-                scope[u] = True
-                gain_b[u] = k_scaled * rd_all[u] - fd_all[u] * res + offset
-            # In-scope gains are untouched (the pass applied nothing),
-            # and the fresh nodes' gains were just filled — nothing is
-            # dirty for the next pass.
-            eligible = sorted(eligible + fresh)
-            dirty = set()
-            continue
-        track_dirty = config.incremental and not (
-            csr.backend == "numpy" and 4 * best_length > len(eligible)
-        )
-        if track_dirty or scope is not None:
-            # Rolled-back switches are net no-ops, so only the applied
-            # prefix and its neighbourhood can enter the next pass with
-            # a changed gain. (When the prefix alone already exceeds the
-            # batch-rebuild threshold, skip collecting the frontier —
-            # the next pass rebuilds in full either way. In boundary
-            # mode the frontier is always collected: it is also how the
-            # scope grows.)
-            dirty = set()
-            for u, _, _ in sequence[:best_length]:
-                dirty.add(u)
-                dirty.update(fi[fp[u] : fp[u + 1]])
-                dirty.update(oi[op[u] : op[u + 1]])
-                dirty.update(ii[ip_[u] : ip_[u + 1]])
-            if scope is not None:
-                grown = [v for v in dirty if not scope[v] and not locked[v]]
-                if grown:
-                    for v in grown:
-                        scope[v] = True
-                    eligible = sorted(eligible + grown)
-            if not track_dirty:
-                dirty = None
         else:
-            dirty = None
-
-    state.f_cross = f_cross
-    state.r_cross = r_cross
-    ones = 0
-    for u in range(n):
-        if active[u] and sides[u]:
-            ones += 1
-    state.side_sizes = [view.num_active - ones, ones]
-
-
-def _run_bucket_passes_weighted(
-    state: PartitionState, k: float, config: KLConfig, stats: Optional[KLStats]
-) -> None:
-    """The fused FM bucket engine for int64-weighted graphs.
-
-    Same greedy discipline as :func:`_run_bucket_passes` with every edge
-    contributing its integer weight: the bucket index is still the exact
-    integer ``k_scaled·rd − fd·res + offset`` (weighted ``fd``/``rd`` are
-    int64 sums — order-insensitive, hence backend-identical), the bound
-    comes from the weighted :func:`~repro.core.kernels.scaled_gain_bound`
-    via the same memoized :meth:`CSRGraph.bucket_gain_bound`, and the
-    best-prefix comparison is exact integer arithmetic. This is what the
-    integer-weight coarse representation buys: the multilevel refinement
-    sheds the float heap without giving up bit-for-bit reproducibility.
-
-    Weights are positional against the *full* CSR slot arrays, so this
-    engine requires an all-active view (``hot_active`` re-packs slots and
-    would misalign them); the dispatcher falls back to the heap on
-    residual views.
-    """
-    view = state.view
-    csr = view.csr
-    fp, fi, op, oi, ip_, ii = csr.hot()
-    fw, ow, iw = csr.hot_weights()
-    sides = state.sides
-    locked = state.locked
-    n = csr.num_nodes
-    res = config.resolution
-    k_scaled = round(k * res)
-    two_res = 2 * res
-    f_cross = state.f_cross
-    r_cross = state.r_cross
-    stall_limit = config.stall_limit
-
-    bound = csr.bucket_gain_bound(res, k_scaled)
-    offset = bound + 1
-    num_buckets = 2 * bound + 3
-    absent = -1
-
-    eligible = [u for u in range(n) if not locked[u]]
-    # Boundary frontier: same scoped discipline as the unweighted engine
-    # (seed from the weighted frontier kernel, grow with every applied
-    # prefix, closure sweep at convergence).
-    scope: Optional[List[bool]] = None
-    if config.frontier == "boundary":
-        scope = [False] * n
-        scoped = []
-        for u in weighted_boundary_nodes(view, sides, k):
-            if not locked[u]:
-                scope[u] = True
-                scoped.append(u)
-        eligible = scoped
-    gain_b: Optional[List[int]] = None  # start-of-pass bucket index per node
-    dirty: Optional[Set[int]] = None  # None -> full rebuild
-
-    for _ in range(config.max_passes):
-        if stats is not None:
-            stats.passes += 1
-            stats.objective_history.append(f_cross - k * r_cross)
-
-        refresh_all = (
-            gain_b is None
-            or dirty is None
-            or (csr.backend == "numpy" and 4 * len(dirty) > len(eligible))
-        )
-        if refresh_all and scope is not None and csr.backend != "numpy":
-            if gain_b is None:
-                gain_b = [0] * n
-            dirty = set(eligible)
-            refresh_all = False
-        if refresh_all:
-            fd_all, rd_all = weighted_gain_deltas(view, sides)
-            if gain_b is None:
-                gain_b = [0] * n
-            for u in eligible:
-                gain_b[u] = k_scaled * rd_all[u] - fd_all[u] * res + offset
-        else:
-            for u in dirty:
-                if locked[u]:
-                    continue
-                s = sides[u]
-                fd = 0
-                for v, w in zip(fi[fp[u] : fp[u + 1]], fw[fp[u] : fp[u + 1]]):
-                    fd += w if sides[v] == s else -w
-                rd = 0
-                if s:
-                    for v, w in zip(
-                        oi[op[u] : op[u + 1]], ow[op[u] : op[u + 1]]
-                    ):
-                        if sides[v]:
-                            rd += w
-                    for v, w in zip(
-                        ii[ip_[u] : ip_[u + 1]], iw[ip_[u] : ip_[u + 1]]
-                    ):
-                        if not sides[v]:
-                            rd -= w
-                else:
-                    for v, w in zip(
-                        oi[op[u] : op[u + 1]], ow[op[u] : op[u + 1]]
-                    ):
-                        if sides[v]:
-                            rd -= w
-                    for v, w in zip(
-                        ii[ip_[u] : ip_[u + 1]], iw[ip_[u] : ip_[u + 1]]
-                    ):
-                        if not sides[v]:
-                            rd += w
-                gain_b[u] = k_scaled * rd - fd * res + offset
-
-        heads = [absent] * num_buckets
-        nxt = [absent] * n
-        prv = [absent] * n
-        bucket_of = [absent] * n
-        max_b = -1
-        size = 0
-
-        for u in eligible:
-            b = gain_b[u]
-            h = heads[b]
-            nxt[u] = h
-            if h >= 0:
-                prv[h] = u
-            heads[b] = u
-            bucket_of[u] = b
-            if b > max_b:
-                max_b = b
-            size += 1
-
-        sequence: List[tuple] = []
-        cumulative = 0
-        best_cumulative = 0
-        best_length = 0
-        stall = 0
-        while size:
-            if stall_limit is not None and stall >= stall_limit:
-                break
-            while heads[max_b] < 0:
-                max_b -= 1
-            b = max_b
-            u = heads[b]
-            nx = nxt[u]
-            heads[b] = nx
-            if nx >= 0:
-                prv[nx] = absent
-            bucket_of[u] = absent
-            size -= 1
-
-            s = sides[u]
-            fd = 0
-            rd = 0
-            for v, w in zip(fi[fp[u] : fp[u + 1]], fw[fp[u] : fp[u + 1]]):
+            lo, hi = fp[u], fp[u + 1]
+            for v, w in zip(fi[lo:hi], fw[lo:hi]):
                 if sides[v] == s:
                     fd += w
                     d = two_res * w
@@ -716,15 +631,8 @@ def _run_bucket_passes_weighted(
                     bucket_of[v] = nbv
                     if nbv > max_b:
                         max_b = nbv
-            if s:
-                rs = -k_scaled
-                rd_on_susp = 1
-                rd_on_legit = -1
-            else:
-                rs = k_scaled
-                rd_on_susp = -1
-                rd_on_legit = 1
-            for v, w in zip(oi[op[u] : op[u + 1]], ow[op[u] : op[u + 1]]):
+            lo, hi = op[u], op[u + 1]
+            for v, w in zip(oi[lo:hi], ow[lo:hi]):
                 if sides[v]:
                     rd += rd_on_susp * w
                     d = rs * w
@@ -750,7 +658,8 @@ def _run_bucket_passes_weighted(
                     bucket_of[v] = nbv
                     if nbv > max_b:
                         max_b = nbv
-            for v, w in zip(ii[ip_[u] : ip_[u + 1]], iw[ip_[u] : ip_[u + 1]]):
+            lo, hi = ip_[u], ip_[u + 1]
+            for v, w in zip(ii[lo:hi], iw[lo:hi]):
                 if sides[v]:
                     d = rs * w
                 else:
@@ -777,232 +686,70 @@ def _run_bucket_passes_weighted(
                     if nbv > max_b:
                         max_b = nbv
 
-            f_cross += fd
-            r_cross += rd
-            sides[u] = 1 - s
-            sequence.append((u, fd, rd))
-            cumulative += b - offset
-            if stats is not None:
-                stats.switches_tested += 1
-            if cumulative > best_cumulative:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-                stall = 0
-            else:
-                stall += 1
-
-        for u, fd, rd in reversed(sequence[best_length:]):
-            f_cross -= fd
-            r_cross -= rd
-            sides[u] = 1 - sides[u]
-        if stats is not None:
-            stats.switches_applied += best_length
-        if best_length == 0:
-            if scope is None:
-                break
-            fd_all, rd_all = weighted_gain_deltas(view, sides)
-            fresh = [
-                u
-                for u in range(n)
-                if not locked[u]
-                and not scope[u]
-                and k_scaled * rd_all[u] - fd_all[u] * res > 0
-            ]
-            if not fresh:
-                break
-            for u in fresh:
-                scope[u] = True
-                gain_b[u] = k_scaled * rd_all[u] - fd_all[u] * res + offset
-            eligible = sorted(eligible + fresh)
-            dirty = set()
-            continue
-        track_dirty = config.incremental and not (
-            csr.backend == "numpy" and 4 * best_length > len(eligible)
-        )
-        if track_dirty or scope is not None:
-            dirty = set()
-            for u, _, _ in sequence[:best_length]:
-                dirty.add(u)
-                dirty.update(fi[fp[u] : fp[u + 1]])
-                dirty.update(oi[op[u] : op[u + 1]])
-                dirty.update(ii[ip_[u] : ip_[u + 1]])
-            if scope is not None:
-                grown = [v for v in dirty if not scope[v] and not locked[v]]
-                if grown:
-                    for v in grown:
-                        scope[v] = True
-                    eligible = sorted(eligible + grown)
-            if not track_dirty:
-                dirty = None
+        f_cross += fd
+        r_cross += rd
+        sides[u] = 1 - s
+        sequence.append((u, fd, rd))
+        cumulative += b - offset
+        if cumulative > best_cumulative:
+            best_cumulative = cumulative
+            best_length = len(sequence)
+            stall = 0
         else:
-            dirty = None
+            stall += 1
 
+    for u, fd, rd in reversed(sequence[best_length:]):
+        f_cross -= fd
+        r_cross -= rd
+        sides[u] = 1 - sides[u]
     state.f_cross = f_cross
     state.r_cross = r_cross
-    ones = sum(sides)
-    state.side_sizes = [n - ones, ones]
+    return [u for u, _, _ in sequence[:best_length]], len(sequence)
 
 
-def _run_heap_passes(
-    state: PartitionState, k: float, config: KLConfig, stats: Optional[KLStats]
-) -> None:
-    """The generic engine: lazy-deletion heap gains over the CSR state.
+def _heap_pass(
+    state: PartitionState,
+    eligible: List[int],
+    gains: list,
+    k: float,
+    stall_limit: Optional[int],
+) -> Tuple[List[int], int]:
+    """One pass over a lazy-deletion heap of float gains, in place.
 
-    Handles arbitrary float ``k`` (Dinkelbach refinement) and weighted
-    coarse graphs; same greedy discipline as the bucket engine. Initial
-    gains come from the batch :func:`heap_gains` /
-    :func:`weighted_heap_gains` kernels on the numpy backend
-    (bit-identical — one IEEE-double expression over the same integers)
-    and from ``state.switch_gain`` otherwise; later passes refresh only
-    the dirty frontier. Only *float*-weighted graphs stay on the scalar
-    path (their summation order is part of the contract); int64-weighted
-    coarse graphs vectorize like unweighted ones.
+    Switches go through ``state.switch`` (which keeps the float counters'
+    summation order fixed) and neighbour gains through
+    :func:`adjust_neighbor_gains`; a prefix must beat the best one by
+    more than ``_EPS`` to count as an improvement. Returns ``(applied
+    prefix, switches tested)``.
     """
-    view = state.view
-    csr = view.csr
-    active = view.active
     sides = state.sides
-    locked = state.locked
-    n = csr.num_nodes
-    stall_limit = config.stall_limit
-    vectorize = csr.backend == "numpy" and (
-        not csr.weighted or csr.int_weighted
-    )
-
-    eligible = [u for u in range(n) if active[u] and not locked[u]]
-    # Boundary frontier: the heap engine serves off-grid k (Dinkelbach
-    # polish) and weighted residual views, so it carries the same scoped
-    # discipline as the bucket engines.
-    scope: Optional[List[bool]] = None
-    if config.frontier == "boundary":
-        kernel = weighted_boundary_nodes if csr.weighted else boundary_nodes
-        scope = [False] * n
-        scoped = []
-        for u in kernel(view, sides, k):
-            if not locked[u]:
-                scope[u] = True
-                scoped.append(u)
-        eligible = scoped
-    gains: Optional[List[float]] = None  # start-of-pass gain per node
-    dirty: Optional[Set[int]] = None  # None -> full rebuild
-
-    for _ in range(config.max_passes):
-        if stats is not None:
-            stats.passes += 1
-            stats.objective_history.append(state.objective(k))
-
-        refresh_all = (
-            gains is None
-            or dirty is None
-            or (vectorize and 4 * len(dirty) > len(eligible))
-        )
-        if refresh_all and scope is not None and not vectorize:
-            if gains is None:
-                gains = [0.0] * n
-            dirty = set(eligible)
-            refresh_all = False
-        if refresh_all:
-            if vectorize:
-                if csr.weighted:
-                    gains = weighted_heap_gains(view, sides, k)
-                else:
-                    gains = heap_gains(view, sides, k)
-            else:
-                if gains is None:
-                    gains = [0.0] * n
-                for u in eligible:
-                    gains[u] = state.switch_gain(u, k)
+    index = HeapGainIndex()
+    index.bulk_load((u, gains[u]) for u in eligible)
+    sequence: List[int] = []
+    cumulative = 0.0
+    best_cumulative = 0.0
+    best_length = 0
+    stall = 0
+    while stall_limit is None or stall < stall_limit:
+        popped = index.pop_max()
+        if popped is None:
+            break
+        u, gain = popped
+        prev_side = sides[u]
+        state.switch(u)
+        sequence.append(u)
+        cumulative += gain
+        if cumulative > best_cumulative + _EPS:
+            best_cumulative = cumulative
+            best_length = len(sequence)
+            stall = 0
         else:
-            for u in dirty:
-                if active[u] and not locked[u]:
-                    gains[u] = state.switch_gain(u, k)
+            stall += 1
+        adjust_neighbor_gains(index, state, u, prev_side, k)
 
-        index = HeapGainIndex()
-        index.bulk_load((u, gains[u]) for u in eligible)
-
-        sequence: List[int] = []
-        cumulative = 0.0
-        best_cumulative = 0.0
-        best_length = 0
-        stall = 0
-        while True:
-            if stall_limit is not None and stall >= stall_limit:
-                break
-            popped = index.pop_max()
-            if popped is None:
-                break
-            u, gain = popped
-            prev_side = sides[u]
-            state.switch(u)
-            sequence.append(u)
-            cumulative += gain
-            if stats is not None:
-                stats.switches_tested += 1
-            if cumulative > best_cumulative + _EPS:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-                stall = 0
-            else:
-                stall += 1
-            adjust_neighbor_gains(index, state, u, prev_side, k)
-
-        for u in reversed(sequence[best_length:]):
-            state.switch(u)
-        if stats is not None:
-            stats.switches_applied += best_length
-        if best_length == 0:
-            if scope is None:
-                break
-            if vectorize:
-                if csr.weighted:
-                    all_gains = weighted_heap_gains(view, sides, k)
-                else:
-                    all_gains = heap_gains(view, sides, k)
-            else:
-                all_gains = None
-            fresh = []
-            for u in range(n):
-                if active[u] and not locked[u] and not scope[u]:
-                    g = (
-                        all_gains[u]
-                        if all_gains is not None
-                        else state.switch_gain(u, k)
-                    )
-                    if g > 0.0:
-                        fresh.append(u)
-                        gains[u] = g
-            if not fresh:
-                break
-            for u in fresh:
-                scope[u] = True
-            eligible = sorted(eligible + fresh)
-            dirty = set()
-            continue
-        track_dirty = config.incremental and not (
-            vectorize and 4 * best_length > len(eligible)
-        )
-        if track_dirty or scope is not None:
-            fp, fi, op, oi, ip_, ii = csr.hot()
-            dirty = set()
-            for u in sequence[:best_length]:
-                dirty.add(u)
-                dirty.update(fi[fp[u] : fp[u + 1]])
-                dirty.update(oi[op[u] : op[u + 1]])
-                dirty.update(ii[ip_[u] : ip_[u + 1]])
-            if scope is not None:
-                grown = [
-                    v
-                    for v in dirty
-                    if active[v] and not locked[v] and not scope[v]
-                ]
-                if grown:
-                    for v in grown:
-                        scope[v] = True
-                    eligible = sorted(eligible + grown)
-            if not track_dirty:
-                dirty = None
-        else:
-            dirty = None
+    for u in reversed(sequence[best_length:]):
+        state.switch(u)
+    return sequence[:best_length], len(sequence)
 
 
 def extended_kl_state(
@@ -1021,6 +768,7 @@ def extended_kl_state(
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     config = config or KLConfig()
+    _check_config(config)
     out = state.copy()
     kind = config.gain_index
     csr = out.view.csr
@@ -1035,7 +783,7 @@ def extended_kl_state(
             "frontier='boundary' requires an unweighted or int64-weighted "
             "graph; float-weighted graphs keep the full frontier"
         )
-    # The weighted bucket engine indexes the positional weight arrays of
+    # The weighted bucket pass indexes the positional weight arrays of
     # the *full* slot layout, so it needs an all-active view; residual
     # weighted views fall back to the heap. (Unweighted buckets run on
     # the re-packed hot_active adjacency, so any view works.)
@@ -1062,14 +810,9 @@ def extended_kl_state(
                 f"k={k} is off the 1/{config.resolution} bucket grid; "
                 "pass gain_index='heap' or 'auto'"
             )
-        if weighted:
-            _run_bucket_passes_weighted(out, k, config, stats)
-        else:
-            _run_bucket_passes(out, k, config, stats)
-    elif kind == "heap":
-        _run_heap_passes(out, k, config, stats)
-    else:
+    elif kind != "heap":
         raise ValueError(f"unknown gain index kind {kind!r}")
+    _run_passes(out, k, config, stats, bucket=kind == "bucket")
     return out
 
 
@@ -1104,6 +847,7 @@ def refine_subset(
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     config = config or KLConfig()
+    _check_config(config)
     csr = view.csr
     fp, fi, op, oi, ip_, ii = csr.hot()
     weights = csr.hot_weights()

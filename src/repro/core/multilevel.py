@@ -36,7 +36,7 @@ The solver is CSR-native end to end, which makes
   :func:`~repro.core.kernels.contract_arrays` — numpy scatter-adds with
   bit-identical python fallbacks);
 * refinement uses the fused integer bucket engine of
-  :mod:`repro.core.kl` on every level (weighted twin on coarse levels);
+  :mod:`repro.core.kl` on every level (weighted sweep on coarse levels);
 * the coarse-level ``k`` sweep fans out through
   :func:`repro.core.maar.sweep_k_states`, honouring
   ``MultilevelConfig(jobs, executor)`` exactly like the flat MAAR sweep.
@@ -124,10 +124,7 @@ class MultilevelConfig:
         rollback work. ``None`` restores full passes. Identical on
         every ``refine_jobs``/backend, so determinism is unaffected;
         an explicit ``stall_limit`` on the engine config is respected.
-    ``incremental``
-        Threaded into every refinement :class:`~repro.core.kl.KLConfig`
-        (and the coarse sweep), so ``MultilevelConfig(incremental=
-        False)`` ablations reach the refinement leg.
+        Must be a positive int or ``None``.
     """
 
     coarsest_nodes: int = 400
@@ -146,7 +143,6 @@ class MultilevelConfig:
     jobs: int = 1
     executor: str = "auto"
     frontier: str = "boundary"
-    incremental: bool = True
     refine_tolerance: float = 0.0
     refine_jobs: int = 1
     refine_stall: Optional[int] = 256
@@ -484,6 +480,11 @@ def solve_maar_multilevel(
             f"unknown frontier {config.frontier!r}; expected 'full' or "
             "'boundary'"
         )
+    if config.refine_stall is not None and config.refine_stall < 1:
+        raise ValueError(
+            "refine_stall must be a positive int or None, got "
+            f"{config.refine_stall}"
+        )
     rng = random.Random(config.seed)
     if isinstance(graph, AugmentedSocialGraph):
         csr0 = graph.csr(config.backend)
@@ -574,7 +575,7 @@ def solve_maar_multilevel(
     states = sweep_k_states(
         init,
         k_values,
-        KLConfig(max_passes=config.max_passes, incremental=config.incremental),
+        KLConfig(max_passes=config.max_passes),
         jobs=config.jobs,
         executor=config.executor,
     )
@@ -617,7 +618,6 @@ def solve_maar_multilevel(
     # build states through PartitionState.from_counts with no recount.
     refine_config = KLConfig(
         max_passes=config.refine_passes,
-        incremental=config.incremental,
         frontier=config.frontier,
     )
     boundary = config.frontier == "boundary"

@@ -44,6 +44,19 @@ def scenario():
     return build_scenario(ScenarioConfig(num_legit=400, num_fakes=80, seed=21))
 
 
+def assert_precise(suspicious, scenario, floor=0.9):
+    """A compared detection must be a real one: non-empty, and mostly
+    the planted fakes — two empty answers would otherwise pass as
+    parity."""
+    suspicious = set(suspicious)
+    assert suspicious
+    assert len(suspicious & set(scenario.fakes)) >= floor * len(suspicious)
+
+
+def suspicious_side(sides):
+    return [u for u, s in enumerate(sides) if s == SUSPICIOUS]
+
+
 class TestEquivalenceWithCore:
     @pytest.mark.parametrize("k", [0.125, 1.0, 8.0, 64.0])
     def test_identical_partitions(self, scenario, k):
@@ -66,6 +79,7 @@ class TestEquivalenceWithCore:
         )
         core = solve_maar(graph, MAARConfig(k_steps=6))
         assert set(suspicious) == set(core.suspicious_nodes())
+        assert_precise(suspicious, scenario)
         assert rate == pytest.approx(core.acceptance_rate)
         assert best_k == core.k
 
@@ -131,7 +145,9 @@ class TestAccounting:
         init = rejection_init(graph)
         small = DistributedKL(graph, ClusterConfig(num_workers=2, num_partitions=8))
         large = DistributedKL(graph, ClusterConfig(num_workers=10, num_partitions=40))
-        assert small.run(1.0, init) == large.run(1.0, init)
+        result = small.run(1.0, init)
+        assert result == large.run(1.0, init)
+        assert_precise(suspicious_side(result[0]), scenario)
 
 
 class TestShardedProtocol:
@@ -264,6 +280,7 @@ class TestWireLedgerPin:
         # A real detection, so the pinned run exercises the whole sweep.
         assert len(suspicious) == 78
         assert set(suspicious) <= set(scenario.fakes)
+        assert_precise(suspicious, scenario)
         assert stats.network.bytes_by_kind == {
             **_LEDGER_COMMON_BYTES,
             "fetch": fetch_bytes,

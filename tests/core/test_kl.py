@@ -12,6 +12,8 @@ from repro.core import (
     cut_counts,
     extended_kl,
 )
+from repro.core.csr import PartitionState
+from repro.core.kl import extended_kl_state, refine_subset
 
 from ..conftest import augmented_graphs, random_augmented_graph
 
@@ -135,6 +137,38 @@ class TestExtendedKL:
             stats=capped_stats,
         )
         assert capped_stats.switches_tested < full_stats.switches_tested
+
+
+class TestNoOpConfigsRejected:
+    """Settings that used to turn the search off without a word — the
+    initial partition came back with zero switches tested — now raise."""
+
+    @pytest.fixture
+    def state(self):
+        graph = random_augmented_graph(30, 60, 30, seed=4)
+        return PartitionState(graph.csr().view(), [0] * 30)
+
+    @pytest.mark.parametrize("stall_limit", [0, -3])
+    def test_non_positive_stall_limit(self, state, stall_limit):
+        config = KLConfig(stall_limit=stall_limit)
+        with pytest.raises(ValueError, match="stall_limit"):
+            extended_kl_state(state, 1.0, config)
+        with pytest.raises(ValueError, match="stall_limit"):
+            refine_subset(
+                state.view, list(state.sides), state.locked, range(30), 1.0,
+                config,
+            )
+
+    @pytest.mark.parametrize("resolution", [0, -8])
+    def test_non_positive_resolution(self, state, resolution):
+        config = KLConfig(resolution=resolution)
+        with pytest.raises(ValueError, match="resolution"):
+            extended_kl_state(state, 1.0, config)
+        with pytest.raises(ValueError, match="resolution"):
+            refine_subset(
+                state.view, list(state.sides), state.locked, range(30), 1.0,
+                config,
+            )
 
 
 class TestGainIndexEquivalence:

@@ -341,17 +341,6 @@ class TestMultilevelBoundary:
             assert other.k == results[0].k
             assert other.acceptance_rate == results[0].acceptance_rate
 
-    def test_incremental_toggle_reaches_refinement(self, scenario):
-        base = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(frontier="boundary")
-        )
-        plain = solve_maar_multilevel(
-            scenario.graph,
-            MultilevelConfig(frontier="boundary", incremental=False),
-        )
-        assert plain.found
-        assert plain.suspicious == base.suspicious
-
     def test_refine_detail_recorded(self, scenario):
         result = solve_maar_multilevel(
             scenario.graph, MultilevelConfig(frontier="boundary")
@@ -384,6 +373,14 @@ class TestMultilevelBoundary:
         with pytest.raises(ValueError, match="unknown frontier"):
             solve_maar_multilevel(
                 scenario.graph, MultilevelConfig(frontier="bogus")
+            )
+
+    @pytest.mark.parametrize("refine_stall", [0, -1])
+    def test_non_positive_refine_stall_rejected(self, scenario, refine_stall):
+        # refine_stall=0 used to skip every region pass silently.
+        with pytest.raises(ValueError, match="refine_stall"):
+            solve_maar_multilevel(
+                scenario.graph, MultilevelConfig(refine_stall=refine_stall)
             )
 
     @settings(deadline=None, max_examples=6)

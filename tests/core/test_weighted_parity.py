@@ -77,6 +77,14 @@ def run_signature(csr, sides, k, config):
     )
 
 
+def nontrivial(signature) -> bool:
+    """A compared run that proves something: it applied at least one
+    switch (a second pass starts only after an applied prefix) and ends
+    on a suspicious side that is neither empty nor the whole graph."""
+    _sides, _f, _r, side_sizes, history = signature
+    return len(history) >= 2 and 0 < side_sizes[1] < sum(side_sizes)
+
+
 class TestIntegerCoarseWeights:
     @settings(max_examples=40, deadline=None)
     @given(augmented_graphs())
@@ -172,6 +180,7 @@ class TestWeightedKLParity:
     @pytest.mark.parametrize("seed", range(6))
     def test_bucket_heap_and_modes_agree(self, seed):
         signatures = set()
+        proper = False
         for backend in BACKENDS:
             csr, sides = coarse_state(seed, backend=backend)
             for k in self.K_VALUES:
@@ -182,11 +191,14 @@ class TestWeightedKLParity:
                         )
                         signature = run_signature(csr, sides, k, config)
                         signatures.add((k, repr(signature)))
+                        proper = proper or nontrivial(signature)
         # One distinct signature per k, whatever the backend/engine/mode.
         assert len(signatures) == len(self.K_VALUES)
+        assert proper
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_level_coarse_graphs_agree(self, seed):
+        proper = False
         for k in (0.5, 2.0):
             reference = None
             for backend in BACKENDS:
@@ -199,9 +211,12 @@ class TestWeightedKLParity:
                     if reference is None:
                         reference = signature
                     assert signature == reference
+            proper = proper or nontrivial(reference)
+        assert proper
 
     def test_unit_weight_graph_matches_unweighted_solve(self):
         for seed in range(5):
+            proper = False
             graph = random_augmented_graph(
                 num_nodes=40, num_friendships=90, num_rejections=35, seed=seed
             )
@@ -210,17 +225,22 @@ class TestWeightedKLParity:
             plain = graph.csr("python")
             unit = WeightedCSRGraph.from_unit(plain)
             for k in (0.25, 1.0):
-                assert run_signature(
-                    unit, sides, k, KLConfig()
-                ) == run_signature(plain, sides, k, KLConfig())
+                signature = run_signature(plain, sides, k, KLConfig())
+                assert run_signature(unit, sides, k, KLConfig()) == signature
+                proper = proper or nontrivial(signature)
+            assert proper
 
     def test_weighted_auto_uses_bucket_on_grid(self):
         csr, sides = coarse_state(3)
         assert csr.int_weighted
         # Off-grid k falls back to the heap instead of raising.
-        off_grid = run_signature(csr, sides, 0.3, KLConfig())
-        heap = run_signature(csr, sides, 0.3, KLConfig(gain_index="heap"))
-        assert off_grid == heap
+        proper = False
+        for k in (0.3, 1.3):
+            off_grid = run_signature(csr, sides, k, KLConfig())
+            heap = run_signature(csr, sides, k, KLConfig(gain_index="heap"))
+            assert off_grid == heap
+            proper = proper or nontrivial(heap)
+        assert proper
         with pytest.raises(ValueError, match="bucket grid"):
             run_signature(csr, sides, 0.3, KLConfig(gain_index="bucket"))
 

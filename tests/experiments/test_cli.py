@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
@@ -171,6 +172,36 @@ class TestGraphCommands:
         )
         assert "users" in out_text
         assert report.exists()
+
+
+class TestMultilevelCommand:
+    def test_refine_stall_zero_runs_exhaustive_passes(self, tmp_path):
+        from repro.attacks import ScenarioConfig, build_scenario
+        from repro.io import save_augmented_graph
+
+        scenario = build_scenario(ScenarioConfig(num_legit=150, num_fakes=30))
+        graph = tmp_path / "g.txt"
+        save_augmented_graph(scenario.graph, str(graph))
+        report = tmp_path / "ml.json"
+        run_cli(
+            [
+                "multilevel",
+                "--graph", str(graph),
+                "--refine-stall", "0",
+                "--json", str(report),
+            ]
+        )
+        payload = json.loads(report.read_text())
+        assert payload["suspicious"]
+        assert set(payload["config"]) == {
+            "frontier", "refine_jobs", "refine_tolerance",
+        }
+
+    def test_no_incremental_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["multilevel", "--graph", "g.txt", "--no-incremental"]
+            )
 
 
 class TestBadInput:
