@@ -953,6 +953,32 @@ class PartitionState:
         state.side_sizes = [view.num_active - ones, ones]
         return state
 
+    @classmethod
+    def counting_deltas(
+        cls,
+        view: CSRView,
+        sides: List[int],
+        locked: Sequence[bool],
+    ) -> "PartitionState":
+        """A state that switches the caller's ``sides`` list in place and
+        whose cut counters start at zero, so after any run of switches
+        ``f_cross``/``r_cross`` hold the exact counter deltas.
+
+        Region refinement (:func:`repro.core.kl.refine_subset`) runs on
+        such a state: it only ever needs the deltas its moves caused, so
+        neither the O(V+E) recount nor the O(V) side copy is paid per
+        region. ``side_sizes`` starts at ``[0, 0]`` and is not kept as
+        totals. The caller checks the lengths of ``sides`` and ``locked``.
+        """
+        state = cls.__new__(cls)
+        state.view = view
+        state.sides = sides
+        state.locked = locked
+        state.f_cross = 0
+        state.r_cross = 0
+        state.side_sizes = [0, 0]
+        return state
+
     def recount(self) -> None:
         """Recompute the counters and side sizes from scratch (O(V+E)).
 

@@ -32,7 +32,10 @@ flat-array :class:`repro.core.csr.PartitionState`. It owns everything
 the passes share: the pass loop and :class:`KLStats`, the start-of-pass
 gain refresh (batch kernel or dirty frontier), the ``frontier=
 "boundary"`` scope with its convergence closure, and the final counter
-write-back. Each pass itself runs in one of two bodies:
+write-back. Both entry points run on it: :func:`extended_kl_state`
+over every unlocked active node, and :func:`refine_subset` (multilevel
+region refinement) over a fixed candidate subset. Each pass itself
+runs in one of two bodies:
 
 * :func:`_bucket_pass` — an *inlined* integer-scaled FM bucket list for
   ``k`` on the ``1/resolution`` grid, over unweighted graphs and
@@ -41,8 +44,8 @@ write-back. Each pass itself runs in one of two bodies:
   node with zero per-edge function calls; unit-weight and weighted
   edges each get their own sweep, picked once per switched node.
 * :func:`_heap_pass` — a lazy-deletion heap of float gains for off-grid
-  ``k`` (Dinkelbach refinement), float-weighted graphs and weighted
-  residual views.
+  ``k`` (the multilevel Dinkelbach polish), float-weighted graphs and
+  weighted residual views.
 
 Both bodies keep one greedy discipline (same gain arithmetic, same FM
 LIFO tie-breaks, same best-prefix rollback). The simulated cluster
@@ -169,6 +172,11 @@ def _check_config(config: KLConfig) -> None:
         raise ValueError(
             f"resolution must be a positive int, got {config.resolution}"
         )
+    if config.frontier not in ("full", "boundary"):
+        raise ValueError(
+            f"unknown frontier {config.frontier!r}; expected 'full' or "
+            "'boundary'"
+        )
 
 
 def adjust_neighbor_gains(
@@ -177,18 +185,14 @@ def adjust_neighbor_gains(
     """Apply the O(1)-per-edge gain updates for the neighbours of a node
     that just switched away from ``prev_side``.
 
-    This is the single shared update rule of every gain-index engine
-    (heap pass, region refinement, distributed): friends move by
-    ``±2·w``; each rejection edge moves its *other* endpoint by
+    This is the update rule of every float gain index (the heap pass and
+    the distributed engine): friends move by ``±2·w``; each rejection
+    edge moves its *other* endpoint by
     ``(2·side−1)·k·(1−2·prev_side)·w``. Exported so the property tests
     can drive the gain indexes through the exact production update path.
     """
-    _adjust_gains(index, state.view, state.sides, u, prev_side, k)
-
-
-def _adjust_gains(index, view, sides, u: int, prev_side: int, k: float) -> None:
-    """Body of :func:`adjust_neighbor_gains` over raw ``(view, sides)``
-    (shared with :func:`refine_subset`, which carries no state object)."""
+    view = state.view
+    sides = state.sides
     csr = view.csr
     fp, fi, op, oi, ip_, ii = csr.hot()
     active = view.active
@@ -231,8 +235,14 @@ def _run_passes(
     config: KLConfig,
     stats: Optional[KLStats],
     bucket: bool,
+    subset: Optional[List[int]] = None,
 ) -> None:
     """The pass skeleton of Algorithm 1, shared by both pass bodies.
+
+    ``subset`` (ascending, active, unlocked node ids) replaces the
+    eligible list: only those nodes switch and every other side is
+    read-only context. A subset gets no boundary scope, and its run
+    keeps the cut counters only (``side_sizes`` is not written back).
 
     ``vals`` holds each eligible node's start-of-pass gain: a float for
     the heap pass, and for the bucket pass the integer bucket index
@@ -244,12 +254,14 @@ def _run_passes(
 
     Pass 1 (and ``incremental=False``) fills ``vals`` with one batch
     kernel call; later passes recompute only the previous pass's dirty
-    frontier — identical values either way. On the numpy backend a
-    frontier above a quarter of the eligible nodes flips back to the
-    batch kernel, a pure-speed choice. The bucket bound comes memoized from
-    :meth:`CSRGraph.bucket_gain_bound`; on residual views the full-graph
-    bound only offset-shifts every bucket index uniformly, which leaves
-    pop order and recorded gains (``b − offset``) untouched.
+    frontier — identical values either way. A subset's first refresh is
+    a dirty one over the candidates. On the numpy backend a frontier
+    above a quarter of the eligible nodes (of the level, for a subset)
+    flips back to the batch kernel, a pure-speed choice. The bucket
+    bound comes memoized from :meth:`CSRGraph.bucket_gain_bound`; on
+    residual views the full-graph bound only offset-shifts every bucket
+    index uniformly, which leaves pop order and recorded gains
+    (``b − offset``) untouched.
     """
     view = state.view
     csr = view.csr
@@ -323,14 +335,27 @@ def _run_passes(
                 if active[u] and not locked[u]:
                     vals[u] = state.switch_gain(u, k)
 
-    eligible = [u for u in range(n) if active[u] and not locked[u]]
+    if subset is None:
+        eligible = [u for u in range(n) if active[u] and not locked[u]]
+        vals: Optional[list] = None
+        dirty = None  # None -> full refresh
+    else:
+        eligible = subset
+        vals = [zero] * n
+        dirty = subset
+
+    def crowded(nodes) -> bool:
+        # Big enough that one batch kernel call beats scalar refreshes.
+        span = n if subset is not None else len(eligible)
+        return numpy_batch and 4 * len(nodes) > span
+
     # Boundary frontier (KLConfig.frontier="boundary"): restrict the
     # tentative passes to the cut frontier instead of the whole graph.
     # The scope grows with every applied prefix's dirty frontier, and
     # the convergence closure below readmits any positive-gain node the
     # scope missed, so no profitable single switch is ever left behind.
     scope: Optional[List[bool]] = None
-    if config.frontier == "boundary":
+    if config.frontier == "boundary" and subset is None:
         kernel = weighted_boundary_nodes if csr.weighted else boundary_nodes
         eligible = [u for u in kernel(view, sides, k) if not locked[u]]
         scope = [False] * n
@@ -338,22 +363,16 @@ def _run_passes(
             scope[u] = True
     # Scalar refreshes where no batch kernel fits: float-weighted graphs
     # (their summation order is part of the contract), python heaps,
-    # and scoped python buckets, whose small boundary should not pay
-    # the O(V+E) kernel.
-    use_batch = numpy_batch or (bucket and scope is None)
-    vals: Optional[list] = None
-    dirty: Optional[set] = None  # None -> full refresh
+    # and scoped or subset python buckets, whose small candidate lists
+    # should not pay the O(V+E) kernel.
+    use_batch = numpy_batch or (bucket and scope is None and subset is None)
 
     for _ in range(config.max_passes):
         if stats is not None:
             stats.passes += 1
             stats.objective_history.append(state.objective(k))
 
-        if (
-            vals is None
-            or dirty is None
-            or (numpy_batch and 4 * len(dirty) > len(eligible))
-        ):
+        if vals is None or dirty is None or crowded(dirty):
             if use_batch:
                 vals = batch()
             else:
@@ -402,9 +421,7 @@ def _run_passes(
             dirty = set()
             continue
 
-        track_dirty = config.incremental and not (
-            numpy_batch and 4 * len(applied) > len(eligible)
-        )
+        track_dirty = config.incremental and not crowded(applied)
         if track_dirty or scope is not None:
             # Rolled-back switches are net no-ops, so only the applied
             # prefix and its neighbourhood can enter the next pass with
@@ -433,8 +450,9 @@ def _run_passes(
         else:
             dirty = None
 
-    ones = sum(s for s, a in zip(sides, active) if a)
-    state.side_sizes = [view.num_active - ones, ones]
+    if subset is None:
+        ones = sum(s for s, a in zip(sides, active) if a)
+        state.side_sizes = [view.num_active - ones, ones]
 
 
 def _bucket_pass(
@@ -752,6 +770,45 @@ def _heap_pass(
     return sequence[:best_length], len(sequence)
 
 
+def _use_bucket(view, k: float, config: KLConfig) -> bool:
+    """Resolve ``config.gain_index`` to a pass body: ``True`` for
+    :func:`_bucket_pass`, ``False`` for :func:`_heap_pass`.
+
+    The weighted bucket pass indexes the positional weight arrays of the
+    *full* slot layout, so it needs an all-active view; residual weighted
+    views fall back to the heap. (Unweighted buckets run on the re-packed
+    ``hot_active`` adjacency, so any view works.)
+    """
+    csr = view.csr
+    weighted = csr.weighted
+    bucket_ok = not weighted or (
+        csr.int_weighted and view.num_active == csr.num_nodes
+    )
+    kind = config.gain_index
+    if kind == "auto":
+        return bucket_ok and _on_grid(k, config.resolution)
+    if kind == "heap":
+        return False
+    if kind != "bucket":
+        raise ValueError(f"unknown gain index kind {kind!r}")
+    if weighted and not csr.int_weighted:
+        raise ValueError(
+            "the bucket gain index requires an unweighted or "
+            "int64-weighted graph; pass gain_index='heap' or 'auto'"
+        )
+    if not bucket_ok:
+        raise ValueError(
+            "the weighted bucket engine requires an all-active view "
+            "(weights are positional); pass gain_index='heap' or 'auto'"
+        )
+    if not _on_grid(k, config.resolution):
+        raise ValueError(
+            f"k={k} is off the 1/{config.resolution} bucket grid; "
+            "pass gain_index='heap' or 'auto'"
+        )
+    return True
+
+
 def extended_kl_state(
     state: PartitionState,
     k: float,
@@ -770,49 +827,13 @@ def extended_kl_state(
     config = config or KLConfig()
     _check_config(config)
     out = state.copy()
-    kind = config.gain_index
     csr = out.view.csr
-    weighted = csr.weighted
-    if config.frontier not in ("full", "boundary"):
-        raise ValueError(
-            f"unknown frontier {config.frontier!r}; expected 'full' or "
-            "'boundary'"
-        )
-    if config.frontier == "boundary" and weighted and not csr.int_weighted:
+    if config.frontier == "boundary" and csr.weighted and not csr.int_weighted:
         raise ValueError(
             "frontier='boundary' requires an unweighted or int64-weighted "
             "graph; float-weighted graphs keep the full frontier"
         )
-    # The weighted bucket pass indexes the positional weight arrays of
-    # the *full* slot layout, so it needs an all-active view; residual
-    # weighted views fall back to the heap. (Unweighted buckets run on
-    # the re-packed hot_active adjacency, so any view works.)
-    bucket_ok = not weighted or (
-        csr.int_weighted and out.view.num_active == csr.num_nodes
-    )
-    if kind == "auto":
-        kind = (
-            "bucket" if bucket_ok and _on_grid(k, config.resolution) else "heap"
-        )
-    if kind == "bucket":
-        if weighted and not csr.int_weighted:
-            raise ValueError(
-                "the bucket gain index requires an unweighted or "
-                "int64-weighted graph; pass gain_index='heap' or 'auto'"
-            )
-        if weighted and not bucket_ok:
-            raise ValueError(
-                "the weighted bucket engine requires an all-active view "
-                "(weights are positional); pass gain_index='heap' or 'auto'"
-            )
-        if not _on_grid(k, config.resolution):
-            raise ValueError(
-                f"k={k} is off the 1/{config.resolution} bucket grid; "
-                "pass gain_index='heap' or 'auto'"
-            )
-    elif kind != "heap":
-        raise ValueError(f"unknown gain index kind {kind!r}")
-    _run_passes(out, k, config, stats, bucket=kind == "bucket")
+    _run_passes(out, k, config, stats, _use_bucket(out.view, k, config))
     return out
 
 
@@ -829,135 +850,55 @@ def refine_subset(
     The region-parallel multilevel refinement decomposes the cut
     frontier into connected boundary regions
     (:func:`~repro.core.multilevel.solve_maar_multilevel`) and refines
-    each through this entry point: the usual greedy tentative pass with
-    FM LIFO tie-breaks and best-prefix rollback, but only ``nodes`` may
-    switch — every other side is read-only context. Because the regions
-    are closed under all three adjacency layers, two calls on distinct
-    regions never read each other's writes: their ``(delta_f,
-    delta_r)`` add exactly and their move sets are disjoint, which is
-    what makes the region merge independent of worker count and
-    execution order. Gains use the lazy-deletion heap, so any positive
-    ``k`` and both unweighted and int64-weighted graphs work.
+    each through this entry point: the shared pass skeleton
+    (:func:`_run_passes`) with ``nodes`` as its eligible list, so only
+    those nodes may switch — every other side is read-only context.
+    Because the regions are closed under all three adjacency layers, two
+    calls on distinct regions never read each other's writes: their
+    ``(delta_f, delta_r)`` add exactly and their move sets are disjoint,
+    which is what makes the region merge independent of worker count
+    and execution order.
+
+    ``config.gain_index`` picks the pass body exactly as in
+    :func:`extended_kl_state`: on the ``1/resolution`` grid the fused
+    integer bucket pass (unweighted and int64-weighted graphs), off it —
+    the Dinkelbach polish's ratio — the float heap pass. ``frontier``
+    does not apply: the subset is the scope.
 
     ``sides`` is mutated to the refined labels. Returns ``(moved,
     delta_f, delta_r, tested, applied)``: the ascending list of nodes
     whose side net-changed, the exact cut-counter deltas those moves
-    caused, and the tentative/applied switch counts.
+    caused, and the tentative/applied switch counts. Node ids must lie
+    in ``[0, n)``; duplicates, locked and inactive nodes are dropped.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     config = config or KLConfig()
     _check_config(config)
-    csr = view.csr
-    fp, fi, op, oi, ip_, ii = csr.hot()
-    weights = csr.hot_weights()
-    fw, ow, iw = weights if weights is not None else (None, None, None)
+    n = view.csr.num_nodes
+    if len(sides) != n:
+        raise ValueError(f"sides has length {len(sides)}, expected {n}")
+    if len(locked) != n:
+        raise ValueError(f"locked has length {len(locked)}, expected {n}")
+    cand = sorted(set(nodes))
+    if cand and not (0 <= cand[0] and cand[-1] < n):
+        bad = cand[0] if cand[0] < 0 else cand[-1]
+        raise ValueError(f"node id {bad} is out of range for {n} nodes")
     active = view.active
-    cand = sorted(u for u in set(nodes) if active[u] and not locked[u])
-    entry = {u: sides[u] for u in cand}
-    delta_f = delta_r = 0
-    tested = applied = 0
-
-    def deltas(u):
-        # The exact counter deltas of switching u now — the same scalar
-        # arithmetic as PartitionState.switch/switch_gain, against the
-        # full side vector (out-of-region neighbours included).
-        s = sides[u]
-        fd = 0
-        rd = 0
-        if fw is None:
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    fd += 1 if sides[v] == s else -1
-            if s:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v]:
-                        rd += 1
-                for i in range(ip_[u], ip_[u + 1]):
-                    w = ii[i]
-                    if active[w] and not sides[w]:
-                        rd -= 1
-            else:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v]:
-                        rd -= 1
-                for i in range(ip_[u], ip_[u + 1]):
-                    w = ii[i]
-                    if active[w] and not sides[w]:
-                        rd += 1
-        else:
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    fd += fw[i] if sides[v] == s else -fw[i]
-            if s:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v]:
-                        rd += ow[i]
-                for i in range(ip_[u], ip_[u + 1]):
-                    w = ii[i]
-                    if active[w] and not sides[w]:
-                        rd -= iw[i]
-            else:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v]:
-                        rd -= ow[i]
-                for i in range(ip_[u], ip_[u + 1]):
-                    w = ii[i]
-                    if active[w] and not sides[w]:
-                        rd += iw[i]
-        return fd, rd
-
-    for _ in range(config.max_passes):
-        index = HeapGainIndex()
-        pairs = []
-        for u in cand:
-            fd, rd = deltas(u)
-            pairs.append((u, -(fd - k * rd)))
-        index.bulk_load(pairs)
-
-        sequence: List[tuple] = []
-        cumulative = 0.0
-        best_cumulative = 0.0
-        best_length = 0
-        stall = 0
-        while True:
-            if config.stall_limit is not None and stall >= config.stall_limit:
-                break
-            popped = index.pop_max()
-            if popped is None:
-                break
-            u, gain = popped
-            fd, rd = deltas(u)
-            prev_side = sides[u]
-            sides[u] = 1 - prev_side
-            sequence.append((u, fd, rd))
-            cumulative += gain
-            tested += 1
-            if cumulative > best_cumulative + _EPS:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-                stall = 0
-            else:
-                stall += 1
-            _adjust_gains(index, view, sides, u, prev_side, k)
-
-        for u, _fd, _rd in reversed(sequence[best_length:]):
-            sides[u] = 1 - sides[u]
-        applied += best_length
-        for _u, fd, rd in sequence[:best_length]:
-            delta_f += fd
-            delta_r += rd
-        if best_length == 0:
-            break
-
-    moved = sorted(u for u in cand if sides[u] != entry[u])
-    return moved, delta_f, delta_r, tested, applied
+    cand = [u for u in cand if active[u] and not locked[u]]
+    bucket = _use_bucket(view, k, config)
+    entry = [sides[u] for u in cand]
+    stats = KLStats()
+    state = PartitionState.counting_deltas(view, sides, locked)
+    _run_passes(state, k, config, stats, bucket, subset=cand)
+    moved = [u for u, s in zip(cand, entry) if sides[u] != s]
+    return (
+        moved,
+        state.f_cross,
+        state.r_cross,
+        stats.switches_tested,
+        stats.switches_applied,
+    )
 
 
 def extended_kl(

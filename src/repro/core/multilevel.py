@@ -94,8 +94,11 @@ class MultilevelConfig:
         :func:`_movable_frontier`). The frontier splits into connected
         *regions* (components under all three edge layers, so no edge
         crosses two regions), each region refines independently
-        through :func:`~repro.core.kl.refine_subset`, and rounds
-        repeat until a round moves nothing. ``"full"`` restores the
+        through :func:`~repro.core.kl.refine_subset` — KL's shared pass
+        skeleton with the region as its candidate list: the integer
+        bucket pass at the sweep's grid ``k``, the float heap pass at
+        the Dinkelbach polish's off-grid ratio — and rounds repeat
+        until a round moves nothing. ``"full"`` restores the
         classic whole-graph refinement pass at every level. The value
         is also threaded into the refinement
         :class:`~repro.core.kl.KLConfig`, so any full-state engine run
@@ -264,30 +267,26 @@ def _cut_regions(graph, bnodes: Sequence[int]) -> List[List[int]]:
     so); components come out in order of their smallest member, each
     sorted ascending, keeping the downstream fan-out deterministic.
     """
-    member = bytearray(graph.num_nodes)
+    fp, fi, op, oi, ip_, ii = graph.hot()
+    layers = ((fp, fi), (op, oi), (ip_, ii))
+    # 1 = a frontier node no component has claimed yet.
+    unclaimed = bytearray(graph.num_nodes)
     for u in bnodes:
-        member[u] = 1
-    layers = (
-        (graph.f_ptr, graph.f_idx),
-        (graph.ro_ptr, graph.ro_idx),
-        (graph.ri_ptr, graph.ri_idx),
-    )
-    seen = bytearray(graph.num_nodes)
+        unclaimed[u] = 1
     regions: List[List[int]] = []
     for seed in bnodes:
-        if seen[seed]:
+        if not unclaimed[seed]:
             continue
-        seen[seed] = 1
+        unclaimed[seed] = 0
         stack = [seed]
         comp: List[int] = []
         while stack:
             u = stack.pop()
             comp.append(u)
             for ptr, idx in layers:
-                for j in range(ptr[u], ptr[u + 1]):
-                    v = idx[j]
-                    if member[v] and not seen[v]:
-                        seen[v] = 1
+                for v in idx[ptr[u] : ptr[u + 1]]:
+                    if unclaimed[v]:
+                        unclaimed[v] = 0
                         stack.append(v)
         comp.sort()
         regions.append(comp)
@@ -315,13 +314,12 @@ def _movable_frontier(graph, view, sides: List[int], k: float) -> List[int]:
         fd, rd = weighted_gain_deltas(view, sides)
     else:
         fd, rd = gain_deltas(view, sides)
-    fp, fi = graph.f_ptr, graph.f_idx
+    fp, fi = graph.hot()[:2]
     marked = set()
     for u in range(graph.num_nodes):
         if k * rd[u] > fd[u]:
             marked.add(u)
-            for i in range(fp[u], fp[u + 1]):
-                marked.add(fi[i])
+            marked.update(fi[fp[u] : fp[u + 1]])
     return sorted(marked)
 
 
@@ -506,7 +504,7 @@ def solve_maar_multilevel(
     check_seeds(total_nodes, legit_seeds, spammer_seeds)
 
     locked = [False] * total_nodes
-    ri_ptr = csr0.ri_ptr
+    ri_ptr = csr0.hot()[4]
     init_sides = [
         SUSPICIOUS if ri_ptr[u + 1] > ri_ptr[u] else LEGITIMATE
         for u in range(total_nodes)

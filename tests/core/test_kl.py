@@ -171,6 +171,78 @@ class TestNoOpConfigsRejected:
             )
 
 
+class TestRefineSubsetInputs:
+    """``refine_subset`` rejects bad node ids, mis-sized vectors and gain
+    index settings with the same errors as ``extended_kl_state``."""
+
+    N = 30
+
+    @pytest.fixture
+    def state(self):
+        graph = random_augmented_graph(self.N, 60, 30, seed=4)
+        return PartitionState(graph.csr().view(), [0] * self.N)
+
+    def refine(self, state, nodes, k=1.0, config=None, sides=None, locked=None):
+        return refine_subset(
+            state.view,
+            list(state.sides) if sides is None else sides,
+            state.locked if locked is None else locked,
+            nodes,
+            k,
+            config,
+        )
+
+    @pytest.mark.parametrize(
+        "nodes,bad",
+        [([-1], -1), ([-1, N - 1], -1), ([N], N), ([0, 5, N + 3], N + 3)],
+    )
+    def test_out_of_range_node_ids(self, state, nodes, bad):
+        with pytest.raises(ValueError, match=f"node id {bad} is out of range"):
+            self.refine(state, nodes)
+
+    def test_duplicate_ids_switch_once(self, state):
+        once = self.refine(state, range(self.N))
+        twice = self.refine(state, list(range(self.N)) * 2)
+        assert twice == once
+
+    @pytest.mark.parametrize("length", [N - 1, N + 1])
+    def test_wrong_sides_length(self, state, length):
+        with pytest.raises(ValueError, match="sides has length"):
+            self.refine(state, [0], sides=[0] * length)
+
+    @pytest.mark.parametrize("length", [N - 1, N + 1])
+    def test_wrong_locked_length(self, state, length):
+        with pytest.raises(ValueError, match="locked has length"):
+            self.refine(state, [0], locked=[False] * length)
+
+    @pytest.mark.parametrize(
+        "gain_index,k,message",
+        [
+            ("bogus", 1.0, "unknown gain index kind 'bogus'"),
+            ("bucket", 0.3, "off the 1/8 bucket grid"),
+        ],
+    )
+    def test_gain_index_errors_match_engine(self, state, gain_index, k, message):
+        config = KLConfig(gain_index=gain_index)
+        with pytest.raises(ValueError, match=message):
+            extended_kl_state(state, k, config)
+        with pytest.raises(ValueError, match=message):
+            self.refine(state, range(self.N), k, config)
+
+    def test_weighted_bucket_needs_all_active_view(self):
+        graph = random_augmented_graph(self.N, 60, 30, seed=4)
+        csr = graph.csr().contract(list(range(self.N)), self.N)
+        view = csr.view().without([0])
+        config = KLConfig(gain_index="bucket")
+        state = PartitionState(view, [0] * self.N)
+        for run in (
+            lambda: extended_kl_state(state, 1.0, config),
+            lambda: refine_subset(view, [0] * self.N, state.locked, [1], 1.0, config),
+        ):
+            with pytest.raises(ValueError, match="all-active view"):
+                run()
+
+
 class TestGainIndexEquivalence:
     @pytest.mark.parametrize("k", [0.125, 0.5, 1.0, 4.0, 64.0])
     def test_bucket_and_heap_reach_same_objective(self, k):
