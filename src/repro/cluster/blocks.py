@@ -121,8 +121,8 @@ class BlockSlices:
 
     def records(self) -> List[Tuple[int, List[int], List[int], List[int]]]:
         """Unpack into per-node ``(node, friends, rej_out, rej_in)``
-        records — the master-side shape ``MasterState.apply_switch``
-        consumes."""
+        records — the master-side shape the prefetch buffer holds and
+        :func:`repro.cluster.master.prefetch_source` serves."""
         out = []
         f_off, f_idx = self.f_off, self.f_idx
         ro_off, ro_idx = self.ro_off, self.ro_idx

@@ -8,7 +8,10 @@ Implements the architecture of Section V:
   on — plus a replica of the side vector, kept in sync by the broadcast
   protocol below;
 * the **master** keeps the per-node status (side assignment) and the
-  gain bucket list, so the hot update path never crosses the network;
+  gain bucket list, so the hot update path never crosses the network.
+  It runs the pass with :func:`repro.core.kl._bucket_pass`, the fused
+  integer bucket body local KL runs, reading adjacency from the
+  prefetch buffer instead of a local CSR;
 * each pass opens with one **gains** exchange per partition: the owning
   worker runs the :func:`repro.core.kernels.shard_gain_deltas` /
   :func:`~repro.core.kernels.shard_cut_counts` batch kernels over its
@@ -28,14 +31,14 @@ Every message's size follows from its array lengths (see the wire
 constants in :mod:`repro.cluster.blocks`), so the per-kind byte
 breakdown in :class:`~repro.cluster.netsim.NetworkStats` is exact.
 
-The engine executes the same greedy single-node-switch discipline as
-:func:`repro.core.kl.extended_kl` (same gain arithmetic, same LIFO
-bucket tie-breaks, same best-prefix rollback), so given identical inputs
-it returns *identical* partitions — and identical per-pass objective
-histories — property-tested across backends in
-``tests/cluster/test_engine.py``. The worker-side gains double as the
-protocol check: they are computed from the *replica* side vectors, so
-any delta-broadcast bug breaks parity immediately.
+Sharing the pass body, the engine returns the partitions and per-pass
+objective histories :func:`repro.core.kl.extended_kl` returns at grid
+``k`` — checked across backends in ``tests/cluster/test_engine.py``.
+That parity now checks the protocol: worker gains and shard counters
+computed from the *replica* side vectors, fetched records and delta
+broadcasts, so any of them going wrong breaks it. The pass body's own
+oracle is the frozen hashes of ``tests/cluster/test_cluster_frozen.py``,
+which also pin every fetch batch.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.gains import _on_grid
+from ..core.kl import _bucket_pass, _check_k
 from ..core.maar import MAARConfig, geometric_k_sequence
 from ..core.objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
 from .blocks import (
@@ -52,14 +57,12 @@ from .blocks import (
     SIDE_BYTE,
     BlockSlices,
 )
-from .master import MasterState, NodeRecord
+from .master import MasterState, NodeRecord, prefetch_source
 from .netsim import NetworkSimulator, NetworkStats
 from .prefetch import PrefetchBuffer
 from .rdd import ClusterContext
 
 __all__ = ["ClusterConfig", "ClusterRunStats", "DistributedKL", "distributed_maar"]
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,19 +78,33 @@ class ClusterConfig:
     ``"reference"`` force one mode (reference requires a snapshot-backed
     graph). Results are identical either way — only the distribution
     bytes differ, recorded as ``NetworkStats.bytes_avoided``.
+
+    The master runs the integer bucket pass, so ``k`` must sit on the
+    ``1/resolution`` grid.
     """
 
     num_workers: int = 5
     num_partitions: int = 20
     buffer_capacity: int = 4096
     prefetch_batch: int = 64
-    gain_index: str = "bucket"
     resolution: int = 8
     max_passes: int = 30
     replication: int = 1
     shard_transport: str = "auto"
 
     def __post_init__(self) -> None:
+        # Each of these would otherwise fail late (at the first run) or
+        # silently turn the search off (max_passes=0 returns the input
+        # cut with zeroed counters).
+        for name, floor in (
+            ("buffer_capacity", 0),
+            ("prefetch_batch", 1),
+            ("resolution", 1),
+            ("max_passes", 1),
+        ):
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
         if self.shard_transport not in ("auto", "payload", "reference"):
             raise ValueError(
                 f"shard_transport must be 'auto', 'payload', or "
@@ -145,13 +162,13 @@ class DistributedKL:
             self.config.num_partitions,
             transport=self.config.shard_transport,
         )
-        # Degree maxima for the gain-bound computation at each k. A bound
-        # from two different nodes is looser than the per-node maximum,
-        # which is harmless: a gain bound only sizes the bucket array
-        # (a uniform offset shift) and never alters pop order.
+        # Degree maxima for the bucket offset at each k. A bound from two
+        # different nodes is looser than the per-node maximum, which is
+        # harmless: the offset only sizes the bucket array (a uniform
+        # shift) and never alters pop order.
         fp, _, op, _, ip_, _ = csr.hot()
         self._max_f_degree = max(
-            (fp[u + 1] - fp[u] for u in range(csr.num_nodes)), default=1
+            (fp[u + 1] - fp[u] for u in range(csr.num_nodes)), default=0
         )
         self._max_r_degree = max(
             (
@@ -161,10 +178,13 @@ class DistributedKL:
             default=0,
         )
 
-    def _max_abs_gain(self, k: float) -> float:
-        """Lifetime gain bound at weight ``k``: each incident friendship
-        contributes at most 1 and each incident rejection at most ``k``."""
-        return max(self._max_f_degree + k * self._max_r_degree, 1.0)
+    def _bucket_offset(self, k_scaled: int) -> int:
+        """Bucket index of a zero gain at scaled weight ``k_scaled``: one
+        past the lifetime bound on a scaled gain, where each incident
+        friendship contributes at most ``resolution`` and each incident
+        rejection at most ``k_scaled``."""
+        res = self.config.resolution
+        return self._max_f_degree * res + k_scaled * self._max_r_degree + 1
 
     # ------------------------------------------------------------------
     # Wire protocol: broadcasts, gains collection, block-slice fetches
@@ -192,36 +212,36 @@ class DistributedKL:
             messages=len(targets),
         )
 
-    def _collect_pass_state(
-        self, k: float
-    ) -> Tuple[List[Tuple[int, float]], int, int]:
+    def _collect_pass_state(self, k: float) -> Tuple[List[float], int, int]:
         """One gains exchange per partition: each owning worker runs the
         shard kernels over its block against its side replica and replies
         ``(gains, f_cross_part, r_cross_part)``.
 
         The per-block counter parts sum to the exact graph-wide counters
-        (cross friendships are deduped globally by ``u < v``). Gains come
-        back in ascending node order — partitions are contiguous
-        ascending ranges — which is the insertion order the bucket
-        index's LIFO tie-breaks are defined against.
+        (cross friendships are deduped globally by ``u < v``). Partitions
+        are contiguous ascending ranges, so the concatenated gains are
+        indexed by node id — ascending node order is the load order the
+        bucket list's LIFO tie-breaks are defined against.
         """
         sharded = self.sharded
-        pairs: List[Tuple[int, float]] = []
+        gains: List[float] = []
         f_cross = r_cross = 0
         for pid in range(sharded.num_partitions):
             lo, hi = sharded.range_of(pid)
             if lo == hi:
                 continue
             worker = self.context.block_replica_for(pid, sharded.key(pid))
-            gains, f_part, r_part = worker.block_pass_state(sharded.key(pid), k)
+            block_gains, f_part, r_part = worker.block_pass_state(
+                sharded.key(pid), k
+            )
             self.network.send(
                 "gains",
-                MESSAGE_HEADER_BYTES + INT_BYTES * len(gains) + COUNTER_BYTES,
+                MESSAGE_HEADER_BYTES + INT_BYTES * len(block_gains) + COUNTER_BYTES,
             )
             f_cross += f_part
             r_cross += r_part
-            pairs.extend((lo + r, gains[r]) for r in range(len(gains)))
-        return pairs, f_cross, r_cross
+            gains.extend(block_gains)
+        return gains, f_cross, r_cross
 
     def _fetch_records(
         self, nodes: Sequence[int]
@@ -247,7 +267,7 @@ class DistributedKL:
         return fetched
 
     # ------------------------------------------------------------------
-    # The KL pass loop
+    # The KL passes
     # ------------------------------------------------------------------
     def run(
         self,
@@ -258,85 +278,69 @@ class DistributedKL:
     ) -> Tuple[List[int], int, int]:
         """Minimize ``|F(Ū,U)| − k·|R⃗⟨Ū,U⟩|`` from ``initial_sides``.
 
+        Each pass collects the workers' gains and counters, loads the
+        unlocked gains into a :class:`MasterState`, runs kl's bucket pass
+        over it with records from the prefetch buffer, and broadcasts the
+        applied prefix as the next side-vector delta.
+
         Returns ``(sides, f_cross, r_cross)`` of the improved partition.
         """
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        _check_k(k)
         n = self.graph_size
         config = self.config
-        if locked is None:
-            locked = [False] * n
+        res = config.resolution
+        if not _on_grid(k, res):
+            raise ValueError(
+                f"k={k} is off the 1/{res} bucket grid the cluster master's "
+                "integer bucket pass runs on"
+            )
         sides = list(initial_sides)
         if len(sides) != n:
             raise ValueError(f"initial_sides has length {len(sides)}, expected {n}")
+        if not set(sides) <= {0, 1}:
+            bad = next(s for s in sides if s not in (0, 1))
+            raise ValueError(f"initial_sides must hold 0 or 1, got {bad!r}")
+        if locked is None:
+            locked = [False] * n
+        elif len(locked) != n:
+            raise ValueError(f"locked has length {len(locked)}, expected {n}")
+        k_scaled = round(k * res)
+        offset = self._bucket_offset(k_scaled)
 
         buffer = PrefetchBuffer(
             capacity=config.buffer_capacity,
             fetch_batch=self._fetch_records,
             batch_size=config.prefetch_batch,
         )
+        # Walk four batches deep so a miss can fill its batch with nodes
+        # the buffer does not already hold.
+        source = prefetch_source(buffer, 4 * config.prefetch_batch)
         # Full sync opens every run: replicas must start from this run's
         # initial sides, whatever a previous run left behind.
         self._broadcast_full(sides)
-        f_cross = r_cross = 0
-        for pass_index in range(config.max_passes):
+        for _ in range(config.max_passes):
             gains, f_cross, r_cross = self._collect_pass_state(k)
             if stats is not None:
                 stats.passes += 1
                 stats.objective_history.append(f_cross - k * r_cross)
 
             state = MasterState.for_pass(
-                n,
-                k,
-                sides,
-                f_cross,
-                r_cross,
-                gains,
-                locked,
-                gain_index_kind=config.gain_index,
-                max_abs_gain=self._max_abs_gain(k),
-                resolution=config.resolution,
+                n, sides, f_cross, r_cross, gains, locked, res, offset
             )
-
-            cumulative = 0.0
-            best_cumulative = 0.0
-            best_length = 0
-            while True:
-                popped = state.pop_best()
-                if popped is None:
-                    break
-                u, gain = popped
-                # Offer a deep candidate walk so the buffer can fill its
-                # batch with nodes it does not already hold. The walk is
-                # lazy and reads the live index: get() draws from it only
-                # on a miss and is done with it before apply_switch
-                # mutates the index.
-                record = buffer.get(
-                    u,
-                    prefetch_candidates=state.prefetch_candidates(
-                        config.prefetch_batch * 4
-                    ),
-                )
-                state.apply_switch(record)
-                cumulative += gain
-                if stats is not None:
-                    stats.switches_tested += 1
-                if cumulative > best_cumulative + _EPS:
-                    best_cumulative = cumulative
-                    best_length = state.switches_applied
-
-            # Roll back past the best prefix (master-local state only).
-            state.rollback_to(best_length)
-            switched = state.applied_nodes()
-            sides, f_cross, r_cross = state.snapshot()
+            applied, tested = _bucket_pass(
+                state, state.eligible, state.gain_b, None, None, k_scaled,
+                res, offset, None, source=source,
+            )
+            sides, f_cross, r_cross = state.sides, state.f_cross, state.r_cross
             if stats is not None:
-                stats.switches_applied += best_length
-            if best_length == 0:
+                stats.switches_tested += tested
+                stats.switches_applied += len(applied)
+            if not applied:
                 break
             # Sync the replicas for the next pass: each surviving switch
             # flipped its node exactly once, so the applied prefix *is*
             # the side-vector delta.
-            self._broadcast_delta(switched)
+            self._broadcast_delta(applied)
 
         if stats is not None:
             stats.network = self.network.stats

@@ -5,178 +5,130 @@ and the bucket list that indexes the nodes. This reduces the network I/O
 during node status updates, at the cost of constant memory consumption
 per node on the master."
 
-:class:`MasterState` is exactly that object: the side assignment, the
-incremental cut counters, and the gain index — everything the KL loop
-touches per switch — with the O(1)-per-edge update rules shared with the
-single-machine implementation. The engine drives it; the workers only
-ever see structure fetches.
+:class:`MasterState` is that state for one pass: the side assignment,
+the cut counters, and every unlocked node's start-of-pass gain as an
+integer bucket index. The pass itself is kl's fused integer bucket pass
+(:func:`repro.core.kl._bucket_pass`), the body local KL runs; only the
+origin of adjacency differs. :func:`prefetch_source` serves each
+switched node's record out of the prefetch buffer and, on a miss, walks
+the live bucket list for the top-gain nodes to fetch along with it. The
+workers only ever see structure fetches.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from ..core.gains import GainIndex, make_gain_index
-from ..core.objectives import LEGITIMATE, SUSPICIOUS
+from .prefetch import PrefetchBuffer
 
-__all__ = ["MasterState", "NodeRecord"]
+__all__ = ["MasterState", "NodeRecord", "prefetch_source"]
 
 #: Per-node adjacency as unpacked from a block-slice fetch:
 #: ``(node, friends, rej_out, rej_in)`` with each adjacency an id
-#: sequence (list slices off the wire arrays; tuples in older tests).
+#: sequence (list slices off the wire arrays).
 NodeRecord = Tuple[int, Sequence[int], Sequence[int], Sequence[int]]
+
+#: ``source(u, heads, nxt, max_b, size) -> (friends, rej_out, rej_in)``
+RecordSource = Callable[..., Tuple[Sequence[int], Sequence[int], Sequence[int]]]
 
 
 class MasterState:
-    """Side assignments, cut counters, and the gain index, master-side.
+    """Side assignments, cut counters and bucket-indexed gains, master-side.
 
     Memory cost is O(1) per node (the paper's 20-bytes-per-node
-    estimate); no adjacency is stored here — switch application takes
-    the switched node's record, fetched by the caller.
+    estimate); no adjacency is stored here — the pass reads each switched
+    node's record through its source.
     """
 
-    __slots__ = ("num_nodes", "k", "sides", "f_cross", "r_cross", "index", "_sequence")
+    __slots__ = ("sides", "f_cross", "r_cross", "eligible", "gain_b")
 
     def __init__(
         self,
-        num_nodes: int,
-        k: float,
-        sides: Sequence[int],
+        sides: List[int],
         f_cross: int,
         r_cross: int,
-        gain_index: GainIndex,
+        eligible: List[int],
+        gain_b: List[int],
     ) -> None:
-        if len(sides) != num_nodes:
-            raise ValueError(
-                f"sides has length {len(sides)}, expected {num_nodes}"
-            )
-        self.num_nodes = num_nodes
-        self.k = k
-        self.sides: List[int] = list(sides)
+        self.sides = sides
         self.f_cross = f_cross
         self.r_cross = r_cross
-        self.index = gain_index
-        #: applied switches this pass: (node, friends_delta, rej_delta)
-        self._sequence: List[Tuple[int, int, int]] = []
+        #: unlocked nodes, ascending: the bucket list's load order
+        self.eligible = eligible
+        #: per-node bucket index ``round(gain·res) + offset``
+        self.gain_b = gain_b
 
     @classmethod
     def for_pass(
         cls,
         num_nodes: int,
-        k: float,
         sides: Sequence[int],
         f_cross: int,
         r_cross: int,
-        gains: Sequence[Tuple[int, float]],
+        gains: Sequence[float],
         locked: Sequence[bool],
-        gain_index_kind: str = "bucket",
-        max_abs_gain: float = 1.0,
-        resolution: int = 8,
+        resolution: int,
+        offset: int,
     ) -> "MasterState":
-        """Build the state for one KL pass, loading unlocked gains."""
-        index = make_gain_index(
-            gain_index_kind, num_nodes, max_abs_gain, k, resolution
-        )
-        state = cls(num_nodes, k, sides, f_cross, r_cross, index)
-        for node, gain in gains:
-            if not locked[node]:
-                index.insert(node, gain)
-        return state
+        """Build the state for one KL pass from the worker-reported
+        per-node ``gains`` (ascending node order).
 
-    # ------------------------------------------------------------------
-    # The per-switch hot path
-    # ------------------------------------------------------------------
-    def pop_best(self) -> Optional[Tuple[int, float]]:
-        """Next node to tentatively switch (max gain), or ``None``."""
-        return self.index.pop_max()
-
-    def prefetch_candidates(self, count: int) -> Iterator[int]:
-        """Lazy walk over the current top-gain nodes — the prefetcher's
-        ride-along set.
-
-        The walk reads the live gain index, so it must be consumed (or
-        dropped) before :meth:`apply_switch` or :meth:`pop_best` mutates
-        the index. The engine hands it straight to
-        :meth:`PrefetchBuffer.get`, which draws from it only on a miss
-        and only inside that call.
+        Each gain becomes the bucket index ``round(gain·resolution) +
+        offset``; on the ``1/resolution`` grid the gains are exact
+        multiples, so the integer pass pops in the float order.
+        ``offset`` must exceed every scaled gain magnitude the pass can
+        reach; it is the bucket index of a zero gain.
         """
-        return self.index.top_nodes(count)
-
-    def apply_switch(self, record: NodeRecord) -> None:
-        """Apply one tentative switch given the node's adjacency record.
-
-        Updates side, cut counters, and the still-indexed neighbours'
-        gains — all O(deg) with O(1) per incident edge, entirely
-        master-local (Section V's design goal).
-        """
-        node, friends, rej_out, rej_in = record
-        sides = self.sides
-        s = sides[node]
-        friends_delta = 0
-        for v in friends:
-            friends_delta += 1 if sides[v] == s else -1
-        rej_delta = 0
-        if s == LEGITIMATE:
-            for v in rej_out:
-                if sides[v] == SUSPICIOUS:
-                    rej_delta -= 1
-            for w in rej_in:
-                if sides[w] == LEGITIMATE:
-                    rej_delta += 1
-        else:
-            for v in rej_out:
-                if sides[v] == SUSPICIOUS:
-                    rej_delta += 1
-            for w in rej_in:
-                if sides[w] == LEGITIMATE:
-                    rej_delta -= 1
-        self.f_cross += friends_delta
-        self.r_cross += rej_delta
-        sides[node] = 1 - s
-        self._sequence.append((node, friends_delta, rej_delta))
-
-        index = self.index
-        prev_side = s
-        for v in friends:
-            if v in index:
-                index.adjust(v, 2.0 if sides[v] == prev_side else -2.0)
-        rej_sign = self.k * (1 - 2 * prev_side)
-        for v in rej_out:
-            if v in index:
-                index.adjust(v, (2 * sides[v] - 1) * rej_sign)
-        for w in rej_in:
-            if w in index:
-                index.adjust(w, (2 * sides[w] - 1) * rej_sign)
-
-    # ------------------------------------------------------------------
-    # Pass bookkeeping
-    # ------------------------------------------------------------------
-    @property
-    def switches_applied(self) -> int:
-        return len(self._sequence)
-
-    def applied_nodes(self) -> List[int]:
-        """Ids of the currently applied switches, in application order.
-
-        After :meth:`rollback_to`, this is exactly the set of nodes whose
-        side differs from the start of the pass (each node is popped at
-        most once per pass), i.e. the delta the broadcast protocol ships
-        to the worker replicas.
-        """
-        return [node for node, _, _ in self._sequence]
-
-    def rollback_to(self, keep: int) -> None:
-        """Undo every switch beyond the best prefix of length ``keep``."""
-        if keep < 0 or keep > len(self._sequence):
+        if len(sides) != num_nodes:
             raise ValueError(
-                f"keep must be in [0, {len(self._sequence)}], got {keep}"
+                f"sides has length {len(sides)}, expected {num_nodes}"
             )
-        for node, friends_delta, rej_delta in reversed(self._sequence[keep:]):
-            self.sides[node] = 1 - self.sides[node]
-            self.f_cross -= friends_delta
-            self.r_cross -= rej_delta
-        del self._sequence[keep:]
+        if len(gains) != num_nodes:
+            raise ValueError(
+                f"gains has length {len(gains)}, expected {num_nodes}"
+            )
+        eligible = [u for u in range(num_nodes) if not locked[u]]
+        gain_b = [round(g * resolution) + offset for g in gains]
+        return cls(list(sides), f_cross, r_cross, eligible, gain_b)
 
-    def snapshot(self) -> Tuple[List[int], int, int]:
-        """(sides, f_cross, r_cross) copies of the current partition."""
-        return list(self.sides), self.f_cross, self.r_cross
+
+def prefetch_source(buffer: PrefetchBuffer, depth: int) -> RecordSource:
+    """The record source the master's bucket pass reads adjacency from.
+
+    A node resident in ``buffer`` is served without walking. On a miss
+    the source walks the live bucket list top-down, LIFO within a bucket
+    — the order the next pops would take — over at most ``depth`` nodes,
+    and hands the non-resident ones to :meth:`PrefetchBuffer.get` as the
+    ride-along candidates ("the prefetched nodes are those with the
+    highest potential move gains in the bucket list", Section V).
+    Resident nodes count toward ``depth``, and the walk stops once it
+    holds the batch's room, so the list is exactly what ``get`` would
+    draw from the whole walk.
+    """
+    resident = buffer.keys()
+    get = buffer.get
+    room = min(buffer.batch_size, buffer.capacity) - 1
+
+    def source(u, heads, nxt, max_b, size):
+        if room < 1 or u in resident:
+            _, friends, rej_out, rej_in = get(u)
+            return friends, rej_out, rej_in
+        walk = []
+        need = room
+        budget = min(depth, size)
+        b = max_b
+        while budget and b >= 0:
+            v = heads[b]
+            while v >= 0 and budget:
+                budget -= 1
+                if v not in resident:
+                    walk.append(v)
+                    need -= 1
+                    if not need:
+                        budget = 0
+                v = nxt[v]
+            b -= 1
+        _, friends, rej_out, rej_in = get(u, walk)
+        return friends, rej_out, rej_in
+
+    return source

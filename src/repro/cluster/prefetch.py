@@ -77,6 +77,10 @@ class PrefetchBuffer:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def keys(self):
+        """Live view of the resident keys (membership at dict speed)."""
+        return self._entries.keys()
+
     def get(
         self, key: Any, prefetch_candidates: Iterable[Any] = ()
     ) -> Any:

@@ -25,7 +25,7 @@ from .csr import (
     WeightedCSRGraph,
     resolve_backend,
 )
-from .gains import BucketGainIndex, GainIndex, HeapGainIndex, make_gain_index
+from .gains import HeapGainIndex
 from .graph import AugmentedSocialGraph, GraphError
 from .kl import KLConfig, KLStats, extended_kl, extended_kl_state
 from .maar import (
@@ -86,10 +86,7 @@ __all__ = [
     "cut_counts",
     "friends_to_rejections_ratio",
     "linear_objective",
-    "GainIndex",
-    "BucketGainIndex",
     "HeapGainIndex",
-    "make_gain_index",
     "KLConfig",
     "KLStats",
     "extended_kl",

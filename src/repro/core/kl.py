@@ -48,16 +48,22 @@ runs in one of two bodies:
   weighted residual views.
 
 Both bodies keep one greedy discipline (same gain arithmetic, same FM
-LIFO tie-breaks, same best-prefix rollback). The simulated cluster
-engine (:class:`repro.cluster.engine.DistributedKL`) reimplements it over
-the :mod:`repro.core.gains` index objects and is the independent
-reference ``tests/core/test_parity.py`` checks this module against.
+LIFO tie-breaks, same best-prefix rollback). The simulated cluster's
+master (:class:`repro.cluster.engine.DistributedKL`) runs
+:func:`_bucket_pass` too, with a *record source* in place of the CSR
+slices: its adjacency lives on the workers and reaches the pass through
+the prefetch buffer. ``tests/core/test_parity.py`` therefore checks the
+cluster's protocol (worker gains, shard counters, fetched records, delta
+broadcasts) against this module, and the frozen hashes of
+``tests/core/test_kl_frozen.py`` and ``tests/cluster/test_cluster_frozen.py``
+are the pass body's oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .csr import PartitionState
 from .gains import HeapGainIndex, _on_grid
@@ -161,8 +167,19 @@ class KLStats:
     objective_history: List[float] = field(default_factory=list)
 
 
+def _check_k(k: float) -> None:
+    """Reject a ``k`` no pass body can run: non-positive, NaN (which a
+    plain ``k <= 0`` guard lets through) or infinite."""
+    if not (k > 0 and math.isfinite(k)):
+        raise ValueError(f"k must be a positive finite number, got {k}")
+
+
 def _check_config(config: KLConfig) -> None:
     """Reject settings that would silently turn the search off."""
+    if config.max_passes < 1:
+        raise ValueError(
+            f"max_passes must be a positive int, got {config.max_passes}"
+        )
     if config.stall_limit is not None and config.stall_limit < 1:
         raise ValueError(
             "stall_limit must be a positive int or None, got "
@@ -185,11 +202,10 @@ def adjust_neighbor_gains(
     """Apply the O(1)-per-edge gain updates for the neighbours of a node
     that just switched away from ``prev_side``.
 
-    This is the update rule of every float gain index (the heap pass and
-    the distributed engine): friends move by ``±2·w``; each rejection
-    edge moves its *other* endpoint by
+    This is the heap pass's update rule: friends move by ``±2·w``; each
+    rejection edge moves its *other* endpoint by
     ``(2·side−1)·k·(1−2·prev_side)·w``. Exported so the property tests
-    can drive the gain indexes through the exact production update path.
+    can drive the heap index through the exact production update path.
     """
     view = state.view
     sides = state.sides
@@ -465,6 +481,7 @@ def _bucket_pass(
     res: int,
     offset: int,
     stall_limit: Optional[int],
+    source: Optional[Callable[..., Tuple[Sequence[int], ...]]] = None,
 ) -> Tuple[List[int], int]:
     """One pass over the fused integer-scaled FM bucket list, in place.
 
@@ -480,9 +497,18 @@ def _bucket_pass(
     over the active-filtered adjacency; int64-weighted graphs take the
     weighted sweep, which scales every step by the edge weight.
 
+    ``source`` (unit weights only) replaces ``adj`` as the origin of
+    adjacency. The cluster master passes one: there, each popped node's
+    ``(friends, rej_out, rej_in)`` comes from ``source(u, heads, nxt,
+    max_b, size)``, called once ``u`` has left the bucket list, so a
+    prefetcher can walk the live buckets (``heads``/``nxt``, top bucket
+    ``max_b``, ``size`` nodes left) for the next pops. ``state`` only
+    needs ``sides``, ``f_cross`` and ``r_cross``.
+
     Returns ``(applied prefix, switches tested)``.
     """
-    fp, fi, op, oi, ip_, ii = adj
+    if source is None:
+        fp, fi, op, oi, ip_, ii = adj
     sides = state.sides
     n = len(sides)
     two_res = 2 * res
@@ -541,7 +567,13 @@ def _bucket_pass(
             rd_on_susp = -1
             rd_on_legit = 1
         if weights is None:
-            for v in fi[fp[u] : fp[u + 1]]:
+            if source is None:
+                friends = fi[fp[u] : fp[u + 1]]
+                rej_out = oi[op[u] : op[u + 1]]
+                rej_in = ii[ip_[u] : ip_[u + 1]]
+            else:
+                friends, rej_out, rej_in = source(u, heads, nxt, max_b, size)
+            for v in friends:
                 if sides[v] == s:
                     fd += 1
                     d = two_res
@@ -568,7 +600,7 @@ def _bucket_pass(
                     bucket_of[v] = nbv
                     if nbv > max_b:
                         max_b = nbv
-            for v in oi[op[u] : op[u + 1]]:
+            for v in rej_out:
                 if sides[v]:
                     rd += rd_on_susp
                     d = rs
@@ -594,7 +626,7 @@ def _bucket_pass(
                     bucket_of[v] = nbv
                     if nbv > max_b:
                         max_b = nbv
-            for v in ii[ip_[u] : ip_[u + 1]]:
+            for v in rej_in:
                 if sides[v]:
                     d = rs
                 else:
@@ -822,8 +854,7 @@ def extended_kl_state(
     :func:`extended_kl`, the MAAR sweep, Rejecto's residual rounds, and
     the weighted multilevel refinement.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     config = config or KLConfig()
     _check_config(config)
     out = state.copy()
@@ -871,8 +902,7 @@ def refine_subset(
     caused, and the tentative/applied switch counts. Node ids must lie
     in ``[0, n)``; duplicates, locked and inactive nodes are dropped.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     config = config or KLConfig()
     _check_config(config)
     n = view.csr.num_nodes
@@ -931,8 +961,7 @@ def extended_kl(
     Partition
         The improved partition.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     config = config or KLConfig()
     n = graph.num_nodes
     if locked is None:

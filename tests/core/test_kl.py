@@ -171,6 +171,32 @@ class TestNoOpConfigsRejected:
             )
 
 
+    @pytest.mark.parametrize("max_passes", [0, -1])
+    def test_non_positive_max_passes(self, state, max_passes):
+        config = KLConfig(max_passes=max_passes)
+        with pytest.raises(ValueError, match="max_passes"):
+            extended_kl_state(state, 1.0, config)
+        with pytest.raises(ValueError, match="max_passes"):
+            refine_subset(
+                state.view, list(state.sides), state.locked, range(30), 1.0,
+                config,
+            )
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("gain_index", ["bucket", "heap", "auto"])
+    def test_non_finite_k_named(self, state, k, gain_index):
+        """NaN passes a plain ``k <= 0`` guard, and neither NaN nor inf
+        has a bucket index, so both must be rejected by name."""
+        config = KLConfig(gain_index=gain_index)
+        with pytest.raises(ValueError, match="k must be a positive finite"):
+            extended_kl_state(state, k, config)
+        with pytest.raises(ValueError, match="k must be a positive finite"):
+            refine_subset(
+                state.view, list(state.sides), state.locked, range(30), k,
+                config,
+            )
+
+
 class TestRefineSubsetInputs:
     """``refine_subset`` rejects bad node ids, mis-sized vectors and gain
     index settings with the same errors as ``extended_kl_state``."""

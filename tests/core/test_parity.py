@@ -1,16 +1,18 @@
 """Parity of the CSR engine against independent references.
 
 The CSR engine is the only KL/MAAR/Rejecto implementation in
-``repro.core``; these tests pin it to references that do not share its
-code:
+``repro.core``; these tests pin it to references around it:
 
 * **KL level** — the simulated cluster engine
-  (:class:`repro.cluster.engine.DistributedKL`) runs the same greedy
-  single-switch discipline over the :mod:`repro.core.gains` index
-  objects, with gains computed worker-side by the shard kernels. On
-  canonicalized graphs (edges inserted in sorted order) the two must
-  produce *identical* partitions and cut counters, not merely equally
-  good ones.
+  (:class:`repro.cluster.engine.DistributedKL`) runs kl's own bucket
+  pass body on the master, so this comparison checks the cluster's
+  *protocol*: gains and cut counters computed worker-side by the shard
+  kernels against delta-synced side replicas, and adjacency records
+  fetched through the prefetch buffer. On canonicalized graphs (edges
+  inserted in sorted order) the two must produce *identical* partitions
+  and cut counters, not merely equally good ones. The pass body's own
+  oracle is the frozen hashes of ``tests/core/test_kl_frozen.py`` and
+  ``tests/cluster/test_cluster_frozen.py``.
 * **MAAR level** — unseeded sweeps are checked against
   :func:`repro.cluster.engine.distributed_maar` (its own validity rules
   and tie-break), per ``k`` and for the winning cut, including small
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.attacks.scenario import ScenarioConfig, build_scenario
-from repro.cluster.engine import ClusterConfig, DistributedKL, distributed_maar
+from repro.cluster.engine import DistributedKL, distributed_maar
 from repro.core import AugmentedSocialGraph, Partition
 from repro.core.csr import PartitionState
 from repro.core.kl import KLConfig, KLStats, extended_kl, extended_kl_state
@@ -111,10 +113,9 @@ def per_k_values(result):
     ]
 
 
-def cluster_kl(graph, k, sides, locked=None, gain_index="bucket"):
+def cluster_kl(graph, k, sides, locked=None):
     """``(sides, f_cross, r_cross)`` of the cluster engine's KL run."""
-    engine = DistributedKL(graph, ClusterConfig(gain_index=gain_index))
-    return engine.run(k, list(sides), locked=locked)
+    return DistributedKL(graph).run(k, list(sides), locked=locked)
 
 
 class TestExtendedKLParity:
@@ -128,16 +129,6 @@ class TestExtendedKLParity:
             assert (new.sides, new.f_cross, new.r_cross) == tuple(
                 cluster_kl(graph, k, sides)
             )
-
-    @given(graphs_with_sides())
-    @settings(max_examples=40, deadline=None)
-    def test_off_grid_k_uses_heap_on_both_engines(self, graph_and_sides):
-        graph, sides = graph_and_sides
-        graph = canonical(graph)
-        new = extended_kl(graph, 0.3, Partition(graph, list(sides)))
-        assert (new.sides, new.f_cross, new.r_cross) == tuple(
-            cluster_kl(graph, 0.3, sides, gain_index="heap")
-        )
 
     @given(graphs_with_sides())
     @settings(max_examples=40, deadline=None)
