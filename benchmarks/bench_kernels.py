@@ -7,7 +7,10 @@ users + 400 fakes):
   open with, timed as the scalar fallback vs the numpy batch kernel:
   ``gain_deltas`` (bucket/heap gain initialization), ``heap_gains``
   (float gains for the heap engine), and ``recount_active`` (the
-  counter rebuild every ``PartitionState`` construction pays);
+  counter rebuild every ``PartitionState`` construction pays) — plus
+  the two scope kernels every multilevel refinement round opens with,
+  ``movable_frontier`` and ``cut_regions`` (over that frontier, at
+  ``k = 1`` about half the graph, like a finest level's first round);
 * **end-to-end solves** — one ``extended_kl`` bucket solve and one heap
   solve under ``KLConfig(incremental=False)`` (full V+E rebuild every
   pass, the pre-kernel behaviour) vs the default dirty-frontier
@@ -32,7 +35,13 @@ from benchmeta import bench_metadata
 from repro.attacks import ScenarioConfig, build_scenario
 from repro.core import KLConfig
 from repro.core.csr import PartitionState
-from repro.core.kernels import gain_deltas, heap_gains, recount_active
+from repro.core.kernels import (
+    cut_regions,
+    gain_deltas,
+    heap_gains,
+    movable_frontier,
+    recount_active,
+)
 from repro.core.kl import extended_kl_state
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
@@ -87,12 +96,20 @@ def kernel_timings(graph, sides, rounds=ROUNDS):
         timings[name]["recount_seconds"], outputs[name, "rc"] = _best_of(
             lambda view=view: recount_active(view, sides), rounds
         )
-    for key in ("gd", "hg", "rc"):
+        timings[name]["movable_frontier_seconds"], frontier = _best_of(
+            lambda view=view: movable_frontier(view, sides, 1.0), rounds
+        )
+        outputs[name, "mf"] = frontier
+        timings[name]["cut_regions_seconds"], outputs[name, "cr"] = _best_of(
+            lambda view=view: cut_regions(view.csr, frontier), rounds
+        )
+    for key in ("gd", "hg", "rc", "mf", "cr"):
         assert outputs["python", key] == outputs["numpy", key], key
     timings["speedup_numpy_over_python"] = {
         kernel: timings["python"][kernel] / timings["numpy"][kernel]
         for kernel in timings["python"]
     }
+    timings["frontier_nodes"] = len(outputs["numpy", "mf"])
     return timings
 
 

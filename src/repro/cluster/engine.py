@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.gains import _on_grid
+from ..core.gains import _lowest_terms, _on_grid
 from ..core.kl import _bucket_pass, _check_k
 from ..core.maar import MAARConfig, geometric_k_sequence
 from ..core.objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
@@ -80,7 +80,9 @@ class ClusterConfig:
     bytes differ, recorded as ``NetworkStats.bytes_avoided``.
 
     The master runs the integer bucket pass, so ``k`` must sit on the
-    ``1/resolution`` grid.
+    ``1/resolution`` grid (``resolution`` is a positive int). As in
+    local KL, each run's buckets use ``k``'s reduced denominator, not
+    ``resolution`` itself.
     """
 
     num_workers: int = 5
@@ -96,6 +98,9 @@ class ClusterConfig:
         # Each of these would otherwise fail late (at the first run) or
         # silently turn the search off (max_passes=0 returns the input
         # cut with zeroed counters).
+        res = self.resolution
+        if isinstance(res, bool) or not isinstance(res, int):
+            raise ValueError(f"resolution must be a positive int, got {res!r}")
         for name, floor in (
             ("buffer_capacity", 0),
             ("prefetch_batch", 1),
@@ -178,12 +183,11 @@ class DistributedKL:
             default=0,
         )
 
-    def _bucket_offset(self, k_scaled: int) -> int:
-        """Bucket index of a zero gain at scaled weight ``k_scaled``: one
-        past the lifetime bound on a scaled gain, where each incident
-        friendship contributes at most ``resolution`` and each incident
+    def _bucket_offset(self, k_scaled: int, res: int) -> int:
+        """Bucket index of a zero gain at the bucket scale ``(k_scaled,
+        res)``: one past the lifetime bound on a scaled gain, where each
+        incident friendship contributes at most ``res`` and each incident
         rejection at most ``k_scaled``."""
-        res = self.config.resolution
         return self._max_f_degree * res + k_scaled * self._max_r_degree + 1
 
     # ------------------------------------------------------------------
@@ -304,8 +308,10 @@ class DistributedKL:
             locked = [False] * n
         elif len(locked) != n:
             raise ValueError(f"locked has length {len(locked)}, expected {n}")
-        k_scaled = round(k * res)
-        offset = self._bucket_offset(k_scaled)
+        # Lowest terms, as in local KL: a uniform rescale of every gain,
+        # so pops, prefixes and every fetch batch stay the same.
+        k_scaled, res = _lowest_terms(k, res)
+        offset = self._bucket_offset(k_scaled, res)
 
         buffer = PrefetchBuffer(
             capacity=config.buffer_capacity,

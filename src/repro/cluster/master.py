@@ -74,8 +74,10 @@ class MasterState:
         per-node ``gains`` (ascending node order).
 
         Each gain becomes the bucket index ``round(gain·resolution) +
-        offset``; on the ``1/resolution`` grid the gains are exact
-        multiples, so the integer pass pops in the float order.
+        offset``. ``resolution`` is the pass's bucket scale — ``k``'s
+        reduced denominator (:func:`repro.core.gains._lowest_terms`), not
+        the configured grid — so every gain is an exact multiple of
+        ``1/resolution`` and the integer pass pops in the float order.
         ``offset`` must exceed every scaled gain magnitude the pass can
         reach; it is the bucket index of a zero gain.
         """

@@ -479,7 +479,9 @@ class CSRGraph:
         ``(resolution, k_scaled)`` serves every pass of every KL solve
         at that ``k`` — the whole MAAR ``k``-sweep and all of Rejecto's
         residual rounds share this cache instead of re-scanning O(V)
-        degrees per KL solve."""
+        degrees per KL solve. KL keys it by ``k``'s lowest terms
+        (:func:`repro.core.gains._lowest_terms`): a ``k = 2`` solve on
+        the default grid of 8 stores ``(1, 2)``."""
         key = (resolution, k_scaled)
         bound = self._bound_cache.get(key)
         if bound is None:

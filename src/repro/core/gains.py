@@ -20,6 +20,7 @@ scan.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["HeapGainIndex"]
@@ -103,3 +104,21 @@ def _on_grid(value: float, resolution: int) -> bool:
     """Whether ``value`` is a multiple of ``1/resolution``."""
     scaled = value * resolution
     return abs(scaled - round(scaled)) < 1e-9
+
+
+def _lowest_terms(k: float, resolution: int) -> Tuple[int, int]:
+    """The bucket scale ``(k_scaled, res)`` of an on-grid ``k``: the
+    fraction ``round(k·resolution)/resolution`` in lowest terms.
+
+    A bucket pass multiplies every gain by ``res``, so the gains of one
+    pass are all multiples of ``g = gcd(round(k·resolution),
+    resolution)`` at the configured scale (at ``k = 2`` and resolution
+    8: multiples of 8). Dividing by ``g`` is a uniform positive rescale:
+    pop order, LIFO ties, best prefixes and every counter stay the same,
+    while the bucket array shrinks by ``g`` and the pop loop no longer
+    steps through the ``g − 1`` empty buckets between two reachable
+    ones.
+    """
+    k_scaled = round(k * resolution)
+    g = math.gcd(k_scaled, resolution)
+    return k_scaled // g, resolution // g

@@ -33,6 +33,9 @@ module collects those batch kernels in one place:
   positive switch gain, plus their active neighbours, which is where
   the boundary-only KL refinement (``KLConfig.frontier="boundary"``)
   seeds its tentative passes instead of bulk-loading all gains;
+* :func:`movable_frontier` / :func:`cut_regions` — multilevel region
+  refinement's scope: the positive-gain nodes plus their friends, split
+  into the connected regions that refine independently;
 * :func:`heavy_edge_matching` / :func:`matching_to_mapping` /
   :func:`contract_arrays` — the multilevel coarsening step as flat-array
   kernels: mutual heaviest-neighbour matching in rounds, matching →
@@ -70,6 +73,8 @@ __all__ = [
     "heap_gains",
     "boundary_nodes",
     "weighted_boundary_nodes",
+    "movable_frontier",
+    "cut_regions",
     "recount_active",
     "active_in_rejections",
     "scaled_gain_bound",
@@ -554,6 +559,170 @@ def _boundary_nodes_py(view, sides, k, weighted):
 
 
 # ----------------------------------------------------------------------
+# Region refinement scope (multilevel)
+# ----------------------------------------------------------------------
+def movable_frontier(view, sides: Sequence[int], k: float) -> List[int]:
+    """The *movable* frontier: positive-gain seeds plus their friends.
+
+    On friend-spam graphs the cut frontier of :func:`boundary_nodes`
+    blankets the graph (a converged cut crosses an accepted attack edge
+    at most legitimate users), so multilevel region refinement scopes
+    tighter: only active nodes whose switch is profitable right now
+    (``k·rd > fd``) seed the frontier, plus their *friends* — the
+    partners KL's compound moves pair a seed with. Rejection-layer
+    neighbours stay out: a fake's rejectors are most of the legitimate
+    population, and any of them a seed's switch turns profitable seeds
+    the next round's frontier instead.
+
+    Unweighted and int64-weighted graphs (the weighted deltas decide the
+    gain). Friends come from the full adjacency, so on a residual view
+    inactive friends are included, and locked nodes are not filtered:
+    both are the caller's concern (:func:`repro.core.kl.refine_subset`
+    drops them). Both backends return the same ascending list: the one
+    float comparison ``k·rd > fd`` runs over the same exact integers.
+    """
+    csr = view.csr
+    _check_not_float_weighted(csr)
+    weighted = csr.f_wt is not None
+    if _use_numpy(csr):
+        return _movable_frontier_np(view, sides, k, weighted)
+    return _movable_frontier_py(view, sides, k, weighted)
+
+
+def _movable_frontier_np(view, sides, k, weighted):
+    np, arrs, rows, active = _np_state(view)
+    core = _weighted_gain_delta_arrays_np if weighted else _gain_delta_arrays_np
+    fd, rd = core(np, arrs, rows, active, sides)
+    # Inactive rows have fd = rd = 0, so they never seed.
+    seed = k * rd > fd
+    out = seed.copy()
+    out[arrs["f_idx"][seed[rows[0]]]] = True
+    return np.flatnonzero(out).tolist()
+
+
+def _movable_frontier_py(view, sides, k, weighted):
+    csr = view.csr
+    fp, fi = csr.hot()[:2]
+    core = _weighted_gain_deltas_py if weighted else _gain_deltas_py
+    fd, rd = core(view, sides)
+    out = bytearray(csr.num_nodes)
+    for u in range(csr.num_nodes):
+        if k * rd[u] > fd[u]:
+            out[u] = 1
+            for v in fi[fp[u] : fp[u + 1]]:
+                out[v] = 1
+    return [u for u, hit in enumerate(out) if hit]
+
+
+def cut_regions(csr, nodes: Sequence[int]) -> List[List[int]]:
+    """Split a frontier into connected *regions*.
+
+    Regions are the connected components of the subgraph ``nodes``
+    induce under all three edge layers (friendship + both rejection
+    directions), whatever the edge weights. No edge of any layer joins
+    two regions — every neighbour of a member is in the same region or
+    outside the frontier, hence frozen — so refining the regions
+    independently and composing their ``(moves, Δf, Δr)`` is exact in
+    any execution order or worker count.
+
+    ``nodes`` must be ascending and distinct. Regions come out in order
+    of their smallest member, each ascending, on both backends: numpy
+    runs min-label propagation with pointer jumping over the induced
+    edges, pure python a depth-first search from each unclaimed member
+    in turn.
+    """
+    if not nodes:
+        return []
+    if _use_numpy(csr):
+        return _cut_regions_np(csr, nodes)
+    return _cut_regions_py(csr, nodes)
+
+
+def _cut_regions_np(csr, nodes):
+    import numpy as np
+
+    arrs = csr.numpy_arrays()
+    f_row, ro_row, _ = csr.numpy_rows()
+    members = np.asarray(nodes, dtype=np.int64)
+    m = len(members)
+    member = np.zeros(csr.num_nodes, dtype=bool)
+    member[members] = True
+    # Members renumbered 0..m-1, ascending like ``nodes``.
+    pos = np.zeros(csr.num_nodes, dtype=np.int32)
+    pos[members] = np.arange(m, dtype=np.int32)
+
+    def induced(row, idx, mirrored):
+        keep = member[row] & member[idx]
+        if mirrored:  # friendships are stored both ways: keep one
+            keep &= row < idx
+        return pos[row[keep]], pos[idx[keep]]
+
+    # The received-rejection layer mirrors the cast one, so friendships
+    # plus cast rejections are every induced edge of the three layers,
+    # each once.
+    fa, fb = induced(f_row, arrs["f_idx"], True)
+    ra, rb = induced(ro_row, arrs["ro_idx"], False)
+    a = np.concatenate((fa, ra))
+    b = np.concatenate((fb, rb))
+
+    # label[i] <= i always names a member of i's region. Each round
+    # hooks the larger root of every edge whose ends disagree onto the
+    # smaller, then jumps pointers until every label is a root again —
+    # the jumps are what make the next round's hooks land on roots, so
+    # every round merges trees. An edge whose ends agree stays agreed,
+    # so it leaves the list; once none is left, each region is labelled
+    # by its smallest member.
+    label = np.arange(m, dtype=np.int32)
+    while True:
+        la = label[a]
+        lb = label[b]
+        live = la != lb
+        if not live.any():
+            break
+        a, b, la, lb = a[live], b[live], la[live], lb[live]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+    order = np.argsort(label, kind="stable")
+    grouped = label[order]
+    cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), m]
+    # Regions hold the caller's own id objects rather than fresh ones.
+    flat = [nodes[i] for i in order.tolist()]
+    return [flat[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _cut_regions_py(csr, nodes):
+    fp, fi, op, oi, ip_, ii = csr.hot()
+    layers = ((fp, fi), (op, oi), (ip_, ii))
+    # 1 = a member no region has claimed yet.
+    unclaimed = bytearray(csr.num_nodes)
+    for u in nodes:
+        unclaimed[u] = 1
+    regions: List[List[int]] = []
+    for seed in nodes:
+        if not unclaimed[seed]:
+            continue
+        unclaimed[seed] = 0
+        stack = [seed]
+        region: List[int] = []
+        while stack:
+            u = stack.pop()
+            region.append(u)
+            for ptr, idx in layers:
+                for v in idx[ptr[u] : ptr[u + 1]]:
+                    if unclaimed[v]:
+                        unclaimed[v] = 0
+                        stack.append(v)
+        region.sort()
+        regions.append(region)
+    return regions
+
+
+# ----------------------------------------------------------------------
 # Boundary counters
 # ----------------------------------------------------------------------
 def recount_active(view, sides: Sequence[int]) -> Tuple[int, int, int]:
@@ -650,7 +819,10 @@ def scaled_gain_bound(csr, resolution: int, k_scaled: int) -> int:
     the bucket array — it never changes pop order, because gains are
     offset-shifted uniformly). Prefer :meth:`CSRGraph.bucket_gain_bound`,
     which memoizes this per ``(resolution, k_scaled)`` across the whole
-    ``k``-sweep and Rejecto's rounds.
+    ``k``-sweep and Rejecto's rounds. The KL passes ask for it at ``k``
+    in lowest terms (:func:`repro.core.gains._lowest_terms`), so
+    ``resolution`` here is the bucket scale of one ``k``, not the
+    configured grid.
     """
     _check_not_float_weighted(csr)
     if csr.num_nodes == 0:

@@ -38,7 +38,8 @@ region refinement) over a fixed candidate subset. Each pass itself
 runs in one of two bodies:
 
 * :func:`_bucket_pass` — an *inlined* integer-scaled FM bucket list for
-  ``k`` on the ``1/resolution`` grid, over unweighted graphs and
+  ``k`` on the ``1/resolution`` grid (scaled by ``k``'s reduced
+  denominator, not by ``resolution``), over unweighted graphs and
   int64-weighted coarse graphs (the multilevel hierarchy). Counter
   updates and neighbour relinks happen in one fused sweep per switched
   node with zero per-edge function calls; unit-weight and weighted
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .csr import PartitionState
-from .gains import HeapGainIndex, _on_grid
+from .gains import HeapGainIndex, _lowest_terms, _on_grid
 from .graph import AugmentedSocialGraph
 from .kernels import (
     boundary_nodes,
@@ -103,9 +104,14 @@ class KLConfig:
         and the graph is unweighted — or int64-weighted on an all-active
         view — heap otherwise).
     resolution:
-        Grid denominator for the bucket list (a positive int). With the
-        default geometric ``k`` sequence (k = 1/8 · 2^i) every gain is a
-        multiple of 1/8.
+        Grid denominator (a positive int): ``k`` is *on the grid*, and
+        can run the bucket pass, when it is a multiple of
+        ``1/resolution``. The default geometric ``k`` sequence (k = 1/8 ·
+        2^i) sits on the default grid of 8. It does not fix the bucket
+        scale: each pass runs at ``k``'s reduced denominator (see
+        :func:`repro.core.gains._lowest_terms`), so ``k = 2`` buckets
+        whole gains and ``k = 1/8`` eighths, whatever ``resolution``
+        says.
     max_passes:
         Upper bound on improvement passes. KL converges in a handful of
         passes in practice [21]; the bound only guards pathologies.
@@ -185,10 +191,9 @@ def _check_config(config: KLConfig) -> None:
             "stall_limit must be a positive int or None, got "
             f"{config.stall_limit}"
         )
-    if config.resolution < 1:
-        raise ValueError(
-            f"resolution must be a positive int, got {config.resolution}"
-        )
+    res = config.resolution
+    if isinstance(res, bool) or not isinstance(res, int) or res < 1:
+        raise ValueError(f"resolution must be a positive int, got {res!r}")
     if config.frontier not in ("full", "boundary"):
         raise ValueError(
             f"unknown frontier {config.frontier!r}; expected 'full' or "
@@ -264,9 +269,14 @@ def _run_passes(
     the heap pass, and for the bucket pass the integer bucket index
     ``k_scaled·rd − fd·res + offset``, where ``fd``/``rd`` are the
     switch's friend/rejection counter deltas (weight sums on weighted
-    graphs). On the 1/``res`` grid every float gain is binary-exact, so
-    the integer pass reproduces the float pop order and best-prefix
-    decisions bit for bit. ``zero`` is the value of a zero gain.
+    graphs) and ``k_scaled/res`` is ``k`` in lowest terms
+    (:func:`~repro.core.gains._lowest_terms`): ``k = 2`` on the default
+    grid of 8 runs at ``(2, 1)``, not ``(16, 8)``. Every bucket index is
+    then its gain times ``res`` exactly, so the integer pass reproduces
+    the float pop order and best-prefix decisions bit for bit — and the
+    reduction, one positive factor on every gain, changes none of them
+    while cutting the bucket array and its empty-bucket steps by that
+    factor. ``zero`` is the value of a zero gain.
 
     Pass 1 (and ``incremental=False``) fills ``vals`` with one batch
     kernel call; later passes recompute only the previous pass's dirty
@@ -296,8 +306,7 @@ def _run_passes(
     fp, fi, op, oi, ip_, ii = adj
 
     if bucket:
-        res = config.resolution
-        k_scaled = round(k * res)
+        k_scaled, res = _lowest_terms(k, config.resolution)
         zero = csr.bucket_gain_bound(res, k_scaled) + 1
 
         def batch() -> list:
@@ -496,6 +505,14 @@ def _bucket_pass(
     ``BENCH_gain_index.json``). Unweighted graphs take the unit sweep
     over the active-filtered adjacency; int64-weighted graphs take the
     weighted sweep, which scales every step by the edge weight.
+
+    ``k_scaled/res`` is the pass's ``k``, and ``gain_b`` holds each
+    gain times ``res`` plus ``offset`` (which must exceed every
+    reachable scaled magnitude). Any common scale gives the same pass;
+    callers use ``k`` in lowest terms
+    (:func:`~repro.core.gains._lowest_terms`), the smallest one, which
+    keeps ``heads`` (``2·offset + 1`` buckets) and the max-bucket walk
+    through empty buckets as short as the gains allow.
 
     ``source`` (unit weights only) replaces ``adj`` as the origin of
     adjacency. The cluster master passes one: there, each popped node's

@@ -21,6 +21,7 @@ import random
 
 from .csr import CSRView, PartitionState
 from .graph import AugmentedSocialGraph
+from .kernels import active_in_rejections
 from .kl import KLConfig, KLStats, extended_kl_state
 from .objectives import LEGITIMATE, SUSPICIOUS
 from .parallel import parallel_map, warn_jobs_ignored
@@ -255,9 +256,16 @@ def _view_initial_sides(
     active = view.active
     sides = [LEGITIMATE] * n
     if config.init == "rejection":
-        for u in range(n):
-            if active[u] and view.rejections_received(u) > 0:
-                sides[u] = SUSPICIOUS
+        # One batch count; weighted graphs count rejecters per node (the
+        # kernel is unweighted-only, and the count ignores weights).
+        if view.csr.weighted:
+            received = [view.rejections_received(u) for u in range(n)]
+        else:
+            received = active_in_rejections(view)
+        sides = [
+            SUSPICIOUS if a and r else LEGITIMATE
+            for a, r in zip(active, received)
+        ]
     elif config.init == "all_legitimate":
         pass
     elif config.init == "random":

@@ -53,10 +53,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .csr import CSRGraph, PartitionState, WeightedCSRGraph
 from .graph import AugmentedSocialGraph
 from .kernels import (
-    gain_deltas,
+    cut_regions,
     heavy_edge_matching,
     matching_to_mapping,
-    weighted_gain_deltas,
+    movable_frontier,
 )
 from .kl import KLConfig, KLStats, extended_kl_state, refine_subset
 from .maar import check_seeds, geometric_k_sequence, sweep_k_states
@@ -91,9 +91,11 @@ class MultilevelConfig:
         ``"boundary"`` (default) refines each uncoarsened level only
         around the movable frontier: the nodes whose switch is
         profitable right now plus their one-hop neighbours (see
-        :func:`_movable_frontier`). The frontier splits into connected
-        *regions* (components under all three edge layers, so no edge
-        crosses two regions), each region refines independently
+        :func:`~repro.core.kernels.movable_frontier`). The frontier
+        splits into connected *regions*
+        (:func:`~repro.core.kernels.cut_regions`: components under all
+        three edge layers, so no edge crosses two regions), each region
+        refines independently
         through :func:`~repro.core.kl.refine_subset` — KL's shared pass
         skeleton with the region as its candidate list: the integer
         bucket pass at the sweep's grid ``k``, the float heap pass at
@@ -252,75 +254,13 @@ def _project_sides(sides, mapping, num_fine: int, backend: str) -> List[int]:
     return [sides[mapping[u]] for u in range(num_fine)]
 
 
-def _cut_regions(graph, bnodes: Sequence[int]) -> List[List[int]]:
-    """Split a boundary frontier into connected *regions*.
-
-    Regions are the connected components of the frontier-induced
-    subgraph under all three edge layers (friendship + both rejection
-    directions). By construction no edge of any layer joins two distinct
-    regions — every neighbour of a region member is either in the same
-    region or outside the frontier and therefore frozen — so refining
-    the regions independently and composing their ``(moves, Δf, Δr)``
-    is exact whatever the execution order or worker count.
-
-    ``bnodes`` must be sorted ascending (the frontier kernels return it
-    so); components come out in order of their smallest member, each
-    sorted ascending, keeping the downstream fan-out deterministic.
-    """
-    fp, fi, op, oi, ip_, ii = graph.hot()
-    layers = ((fp, fi), (op, oi), (ip_, ii))
-    # 1 = a frontier node no component has claimed yet.
-    unclaimed = bytearray(graph.num_nodes)
-    for u in bnodes:
-        unclaimed[u] = 1
-    regions: List[List[int]] = []
-    for seed in bnodes:
-        if not unclaimed[seed]:
-            continue
-        unclaimed[seed] = 0
-        stack = [seed]
-        comp: List[int] = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for ptr, idx in layers:
-                for v in idx[ptr[u] : ptr[u + 1]]:
-                    if unclaimed[v]:
-                        unclaimed[v] = 0
-                        stack.append(v)
-        comp.sort()
-        regions.append(comp)
-    return regions
+#: The region-scope kernels under their former multilevel names, which
+#: ``tests/core/test_refine_frozen.py`` derives its frozen regions from.
+_cut_regions = cut_regions
 
 
 def _movable_frontier(graph, view, sides: List[int], k: float) -> List[int]:
-    """The *movable* frontier: positive-gain seeds plus one-hop look-ahead.
-
-    On friend-spam graphs the classic cut-incidence frontier (what
-    :func:`repro.core.kernels.boundary_nodes` seeds the engine-level
-    scoped passes with) blankets the graph — a converged cut crosses an
-    accepted attack edge at most legitimate users — so region
-    refinement scopes tighter: only nodes whose switch is profitable
-    right now (``k·rd > fd``, exact in both backends) seed the
-    frontier, plus their *friendship* neighbours — the partners KL's
-    compound moves pair a seed with. Rejection-layer neighbours stay
-    out: a fake's rejectors are most of the legitimate population (that
-    blanket again), and any of them a seed's switch actually turns
-    profitable is picked up when the next round recomputes the
-    frontier, so multi-hop and cross-layer cascades are chased round by
-    round instead of being carried dead weight from round one.
-    """
-    if graph.weighted:
-        fd, rd = weighted_gain_deltas(view, sides)
-    else:
-        fd, rd = gain_deltas(view, sides)
-    fp, fi = graph.hot()[:2]
-    marked = set()
-    for u in range(graph.num_nodes):
-        if k * rd[u] > fd[u]:
-            marked.add(u)
-            marked.update(fi[fp[u] : fp[u + 1]])
-    return sorted(marked)
+    return movable_frontier(view, sides, k)
 
 
 def _refine_chunk_worker(chunk, shared):
@@ -410,9 +350,7 @@ def _refine_level_boundary(
         "skipped": False,
     }
     for round_idx in range(max(1, config.refine_passes)):
-        bnodes = [
-            u for u in _movable_frontier(graph, view, sides, k) if not locked[u]
-        ]
+        bnodes = [u for u in movable_frontier(view, sides, k) if not locked[u]]
         if round_idx == 0:
             detail["boundary"] = len(bnodes)
         if not bnodes:
@@ -432,7 +370,7 @@ def _refine_level_boundary(
             )
             sides[:] = state.sides
             return state.f_cross, state.r_cross, detail
-        regions = _cut_regions(graph, bnodes)
+        regions = cut_regions(graph, bnodes)
         detail["regions"] = max(detail["regions"], len(regions))
         chunks = chunk_evenly(regions, max(1, config.refine_jobs))
         results = parallel_map(
@@ -651,11 +589,15 @@ def solve_maar_multilevel(
         }
         return state, detail
 
+    # Each coarser level is released once its cut is projected down, so
+    # the finest levels refine without the whole hierarchy held alive.
+    del coarsest, init, states
     for level in range(len(levels) - 2, 0, -1):
         t_level = time.perf_counter()
+        levels.pop()
         current = levels[level]
         sides = _project_sides(
-            sides, mappings[level], current.num_nodes, current.backend
+            sides, mappings.pop(), current.num_nodes, current.backend
         )
         objective = f_cross - best_k * r_cross
         if _early_exit(config, prev_improve, objective):
@@ -685,8 +627,9 @@ def solve_maar_multilevel(
         refine_detail.append(detail)
         refine_times.append(time.perf_counter() - t_level)
     t_level = time.perf_counter()
+    del levels[1:]
     if mappings:
-        sides = _project_sides(sides, mappings[0], total_nodes, csr0.backend)
+        sides = _project_sides(sides, mappings.pop(), total_nodes, csr0.backend)
     # Dinkelbach polish: re-refine at the cut's own ratio (Theorem 1's
     # fixpoint), which corrects the coarse level's k estimate.
     if boundary:

@@ -342,6 +342,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be >="):
             ClusterConfig(**{field: value})
 
+    @pytest.mark.parametrize("resolution", [8.0, 2.5, True, False])
+    def test_config_rejects_non_int_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be a positive int"):
+            ClusterConfig(resolution=resolution)
+
     def test_single_pass_keeps_true_counters(self, scenario):
         """The smallest pass budget still reports the run's real cut
         counters, never the ``(0, 0)`` of a run that made no pass."""

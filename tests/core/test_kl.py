@@ -170,6 +170,25 @@ class TestNoOpConfigsRejected:
                 config,
             )
 
+    @pytest.mark.parametrize("resolution", [8.0, 2.5, True, "8"])
+    def test_non_int_resolution(self, state, resolution):
+        """A float resolution used to die inside the bucket pass (list
+        index) or, off the grid, silently run the heap; a bool passed as
+        1."""
+        config = KLConfig(resolution=resolution)
+        with pytest.raises(ValueError, match="resolution must be a positive int"):
+            extended_kl_state(state, 1.0, config)
+        with pytest.raises(ValueError, match="resolution must be a positive int"):
+            refine_subset(
+                state.view, list(state.sides), state.locked, range(30), 1.0,
+                config,
+            )
+        graph = random_augmented_graph(30, 60, 30, seed=4)
+        with pytest.raises(ValueError, match="resolution must be a positive int"):
+            extended_kl(
+                graph, 1.0, Partition.all_legitimate(graph), config=config
+            )
+
 
     @pytest.mark.parametrize("max_passes", [0, -1])
     def test_non_positive_max_passes(self, state, max_passes):

@@ -84,6 +84,28 @@ class TestInitialPartition:
                 graph, MAARConfig(), legit_seeds=[1, 2], spammer_seeds=[2]
             )
 
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_view_rejection_init_counts_active_rejecters(self, backend):
+        """On a residual view a node starts suspicious only while some
+        still-active user rejects it; float-weighted graphs, which the
+        batch count refuses, take the same rule per node."""
+        from repro.core.maar import _view_initial_sides
+        from repro.core.weighted import WeightedAugmentedGraph
+
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        graph = AugmentedSocialGraph.from_edges(
+            5, friendships=[(0, 1)], rejections=[(0, 2), (1, 2), (3, 4), (0, 3)]
+        )
+        view = graph.csr(backend).view().without([3])
+        config = MAARConfig(init="rejection")
+        assert _view_initial_sides(view, config) == [0, 0, 1, 0, 0]
+        weighted = WeightedAugmentedGraph(5)
+        for a, b in ((0, 2), (1, 2), (3, 4), (0, 3)):
+            weighted.add_rejection(a, b, 1.5)
+        wview = weighted.csr().view().without([3])
+        assert _view_initial_sides(wview, config) == [0, 0, 1, 0, 0]
+
     def test_solve_maar_validates_seeds(self):
         graph = AugmentedSocialGraph.from_edges(4, rejections=[(0, 2)])
         config = MAARConfig()
