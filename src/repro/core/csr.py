@@ -7,18 +7,17 @@ each round. This module provides the flat substrate the hot paths run on:
 
 * :class:`CSRGraph` — an immutable compressed-sparse-row snapshot of the
   augmented graph ``G = (V, F, R⃗)``. Three CSR pairs (``ptr``/``idx``) hold
-  the friendship adjacency and the two rejection directions; an optional
-  parallel weight array per layer supports the multilevel solver's coarse
-  graphs. Adjacency is **sorted ascending**, which makes every downstream
-  iteration order — and therefore every FM bucket-list tie-break —
-  deterministic and independent of edge insertion order.
-* :class:`WeightedCSRGraph` — the integer-weight subclass the multilevel
-  solver coarsens onto. Contraction of a unit-weight graph only ever
-  *sums* unit edges, so every coarse weight is an exact ``int64``;
-  storing them as ``array("q")`` keeps weighted gains integral, which
-  restores the FM bucket index, the batch kernels, and bit-identical
-  python/numpy backends on the coarse levels (integer sums carry no
-  float summation-order contract).
+  the friendship adjacency and the two rejection directions; every edge
+  counts once. Adjacency is **sorted ascending**, which makes every
+  downstream iteration order — and therefore every FM bucket-list
+  tie-break — deterministic and independent of edge insertion order.
+* :class:`WeightedCSRGraph` — the only graph with edge weights: one
+  ``int64`` weight per slot and layer, plus a per-node member count.
+  The multilevel solver coarsens onto it. Contraction of a unit-weight
+  graph only ever *sums* unit edges, so every coarse weight is an exact
+  integer; that keeps weighted gains integral, which gives the coarse
+  levels the FM bucket index, the batch kernels, and bit-identical
+  python/numpy backends (integer sums are order-insensitive).
 * :class:`CSRView` — a zero-copy *residual view*: the same CSR arrays plus an
   active-node byte mask. Rejecto's rounds shrink the view instead of
   rebuilding the graph, so pruning a detected group costs O(V) instead of
@@ -33,14 +32,14 @@ Backend convention
 ------------------
 ``backend`` is ``"python"``, ``"numpy"``, or ``"auto"``, mirroring
 :mod:`repro.baselines.linalg` and the SybilRank/SybilFence configs. Storage
-is always the stdlib ``array("q")`` / ``array("d")`` flat buffers (one
-canonical representation keeps the two backends bit-identical); the
-``"numpy"`` backend additionally exposes zero-copy ``int64``/``float64``
-views over those buffers via :meth:`CSRGraph.numpy_arrays` (plus cached
-per-slot row ids via :meth:`CSRGraph.numpy_rows`), which is what the batch
-kernels of :mod:`repro.core.kernels` run on. The pure-Python hot loops
-deliberately run on cached ``list`` views (:meth:`CSRGraph.hot`): CPython
-indexes plain lists faster than either ``array`` or numpy scalars. The
+is always stdlib ``array("q")`` int64 flat buffers (one canonical
+representation keeps the two backends bit-identical); the ``"numpy"``
+backend additionally exposes zero-copy ``int64`` views over those
+buffers via :meth:`CSRGraph.numpy_arrays` (plus cached per-slot row ids
+via :meth:`CSRGraph.numpy_rows`), which is what the batch kernels of
+:mod:`repro.core.kernels` run on. The pure-Python hot loops deliberately
+run on cached ``list`` views (:meth:`CSRGraph.hot`): CPython indexes
+plain lists faster than either ``array`` or numpy scalars. The
 ``REPRO_BACKEND`` environment variable pins the ``"auto"`` resolution
 (e.g. ``REPRO_BACKEND=python`` in CI keeps the scalar fallbacks covered).
 """
@@ -106,12 +105,12 @@ def resolve_backend(backend: str) -> str:
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _picklable(buf, typecode: str) -> Optional[array]:
-    """An ``array`` copy of ``buf`` suitable for pickling (``array``
-    instances pass through untouched; ``None`` stays ``None``)."""
-    if buf is None or isinstance(buf, array):
+def _picklable(buf) -> array:
+    """An int64 ``array`` copy of ``buf`` suitable for pickling
+    (``array`` instances pass through untouched)."""
+    if isinstance(buf, array):
         return buf
-    out = array(typecode)
+    out = array("q")
     out.frombytes(buf.tobytes())
     return out
 
@@ -134,33 +133,6 @@ def _build_csr(
     return ptr, idx
 
 
-def _build_weighted_csr(
-    num_nodes: int, adjacency: Sequence[Dict[int, float]], typecode: str = "d"
-) -> Tuple[array, array, array]:
-    """Weighted variant: per-row sorted (ptr, idx, wt) triples.
-
-    ``typecode`` selects the weight storage: ``"d"`` float64 for
-    arbitrary weights, ``"q"`` int64 when every weight is integral (the
-    multilevel contraction invariant).
-    """
-    ptr = array("q", [0] * (num_nodes + 1))
-    total = 0
-    for u in range(num_nodes):
-        total += len(adjacency[u])
-        ptr[u + 1] = total
-    idx = array("q", [0] * total)
-    wt = array(typecode, [0] * total)
-    integral = typecode == "q"
-    pos = 0
-    for u in range(num_nodes):
-        for v in sorted(adjacency[u]):
-            value = adjacency[u][v]
-            idx[pos] = v
-            wt[pos] = int(value) if integral else value
-            pos += 1
-    return ptr, idx, wt
-
-
 class CSRGraph:
     """Immutable CSR snapshot of a rejection-augmented social graph.
 
@@ -173,8 +145,8 @@ class CSRGraph:
     * ``ri_ptr``/``ri_idx`` — rejections *received*: row ``u`` lists the
       users that rejected ``u``'s requests. ``len(ro_idx) == len(ri_idx)
       == |R⃗|``.
-    * ``f_wt``/``ro_wt``/``ri_wt`` — optional parallel weights (``None``
-      for plain graphs); present on coarse multilevel graphs.
+    * ``f_wt``/``ro_wt``/``ri_wt`` — always ``None`` here; only
+      :class:`WeightedCSRGraph` carries (int64) edge weights.
 
     Instances are immutable by convention: every mutation path goes through
     the :class:`~repro.core.graph.AugmentedSocialGraph` builder, which
@@ -209,9 +181,6 @@ class CSRGraph:
         ro_idx: array,
         ri_ptr: array,
         ri_idx: array,
-        f_wt: Optional[array] = None,
-        ro_wt: Optional[array] = None,
-        ri_wt: Optional[array] = None,
         backend: str = "auto",
     ) -> None:
         self.num_nodes = num_nodes
@@ -219,13 +188,13 @@ class CSRGraph:
         self.f_ptr, self.f_idx = f_ptr, f_idx
         self.ro_ptr, self.ro_idx = ro_ptr, ro_idx
         self.ri_ptr, self.ri_idx = ri_ptr, ri_idx
-        self.f_wt, self.ro_wt, self.ri_wt = f_wt, ro_wt, ri_wt
+        self.f_wt = self.ro_wt = self.ri_wt = None
         #: set by :func:`repro.core.storage.load_snapshot` on graphs
         #: opened from a binary snapshot file — consumers (the cluster
         #: engine) use it to ship shard *references* instead of payloads
         self.snapshot_path: Optional[str] = None
         self._hot_cache: Optional[Tuple[List[int], ...]] = None
-        self._hot_wt_cache: Optional[Tuple[List[float], ...]] = None
+        self._hot_wt_cache: Optional[Tuple[List[int], ...]] = None
         self._np_cache: Optional[Dict[str, object]] = None
         self._bound_cache: Dict[Tuple[int, int], int] = {}
 
@@ -276,70 +245,13 @@ class CSRGraph:
             num_nodes, f_ptr, f_idx, ro_ptr, ro_idx, ri_ptr, ri_idx, backend=backend
         )
 
-    @classmethod
-    def from_weighted(cls, graph, backend: str = "auto") -> "CSRGraph":
-        """Finalize a :class:`~repro.core.weighted.WeightedAugmentedGraph`.
-
-        When every edge weight is integral — always true for graphs
-        produced by unit-weight embedding plus contraction — the result
-        is a :class:`WeightedCSRGraph` with ``int64`` weights (and the
-        builder's ``node_weight``), which unlocks the bucket index and
-        the batch kernels. Genuinely fractional weights fall back to the
-        float representation and its scalar engines.
-        """
-        n = graph.num_nodes
-        integral = all(
-            float(w).is_integer()
-            for adjacency in (graph.friends, graph.rej_out)
-            for row in adjacency
-            for w in row.values()
-        )
-        typecode = "q" if integral else "d"
-        f_ptr, f_idx, f_wt = _build_weighted_csr(n, graph.friends, typecode)
-        ro_ptr, ro_idx, ro_wt = _build_weighted_csr(n, graph.rej_out, typecode)
-        ri_ptr, ri_idx, ri_wt = _build_weighted_csr(n, graph.rej_in, typecode)
-        if integral:
-            return WeightedCSRGraph(
-                n,
-                f_ptr,
-                f_idx,
-                ro_ptr,
-                ro_idx,
-                ri_ptr,
-                ri_idx,
-                f_wt=f_wt,
-                ro_wt=ro_wt,
-                ri_wt=ri_wt,
-                node_weight=array("q", graph.node_weight),
-                backend=backend,
-            )
-        return cls(
-            n,
-            f_ptr,
-            f_idx,
-            ro_ptr,
-            ro_idx,
-            ri_ptr,
-            ri_idx,
-            f_wt=f_wt,
-            ro_wt=ro_wt,
-            ri_wt=ri_wt,
-            backend=backend,
-        )
-
     # ------------------------------------------------------------------
     # Array views
     # ------------------------------------------------------------------
     @property
     def weighted(self) -> bool:
+        """Whether this is a :class:`WeightedCSRGraph` (int64 weights)."""
         return self.f_wt is not None
-
-    @property
-    def int_weighted(self) -> bool:
-        """Whether the weight arrays are exact ``int64`` — the
-        representation that keeps weighted gains integral and therefore
-        eligible for the bucket index and the batch kernels."""
-        return self.f_wt is not None and buffer_typecode(self.f_wt) == "q"
 
     def hot(self) -> Tuple[List[int], ...]:
         """Cached plain-list views ``(f_ptr, f_idx, ro_ptr, ro_idx, ri_ptr,
@@ -359,10 +271,9 @@ class CSRGraph:
             self._hot_cache = cache
         return cache
 
-    def hot_weights(self) -> Optional[Tuple[List[float], ...]]:
-        """Cached list views of ``(f_wt, ro_wt, ri_wt)``; ``None`` when the
-        graph is unweighted. Entries are ``int`` on int64-weighted
-        graphs and ``float`` otherwise."""
+    def hot_weights(self) -> Optional[Tuple[List[int], ...]]:
+        """Cached ``int`` list views of ``(f_wt, ro_wt, ri_wt)``; ``None``
+        when the graph is unweighted."""
         if self.f_wt is None:
             return None
         cache = self._hot_wt_cache
@@ -376,10 +287,9 @@ class CSRGraph:
         return cache
 
     def numpy_arrays(self) -> Dict[str, object]:
-        """Zero-copy numpy views over the CSR buffers (``int64`` indices;
-        weights view as ``int64`` or ``float64`` matching their storage
-        typecode). Available on any instance with numpy importable; the
-        ``"numpy"`` backend guarantees it."""
+        """Zero-copy ``int64`` numpy views over the CSR buffers (weights
+        included on weighted graphs). Available on any instance with
+        numpy importable; the ``"numpy"`` backend guarantees it."""
         cache = self._np_cache
         if cache is None:
             import numpy as np
@@ -393,14 +303,9 @@ class CSRGraph:
                 "ri_idx": np.frombuffer(self.ri_idx, dtype=np.int64),
             }
             if self.f_wt is not None:
-                wt_dtype = (
-                    np.int64
-                    if buffer_typecode(self.f_wt) == "q"
-                    else np.float64
-                )
-                cache["f_wt"] = np.frombuffer(self.f_wt, dtype=wt_dtype)
-                cache["ro_wt"] = np.frombuffer(self.ro_wt, dtype=wt_dtype)
-                cache["ri_wt"] = np.frombuffer(self.ri_wt, dtype=wt_dtype)
+                cache["f_wt"] = np.frombuffer(self.f_wt, dtype=np.int64)
+                cache["ro_wt"] = np.frombuffer(self.ro_wt, dtype=np.int64)
+                cache["ri_wt"] = np.frombuffer(self.ri_wt, dtype=np.int64)
             self._np_cache = cache
         return cache
 
@@ -464,9 +369,7 @@ class CSRGraph:
         projected fine cut's weight. Runs as a flat-array kernel
         (:func:`repro.core.kernels.contract_arrays`): sort/bincount/
         scatter-add passes on the numpy backend, dict accumulation in
-        pure python — identical int64 outputs either way. Requires
-        unweighted or int64-weighted inputs (float weights have no exact
-        integer contraction).
+        pure python — identical int64 outputs either way.
         """
         arrays = contract_arrays(self, mapping, num_coarse)
         return WeightedCSRGraph(num_coarse, *arrays, backend=self.backend)
@@ -591,15 +494,12 @@ class CSRGraph:
         return (
             self.num_nodes,
             self.backend,
-            _picklable(self.f_ptr, "q"),
-            _picklable(self.f_idx, "q"),
-            _picklable(self.ro_ptr, "q"),
-            _picklable(self.ro_idx, "q"),
-            _picklable(self.ri_ptr, "q"),
-            _picklable(self.ri_idx, "q"),
-            _picklable(self.f_wt, buffer_typecode(self.f_wt) or "q"),
-            _picklable(self.ro_wt, buffer_typecode(self.ro_wt) or "q"),
-            _picklable(self.ri_wt, buffer_typecode(self.ri_wt) or "q"),
+            _picklable(self.f_ptr),
+            _picklable(self.f_idx),
+            _picklable(self.ro_ptr),
+            _picklable(self.ro_idx),
+            _picklable(self.ri_ptr),
+            _picklable(self.ri_idx),
         )
 
     def __setstate__(self, state: Tuple) -> None:
@@ -612,10 +512,8 @@ class CSRGraph:
             self.ro_idx,
             self.ri_ptr,
             self.ri_idx,
-            self.f_wt,
-            self.ro_wt,
-            self.ri_wt,
         ) = state
+        self.f_wt = self.ro_wt = self.ri_wt = None
         self.snapshot_path = None
         self._hot_cache = None
         self._hot_wt_cache = None
@@ -645,11 +543,11 @@ class WeightedCSRGraph(CSRGraph):
     edges, so every coarse friendship/rejection weight is an exact
     integer. Storing weights as ``array("q")`` int64 (plus the per-node
     member count ``node_weight``) keeps weighted switch gains integral,
-    which restores everything the unweighted fast path already has: the
-    FM bucket gain index, the batch kernels of
-    :mod:`repro.core.kernels`, and bit-identical python/numpy backends —
-    integer sums are order-insensitive, so there is no float
-    summation-order contract to protect.
+    which gives these graphs everything the unweighted fast path has:
+    the FM bucket gain index, the batch kernels of
+    :mod:`repro.core.kernels`, and bit-identical python/numpy backends
+    (integer sums are order-insensitive). This is the only graph type
+    with edge weights, and its weights are int64 by construction.
 
     ``node_weight[u]`` counts the original (level-0) nodes merged into
     super-node ``u``; validity rules that cap the suspicious region's
@@ -674,25 +572,15 @@ class WeightedCSRGraph(CSRGraph):
         backend: str = "auto",
     ) -> None:
         for name, wt in (("f_wt", f_wt), ("ro_wt", ro_wt), ("ri_wt", ri_wt)):
-            if wt is None or buffer_typecode(wt) != "q":
+            if buffer_typecode(wt) != "q":
                 raise ValueError(
                     f"WeightedCSRGraph requires int64 ('q') weight arrays; "
-                    f"{name} is not — use the float CSRGraph for "
-                    "fractional weights"
+                    f"{name} is not"
                 )
         super().__init__(
-            num_nodes,
-            f_ptr,
-            f_idx,
-            ro_ptr,
-            ro_idx,
-            ri_ptr,
-            ri_idx,
-            f_wt=f_wt,
-            ro_wt=ro_wt,
-            ri_wt=ri_wt,
-            backend=backend,
+            num_nodes, f_ptr, f_idx, ro_ptr, ro_idx, ri_ptr, ri_idx, backend=backend
         )
+        self.f_wt, self.ro_wt, self.ri_wt = f_wt, ro_wt, ri_wt
         if node_weight is None:
             node_weight = array("q", [1]) * num_nodes
         else:
@@ -744,11 +632,14 @@ class WeightedCSRGraph(CSRGraph):
         )
 
     def __getstate__(self) -> Tuple:
-        return super().__getstate__() + (_picklable(self.node_weight, "q"),)
+        return super().__getstate__() + tuple(
+            _picklable(buf)
+            for buf in (self.f_wt, self.ro_wt, self.ri_wt, self.node_weight)
+        )
 
     def __setstate__(self, state: Tuple) -> None:
-        super().__setstate__(state[:-1])
-        self.node_weight = state[-1]
+        super().__setstate__(state[:8])
+        self.f_wt, self.ro_wt, self.ri_wt, self.node_weight = state[8:]
 
     def __repr__(self) -> str:
         return (
@@ -887,9 +778,8 @@ class PartitionState:
     Semantics match :class:`repro.core.partition.Partition` restricted to
     the view's active nodes: ``f_cross`` counts active-active cross
     friendships, ``r_cross`` counts rejections cast by active side-0 nodes
-    onto active side-1 nodes. On weighted CSR graphs both counters are
-    weight sums — exact ``int`` on :class:`WeightedCSRGraph`, ``float``
-    on the float-weighted representation.
+    onto active side-1 nodes. On a :class:`WeightedCSRGraph` both
+    counters are exact ``int`` weight sums.
     """
 
     __slots__ = ("view", "sides", "locked", "f_cross", "r_cross", "side_sizes")
@@ -985,46 +875,14 @@ class PartitionState:
         """Recompute the counters and side sizes from scratch (O(V+E)).
 
         Unweighted graphs route through
-        :func:`repro.core.kernels.recount_active` and int64-weighted
-        coarse graphs through
-        :func:`repro.core.kernels.weighted_recount_active` (vectorized
-        on the numpy backend, scalar otherwise — bit-identical either
-        way, since both sum integers); float-weighted graphs keep the
-        inline scalar sweep so float summation order stays fixed.
+        :func:`repro.core.kernels.recount_active` and weighted graphs
+        through :func:`repro.core.kernels.weighted_recount_active`
+        (vectorized on the numpy backend, scalar otherwise —
+        bit-identical either way, since both sum integers).
         """
         view = self.view
-        csr, active, sides = view.csr, view.active, self.sides
-        fp, fi, op, oi = csr.f_ptr, csr.f_idx, csr.ro_ptr, csr.ro_idx
-        weights = csr.hot_weights()
-        ones = 0
-        if weights is None:
-            self.f_cross, self.r_cross, ones = recount_active(view, sides)
-            self.side_sizes = [view.num_active - ones, ones]
-            return
-        if csr.int_weighted:
-            self.f_cross, self.r_cross, ones = weighted_recount_active(
-                view, sides
-            )
-            self.side_sizes = [view.num_active - ones, ones]
-            return
-        fw, ow, _ = weights
-        f_cross = r_cross = 0.0
-        for u in range(csr.num_nodes):
-            if not active[u]:
-                continue
-            s = sides[u]
-            ones += s
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if u < v and active[v] and sides[v] != s:
-                    f_cross += fw[i]
-            if s == LEGITIMATE:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v] == SUSPICIOUS:
-                        r_cross += ow[i]
-        self.f_cross = f_cross
-        self.r_cross = r_cross
+        kernel = weighted_recount_active if view.csr.weighted else recount_active
+        self.f_cross, self.r_cross, ones = kernel(view, self.sides)
         self.side_sizes = [view.num_active - ones, ones]
 
     # ------------------------------------------------------------------
@@ -1059,8 +917,6 @@ class PartitionState:
                     rej_delta -= sign
         else:
             fw, ow, iw = weights
-            # Integer literals keep int64-weighted deltas exact ints
-            # (float weights promote on the first addition, as before).
             friends_delta = 0
             for i in range(fp[u], fp[u + 1]):
                 v = fi[i]
@@ -1111,8 +967,6 @@ class PartitionState:
                     rej_delta -= sign
         else:
             fw, ow, iw = weights
-            # Integer literals keep int64-weighted deltas exact ints
-            # (float weights promote on the first addition, as before).
             friends_delta = 0
             for i in range(fp[u], fp[u + 1]):
                 v = fi[i]
@@ -1171,49 +1025,12 @@ class PartitionState:
     def objective(self, k: float) -> float:
         return self.f_cross - k * self.r_cross
 
-    def max_abs_gain(self, k: float) -> float:
-        """A lifetime bound on ``|gain(u)|`` over active nodes (full-graph
-        degrees bound the active-filtered ones, so this stays valid as the
-        engine switches nodes)."""
-        view = self.view
-        csr, active = view.csr, view.active
-        fp, op, ip_ = csr.f_ptr, csr.ro_ptr, csr.ri_ptr
-        weights = csr.hot_weights()
-        bound = 0.0
-        if weights is None:
-            for u in range(csr.num_nodes):
-                if not active[u]:
-                    continue
-                weight = (fp[u + 1] - fp[u]) + k * (
-                    (op[u + 1] - op[u]) + (ip_[u + 1] - ip_[u])
-                )
-                if weight > bound:
-                    bound = weight
-        else:
-            fw, ow, iw = weights
-            for u in range(csr.num_nodes):
-                if not active[u]:
-                    continue
-                weight = sum(fw[fp[u] : fp[u + 1]]) + k * (
-                    sum(ow[op[u] : op[u + 1]]) + sum(iw[ip_[u] : ip_[u + 1]])
-                )
-                if weight > bound:
-                    bound = weight
-        return bound
-
     def verify_counts(self) -> bool:
         """Check the incremental counters against a from-scratch recount."""
         f, r = self.f_cross, self.r_cross
         sizes = list(self.side_sizes)
         self.recount()
-        if self.view.csr.weighted and not self.view.csr.int_weighted:
-            ok = (
-                abs(f - self.f_cross) < 1e-6
-                and abs(r - self.r_cross) < 1e-6
-                and sizes == self.side_sizes
-            )
-        else:
-            ok = (f, r) == (self.f_cross, self.r_cross) and sizes == self.side_sizes
+        ok = (f, r) == (self.f_cross, self.r_cross) and sizes == self.side_sizes
         self.f_cross, self.r_cross, self.side_sizes = f, r, sizes
         return ok
 

@@ -10,7 +10,7 @@ On the ``1/resolution`` grid (every ``k`` of the default geometric
 sequence) both needs are met by the Fiduccia-Mattheyses bucket list
 (Section IV-C, [21]) that :func:`repro.core.kl._bucket_pass` inlines as
 flat integer arrays — for local KL, multilevel region refinement and the
-cluster master alike. Off the grid, and on float-weighted graphs,
+cluster master alike. Off the grid, and on weighted residual views,
 :func:`repro.core.kl._heap_pass` runs on :class:`HeapGainIndex`, a
 lazy-deletion binary heap that accepts arbitrary float gains with the
 same LIFO tie-breaks; it is property-tested against a naive dictionary

@@ -15,7 +15,8 @@ module collects those batch kernels in one place:
 * :func:`recount_active` — the boundary counters ``f_cross``/``r_cross``
   and the side-1 population in one shot;
 * :func:`active_in_rejections` — in-rejection counts restricted to
-  active rejecters (Rejecto's member-evidence ordering);
+  active rejecters (Rejecto's member-evidence ordering; weights are
+  ignored);
 * :func:`scaled_gain_bound` — the integer-scaled lifetime gain bound
   that sizes the FM bucket array;
 * :func:`shard_gain_deltas` / :func:`shard_cut_counts` — the same
@@ -26,7 +27,7 @@ module collects those batch kernels in one place:
   scalar loop over dict records;
 * :func:`weighted_gain_deltas` / :func:`weighted_heap_gains` /
   :func:`weighted_recount_active` — the weighted twins of the three
-  kernels above for int64-weighted coarse graphs
+  kernels above for weighted coarse graphs
   (:class:`~repro.core.csr.WeightedCSRGraph`);
 * :func:`boundary_nodes` / :func:`weighted_boundary_nodes` — the cut
   frontier of a partition: every active node on the cut or with a
@@ -51,14 +52,14 @@ so the engines never see which backend filled their arrays. The
 property tests in ``tests/core/test_kernels.py`` pin each pair to each
 other and to the scalar reference ``PartitionState.switch_gain``.
 
-The unweighted kernels stay unweighted-only, and *float*-weighted
-graphs stay off every batch path (float summation order is part of
-their contract). Int64-weighted graphs are different: contraction of a
-unit-weight augmented graph only ever **sums unit edges**, so coarse
-weights are exact integers, integer sums are order-insensitive, and
-the ``weighted_*`` kernels here are bit-identical across backends just
-like the unweighted ones. That is what restores bucket-index and batch
-eligibility to the weighted multilevel path.
+The unweighted gain kernels refuse weighted graphs and the ``weighted_*``
+twins refuse unweighted ones; the rest take either. Every weight is an
+int64 (:class:`~repro.core.csr.WeightedCSRGraph` is the only weighted
+graph): contraction of a unit-weight augmented graph only ever **sums
+unit edges**, integer sums are order-insensitive, and so the weighted
+kernels are bit-identical across backends just like the unweighted ones.
+That is what gives the weighted multilevel path the bucket index and
+the batch kernels.
 """
 
 from __future__ import annotations
@@ -90,24 +91,23 @@ __all__ = [
 
 
 def buffer_typecode(buf) -> Optional[str]:
-    """The ``array``-style typecode of a flat int64/float64 buffer.
+    """The ``array``-style typecode of a flat buffer: ``"q"`` for int64.
 
-    The CSR arrays historically were always ``array("q")``/``array("d")``;
+    The CSR arrays historically were always ``array("q")``;
     memory-mapped snapshots (:mod:`repro.core.storage`) introduce
     ``np.memmap`` segments and ``memoryview`` casts as drop-in storage.
     This normalizes all three to the one-letter typecode the dispatch
-    checks care about (``None`` for anything unrecognized, e.g. a plain
-    list).
+    checks care about (an ``array`` reports its own typecode; any other
+    buffer that is not int64 gives ``None``, e.g. a plain list).
     """
     code = getattr(buf, "typecode", None)  # array.array
     if code is not None:
         return code
-    fmt = getattr(buf, "format", None)  # memoryview over an mmap
-    if fmt in ("q", "d"):
-        return fmt
+    if getattr(buf, "format", None) == "q":  # memoryview over an mmap
+        return "q"
     dtype = getattr(buf, "dtype", None)  # numpy ndarray / memmap
-    if dtype is not None:
-        return {"int64": "q", "float64": "d"}.get(dtype.name)
+    if dtype is not None and dtype.name == "int64":
+        return "q"
     return None
 
 
@@ -129,27 +129,16 @@ def buffer_tolist(buf) -> List:
 def _check_unweighted(csr) -> None:
     if csr.f_wt is not None:
         raise ValueError(
-            "these batch kernels are unweighted-only; int64-weighted "
-            "graphs use the weighted_* twins, float-weighted graphs use "
-            "the scalar paths (float summation order is part of their "
-            "contract)"
+            "these batch kernels are unweighted-only; weighted graphs "
+            "use the weighted_* twins"
         )
 
 
-def _check_int_weighted(csr) -> None:
-    if csr.f_wt is None or buffer_typecode(csr.f_wt) != "q":
+def _check_weighted(csr) -> None:
+    if csr.f_wt is None:
         raise ValueError(
-            "weighted kernels require an int64-weighted graph "
-            "(WeightedCSRGraph); float-weighted graphs keep the scalar "
-            "paths, unweighted graphs use the plain kernels"
-        )
-
-
-def _check_not_float_weighted(csr) -> None:
-    if csr.f_wt is not None and buffer_typecode(csr.f_wt) != "q":
-        raise ValueError(
-            "float-weighted graphs have no exact integer kernels; only "
-            "unweighted and int64-weighted CSR graphs are supported"
+            "weighted kernels require a WeightedCSRGraph; unweighted "
+            "graphs use the plain kernels"
         )
 
 
@@ -280,18 +269,18 @@ def heap_gains(view, sides: Sequence[int], k: float) -> List[float]:
 
 
 # ----------------------------------------------------------------------
-# Weighted kernels (int64-weighted coarse graphs)
+# Weighted kernels (WeightedCSRGraph coarse graphs)
 # ----------------------------------------------------------------------
 def weighted_gain_deltas(view, sides: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Weighted per-node ``(friend_delta, rejection_delta)`` of a switch.
 
     Exactly :func:`gain_deltas` with each edge contributing its int64
     weight instead of 1, so both entries stay exact integers and both
-    backends are bit-identical. Requires an int64-weighted graph
-    (:func:`_check_int_weighted`); entries for inactive nodes are 0.
+    backends are bit-identical. Requires a weighted graph
+    (:func:`_check_weighted`); entries for inactive nodes are 0.
     """
     csr = view.csr
-    _check_int_weighted(csr)
+    _check_weighted(csr)
     if _use_numpy(csr):
         return _weighted_gain_deltas_np(view, sides)
     return _weighted_gain_deltas_py(view, sides)
@@ -395,7 +384,7 @@ def weighted_recount_active(view, sides: Sequence[int]) -> Tuple[int, int, int]:
     entry is the plain (unweighted) active side-1 node count that
     ``PartitionState.side_sizes`` tracks."""
     csr = view.csr
-    _check_int_weighted(csr)
+    _check_weighted(csr)
     if _use_numpy(csr):
         return _weighted_recount_np(view, sides)
     return _weighted_recount_py(view, sides)
@@ -481,13 +470,13 @@ def boundary_nodes(view, sides: Sequence[int], k: float) -> List[int]:
 
 
 def weighted_boundary_nodes(view, sides: Sequence[int], k: float) -> List[int]:
-    """Weighted twin of :func:`boundary_nodes` for int64-weighted coarse
+    """Weighted twin of :func:`boundary_nodes` for weighted coarse
     graphs. Cut membership is structural (every weight is a positive
     integer, so a crossing edge crosses regardless of weight) and the
     positive-gain clause uses the weighted deltas — still exact
     integers, so both backends agree bit for bit."""
     csr = view.csr
-    _check_int_weighted(csr)
+    _check_weighted(csr)
     if _use_numpy(csr):
         return _boundary_nodes_np(view, sides, k, weighted=True)
     return _boundary_nodes_py(view, sides, k, weighted=True)
@@ -574,7 +563,7 @@ def movable_frontier(view, sides: Sequence[int], k: float) -> List[int]:
     population, and any of them a seed's switch turns profitable seeds
     the next round's frontier instead.
 
-    Unweighted and int64-weighted graphs (the weighted deltas decide the
+    Unweighted and weighted graphs (the weighted deltas decide the
     gain). Friends come from the full adjacency, so on a residual view
     inactive friends are included, and locked nodes are not filtered:
     both are the caller's concern (:func:`repro.core.kl.refine_subset`
@@ -582,7 +571,6 @@ def movable_frontier(view, sides: Sequence[int], k: float) -> List[int]:
     float comparison ``k·rd > fd`` runs over the same exact integers.
     """
     csr = view.csr
-    _check_not_float_weighted(csr)
     weighted = csr.f_wt is not None
     if _use_numpy(csr):
         return _movable_frontier_np(view, sides, k, weighted)
@@ -789,9 +777,9 @@ def _recount_py(view, sides: Sequence[int]) -> Tuple[int, int, int]:
 
 def active_in_rejections(view) -> List[int]:
     """Per-node in-rejection counts restricted to active rejecters —
-    ``view.rejections_received(u)`` for every node in one sweep."""
+    ``view.rejections_received(u)`` for every node in one sweep. Counts
+    rejecters, not weights, so weighted graphs are accepted too."""
     csr = view.csr
-    _check_unweighted(csr)
     if _use_numpy(csr):
         np, arrs, _, active = _np_state(view)
         contrib = active[arrs["ri_idx"]].astype(np.int64)
@@ -810,7 +798,7 @@ def active_in_rejections(view) -> List[int]:
 def scaled_gain_bound(csr, resolution: int, k_scaled: int) -> int:
     """Graph-wide bound on the integer-scaled gain magnitude,
     ``max_u deg_F(u)·res + k_scaled·deg_R(u)`` — with *weighted* degrees
-    on int64-weighted graphs (each edge counts its weight), so the same
+    on weighted graphs (each edge counts its weight), so the same
     bound sizes the weighted bucket array exactly.
 
     Computed over *all* nodes: full-graph degrees bound the
@@ -824,7 +812,6 @@ def scaled_gain_bound(csr, resolution: int, k_scaled: int) -> int:
     ``resolution`` here is the bucket scale of one ``k``, not the
     configured grid.
     """
-    _check_not_float_weighted(csr)
     if csr.num_nodes == 0:
         return 0
     weighted = csr.f_wt is not None
@@ -1015,9 +1002,8 @@ def heavy_edge_matching(
     Nodes flagged in ``locked`` are never matched — they survive
     coarsening as singletons so lock projection stays trivial. Returns
     ``match`` with ``match[u] == u`` for unmatched nodes. Works on
-    unweighted (unit-weight) and int64-weighted graphs.
+    unweighted (unit-weight) and weighted graphs.
     """
-    _check_not_float_weighted(csr)
     n = csr.num_nodes
     if len(priority) != n or sorted(priority) != list(range(n)):
         raise ValueError("priority must be a permutation of range(num_nodes)")
@@ -1197,7 +1183,6 @@ def contract_arrays(csr, mapping: Sequence[int], num_coarse: int) -> Tuple:
     scatter-adds per layer; the python path sums into per-row dicts —
     both exact integers, hence bit-identical.
     """
-    _check_not_float_weighted(csr)
     if _use_numpy(csr):
         return _contract_np(csr, mapping, num_coarse)
     return _contract_py(csr, mapping, num_coarse)

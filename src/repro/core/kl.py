@@ -40,13 +40,13 @@ runs in one of two bodies:
 * :func:`_bucket_pass` — an *inlined* integer-scaled FM bucket list for
   ``k`` on the ``1/resolution`` grid (scaled by ``k``'s reduced
   denominator, not by ``resolution``), over unweighted graphs and
-  int64-weighted coarse graphs (the multilevel hierarchy). Counter
+  weighted coarse graphs (the multilevel hierarchy's int64
+  :class:`~repro.core.csr.WeightedCSRGraph`). Counter
   updates and neighbour relinks happen in one fused sweep per switched
   node with zero per-edge function calls; unit-weight and weighted
   edges each get their own sweep, picked once per switched node.
 * :func:`_heap_pass` — a lazy-deletion heap of float gains for off-grid
-  ``k`` (the multilevel Dinkelbach polish), float-weighted graphs and
-  weighted residual views.
+  ``k`` (the multilevel Dinkelbach polish) and weighted residual views.
 
 Both bodies keep one greedy discipline (same gain arithmetic, same FM
 LIFO tie-breaks, same best-prefix rollback). The simulated cluster's
@@ -101,8 +101,8 @@ class KLConfig:
         The pass body the shared skeleton runs: ``"bucket"`` (integer FM
         bucket list), ``"heap"`` (lazy-deletion heap of float gains) or
         ``"auto"`` (bucket when ``k`` sits on the ``1/resolution`` grid
-        and the graph is unweighted — or int64-weighted on an all-active
-        view — heap otherwise).
+        and the graph is unweighted — or weighted on an all-active view —
+        heap otherwise).
     resolution:
         Grid denominator (a positive int): ``k`` is *on the grid*, and
         can run the bucket pass, when it is a multiple of
@@ -296,9 +296,7 @@ def _run_passes(
     locked = state.locked
     n = csr.num_nodes
     weights = csr.hot_weights()
-    numpy_batch = csr.backend == "numpy" and (
-        not csr.weighted or csr.int_weighted
-    )
+    numpy_batch = csr.backend == "numpy"
     # Bucket passes switch over the active-filtered adjacency (no
     # per-edge mask checks); weighted buckets need an all-active view,
     # where it is the full CSR the weights are positional against.
@@ -386,9 +384,8 @@ def _run_passes(
         scope = [False] * n
         for u in eligible:
             scope[u] = True
-    # Scalar refreshes where no batch kernel fits: float-weighted graphs
-    # (their summation order is part of the contract), python heaps,
-    # and scoped or subset python buckets, whose small candidate lists
+    # Scalar refreshes where no batch kernel fits: python heaps, and
+    # scoped or subset python buckets, whose small candidate lists
     # should not pay the O(V+E) kernel.
     use_batch = numpy_batch or (bucket and scope is None and subset is None)
 
@@ -503,7 +500,7 @@ def _bucket_pass(
     fixed order (friends, rejections cast, rejections received), no
     function calls — which is where the speed comes from (see
     ``BENCH_gain_index.json``). Unweighted graphs take the unit sweep
-    over the active-filtered adjacency; int64-weighted graphs take the
+    over the active-filtered adjacency; weighted graphs take the
     weighted sweep, which scales every step by the edge weight.
 
     ``k_scaled/res`` is the pass's ``k``, and ``gain_b`` holds each
@@ -783,11 +780,10 @@ def _heap_pass(
 ) -> Tuple[List[int], int]:
     """One pass over a lazy-deletion heap of float gains, in place.
 
-    Switches go through ``state.switch`` (which keeps the float counters'
-    summation order fixed) and neighbour gains through
-    :func:`adjust_neighbor_gains`; a prefix must beat the best one by
-    more than ``_EPS`` to count as an improvement. Returns ``(applied
-    prefix, switches tested)``.
+    Switches go through ``state.switch`` (exact integer counters) and
+    neighbour gains through :func:`adjust_neighbor_gains`; a prefix must
+    beat the best one by more than ``_EPS`` to count as an improvement.
+    Returns ``(applied prefix, switches tested)``.
     """
     sides = state.sides
     index = HeapGainIndex()
@@ -829,10 +825,7 @@ def _use_bucket(view, k: float, config: KLConfig) -> bool:
     ``hot_active`` adjacency, so any view works.)
     """
     csr = view.csr
-    weighted = csr.weighted
-    bucket_ok = not weighted or (
-        csr.int_weighted and view.num_active == csr.num_nodes
-    )
+    bucket_ok = not csr.weighted or view.num_active == csr.num_nodes
     kind = config.gain_index
     if kind == "auto":
         return bucket_ok and _on_grid(k, config.resolution)
@@ -840,11 +833,6 @@ def _use_bucket(view, k: float, config: KLConfig) -> bool:
         return False
     if kind != "bucket":
         raise ValueError(f"unknown gain index kind {kind!r}")
-    if weighted and not csr.int_weighted:
-        raise ValueError(
-            "the bucket gain index requires an unweighted or "
-            "int64-weighted graph; pass gain_index='heap' or 'auto'"
-        )
     if not bucket_ok:
         raise ValueError(
             "the weighted bucket engine requires an all-active view "
@@ -875,12 +863,6 @@ def extended_kl_state(
     config = config or KLConfig()
     _check_config(config)
     out = state.copy()
-    csr = out.view.csr
-    if config.frontier == "boundary" and csr.weighted and not csr.int_weighted:
-        raise ValueError(
-            "frontier='boundary' requires an unweighted or int64-weighted "
-            "graph; float-weighted graphs keep the full frontier"
-        )
     _run_passes(out, k, config, stats, _use_bucket(out.view, k, config))
     return out
 
@@ -909,7 +891,7 @@ def refine_subset(
 
     ``config.gain_index`` picks the pass body exactly as in
     :func:`extended_kl_state`: on the ``1/resolution`` grid the fused
-    integer bucket pass (unweighted and int64-weighted graphs), off it —
+    integer bucket pass (unweighted and weighted graphs), off it —
     the Dinkelbach polish's ratio — the float heap pass. ``frontier``
     does not apply: the subset is the scope.
 

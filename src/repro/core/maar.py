@@ -256,12 +256,8 @@ def _view_initial_sides(
     active = view.active
     sides = [LEGITIMATE] * n
     if config.init == "rejection":
-        # One batch count; weighted graphs count rejecters per node (the
-        # kernel is unweighted-only, and the count ignores weights).
-        if view.csr.weighted:
-            received = [view.rejections_received(u) for u in range(n)]
-        else:
-            received = active_in_rejections(view)
+        # One batch count of active rejecters (weights are ignored).
+        received = active_in_rejections(view)
         sides = [
             SUSPICIOUS if a and r else LEGITIMATE
             for a, r in zip(active, received)

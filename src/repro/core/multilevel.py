@@ -254,15 +254,6 @@ def _project_sides(sides, mapping, num_fine: int, backend: str) -> List[int]:
     return [sides[mapping[u]] for u in range(num_fine)]
 
 
-#: The region-scope kernels under their former multilevel names, which
-#: ``tests/core/test_refine_frozen.py`` derives its frozen regions from.
-_cut_regions = cut_regions
-
-
-def _movable_frontier(graph, view, sides: List[int], k: float) -> List[int]:
-    return movable_frontier(view, sides, k)
-
-
 def _refine_chunk_worker(chunk, shared):
     """Refine one chunk of regions against a private copy of the sides.
 

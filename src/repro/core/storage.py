@@ -14,7 +14,7 @@ A snapshot file stores the buffers verbatim so reopening a graph is an
   of graph size and the OS shares the pages between every process
   mapping the same file (cluster workers, fork-COW pools);
 * **backend-independent bytes** — the writer serializes the canonical
-  little-endian int64/float64 buffers, so the python and numpy backends
+  little-endian int64 buffers, so the python and numpy backends
   produce byte-identical files for the same graph;
 * **shard mapping** — :meth:`CSRGraph.block_arrays` over a mapped graph
   slices a worker's shard block as *views* of the file, which is what
@@ -26,8 +26,9 @@ File layout (version 1, all integers little-endian uint64)::
     offset  size  field
     0       8     magic  b"RJCTCSRB"
     8       8     version (1)
-    16      8     flags: bit0 weighted, bit1 int-weighted,
-                  bit2 node-weight vector present (WeightedCSRGraph)
+    16      8     flags: 0 (CSRGraph) or 7 (WeightedCSRGraph: bit0
+                  weighted, bit1 int64 weights, bit2 node-weight
+                  vector); every other value is rejected
     24      8     num_nodes
     32      8     len(f_idx)   (= 2 * friendships)
     40      8     len(ro_idx)  (= rejections)
@@ -38,12 +39,11 @@ File layout (version 1, all integers little-endian uint64)::
 
 Segments follow in a fixed order, each starting on an ``alignment``
 boundary (zero-padded): ``f_ptr``, ``f_idx``, ``ro_ptr``, ``ro_idx``,
-``ri_ptr``, ``ri_idx``; then ``f_wt``, ``ro_wt``, ``ri_wt`` when the
-weighted flag is set (int64 when bit1 is set, float64 otherwise); then
-``node_weight`` when bit2 is set. Pointer/index segments are always
-int64. Version policy: the major version bumps on any layout change
-and readers reject versions they do not know — there is no in-place
-migration, snapshots are cheap to regenerate from their source.
+``ri_ptr``, ``ri_idx``; then, for flags 7, ``f_wt``, ``ro_wt``,
+``ri_wt`` and ``node_weight``. Every segment is int64. Version policy:
+the major version bumps on any layout change and readers reject
+versions they do not know — there is no in-place migration, snapshots
+are cheap to regenerate from their source.
 """
 
 from __future__ import annotations
@@ -77,9 +77,11 @@ VERSION = 1
 #: on page boundaries (4096 covers every platform this runs on).
 ALIGNMENT = 4096
 
-_FLAG_WEIGHTED = 1
-_FLAG_INT_WEIGHTED = 2
-_FLAG_NODE_WEIGHT = 4
+#: The flags word of a WeightedCSRGraph: bit0 weighted, bit1 int64
+#: weights, bit2 node-weight vector. Plain graphs write 0. The writer
+#: only ever sets the three bits together, and readers accept no other
+#: combination.
+_FLAGS_WEIGHTED = 7
 
 #: Fixed-size header prefix: magic + 8 uint64 fields.
 _HEADER_STRUCT = struct.Struct("<8sQQQQQQQQ")
@@ -93,49 +95,40 @@ class SnapshotFormatError(ValueError):
 
 def _segment_plan(
     flags: int, num_nodes: int, n_f: int, n_ro: int, n_ri: int
-) -> List[Tuple[str, str, int]]:
-    """The fixed segment order as ``(name, typecode, element_count)``
-    triples, derived entirely from the header fields."""
+) -> List[Tuple[str, int]]:
+    """The fixed segment order as ``(name, element_count)`` pairs of
+    int64 segments, derived entirely from the header fields."""
     plan = [
-        ("f_ptr", "q", num_nodes + 1),
-        ("f_idx", "q", n_f),
-        ("ro_ptr", "q", num_nodes + 1),
-        ("ro_idx", "q", n_ro),
-        ("ri_ptr", "q", num_nodes + 1),
-        ("ri_idx", "q", n_ri),
+        ("f_ptr", num_nodes + 1),
+        ("f_idx", n_f),
+        ("ro_ptr", num_nodes + 1),
+        ("ro_idx", n_ro),
+        ("ri_ptr", num_nodes + 1),
+        ("ri_idx", n_ri),
     ]
-    if flags & _FLAG_WEIGHTED:
-        wt = "q" if flags & _FLAG_INT_WEIGHTED else "d"
-        plan += [("f_wt", wt, n_f), ("ro_wt", wt, n_ro), ("ri_wt", wt, n_ri)]
-    if flags & _FLAG_NODE_WEIGHT:
-        plan.append(("node_weight", "q", num_nodes))
+    if flags == _FLAGS_WEIGHTED:
+        plan += [
+            ("f_wt", n_f),
+            ("ro_wt", n_ro),
+            ("ri_wt", n_ri),
+            ("node_weight", num_nodes),
+        ]
     return plan
 
 
-def _canonical_bytes(buf, typecode: str) -> bytes:
-    """Little-endian raw bytes of a flat buffer, whatever its storage
-    (``array``, numpy array/memmap, or ``memoryview``)."""
+def _canonical_bytes(buf) -> bytes:
+    """Little-endian raw bytes of a flat int64 buffer, whatever its
+    storage (``array``, numpy array/memmap, or ``memoryview``)."""
     if sys.byteorder != "little":  # pragma: no cover - no BE CI host
         if isinstance(buf, array):
-            swapped = array(typecode, buf)
+            swapped = array("q", buf)
             swapped.byteswap()
             return swapped.tobytes()
-        swapped = array(typecode)
+        swapped = array("q")
         swapped.frombytes(buf.tobytes())
         swapped.byteswap()
         return swapped.tobytes()
     return buf.tobytes()
-
-
-def _graph_flags(csr: CSRGraph) -> int:
-    flags = 0
-    if csr.f_wt is not None:
-        flags |= _FLAG_WEIGHTED
-        if csr.int_weighted:
-            flags |= _FLAG_INT_WEIGHTED
-    if getattr(csr, "node_weight", None) is not None:
-        flags |= _FLAG_NODE_WEIGHT
-    return flags
 
 
 def save_snapshot(csr: CSRGraph, path: _PathLike) -> Path:
@@ -147,7 +140,7 @@ def save_snapshot(csr: CSRGraph, path: _PathLike) -> Path:
     rely on this. Returns the final path.
     """
     path = Path(path)
-    flags = _graph_flags(csr)
+    flags = _FLAGS_WEIGHTED if csr.weighted else 0
     plan = _segment_plan(
         flags,
         csr.num_nodes,
@@ -160,8 +153,8 @@ def save_snapshot(csr: CSRGraph, path: _PathLike) -> Path:
 
     offsets: List[Tuple[int, int]] = []
     cursor = data_start
-    for _name, typecode, count in plan:
-        nbytes = count * 8  # int64 and float64 are both 8 bytes
+    for _name, count in plan:
+        nbytes = count * 8
         offsets.append((cursor, nbytes))
         cursor = _aligned(cursor + nbytes)
 
@@ -183,10 +176,9 @@ def save_snapshot(csr: CSRGraph, path: _PathLike) -> Path:
             )
             for offset, nbytes in offsets:
                 handle.write(struct.pack("<QQ", offset, nbytes))
-            for (name, typecode, _count), (offset, nbytes) in zip(plan, offsets):
+            for (name, _count), (offset, nbytes) in zip(plan, offsets):
                 _pad_to(handle, offset)
-                buf = getattr(csr, name)
-                raw = _canonical_bytes(buf, typecode)
+                raw = _canonical_bytes(getattr(csr, name))
                 if len(raw) != nbytes:
                     raise SnapshotFormatError(
                         f"segment {name}: buffer is {len(raw)} bytes, "
@@ -235,6 +227,11 @@ def _read_header(path: Path, raw: bytes) -> Dict[str, object]:
             f"{path}: snapshot version {version} not supported "
             f"(reader understands version {VERSION})"
         )
+    if flags not in (0, _FLAGS_WEIGHTED):
+        raise SnapshotFormatError(
+            f"{path}: unsupported flags word {flags} (readers accept 0 "
+            f"and {_FLAGS_WEIGHTED})"
+        )
     if n_ro != n_ri:
         raise SnapshotFormatError(
             f"{path}: rejection layers disagree ({n_ro} out vs {n_ri} in)"
@@ -249,7 +246,7 @@ def _read_header(path: Path, raw: bytes) -> Dict[str, object]:
     if len(raw) < table_end:
         raise SnapshotFormatError(f"{path}: truncated segment table")
     segments = []
-    for index, (name, typecode, count) in enumerate(plan):
+    for index, (name, count) in enumerate(plan):
         offset, nbytes = struct.unpack_from(
             "<QQ", raw, _HEADER_STRUCT.size + 16 * index
         )
@@ -258,9 +255,7 @@ def _read_header(path: Path, raw: bytes) -> Dict[str, object]:
                 f"{path}: segment {name} is {nbytes} bytes, counts imply "
                 f"{count * 8}"
             )
-        segments.append(
-            {"name": name, "typecode": typecode, "offset": offset, "bytes": nbytes}
-        )
+        segments.append({"name": name, "offset": offset, "bytes": nbytes})
     return {
         "version": version,
         "flags": flags,
@@ -277,27 +272,22 @@ def snapshot_info(path: _PathLike) -> Dict[str, object]:
     """Parse a snapshot header without mapping any segment.
 
     Returns a dict with the header fields, derived graph counts
-    (``friendships``, ``rejections``), the boolean flags, the segment
-    table, and the file size — the payload of ``rejecto graph info``.
+    (``friendships``, ``rejections``), the boolean flags (``weighted``
+    and ``has_node_weight``, both set for a :class:`WeightedCSRGraph`),
+    the segment table, and the file size — the payload of ``rejecto
+    graph info``.
     """
     path = Path(path)
     with path.open("rb") as handle:
         raw = handle.read(ALIGNMENT)
     header = _read_header(path, raw)
-    flags = int(header["flags"])  # type: ignore[arg-type]
+    weighted = header["flags"] == _FLAGS_WEIGHTED
     header["friendships"] = int(header["num_f_idx"]) // 2
     header["rejections"] = int(header["num_ro_idx"])
-    header["weighted"] = bool(flags & _FLAG_WEIGHTED)
-    header["int_weighted"] = bool(flags & _FLAG_INT_WEIGHTED)
-    header["has_node_weight"] = bool(flags & _FLAG_NODE_WEIGHT)
+    header["weighted"] = weighted
+    header["has_node_weight"] = weighted
     header["file_bytes"] = path.stat().st_size
     return header
-
-
-def _np_dtype(typecode: str):
-    import numpy as np
-
-    return np.dtype("<i8") if typecode == "q" else np.dtype("<f8")
 
 
 def _map_segments_numpy(path: Path, segments) -> Dict[str, object]:
@@ -305,9 +295,9 @@ def _map_segments_numpy(path: Path, segments) -> Dict[str, object]:
     ordinary empty arrays — mmap of length zero is invalid)."""
     import numpy as np
 
+    dtype = np.dtype("<i8")
     out: Dict[str, object] = {}
     for seg in segments:
-        dtype = _np_dtype(seg["typecode"])
         count = seg["bytes"] // 8
         if count == 0:
             out[seg["name"]] = np.empty(0, dtype=dtype)
@@ -329,7 +319,7 @@ def _map_segments_python(path: Path, segments) -> Dict[str, object]:
     out: Dict[str, object] = {}
     for seg in segments:
         sliced = whole[seg["offset"] : seg["offset"] + seg["bytes"]]
-        out[seg["name"]] = sliced.cast(seg["typecode"])
+        out[seg["name"]] = sliced.cast("q")
     return out
 
 
@@ -346,7 +336,7 @@ def _read_segments_copy(path: Path, segments) -> Dict[str, object]:
                     f"{path}: segment {seg['name']} truncated "
                     f"({len(raw)} of {seg['bytes']} bytes)"
                 )
-            buf = array(seg["typecode"])
+            buf = array("q")
             buf.frombytes(raw)
             if sys.byteorder != "little":  # pragma: no cover - no BE CI
                 buf.byteswap()
@@ -364,8 +354,8 @@ def load_snapshot(
     ``mmap``/``memoryview`` cast on the pure-python fallback — full
     parity, no numpy required. ``mode="copy"`` reads segments into
     fresh ``array`` buffers (use it when the file may be replaced
-    underneath a long-lived graph). Weighted snapshots with a
-    node-weight vector come back as :class:`WeightedCSRGraph`.
+    underneath a long-lived graph). Weighted snapshots (flags 7) come
+    back as :class:`WeightedCSRGraph`.
 
     The returned graph records its source in ``snapshot_path``, which
     is what lets the cluster engine ship shard-block *references*
@@ -397,36 +387,14 @@ def load_snapshot(
                 "mmap mode requires a little-endian host; use mode='copy'"
             )
         bufs = _map_segments_python(path, segments)
-    flags = int(header["flags"])  # type: ignore[arg-type]
-    kwargs = dict(
-        f_wt=bufs.get("f_wt"),
-        ro_wt=bufs.get("ro_wt"),
-        ri_wt=bufs.get("ri_wt"),
-        backend=resolved,
-    )
-    if flags & _FLAG_NODE_WEIGHT:
-        graph: CSRGraph = WeightedCSRGraph(
-            int(header["num_nodes"]),  # type: ignore[arg-type]
-            bufs["f_ptr"],
-            bufs["f_idx"],
-            bufs["ro_ptr"],
-            bufs["ro_idx"],
-            bufs["ri_ptr"],
-            bufs["ri_idx"],
-            node_weight=bufs["node_weight"],
-            **kwargs,
-        )
+    # Segment order is constructor order: six CSR arrays, then the
+    # three weight arrays and node_weight of a weighted snapshot.
+    arrays = [bufs[seg["name"]] for seg in segments]
+    num_nodes = int(header["num_nodes"])  # type: ignore[arg-type]
+    if header["flags"] == _FLAGS_WEIGHTED:
+        graph: CSRGraph = WeightedCSRGraph(num_nodes, *arrays, backend=resolved)
     else:
-        graph = CSRGraph(
-            int(header["num_nodes"]),  # type: ignore[arg-type]
-            bufs["f_ptr"],
-            bufs["f_idx"],
-            bufs["ro_ptr"],
-            bufs["ro_idx"],
-            bufs["ri_ptr"],
-            bufs["ri_idx"],
-            **kwargs,
-        )
+        graph = CSRGraph(num_nodes, *arrays, backend=resolved)
     graph.snapshot_path = str(path.resolve())
     return graph
 

@@ -12,9 +12,10 @@ from repro.core import (
     cut_counts,
     resolve_backend,
 )
-from repro.core.weighted import WeightedAugmentedGraph, WeightedPartition
+from repro.core.csr import WeightedCSRGraph
 
 from ..conftest import graphs_with_sides, random_augmented_graph
+from .weighted_oracle import WeightedAugmentedGraph, WeightedPartition
 
 
 def small_graph():
@@ -267,22 +268,43 @@ class TestPartitionState:
     def test_weighted_state_matches_weighted_partition(self):
         graph = random_augmented_graph(20, 40, 25, seed=9)
         weighted = WeightedAugmentedGraph.from_graph(graph)
-        weighted.add_friendship(0, 1, 2.5)
-        weighted.add_rejection(2, 3, 1.5)
+        weighted.add_friendship(0, 1, 2)
+        weighted.add_rejection(2, 3, 3)
         sides = [u % 2 for u in range(20)]
         reference = WeightedPartition(weighted, sides)
         state = PartitionState(weighted.csr().view(), sides)
-        assert state.f_cross == pytest.approx(reference.f_cross)
-        assert state.r_cross == pytest.approx(reference.r_cross)
+        assert (state.f_cross, state.r_cross) == (
+            reference.f_cross,
+            reference.r_cross,
+        )
         for u in (0, 3, 7, 0, 12):
-            assert state.switch_gain(u, 0.7) == pytest.approx(
-                reference.switch_gain(u, 0.7)
-            )
+            assert state.switch_gain(u, 0.7) == reference.switch_gain(u, 0.7)
             state.switch(u)
             reference.switch(u)
-            assert state.f_cross == pytest.approx(reference.f_cross)
-            assert state.r_cross == pytest.approx(reference.r_cross)
+            assert (state.f_cross, state.r_cross) == (
+                reference.f_cross,
+                reference.r_cross,
+            )
+        assert type(state.f_cross) is int and type(state.r_cross) is int
         assert state.verify_counts()
+
+    def test_only_weighted_csr_graph_takes_weights(self):
+        """Edge weights exist only on :class:`WeightedCSRGraph`, and only
+        as int64: the plain constructor has no weight parameters and
+        the weighted one refuses float arrays."""
+        from array import array
+
+        csr = small_graph().csr()
+        arrays = (csr.f_ptr, csr.f_idx, csr.ro_ptr, csr.ro_idx, csr.ri_ptr, csr.ri_idx)
+        floats = [array("d", [1.0]) * len(a) for a in arrays[1::2]]
+        with pytest.raises(TypeError):
+            CSRGraph(csr.num_nodes, *arrays, *floats)
+        assert CSRGraph(csr.num_nodes, *arrays).f_wt is None
+        with pytest.raises(ValueError, match="int64"):
+            WeightedCSRGraph(csr.num_nodes, *arrays, *floats)
+        ints = [array("q", [2]) * len(a) for a in arrays[1::2]]
+        weighted = WeightedCSRGraph(csr.num_nodes, *arrays, *ints)
+        assert weighted.weighted and not csr.weighted
 
     def test_objective_and_rates_delegate_to_counters(self):
         graph, sides = small_graph(), [0, 0, 1, 1, 0, 1]

@@ -12,7 +12,8 @@ graphs.
 import pytest
 from hypothesis import given, settings
 
-from repro.core.csr import PartitionState
+from repro.core import AugmentedSocialGraph
+from repro.core.csr import PartitionState, WeightedCSRGraph
 from repro.core.gains import HeapGainIndex
 from repro.core.kernels import (
     active_in_rejections,
@@ -20,6 +21,8 @@ from repro.core.kernels import (
     heap_gains,
     recount_active,
     scaled_gain_bound,
+    weighted_gain_deltas,
+    weighted_recount_active,
 )
 
 from ..conftest import graphs_with_sides
@@ -118,6 +121,21 @@ class TestActiveInRejections:
             view.rejections_received(u) for u in range(graph.num_nodes)
         ]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_graph_counts_rejecters(self, backend, seed):
+        """On a weighted residual view the kernel still counts active
+        rejecters, whatever their edge weights."""
+        from .test_weighted_parity import coarse_state
+
+        csr, _ = coarse_state(seed, levels=2, backend=backend)
+        view = csr.view().without(range(0, csr.num_nodes, 5))
+        counts = active_in_rejections(view)
+        assert counts == [
+            view.rejections_received(u) for u in range(csr.num_nodes)
+        ]
+        assert any(w > 1 for w in csr.ri_wt)
+
 
 class TestScaledGainBound:
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -147,30 +165,33 @@ class TestScaledGainBound:
 
 class TestWeightedRejected:
     def test_kernels_refuse_weighted_graphs(self):
-        from repro.core.weighted import WeightedAugmentedGraph
+        """The unweighted gain kernels refuse a weighted graph, and their
+        weighted twins refuse an unweighted one, on both backends."""
+        from .test_weighted_parity import coarse_state
 
-        graph = WeightedAugmentedGraph(4)
-        graph.add_friendship(0, 1, 2.0)
-        graph.add_rejection(2, 3, 1.5)
-        view = graph.csr().view()
-        assert not view.csr.int_weighted
-        with pytest.raises(ValueError, match="unweighted-only"):
-            gain_deltas(view, [0, 1, 0, 1])
-        with pytest.raises(ValueError, match="unweighted-only"):
-            recount_active(view, [0, 1, 0, 1])
-        with pytest.raises(ValueError, match="unweighted-only"):
-            active_in_rejections(view)
-        with pytest.raises(ValueError, match="float-weighted"):
-            scaled_gain_bound(view.csr, 8, 8)
+        for backend in BACKENDS:
+            csr, sides = coarse_state(0, backend=backend)
+            view = csr.view()
+            with pytest.raises(ValueError, match="unweighted-only"):
+                gain_deltas(view, sides)
+            with pytest.raises(ValueError, match="unweighted-only"):
+                heap_gains(view, sides, 1.0)
+            with pytest.raises(ValueError, match="unweighted-only"):
+                recount_active(view, sides)
+            plain = AugmentedSocialGraph.from_edges(3, [(0, 1)], [(2, 0)])
+            plain_view = plain.csr(backend).view()
+            for kernel in (weighted_gain_deltas, weighted_recount_active):
+                with pytest.raises(ValueError, match="WeightedCSRGraph"):
+                    kernel(plain_view, [0, 1, 0])
 
     def test_unweighted_kernels_refuse_int_weighted_graphs(self):
-        from repro.core.weighted import WeightedAugmentedGraph
+        from .weighted_oracle import WeightedAugmentedGraph
 
         graph = WeightedAugmentedGraph(4)
         graph.add_friendship(0, 1, 2.0)
         graph.add_rejection(2, 3, 3.0)
         view = graph.csr().view()
-        assert view.csr.int_weighted
+        assert isinstance(view.csr, WeightedCSRGraph)
         with pytest.raises(ValueError, match="unweighted-only"):
             gain_deltas(view, [0, 1, 0, 1])
         with pytest.raises(ValueError, match="unweighted-only"):

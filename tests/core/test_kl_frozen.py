@@ -13,8 +13,7 @@ One entry per ``(graph kind, gain index, k)``; each entry folds 96 runs
 full/boundary × ``stall_limit`` None/1/5 × ``incremental`` on/off —
 into one hash, and both backends must reproduce it. Graph kinds cover
 unweighted and int64-weighted (contracted ``coarse_state``) graphs,
-locked nodes, unweighted and weighted residual views, and a
-float-weighted graph (heap only, full frontier only).
+locked nodes, and unweighted and weighted residual views.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import pytest
 
 from repro.core.csr import PartitionState
 from repro.core.kl import KLConfig, KLStats, extended_kl_state
-from repro.core.weighted import WeightedAugmentedGraph
 
 from ..conftest import random_augmented_graph
 from .test_weighted_parity import BACKENDS, coarse_state
@@ -64,13 +62,10 @@ FROZEN = {
     ('weighted_residual', 'heap', 0.5): 'c5a9163b6bb8f8cd',
     ('weighted_residual', 'heap', 2.0): '50d144902a8f49d9',
     ('weighted_residual', 'auto', 0.3): '3461ab0e7cbd7368',
-    ('float', 'heap', 0.5): '3c5e70830dc72034',
-    ('float', 'heap', 2.0): 'c73b0112dc0ef03e',
-    ('float', 'auto', 0.3): '1fa16125bb7b3816',
 }
 
 BUCKET_KINDS = ("plain", "locked", "residual", "weighted", "weighted_locked")
-HEAP_ONLY_KINDS = ("weighted_residual", "float")
+HEAP_ONLY_KINDS = ("weighted_residual",)
 ENGINES = (
     ("bucket", 0.5),
     ("bucket", 2.0),
@@ -89,17 +84,7 @@ CASES = [
 def _graph(kind: str, seed: int, backend: str):
     """``(view, sides, locked)`` of one graph kind at one seed."""
     rng = random.Random(1000 + seed)
-    if kind == "float":
-        graph = WeightedAugmentedGraph(50)
-        for _ in range(110):
-            u, v = rng.sample(range(50), 2)
-            graph.add_friendship(u, v, rng.uniform(0.1, 3.0))
-        for _ in range(45):
-            u, v = rng.sample(range(50), 2)
-            graph.add_rejection(u, v, rng.uniform(0.1, 3.0))
-        csr = graph.csr(backend)
-        sides = [rng.randint(0, 1) for _ in range(csr.num_nodes)]
-    elif kind.startswith("weighted"):
+    if kind.startswith("weighted"):
         csr, sides = coarse_state(seed, levels=1 + seed % 2, backend=backend)
     else:
         graph = random_augmented_graph(
@@ -147,12 +132,11 @@ def _signature(view, sides, locked, k: float, config: KLConfig) -> str:
 def entry_hash(kind: str, gain_index: str, k: float, backend: str) -> str:
     """The folded hash of one ``FROZEN`` entry on one backend."""
     digest = hashlib.sha256()
-    frontiers = ("full",) if kind == "float" else ("full", "boundary")
     for seed in SEEDS:
         view, sides, locked = _graph(kind, seed, backend)
         starts = (sides, _perturbed(view, sides, locked, k, seed))
         for start in starts:
-            for frontier in frontiers:
+            for frontier in ("full", "boundary"):
                 for stall_limit in STALLS:
                     for incremental in (True, False):
                         config = KLConfig(

@@ -87,10 +87,11 @@ class TestInitialPartition:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_view_rejection_init_counts_active_rejecters(self, backend):
         """On a residual view a node starts suspicious only while some
-        still-active user rejects it; float-weighted graphs, which the
-        batch count refuses, take the same rule per node."""
+        still-active user rejects it; on an int64-weighted residual view
+        the rule is the same, whatever the rejection weights."""
         from repro.core.maar import _view_initial_sides
-        from repro.core.weighted import WeightedAugmentedGraph
+
+        from .weighted_oracle import WeightedAugmentedGraph
 
         if backend == "numpy":
             pytest.importorskip("numpy")
@@ -101,9 +102,11 @@ class TestInitialPartition:
         config = MAARConfig(init="rejection")
         assert _view_initial_sides(view, config) == [0, 0, 1, 0, 0]
         weighted = WeightedAugmentedGraph(5)
-        for a, b in ((0, 2), (1, 2), (3, 4), (0, 3)):
-            weighted.add_rejection(a, b, 1.5)
-        wview = weighted.csr().view().without([3])
+        weighted.add_friendship(0, 1, 2)
+        for a, b, w in ((0, 2, 1), (1, 2, 3), (3, 4, 2), (0, 3, 4)):
+            weighted.add_rejection(a, b, w)
+        wview = weighted.csr(backend).view().without([3])
+        assert wview.csr.weighted
         assert _view_initial_sides(wview, config) == [0, 0, 1, 0, 0]
 
     def test_solve_maar_validates_seeds(self):

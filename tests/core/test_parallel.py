@@ -62,7 +62,7 @@ def roundtrip_in_child(payload):
     graph = pickle.loads(payload)
     return (
         type(graph).__name__,
-        graph.int_weighted,
+        graph.weighted,
         graph.snapshot_path,
         weighted_flat_lists(graph),
     )
@@ -206,7 +206,7 @@ class TestWeightedCSRPickling:
         graph.hot_weights()
         clone = pickle.loads(pickle.dumps(graph))
         assert isinstance(clone, WeightedCSRGraph)
-        assert clone.int_weighted
+        assert clone.f_wt.typecode == "q"
         assert clone.num_nodes == graph.num_nodes
         assert weighted_flat_lists(clone) == weighted_flat_lists(graph)
         assert clone._hot_cache is None
@@ -228,10 +228,10 @@ class TestWeightedCSRPickling:
         graph = self.weighted("auto")
         context = multiprocessing.get_context("spawn")
         with context.Pool(1) as pool:
-            name, int_weighted, snapshot_path, lists = pool.apply(
+            name, weighted, snapshot_path, lists = pool.apply(
                 roundtrip_in_child, (pickle.dumps(graph),)
             )
         assert name == "WeightedCSRGraph"
-        assert int_weighted
+        assert weighted
         assert snapshot_path is None
         assert lists == weighted_flat_lists(graph)

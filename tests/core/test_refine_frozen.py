@@ -12,7 +12,7 @@ four seeds × random and perturbed-converged starts × ``stall_limit``
 None/1/256 × ``max_passes`` 1/30, the runs on four kinds of candidate
 subset: the whole graph, a random sixth and a random half of it (either
 side of the numpy backend's quarter-of-the-level batch-refresh rule),
-and the connected ``_cut_regions`` regions of the movable frontier,
+and the connected ``cut_regions`` regions of the movable frontier,
 refined in turn against one shared side vector as the multilevel
 region worker does. Graph kinds cover unweighted and int64-weighted
 (contracted ``coarse_state``) graphs, locked nodes, and unweighted and
@@ -28,8 +28,8 @@ import random
 import pytest
 
 from repro.core.csr import PartitionState
+from repro.core.kernels import cut_regions, movable_frontier
 from repro.core.kl import KLConfig, extended_kl_state, refine_subset
-from repro.core.multilevel import _cut_regions, _movable_frontier
 
 from ..conftest import random_augmented_graph
 from .test_weighted_parity import BACKENDS, coarse_state
@@ -135,7 +135,7 @@ def _subsets(view, sides, k: float, seed: int):
     yield [list(range(n))]
     yield [sorted(rng.sample(range(n), n // 6))]
     yield [sorted(rng.sample(range(n), n // 2))]
-    yield _cut_regions(view.csr, _movable_frontier(view.csr, view, sides, k))
+    yield cut_regions(view.csr, movable_frontier(view, sides, k))
 
 
 def entry_hash(kind: str, gain_index: str, k: float, backend: str) -> str:

@@ -29,7 +29,9 @@ from repro.core import AugmentedSocialGraph, solve_maar_multilevel
 from repro.core.csr import PartitionState
 from repro.core.kernels import (
     boundary_nodes,
+    cut_regions,
     gain_deltas,
+    movable_frontier,
     weighted_boundary_nodes,
     weighted_gain_deltas,
 )
@@ -41,8 +43,6 @@ from repro.core.kl import (
 )
 from repro.core.multilevel import (
     MultilevelConfig,
-    _cut_regions,
-    _movable_frontier,
     _sides_valid,
 )
 
@@ -252,8 +252,8 @@ class TestRegions:
         csr = _random_graph(rng, n).csr("python")
         k = rng.choice([0.5, 1.0])
         sides = _refinement_workload(rng, csr, k)
-        bnodes = _movable_frontier(csr, csr.view(), sides, k)
-        return csr, sides, k, bnodes, _cut_regions(csr, bnodes)
+        bnodes = movable_frontier(csr.view(), sides, k)
+        return csr, sides, k, bnodes, cut_regions(csr, bnodes)
 
     def test_regions_partition_the_frontier(self):
         for seed in range(8):

@@ -9,6 +9,7 @@ than garbage graphs.
 """
 
 import pickle
+import struct
 from array import array
 
 import pytest
@@ -49,6 +50,41 @@ def weighted_graph(backend="auto"):
     return graph
 
 
+def float_weight_snapshot(path):
+    """A snapshot with float64 weights, byte for byte as version-1
+    writers once emitted it: flags 1 (weighted, weights not int64, no
+    node-weight vector) and nine segments, the last three float64."""
+    base = small_graph(backend="python")
+    n_f, n_r = len(base.f_idx), len(base.ro_idx)
+    segments = [
+        array("q", getattr(base, name))
+        for name in ("f_ptr", "f_idx", "ro_ptr", "ro_idx", "ri_ptr", "ri_idx")
+    ]
+    segments.append(array("d", [1.5] * n_f))
+    segments += [array("d", [0.25] * n_r) for _ in range(2)]
+    offsets, cursor = [], ALIGNMENT
+    for seg in segments:
+        offsets.append(cursor)
+        cursor += -(-8 * len(seg) // ALIGNMENT) * ALIGNMENT
+    raw = bytearray(offsets[-1] + 8 * len(segments[-1]))
+    head = struct.pack(
+        "<8sQQQQQQQQ", MAGIC, 1, 1, base.num_nodes, n_f, n_r, n_r,
+        ALIGNMENT, len(segments),
+    )
+    for offset, seg in zip(offsets, segments):
+        head += struct.pack("<QQ", offset, 8 * len(seg))
+        raw[offset : offset + 8 * len(seg)] = seg.tobytes()
+    raw[: len(head)] = head
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def set_flags(path, flags):
+    raw = bytearray(path.read_bytes())
+    raw[16:24] = flags.to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+
+
 def assert_same_arrays(a, b):
     for name in ("f_ptr", "f_idx", "ro_ptr", "ro_idx", "ri_ptr", "ri_idx"):
         assert list(getattr(a, name)) == list(getattr(b, name)), name
@@ -84,31 +120,16 @@ class TestRoundTrip:
         snap = save_snapshot(graph, tmp_path / "w.csrbin")
         clone = load_snapshot(snap, mode=mode, backend=backend)
         assert isinstance(clone, WeightedCSRGraph)
-        assert clone.int_weighted
         assert_same_arrays(clone, graph)
         for name in ("f_wt", "ro_wt", "ri_wt", "node_weight"):
             assert list(getattr(clone, name)) == list(getattr(graph, name)), name
 
-    def test_float_weights_round_trip(self, tmp_path):
-        base = small_graph(backend="python")
-        csr = CSRGraph(
-            base.num_nodes,
-            base.f_ptr,
-            base.f_idx,
-            base.ro_ptr,
-            base.ro_idx,
-            base.ri_ptr,
-            base.ri_idx,
-            f_wt=array("d", [1.5] * len(base.f_idx)),
-            ro_wt=array("d", [0.25] * len(base.ro_idx)),
-            ri_wt=array("d", [0.25] * len(base.ri_idx)),
-            backend="python",
-        )
-        snap = save_snapshot(csr, tmp_path / "f.csrbin")
-        clone = load_snapshot(snap, mode="copy", backend="python")
-        assert not clone.int_weighted
-        assert list(clone.f_wt) == [1.5] * len(base.f_idx)
-        assert list(clone.ro_wt) == [0.25] * len(base.ro_idx)
+    def test_float_weight_snapshot_rejected(self, tmp_path):
+        snap = float_weight_snapshot(tmp_path / "f.csrbin")
+        for backend in BACKENDS:
+            for mode in ("mmap", "copy"):
+                with pytest.raises(SnapshotFormatError, match="flags word 1"):
+                    load_snapshot(snap, mode=mode, backend=backend)
 
     def test_empty_graph(self, tmp_path):
         csr = CSRGraph.from_edges(3, friendships=[], rejections=[])
@@ -198,6 +219,7 @@ class TestInfo:
         assert info["num_nodes"] == csr.num_nodes
         assert info["friendships"] == csr.num_friendships
         assert info["rejections"] == csr.num_rejections
+        assert info["flags"] == 0
         assert not info["weighted"]
         assert not info["has_node_weight"]
         assert info["file_bytes"] == snap.stat().st_size
@@ -207,7 +229,8 @@ class TestInfo:
     def test_info_weighted_flags(self, tmp_path):
         snap = save_snapshot(weighted_graph(), tmp_path / "w.csrbin")
         info = snapshot_info(snap)
-        assert info["weighted"] and info["int_weighted"] and info["has_node_weight"]
+        assert info["flags"] == 7
+        assert info["weighted"] and info["has_node_weight"]
         names = [seg["name"] for seg in info["segments"]]
         assert names[-4:] == ["f_wt", "ro_wt", "ri_wt", "node_weight"]
 
@@ -226,6 +249,20 @@ class TestErrors:
         snap.write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError, match="version 99"):
             load_snapshot(snap)
+
+    @pytest.mark.parametrize("flags", (1, 2, 3, 5, 8))
+    @pytest.mark.parametrize("make", (small_graph, weighted_graph))
+    def test_unwritten_flags_rejected(self, tmp_path, flags, make):
+        """The writer only emits flags 0 and 7; any other word is refused
+        with a format error naming the file, never loaded as a plain or
+        half-weighted graph."""
+        snap = save_snapshot(make(), tmp_path / "x.csrbin")
+        set_flags(snap, flags)
+        for read in (load_snapshot, snapshot_info):
+            with pytest.raises(SnapshotFormatError) as info:
+                read(snap)
+            assert f"flags word {flags}" in str(info.value)
+            assert str(snap) in str(info.value)
 
     def test_truncated_header_rejected(self, tmp_path):
         stub = tmp_path / "stub.csrbin"

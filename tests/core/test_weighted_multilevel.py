@@ -12,10 +12,10 @@ from repro.core.csr import PartitionState
 from repro.core.kernels import heavy_edge_matching, matching_to_mapping
 from repro.core.kl import extended_kl_state
 from repro.core.multilevel import MultilevelConfig, solve_maar_multilevel
-from repro.core.weighted import WeightedAugmentedGraph, WeightedPartition
 from repro.metrics import precision_recall
 
 from ..conftest import augmented_graphs, graphs_with_sides
+from .weighted_oracle import WeightedAugmentedGraph, WeightedPartition
 
 
 class TestWeightedGraph:

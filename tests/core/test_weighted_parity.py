@@ -94,7 +94,6 @@ class TestIntegerCoarseWeights:
         mapping, num_coarse = matching_to_mapping(match, "python")
         coarse = csr.contract(mapping, num_coarse)
         assert isinstance(coarse, WeightedCSRGraph)
-        assert coarse.int_weighted
         for buffer in (coarse.f_wt, coarse.ro_wt, coarse.ri_wt):
             assert buffer.typecode == "q"
             assert all(w >= 1 for w in buffer)
@@ -104,7 +103,7 @@ class TestIntegerCoarseWeights:
         match2 = heavy_edge_matching(coarse, list(range(num_coarse)))
         mapping2, num_coarse2 = matching_to_mapping(match2, "python")
         coarse2 = coarse.contract(mapping2, num_coarse2)
-        assert coarse2.int_weighted
+        assert isinstance(coarse2, WeightedCSRGraph)
         assert coarse2.total_node_weight() == csr.num_nodes
 
     @settings(max_examples=40, deadline=None)
@@ -203,7 +202,7 @@ class TestWeightedKLParity:
             reference = None
             for backend in BACKENDS:
                 csr, sides = coarse_state(seed, levels=2, backend=backend)
-                assert csr.int_weighted
+                assert isinstance(csr, WeightedCSRGraph)
                 for gain_index in ("bucket", "heap"):
                     signature = run_signature(
                         csr, sides, k, KLConfig(gain_index=gain_index)
@@ -232,7 +231,7 @@ class TestWeightedKLParity:
 
     def test_weighted_auto_uses_bucket_on_grid(self):
         csr, sides = coarse_state(3)
-        assert csr.int_weighted
+        assert isinstance(csr, WeightedCSRGraph)
         # Off-grid k falls back to the heap instead of raising.
         proper = False
         for k in (0.3, 1.3):
@@ -245,15 +244,24 @@ class TestWeightedKLParity:
             run_signature(csr, sides, 0.3, KLConfig(gain_index="bucket"))
 
     def test_float_weighted_graph_rejects_bucket(self):
-        from repro.core.weighted import WeightedAugmentedGraph
+        """Fractional weights never reach a pass body: neither the
+        oracle builder nor :class:`WeightedCSRGraph` accepts them."""
+        from array import array
+
+        from .weighted_oracle import WeightedAugmentedGraph
 
         graph = WeightedAugmentedGraph(4)
         graph.add_friendship(0, 1, 0.5)
         graph.add_rejection(2, 3, 1.5)
-        csr = graph.csr("python")
-        assert csr.weighted and not csr.int_weighted
         with pytest.raises(ValueError, match="int64"):
-            run_signature(csr, [0, 0, 0, 1], 1.0, KLConfig(gain_index="bucket"))
+            graph.csr("python")
+        base = coarse_state(0)[0]
+        weights = [array("d", [1.0] * len(base.f_idx)), base.ro_wt, base.ri_wt]
+        with pytest.raises(ValueError, match="int64"):
+            WeightedCSRGraph(
+                base.num_nodes, base.f_ptr, base.f_idx, base.ro_ptr,
+                base.ro_idx, base.ri_ptr, base.ri_idx, *weights,
+            )
 
     def test_residual_weighted_view_falls_back_to_heap(self):
         from repro.core.csr import CSRView

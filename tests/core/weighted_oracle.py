@@ -1,50 +1,96 @@
-"""Weighted rejection-augmented graphs.
+"""Dict-adjacency weighted graphs: the test oracle for the CSR weighted path.
 
 The multilevel MAAR solver (:mod:`repro.core.multilevel`) coarsens the
-social graph by merging matched node pairs; merged parallel edges must
-keep their multiplicity, so the coarse levels need *weighted*
-friendships and rejections. This module provides:
+social graph by merging matched node pairs; merged parallel edges keep
+their multiplicity, so the coarse levels carry *weighted* friendships
+and rejections. The solver builds them directly as int64
+:class:`~repro.core.csr.WeightedCSRGraph` arrays
+(:func:`repro.core.kernels.contract_arrays`); this module keeps the
+slow, obviously-correct reference they are checked against:
 
-* :class:`WeightedAugmentedGraph` — adjacency dicts carrying float
-  weights, for both the undirected friendship layer and the directed
-  rejection layer;
+* :class:`WeightedAugmentedGraph` — adjacency dicts carrying weights,
+  for both the undirected friendship layer and the directed rejection
+  layer;
 * :class:`WeightedPartition` — the incremental MAAR cut counters over
-  weighted edges, the reference the CSR weighted counters are checked
-  against.
-
-The KL search itself runs on the builder's CSR finalization:
-``extended_kl_state(PartitionState(graph.csr().view(), sides, locked),
-k)`` (see :mod:`repro.core.kl`).
+  weighted edges;
+* :func:`weighted_csr` — finalization of a builder into a
+  :class:`~repro.core.csr.WeightedCSRGraph`. Weights must be integral
+  (every weight the solver produces is a sum of unit edges);
+  fractional weights are rejected, since no CSR graph can hold them.
 
 Objective semantics are identical to the unweighted case with every
 edge count replaced by a weight sum; an unweighted graph embedded with
 all weights 1 reproduces the plain objective exactly (property-tested).
-
-Only *float*-weighted graphs stay off the :mod:`repro.core.kernels`
-batch paths: their gains are float *sums*, and the scalar loops fix the
-summation order that is part of the reproducibility contract. But the
-multilevel hierarchy never produces floats — contraction of a
-unit-weight graph only ever sums unit edges, so
-:meth:`repro.core.csr.CSRGraph.from_weighted` finalizes integral
-builders into an int64-weighted
-:class:`~repro.core.csr.WeightedCSRGraph`, whose gains are exact
-integers. Those graphs get the full unweighted treatment: the fused FM
-bucket engine on the on-grid ``k`` sweep, batch numpy kernels with
-bit-identical python fallbacks, and dirty-frontier incremental passes
-(see :mod:`repro.core.kl`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from array import array
+from typing import Dict, List, Sequence, Tuple
 
-from .graph import AugmentedSocialGraph
-from .objectives import LEGITIMATE, SUSPICIOUS
+from repro.core.csr import WeightedCSRGraph, resolve_backend
+from repro.core.graph import AugmentedSocialGraph
+from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
 __all__ = [
     "WeightedAugmentedGraph",
     "WeightedPartition",
+    "weighted_csr",
 ]
+
+
+def _build_weighted_csr(
+    num_nodes: int, adjacency: Sequence[Dict[int, float]]
+) -> Tuple[array, array, array]:
+    """Per-row sorted int64 ``(ptr, idx, wt)`` triples."""
+    ptr = array("q", [0] * (num_nodes + 1))
+    total = 0
+    for u in range(num_nodes):
+        total += len(adjacency[u])
+        ptr[u + 1] = total
+    idx = array("q", [0] * total)
+    wt = array("q", [0] * total)
+    pos = 0
+    for u in range(num_nodes):
+        for v in sorted(adjacency[u]):
+            idx[pos] = v
+            wt[pos] = int(adjacency[u][v])
+            pos += 1
+    return ptr, idx, wt
+
+
+def weighted_csr(graph: "WeightedAugmentedGraph", backend: str = "auto"):
+    """Finalize ``graph`` into a :class:`WeightedCSRGraph` with int64
+    weights and the builder's ``node_weight``.
+
+    Raises ``ValueError`` if any edge weight is fractional.
+    """
+    for adjacency in (graph.friends, graph.rej_out):
+        for row in adjacency:
+            for weight in row.values():
+                if not float(weight).is_integer():
+                    raise ValueError(
+                        f"weight {weight} is fractional; CSR graphs hold "
+                        "int64 weights only"
+                    )
+    n = graph.num_nodes
+    f_ptr, f_idx, f_wt = _build_weighted_csr(n, graph.friends)
+    ro_ptr, ro_idx, ro_wt = _build_weighted_csr(n, graph.rej_out)
+    ri_ptr, ri_idx, ri_wt = _build_weighted_csr(n, graph.rej_in)
+    return WeightedCSRGraph(
+        n,
+        f_ptr,
+        f_idx,
+        ro_ptr,
+        ro_idx,
+        ri_ptr,
+        ri_idx,
+        f_wt=f_wt,
+        ro_wt=ro_wt,
+        ri_wt=ri_wt,
+        node_weight=array("q", graph.node_weight),
+        backend=backend,
+    )
 
 
 class WeightedAugmentedGraph:
@@ -104,18 +150,14 @@ class WeightedAugmentedGraph:
         )
         self._csr_cache = None
 
-    def csr(self, backend: str = "auto"):
-        """Finalize into a weighted :class:`repro.core.csr.CSRGraph`.
-
-        Cached until the next ``add_friendship``/``add_rejection``, same
-        lifecycle as the unweighted builder's ``csr()``.
-        """
-        from .csr import CSRGraph, resolve_backend
-
+    def csr(self, backend: str = "auto") -> WeightedCSRGraph:
+        """:func:`weighted_csr`, cached until the next
+        ``add_friendship``/``add_rejection`` (the same lifecycle as the
+        unweighted builder's ``csr()``)."""
         backend = resolve_backend(backend)
         cache = self._csr_cache
         if cache is None or cache.backend != backend:
-            cache = CSRGraph.from_weighted(self, backend=backend)
+            cache = weighted_csr(self, backend=backend)
             self._csr_cache = cache
         return cache
 

@@ -228,3 +228,17 @@ class TestBadInput:
         bad = tmp_path / "bad.graph"
         bad.write_text("nodes 3\nF 0 1\nF 0 oops\n")
         self.assert_clean_error(capsys, ["detect", "--graph", str(bad)], str(bad))
+
+    def test_snapshot_with_unwritten_flags(self, tmp_path, capsys):
+        """A weighted snapshot whose flags word (byte 16) says 5 instead
+        of 7 is a format error, not a crash inside graph construction."""
+        from repro.core import AugmentedSocialGraph
+        from repro.core.csr import WeightedCSRGraph
+
+        graph = AugmentedSocialGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], [])
+        snap = WeightedCSRGraph.from_unit(graph.csr()).save(tmp_path / "x.csrbin")
+        raw = bytearray(snap.read_bytes())
+        raw[16:24] = (5).to_bytes(8, "little")
+        snap.write_bytes(bytes(raw))
+        for argv in (["graph", "info", str(snap)], ["detect", "--graph", str(snap)]):
+            self.assert_clean_error(capsys, argv, "flags word 5")
