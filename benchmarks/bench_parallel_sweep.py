@@ -2,20 +2,19 @@
 
 The sweep's ``k`` steps are independent extended-KL runs over one
 immutable CSR snapshot (``MAARConfig(warm_start=False)``, the default),
-so ``MAARConfig(jobs=N)`` fans them out through
-:mod:`repro.core.parallel`. This benchmark measures the end-to-end
-``solve_maar`` wall clock at 1/2/4/8 workers on the default 2000+400
-attack scale plus one ~10k-node scale point, asserts the parallel
-results are *bit-identical* to the serial sweep, and writes everything
-to ``BENCH_parallel_sweep.json`` at the repo root.
+so ``MAARConfig(jobs=N)`` runs them in ascending batches of N through
+:mod:`repro.core.parallel`, stopping at the first step that cannot win.
+This benchmark measures the end-to-end ``solve_maar`` wall clock at
+1/2/4/8 workers on the default 2000+400 attack scale plus one
+~10k-node scale point, asserts the parallel results are *bit-identical*
+to the serial sweep, and writes everything to
+``BENCH_parallel_sweep.json`` at the repo root.
 
-Because wall-clock parallel speedup is a property of the host (a 1-core
-container can never beat serial), the report also records each ``k``
-step's serial duration and the *modeled* makespan of scheduling those
-measured durations greedily onto N workers — the speedup the fan-out
-delivers once cores exist. ``cpu_count`` is recorded so readers can tell
-which regime a given JSON was produced in; the measured-speedup
-assertion only applies on multi-core hosts.
+Each row records how many of the grid's steps the sweep ran
+(``steps_run`` of ``grid_steps``) and every grid step's serial duration,
+measured as a single-step sweep (``per_k_seconds``). ``cpu_count`` is
+recorded so readers can tell which regime a given JSON was produced in;
+the measured-speedup assertion only applies on multi-core hosts.
 
 Usage::
 
@@ -64,18 +63,9 @@ def _result_fingerprint(result):
     )
 
 
-def _greedy_makespan(durations, workers):
-    """Makespan of assigning tasks (in submission order) to the first
-    free worker — the schedule a work-stealing pool approximates."""
-    free = [0.0] * workers
-    for duration in durations:
-        slot = free.index(min(free))
-        free[slot] += duration
-    return max(free)
-
-
 def measure_per_k(graph, config):
-    """Serial duration of each ``k`` step, on the shared snapshot."""
+    """Serial duration of each grid ``k`` step, each run alone as a
+    single-step sweep on the shared snapshot."""
     durations = []
     for k in geometric_k_sequence(config.k_min, config.k_factor, config.k_steps):
         single = MAARConfig(k_min=k, k_steps=1, kl=config.kl)
@@ -105,6 +95,9 @@ def run_scale(num_legit, num_fakes, worker_grid):
         "friendships": graph.num_friendships,
         "rejections": graph.num_rejections,
         "serial_seconds": serial_seconds,
+        "grid_steps": len(per_k),
+        "steps_run": len(serial.per_k),
+        "best_k": serial.k,
         "per_k_seconds": per_k,
         "workers": {},
     }
@@ -117,7 +110,6 @@ def run_scale(num_legit, num_fakes, worker_grid):
         row["workers"][str(jobs)] = {
             "seconds": seconds,
             "measured_speedup": serial_seconds / seconds,
-            "modeled_speedup": sum(per_k) / _greedy_makespan(per_k, jobs),
             "backend": resolve_executor("auto", jobs),
             "identical": identical,
         }

@@ -44,12 +44,12 @@ which also pin every fetch batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.gains import _lowest_terms, _on_grid
 from ..core.kl import _bucket_pass, _check_k
-from ..core.maar import MAARConfig, geometric_k_sequence
-from ..core.objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
+from ..core.maar import MAARConfig, geometric_k_sequence, is_valid_cut, run_k_sweep
+from ..core.objectives import LEGITIMATE, SUSPICIOUS
 from .blocks import (
     COUNTER_BYTES,
     INT_BYTES,
@@ -357,6 +357,16 @@ class DistributedKL:
         return sides, f_cross, r_cross
 
 
+class _Cut(NamedTuple):
+    """One :meth:`DistributedKL.run` outcome, as the sweep driver reads
+    it. The sweep holds every step's cut until it ends, so the sides are
+    kept as one byte per node."""
+
+    sides: bytes
+    f_cross: int
+    r_cross: int
+
+
 def distributed_maar(
     graph,
     cluster_config: Optional[ClusterConfig] = None,
@@ -365,10 +375,13 @@ def distributed_maar(
 ) -> Tuple[List[int], float, Optional[float]]:
     """MAAR sweep on the cluster engine.
 
-    Mirrors :func:`repro.core.maar.solve_maar`'s sweep (rejection-init
-    partition, geometric ``k`` grid, lowest-acceptance-rate winner) and
-    returns ``(suspicious_nodes, acceptance_rate, best_k)``. ``graph``
-    may be an :class:`AugmentedSocialGraph` builder or a finalized
+    Mirrors :func:`repro.core.maar.solve_maar`'s sweep — rejection-init
+    partition, geometric ``k`` grid run upward under the same stop rule
+    (:func:`~repro.core.maar.run_k_sweep`) and validity rule
+    (:func:`~repro.core.maar.is_valid_cut`, ``min_evidence`` included),
+    lowest-acceptance-rate winner — and returns ``(suspicious_nodes,
+    acceptance_rate, best_k)``. ``graph`` may be an
+    :class:`AugmentedSocialGraph` builder or a finalized
     :class:`repro.core.csr.CSRGraph`.
     """
     maar_config = maar_config or MAARConfig()
@@ -378,27 +391,22 @@ def distributed_maar(
         SUSPICIOUS if csr.rejections_received(u) else LEGITIMATE
         for u in range(csr.num_nodes)
     ]
-    best_sides: List[int] = []
-    best_key = (float("inf"), 0)
-    best_k: Optional[float] = None
-    for k in geometric_k_sequence(
-        maar_config.k_min, maar_config.k_factor, maar_config.k_steps
-    ):
-        sides, f_cross, r_cross = engine.run(k, init_sides, stats=stats)
-        suspicious = sum(sides)
-        size_ok = (
-            maar_config.min_suspicious
-            <= suspicious
-            <= maar_config.max_suspicious_fraction * graph.num_nodes
-        )
-        if not size_ok or suspicious >= graph.num_nodes or r_cross == 0:
-            continue
-        rate = acceptance_rate(f_cross, r_cross)
-        key = (rate, -r_cross)
-        if key < best_key:
-            best_key = key
-            best_sides = list(sides)
-            best_k = k
-    suspicious_nodes = [u for u, s in enumerate(best_sides) if s == SUSPICIOUS]
-    rate = best_key[0] if best_k is not None else 1.0
-    return suspicious_nodes, rate, best_k
+
+    def solve(ks):
+        sides, f_cross, r_cross = engine.run(ks[0], init_sides, stats=stats)
+        return [_Cut(bytes(sides), f_cross, r_cross)]
+
+    steps, winner = run_k_sweep(
+        geometric_k_sequence(
+            maar_config.k_min, maar_config.k_factor, maar_config.k_steps
+        ),
+        solve,
+        lambda cut: is_valid_cut(
+            sum(cut.sides), graph.num_nodes, cut.r_cross, maar_config
+        ),
+    )
+    if winner is None:
+        return [], 1.0, None
+    best = steps[winner]
+    suspicious_nodes = [u for u, s in enumerate(best.cut.sides) if s == SUSPICIOUS]
+    return suspicious_nodes, best.key()[0], best.k

@@ -616,19 +616,22 @@ class WeightedCSRGraph(CSRGraph):
         )
 
     def total_node_weight(self) -> int:
-        """Original (level-0) node count this graph represents."""
-        return sum(self.node_weight)
+        """Original (level-0) node count this graph represents, as a
+        plain ``int`` (a memory-mapped ``node_weight`` holds numpy
+        scalars, which ``json`` refuses)."""
+        return int(sum(self.node_weight))
 
     def weighted_suspicious_size(
         self, sides: Sequence[int], active: Optional[Sequence[int]] = None
     ) -> int:
-        """Original-node population of side 1 — every super-node counts
-        its merged members (mirrors ``WeightedPartition.suspicious_size``)."""
+        """Original-node population of side 1, as a plain ``int`` — every
+        super-node counts its merged members (mirrors
+        ``WeightedPartition.suspicious_size``)."""
         nw = self.node_weight
         if active is None:
-            return sum(nw[u] for u in range(self.num_nodes) if sides[u])
-        return sum(
-            nw[u] for u in range(self.num_nodes) if active[u] and sides[u]
+            return int(sum(nw[u] for u in range(self.num_nodes) if sides[u]))
+        return int(
+            sum(nw[u] for u in range(self.num_nodes) if active[u] and sides[u])
         )
 
     def __getstate__(self) -> Tuple:

@@ -9,13 +9,35 @@ optimal friends-to-rejections ratio. Since ``k*`` is unknown, the solver
 sweeps ``k`` through a geometric sequence, runs the extended KL search
 for each value, and keeps the cut with the lowest aggregate acceptance
 rate (Section IV-D).
+
+The sweep runs the grid upward and stops at the first step after a valid
+best that cannot win: a step whose cut is invalid, or whose acceptance
+rate is strictly higher than the best's. This is the parametric argument
+behind Theorem 1 and Dinkelbach's method (Dinkelbach, "On Nonlinear
+Fractional Programming", 1967). Let ``C₁`` and ``C₂`` be exact
+minimizers of ``F − k·R`` at ``k₁ < k₂``. Comparing each with the other
+at its own ``k`` gives ``(k₂ − k₁)(R₂ − R₁) ≥ 0``, so ``R₂ ≥ R₁``; and
+``F₂/R₂ ≥ F₁/R₁`` because ``F₁/R₁ ≤ k₁``. For an exact solver the
+acceptance rate therefore never falls as ``k`` rises, and a tie at the
+same rate comes at a larger ``k`` with more rejections, which is what
+the ``(rate, −r_cross)`` tie-break prefers. So steps at an equal rate
+keep going and the first higher or invalid step ends the sweep. KL is a
+heuristic, so the rule can miss a later, better step; the exact oracle
+in ``tests/core/maar_oracle.py`` measures how often. The paper's full
+grid stays available one step at a time
+(``MAARConfig(k_min=k, k_steps=1)``).
+
+:func:`run_k_sweep` holds the stop rule and :func:`is_valid_cut` the
+validity rule. The flat sweep, Rejecto rounds and multilevel's coarse
+sweep reach them through :func:`sweep_k_states`;
+:func:`repro.cluster.engine.distributed_maar` calls them directly.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import random
 
@@ -23,7 +45,7 @@ from .csr import CSRView, PartitionState
 from .graph import AugmentedSocialGraph
 from .kernels import active_in_rejections
 from .kl import KLConfig, KLStats, extended_kl_state
-from .objectives import LEGITIMATE, SUSPICIOUS
+from .objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
 from .parallel import parallel_map, warn_jobs_ignored
 from .partition import Partition
 
@@ -33,9 +55,12 @@ __all__ = [
     "MAARConfig",
     "KCandidate",
     "MAARResult",
+    "SweepStep",
     "check_seeds",
     "geometric_k_sequence",
     "initial_partition",
+    "is_valid_cut",
+    "run_k_sweep",
     "solve_maar",
     "sweep_k_states",
 ]
@@ -93,7 +118,12 @@ class MAARConfig:
         The geometric ``k`` grid. Defaults cover ``1/8 .. 64``, a ratio
         range wide enough for rejection rates between ~2% and ~90%, and
         every value is a multiple of 1/8 so the FM bucket list indexes
-        gains exactly.
+        gains exactly. The sweep runs the grid upward and stops at the
+        first step after a valid best that is invalid or has a strictly
+        higher acceptance rate (see the module docstring), so it runs
+        at most ``k_steps`` steps. ``k_steps=1`` runs exactly one step:
+        single-step calls at each grid ``k`` rebuild the paper's full
+        grid.
     init:
         Initial-partition strategy: ``"rejection"`` places every node
         that has received at least one rejection on the suspicious side
@@ -102,7 +132,8 @@ class MAARConfig:
         with probability ``random_fraction``.
     min_suspicious:
         A cut is a valid spammer candidate only if the suspicious region
-        holds at least this many nodes and at least one cross rejection.
+        holds at least this many nodes and at least one cross rejection
+        (:func:`is_valid_cut` holds every validity rule).
     max_suspicious_fraction:
         A cut is valid only if the suspicious region holds at most this
         fraction of the nodes. Guards against degenerate *inverted*
@@ -116,7 +147,7 @@ class MAARConfig:
     warm_start:
         When ``True``, each ``k`` step starts from the previous step's
         partition rather than from the initial partition; faster, but
-        couples the steps.
+        couples the steps. The stop rule applies the same way.
     min_evidence:
         Minimum average rejection evidence — ``r_cross`` divided by the
         suspicious region's size — for a valid candidate. The paper's
@@ -138,10 +169,11 @@ class MAARConfig:
     jobs:
         Worker count for the ``k`` sweep. With ``warm_start=False``
         (the default) every ``k`` step is an independent KL run over the
-        same immutable CSR snapshot, so ``jobs > 1`` fans the steps out
-        through :mod:`repro.core.parallel` and reduces with the exact
-        serial tie-break order — results are bit-identical to ``jobs=1``
-        (property-tested in ``tests/core/test_parity.py``). Ignored —
+        same immutable CSR snapshot, so ``jobs > 1`` runs the steps in
+        ascending batches of ``jobs`` through :mod:`repro.core.parallel`
+        and applies the stop rule in grid order; steps a batch computed
+        past the stop are dropped, so results are bit-identical to
+        ``jobs=1`` (tested in ``tests/core/test_parity.py``). Ignored —
         with a ``logger.warning`` naming the reason — when
         ``warm_start=True`` (the steps are coupled).
     executor:
@@ -278,21 +310,88 @@ def _view_initial_sides(
     return sides
 
 
-def _is_valid_state(state: PartitionState, config: MAARConfig) -> bool:
-    """A cut counts as a spammer candidate only if the suspicious side is
-    non-trivial, within the allowed size fraction of the *active* nodes
-    (the residual graph's size), and actually receives cross rejections
-    (otherwise there is no spam evidence and the acceptance rate is
-    vacuous)."""
-    num_active = state.view.num_active
-    limit = config.max_suspicious_fraction * num_active
-    size = state.suspicious_size
+def is_valid_cut(size, population: int, r_cross: int, config) -> bool:
+    """The one validity rule for a candidate spammer cut.
+
+    ``size`` is the suspicious side's population, measured against
+    ``population``: the active count against the residual graph's size
+    in the flat sweep and on the cluster, the weighted (original-node)
+    size against the fine graph's node count on multilevel's coarse
+    levels. A cut is valid only if the suspicious side is non-trivial
+    (``config.min_suspicious``), holds at most
+    ``config.max_suspicious_fraction`` of the population and not all of
+    it, and receives cross rejections — otherwise there is no spam
+    evidence and the acceptance rate is vacuous — at least
+    ``config.min_evidence`` of them per suspicious node (a
+    :class:`~repro.core.multilevel.MultilevelConfig` has no evidence
+    floor, which reads as 0).
+    """
     return (
-        config.min_suspicious <= size <= limit
-        and size < num_active
-        and state.r_cross > 0
-        and state.r_cross >= config.min_evidence * size
+        config.min_suspicious <= size <= config.max_suspicious_fraction * population
+        and size < population
+        and r_cross > 0
+        and r_cross >= getattr(config, "min_evidence", 0.0) * size
     )
+
+
+class SweepStep(NamedTuple):
+    """One ``k`` step a sweep ran: its cut and whether the cut is valid.
+
+    ``cut`` is a :class:`PartitionState`, or anything else with
+    ``f_cross`` and ``r_cross`` counters.
+    """
+
+    k: float
+    cut: object
+    valid: bool
+
+    def key(self) -> Tuple[float, int]:
+        """Sort key of the winner: lowest acceptance rate, then most
+        cross rejections."""
+        return (
+            acceptance_rate(self.cut.f_cross, self.cut.r_cross),
+            -self.cut.r_cross,
+        )
+
+
+def run_k_sweep(
+    k_values: Sequence[float],
+    solve: Callable[[List[float]], List[object]],
+    valid: Callable[[object], bool],
+    batch: int = 1,
+) -> Tuple[List[SweepStep], Optional[int]]:
+    """Run an ascending ``k`` grid and stop at the first step that
+    cannot win.
+
+    ``solve(ks)`` returns the cuts for the ``k`` values ``ks``, in
+    order; it is called on consecutive slices of at most ``batch`` grid
+    values. ``valid(cut)`` is the caller's :func:`is_valid_cut`. Once a
+    valid best exists, the first step that is invalid or has a strictly
+    higher acceptance rate is the stop step: it is recorded and the
+    sweep ends. Steps at an equal rate keep going, so the
+    ``(rate, −r_cross)`` tie-break still sees them.
+
+    Returns ``(steps, winner)``: every step up to and including the stop
+    step, in grid order — cuts a batch computed past the stop are
+    dropped — and the index of the lowest-key valid step, or ``None``
+    when no step was valid.
+    """
+    steps: List[SweepStep] = []
+    winner: Optional[int] = None
+    for start in range(0, len(k_values), batch):
+        ks = list(k_values[start : start + batch])
+        for k, cut in zip(ks, solve(ks)):
+            step = SweepStep(k, cut, valid(cut))
+            steps.append(step)
+            if winner is not None:
+                best = steps[winner].key()
+                if not step.valid or step.key()[0] > best[0]:
+                    return steps, winner
+                if step.key() < best:
+                    winner = len(steps) - 1
+            elif step.valid:
+                winner = len(steps) - 1
+    return steps, winner
 
 
 def _sweep_k_task(k: float, shared) -> Tuple[List[int], float, float, List[int], KLStats]:
@@ -301,8 +400,8 @@ def _sweep_k_task(k: float, shared) -> Tuple[List[int], float, float, List[int],
     ``shared`` carries the (read-only) initial :class:`PartitionState`
     and KL config; only ``k`` varies per task. Returns the switched
     sides plus counters and this step's own :class:`KLStats`, which the
-    parent merges back in ``k`` order so the aggregate diagnostics match
-    the serial sweep exactly.
+    parent merges back in ``k`` order for the steps the sweep keeps, so
+    the aggregate diagnostics match the serial sweep exactly.
     """
     init, kl_config = shared
     stats = KLStats()
@@ -323,80 +422,75 @@ def sweep_k_states(
     jobs: int = 1,
     executor: str = "auto",
     stats: Optional[KLStats] = None,
-) -> List[PartitionState]:
-    """Run :func:`extended_kl_state` once per ``k``, all from ``init``.
+    *,
+    valid: Callable[[PartitionState], bool],
+    warm_start: bool = False,
+) -> Tuple[List[SweepStep], Optional[int]]:
+    """The ``k`` sweep: :func:`extended_kl_state` per grid ``k`` under
+    :func:`run_k_sweep`'s stop rule.
 
-    The independent runs fan out through
-    :func:`repro.core.parallel.parallel_map` when ``jobs > 1``; results
-    come back in ``k`` order and per-step stats merge in that same
-    order, so the serial and parallel paths are indistinguishable to the
-    caller (property-tested in ``tests/core/test_parity.py``). Shared by
-    the flat MAAR sweep and the multilevel coarse-level sweep.
+    Every step starts from ``init``, or with ``warm_start`` from the
+    previous step's cut. ``valid`` judges each cut (the caller's
+    :func:`is_valid_cut`). Returns ``run_k_sweep``'s ``(steps,
+    winner)``. With ``jobs > 1`` (and no warm start, which couples the
+    steps) ascending batches of ``jobs`` steps fan out through
+    :func:`repro.core.parallel.parallel_map`; the per-step
+    :class:`KLStats` of the steps kept merge into ``stats`` in ``k``
+    order and the rest are dropped, so the parallel path is
+    indistinguishable from the serial one (tested in
+    ``tests/core/test_parity.py``). Shared by the flat MAAR sweep, the
+    Rejecto rounds and the multilevel coarse-level sweep.
     """
     kl_config = kl_config or KLConfig()
-    if jobs > 1 and len(k_values) > 1:
-        outcomes = parallel_map(
-            _sweep_k_task,
-            list(k_values),
-            shared=(init, kl_config),
-            jobs=jobs,
-            executor=executor,
-        )
-        candidates = []
-        for sides, f_cross, r_cross, side_sizes, k_stats in outcomes:
-            candidate = PartitionState.__new__(PartitionState)
-            candidate.view = init.view
-            candidate.sides = sides
-            candidate.locked = init.locked
-            candidate.f_cross = f_cross
-            candidate.r_cross = r_cross
-            candidate.side_sizes = side_sizes
-            candidates.append(candidate)
-            if stats is not None:
-                stats.passes += k_stats.passes
-                stats.switches_applied += k_stats.switches_applied
-                stats.switches_tested += k_stats.switches_tested
-                stats.objective_history.extend(k_stats.objective_history)
-        return candidates
-    return [
-        extended_kl_state(init, k, config=kl_config, stats=stats)
-        for k in k_values
-    ]
+    if warm_start or jobs <= 1:
+        start = init
+
+        def solve(ks):
+            nonlocal start
+            cut = extended_kl_state(start, ks[0], config=kl_config, stats=stats)
+            if warm_start:
+                start = cut
+            return [cut]
+
+        return run_k_sweep(k_values, solve, valid)
+    step_stats: List[KLStats] = []
+
+    def solve_batch(ks):
+        cuts = []
+        for sides, f_cross, r_cross, side_sizes, k_stats in parallel_map(
+            _sweep_k_task, ks, shared=(init, kl_config), jobs=jobs, executor=executor
+        ):
+            cut = PartitionState.__new__(PartitionState)
+            cut.view = init.view
+            cut.sides = sides
+            cut.locked = init.locked
+            cut.f_cross = f_cross
+            cut.r_cross = r_cross
+            cut.side_sizes = side_sizes
+            cuts.append(cut)
+            step_stats.append(k_stats)
+        return cuts
+
+    steps, winner = run_k_sweep(k_values, solve_batch, valid, batch=jobs)
+    if stats is not None:
+        for k_stats in step_stats[: len(steps)]:
+            stats.passes += k_stats.passes
+            stats.switches_applied += k_stats.switches_applied
+            stats.switches_tested += k_stats.switches_tested
+            stats.objective_history.extend(k_stats.objective_history)
+    return steps, winner
 
 
-def _sweep_candidates(
-    init: PartitionState, config: MAARConfig, stats: KLStats
-) -> List[PartitionState]:
-    """Run the extended-KL search once per grid ``k``, in grid order.
-
-    With ``config.jobs > 1`` (and no warm start, which couples the
-    steps) the independent runs delegate to :func:`sweep_k_states`.
-    """
-    k_values = config.k_values()
-    if config.jobs > 1 and config.warm_start:
-        warn_jobs_ignored(
-            logger,
-            "MAARConfig",
-            config.jobs,
-            "warm_start=True couples the k steps (each starts from the "
-            "previous cut), so the sweep runs serially",
-        )
-    if not config.warm_start:
-        return sweep_k_states(
-            init,
-            k_values,
-            config.kl,
-            jobs=config.jobs,
-            executor=config.executor,
-            stats=stats,
-        )
-    candidates = []
-    previous = init
-    for k in k_values:
-        candidate = extended_kl_state(previous, k, config=config.kl, stats=stats)
-        previous = candidate
-        candidates.append(candidate)
-    return candidates
+def _k_candidate(k: float, state: PartitionState, valid: bool) -> KCandidate:
+    return KCandidate(
+        k=k,
+        acceptance_rate=state.acceptance_rate(),
+        ratio=state.ratio(),
+        f_cross=state.f_cross,
+        r_cross=state.r_cross,
+        suspicious_size=state.suspicious_size,
+        valid=valid,
+    )
 
 
 def _solve_maar_view(
@@ -423,66 +517,58 @@ def _solve_maar_view(
     init = PartitionState(
         view, _view_initial_sides(view, config, legit_seeds, spammer_seeds), locked
     )
+    num_active = view.num_active
+
+    def valid(state: PartitionState) -> bool:
+        return is_valid_cut(state.suspicious_size, num_active, state.r_cross, config)
+
+    if config.jobs > 1 and config.warm_start:
+        warn_jobs_ignored(
+            logger,
+            "MAARConfig",
+            config.jobs,
+            "warm_start=True couples the k steps (each starts from the "
+            "previous cut), so the sweep runs serially",
+        )
     stats = KLStats()
+    steps, winner = sweep_k_states(
+        init,
+        config.k_values(),
+        config.kl,
+        jobs=config.jobs,
+        executor=config.executor,
+        stats=stats,
+        valid=valid,
+        warm_start=config.warm_start,
+    )
+    per_k: List[KCandidate] = []
+    for step in steps:
+        per_k.append(_k_candidate(*step))
+        logger.debug(
+            "k=%.4g: acceptance=%.3f F=%d R=%d size=%d valid=%s",
+            step.k,
+            per_k[-1].acceptance_rate,
+            step.cut.f_cross,
+            step.cut.r_cross,
+            step.cut.suspicious_size,
+            step.valid,
+        )
     best: Optional[PartitionState] = None
     best_k: Optional[float] = None
     best_key: Tuple[float, float] = (float("inf"), 0)
-    per_k: List[KCandidate] = []
-
-    for k, candidate in zip(config.k_values(), _sweep_candidates(init, config, stats)):
-        valid = _is_valid_state(candidate, config)
-        acceptance = candidate.acceptance_rate()
-        per_k.append(
-            KCandidate(
-                k=k,
-                acceptance_rate=acceptance,
-                ratio=candidate.ratio(),
-                f_cross=candidate.f_cross,
-                r_cross=candidate.r_cross,
-                suspicious_size=candidate.suspicious_size,
-                valid=valid,
-            )
-        )
-        logger.debug(
-            "k=%.4g: acceptance=%.3f F=%d R=%d size=%d valid=%s",
-            k,
-            acceptance,
-            candidate.f_cross,
-            candidate.r_cross,
-            candidate.suspicious_size,
-            valid,
-        )
-        if valid:
-            key = (acceptance, -candidate.r_cross)
-            if key < best_key:
-                best_key = key
-                best = candidate
-                best_k = k
+    if winner is not None:
+        best, best_k, best_key = steps[winner].cut, steps[winner].k, steps[winner].key()
 
     for _ in range(config.refine_rounds if best is not None else 0):
         ratio = best.ratio()
         if not 0 < ratio < float("inf"):
             break
         candidate = extended_kl_state(best, ratio, config=config.kl, stats=stats)
-        valid = _is_valid_state(candidate, config)
-        acceptance = candidate.acceptance_rate()
-        per_k.append(
-            KCandidate(
-                k=ratio,
-                acceptance_rate=acceptance,
-                ratio=candidate.ratio(),
-                f_cross=candidate.f_cross,
-                r_cross=candidate.r_cross,
-                suspicious_size=candidate.suspicious_size,
-                valid=valid,
-            )
-        )
-        key = (acceptance, -candidate.r_cross)
-        if not valid or key >= best_key:
+        step = SweepStep(ratio, candidate, valid(candidate))
+        per_k.append(_k_candidate(*step))
+        if not step.valid or step.key() >= best_key:
             break
-        best_key = key
-        best = candidate
-        best_k = ratio
+        best, best_k, best_key = candidate, ratio, step.key()
 
     acceptance = best_key[0] if best is not None else 1.0
     return MAARResult(
@@ -502,10 +588,15 @@ def solve_maar(
 ) -> MAARResult:
     """Approximate the MAAR cut of ``graph``.
 
-    Runs the extended KL search once per ``k`` on the geometric grid and
-    returns the valid cut with the lowest aggregate acceptance rate.
-    Ties prefer the cut explaining more rejections (larger ``r_cross``),
-    which captures more of the spammer region.
+    Runs the extended KL search at each ``k`` of the geometric grid,
+    upward, and returns the valid cut with the lowest aggregate
+    acceptance rate among the steps run. Ties prefer the cut explaining
+    more rejections (larger ``r_cross``), which captures more of the
+    spammer region. The sweep stops at the first step after a valid
+    best that is invalid or has a strictly higher acceptance rate; for
+    an exact solver no later step could win (module docstring).
+    ``result.per_k`` holds exactly the steps run, the stop step
+    included, then any ``refine_rounds`` steps.
 
     ``graph`` may be an :class:`AugmentedSocialGraph` builder or an
     already-finalized :class:`repro.core.csr.CSRGraph`; either way the

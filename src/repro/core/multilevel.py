@@ -11,7 +11,14 @@ literature the paper's heuristic comes from: Kernighan-Lin/FM is the
    contraction semantics that keep every coarse cut's weight equal to
    the projected fine cut's weight);
 2. runs the geometric ``k`` sweep on the **coarsest** graph, where each
-   KL pass touches only a few hundred super-nodes;
+   KL pass touches only a few hundred super-nodes. The sweep runs the
+   grid upward under :func:`repro.core.maar.run_k_sweep`'s stop rule
+   (the first step after a valid best that is invalid or has a higher
+   acceptance rate ends it; see :mod:`repro.core.maar` for why no later
+   step could win for an exact solver), and every validity test — the
+   coarse steps, the Dinkelbach polish and the final gate — is
+   :func:`repro.core.maar.is_valid_cut`, with weighted sizes measured
+   against the fine graph's node count;
 3. **uncoarsens** level by level, projecting the sides onto the finer
    graph and re-refining with weighted KL at the chosen ``k``.
 
@@ -59,7 +66,7 @@ from .kernels import (
     movable_frontier,
 )
 from .kl import KLConfig, KLStats, extended_kl_state, refine_subset
-from .maar import check_seeds, geometric_k_sequence, sweep_k_states
+from .maar import check_seeds, geometric_k_sequence, is_valid_cut, sweep_k_states
 from .parallel import chunk_evenly, parallel_map
 from .objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
 
@@ -183,25 +190,6 @@ class MultilevelResult:
     @property
     def levels(self) -> int:
         return len(self.level_sizes)
-
-
-def _sides_valid(
-    sides: Sequence[int], total_nodes: int, config: MultilevelConfig
-) -> bool:
-    """The final gate's size check, applied to a polish candidate.
-
-    Dinkelbach polish re-refines at the cut's own ratio, and a lower
-    ratio can "improve" the acceptance rate by inflating the suspicious
-    side far past ``max_suspicious_fraction`` — on dilute scenarios all
-    the way to a near-half-graph blob. The final validity gate would
-    then discard the whole result, so a candidate that fails the size
-    check must never replace a valid cut.
-    """
-    size = sum(1 for s in sides if s == SUSPICIOUS)
-    return (
-        config.min_suspicious <= size <= config.max_suspicious_fraction * total_nodes
-        and size < total_nodes
-    )
 
 
 def _project_coarse_labels(
@@ -499,44 +487,32 @@ def solve_maar_multilevel(
     t_sweep = time.perf_counter()
     init = PartitionState(coarsest.view(), sides_levels[-1], locked_levels[-1])
     k_values = geometric_k_sequence(config.k_min, config.k_factor, config.k_steps)
-    states = sweep_k_states(
+    weighted = isinstance(coarsest, WeightedCSRGraph)
+
+    def coarse_valid(state: PartitionState) -> bool:
+        size = (
+            coarsest.weighted_suspicious_size(state.sides)
+            if weighted
+            else state.suspicious_size
+        )
+        return is_valid_cut(size, total_nodes, state.r_cross, config)
+
+    steps, winner = sweep_k_states(
         init,
         k_values,
         KLConfig(max_passes=config.max_passes),
         jobs=config.jobs,
         executor=config.executor,
+        valid=coarse_valid,
     )
-    best_sides: Optional[List[int]] = None
-    best_key = (float("inf"), 0.0)
-    best_k: Optional[float] = None
-    best_f = best_r = 0
-    for k, state in zip(k_values, states):
-        if isinstance(coarsest, WeightedCSRGraph):
-            size = coarsest.weighted_suspicious_size(state.sides)
-        else:
-            size = state.suspicious_size
-        valid = (
-            config.min_suspicious
-            <= size
-            <= config.max_suspicious_fraction * total_nodes
-            and size < total_nodes
-            and state.r_cross > 0
-        )
-        if not valid:
-            continue
-        rate = acceptance_rate(state.f_cross, state.r_cross)
-        key = (rate, -state.r_cross)
-        if key < best_key:
-            best_key = key
-            best_sides = list(state.sides)
-            best_k = k
-            best_f = state.f_cross
-            best_r = state.r_cross
     sweep_time = time.perf_counter() - t_sweep
-    if best_sides is None or best_k is None:
+    if winner is None:
         return MultilevelResult(
             [], 1.0, None, level_sizes=level_sizes, timings=timings(sweep_time)
         )
+    best_k = steps[winner].k
+    sides = list(steps[winner].cut.sides)
+    f_cross, r_cross = steps[winner].cut.f_cross, steps[winner].cut.r_cross
 
     # --- Uncoarsening + refinement -----------------------------------------
     # Projection preserves the cut weights exactly, so the chosen coarse
@@ -552,8 +528,6 @@ def solve_maar_multilevel(
     refine_detail: List[Dict[str, object]] = []
     early_exits = 0
     prev_improve: Optional[float] = None
-    f_cross, r_cross = best_f, best_r
-    sides = best_sides
 
     def full_refine(state_graph, level_sides, level_locked, level):
         stats = KLStats()
@@ -582,7 +556,7 @@ def solve_maar_multilevel(
 
     # Each coarser level is released once its cut is projected down, so
     # the finest levels refine without the whole hierarchy held alive.
-    del coarsest, init, states
+    del coarsest, init, steps
     for level in range(len(levels) - 2, 0, -1):
         t_level = time.perf_counter()
         levels.pop()
@@ -646,11 +620,17 @@ def solve_maar_multilevel(
                 f_cross,
                 r_cross,
             )
-            if (
-                cand_r <= 0
-                or acceptance_rate(cand_f, cand_r)
-                >= acceptance_rate(f_cross, r_cross)
-                or not _sides_valid(cand_sides, total_nodes, config)
+            # A lower ratio can "improve" the rate by inflating the
+            # suspicious side past max_suspicious_fraction; the final gate
+            # would then discard the whole result, so an invalid candidate
+            # never replaces a valid cut.
+            if acceptance_rate(cand_f, cand_r) >= acceptance_rate(
+                f_cross, r_cross
+            ) or not is_valid_cut(
+                sum(1 for s in cand_sides if s == SUSPICIOUS),
+                total_nodes,
+                cand_r,
+                config,
             ):
                 break
             sides, f_cross, r_cross = cand_sides, cand_f, cand_r
@@ -669,7 +649,12 @@ def solve_maar_multilevel(
                 break
             candidate = extended_kl_state(fine, ratio, refine_config)
             if candidate.acceptance_rate() >= fine.acceptance_rate() or not (
-                _sides_valid(candidate.sides, total_nodes, config)
+                is_valid_cut(
+                    candidate.suspicious_size,
+                    total_nodes,
+                    candidate.r_cross,
+                    config,
+                )
             ):
                 break
             fine = candidate
@@ -677,15 +662,7 @@ def solve_maar_multilevel(
     refine_times.append(time.perf_counter() - t_level)
 
     suspicious = [u for u, s in enumerate(fine.sides) if s == SUSPICIOUS]
-    size = len(suspicious)
-    valid = (
-        config.min_suspicious
-        <= size
-        <= config.max_suspicious_fraction * total_nodes
-        and size < total_nodes
-        and fine.r_cross > 0
-    )
-    if not valid:
+    if not is_valid_cut(len(suspicious), total_nodes, fine.r_cross, config):
         return MultilevelResult(
             [],
             1.0,

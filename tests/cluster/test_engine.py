@@ -13,6 +13,7 @@ from repro.cluster import (
     distributed_maar,
 )
 from repro.core import (
+    AugmentedSocialGraph,
     KLConfig,
     KLStats,
     MAARConfig,
@@ -82,6 +83,27 @@ class TestEquivalenceWithCore:
         assert_precise(suspicious, scenario)
         assert rate == pytest.approx(core.acceptance_rate)
         assert best_k == core.k
+
+    def test_distributed_maar_honours_min_evidence(self):
+        """``min_evidence`` rules out the default winner (``k=1``: five
+        nodes, five cross rejections); both sweeps must then pick the
+        ``k=4`` cut with 1.5 rejections per node."""
+        graph = AugmentedSocialGraph.from_edges(
+            9,
+            [(0, 1), (0, 2), (1, 4), (1, 5), (3, 6), (4, 7), (4, 8), (5, 6), (5, 8)],
+            [(0, 2), (2, 4), (3, 6), (5, 2), (6, 1), (6, 2), (7, 4), (8, 3),
+             (8, 5), (8, 6)],
+        )
+        default = solve_maar(graph)
+        assert (default.k, default.suspicious_nodes()) == (1.0, [1, 3, 4, 5, 6])
+        assert distributed_maar(graph)[0] == default.suspicious_nodes()
+        config = MAARConfig(min_evidence=1.5)
+        core = solve_maar(graph, config)
+        suspicious, rate, best_k = distributed_maar(graph, maar_config=config)
+        assert (core.k, core.suspicious_nodes()) == (4.0, [1, 2, 3, 4])
+        assert suspicious == core.suspicious_nodes()
+        assert best_k == core.k
+        assert rate == core.acceptance_rate == 0.5
 
     def test_locked_nodes_respected(self, scenario):
         graph = scenario.graph

@@ -10,6 +10,8 @@ from repro.core import (
     solve_maar,
 )
 
+from .maar_oracle import full_grid, grid_winner, per_k_values, stop_index
+
 
 class TestGeometricSequence:
     def test_default_grid(self):
@@ -154,14 +156,15 @@ class TestSolveMAAR:
     def test_reports_per_k_diagnostics(self):
         graph, _ = spam_graph()
         config = MAARConfig(k_steps=6)
-        result = solve_maar(graph, config)
-        assert len(result.per_k) == 6
-        ks = [c.k for c in result.per_k]
+        grid = full_grid(graph, config)
+        assert len(grid) == 6
+        ks = [c.k for c in grid]
         assert ks == config.k_values()
-        best = min(
-            (c for c in result.per_k if c.valid),
-            key=lambda c: (c.acceptance_rate, -c.r_cross),
-        )
+        result = solve_maar(graph, config)
+        run = grid[: stop_index(grid) + 1]
+        assert per_k_values(result.per_k) == per_k_values(run)
+        best = grid_winner(grid)
+        assert result.k == best.k
         assert result.acceptance_rate == pytest.approx(best.acceptance_rate)
 
     def test_no_rejections_means_no_cut(self):

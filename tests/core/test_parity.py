@@ -14,11 +14,13 @@ The CSR engine is the only KL/MAAR/Rejecto implementation in
   oracle is the frozen hashes of ``tests/core/test_kl_frozen.py`` and
   ``tests/cluster/test_cluster_frozen.py``.
 * **MAAR level** — unseeded sweeps are checked against
-  :func:`repro.cluster.engine.distributed_maar` (its own validity rules
-  and tie-break), per ``k`` and for the winning cut, including small
-  graphs whose best cuts tie on acceptance rate; seeded and
-  Dinkelbach-refined sweeps against per-``k`` values pinned when a
-  second, dict-adjacency engine still existed and agreed with this one.
+  :func:`repro.cluster.engine.distributed_maar` (same stop and validity
+  rules, its own sweep loop), per ``k`` and for the winning cut,
+  including small graphs whose best cuts tie on acceptance rate; seeded
+  and Dinkelbach-refined sweeps against full per-``k`` grids pinned when
+  a second, dict-adjacency engine still existed and agreed with this
+  one. The grids are rebuilt from single-step sweeps, and the early-exit
+  sweep must run exactly their prefix up to the stop step.
 * **Rejecto level** — zero-copy residual views must equal rounds run on
   materialized ``graph.subgraph(remaining)`` copies.
 
@@ -40,6 +42,13 @@ from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 from repro.core.rejecto import DetectedGroup, Rejecto, RejectoConfig, RejectoResult
 
 from ..conftest import graphs_with_sides
+from .maar_oracle import (
+    exact_maar,
+    full_grid,
+    grid_winner,
+    per_k_values,
+    stop_index,
+)
 
 FULL_REBUILD = KLConfig(incremental=False)
 PRECISION_FLOOR = 0.9
@@ -106,13 +115,6 @@ def assert_maar_results_equal(reference, new):
         assert old_c.acceptance_rate == pytest.approx(new_c.acceptance_rate)
 
 
-def per_k_values(result):
-    return [
-        (c.k, c.f_cross, c.r_cross, c.suspicious_size, c.valid)
-        for c in result.per_k
-    ]
-
-
 def cluster_kl(graph, k, sides, locked=None):
     """``(sides, f_cross, r_cross)`` of the cluster engine's KL run."""
     return DistributedKL(graph).run(k, list(sides), locked=locked)
@@ -167,10 +169,11 @@ def assert_matches_cluster_sweep(graph, result):
     assert result.acceptance_rate == pytest.approx(rate)
 
 
-#: Per-``k`` ``(k, f_cross, r_cross, suspicious_size, valid)`` of the
-#: seeded (``sample_seeds(20, 5, seed=11)``) and ``refine_rounds=2``
+#: Full-grid per-``k`` ``(k, f_cross, r_cross, suspicious_size, valid)``
+#: of the seeded (``sample_seeds(20, 5, seed=11)``) and ``refine_rounds=2``
 #: sweeps on the canonical baseline scenario, captured when the
-#: dict-adjacency and CSR engines still agreed on both.
+#: dict-adjacency and CSR engines still agreed on both (the last
+#: ``REFINED_PER_K`` entry is the refinement round).
 SEEDED_PER_K = [
     (0.125, 96, 73, 5, True),
     (0.25, 96, 73, 5, True),
@@ -217,10 +220,20 @@ TIED_SWEEPS = [
     ),
     (
         10,
-        [(1, 3), (3, 4), (3, 7), (4, 8), (5, 6), (7, 8), (7, 9)],
-        [(2, 8), (4, 1)],
+        [(1, 7), (2, 5), (2, 7), (3, 4), (3, 7), (7, 9)],
+        [(0, 4), (0, 5), (1, 5), (2, 7), (5, 4), (9, 7)],
     ),
 ]
+
+#: A 10-node graph whose full grid ties at 0.5 between ``k=1``
+#: (``r_cross=1``) and ``k=4`` (``r_cross=2``), with 0.6 at ``k=2`` in
+#: between. The early exit stops at ``k=2`` and keeps ``k=1``; the exact
+#: optimum is a zero-acceptance cut neither finds.
+EARLY_EXIT_TIE = (
+    10,
+    [(1, 3), (3, 4), (3, 7), (4, 8), (5, 6), (7, 8), (7, 9)],
+    [(2, 8), (4, 1)],
+)
 
 
 class TestMAARParity:
@@ -246,17 +259,41 @@ class TestMAARParity:
         assert new.partition.r_cross == max(tied)
         assert_matches_cluster_sweep(graph, new)
 
+    def test_early_exit_keeps_the_first_tie(self):
+        """The full grid reaches the ``r_cross=2`` tie only after a worse
+        step; the early exit stops at that step with the ``r_cross=1``
+        cut. Both are 0.5 above the exact optimum."""
+        num_nodes, friendships, rejections = EARLY_EXIT_TIE
+        graph = AugmentedSocialGraph.from_edges(num_nodes, friendships, rejections)
+        grid = full_grid(graph)
+        full = grid_winner(grid)
+        assert (full.k, full.acceptance_rate, full.r_cross) == (4.0, 0.5, 2)
+        new = solve_maar(graph, MAARConfig())
+        assert [c.k for c in new.per_k] == [0.125, 0.25, 0.5, 1.0, 2.0]
+        assert per_k_values(new.per_k) == per_k_values(grid[: stop_index(grid) + 1])
+        assert new.per_k[-1].acceptance_rate == pytest.approx(0.6)
+        assert (new.k, new.acceptance_rate, new.partition.r_cross) == (1.0, 0.5, 1)
+        assert new.suspicious_nodes() == [1]
+        exact = exact_maar(graph)
+        assert exact.acceptance_rate == 0.0
+        assert new.acceptance_rate - exact.acceptance_rate == 0.5
+        assert_matches_cluster_sweep(graph, new)
+
     def test_seeded_sweep_identical(self):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
         legit_seeds, spammer_seeds = scenario.sample_seeds(20, 5, seed=11)
+        grid = full_grid(graph, MAARConfig(), legit_seeds, spammer_seeds)
+        assert per_k_values(grid) == SEEDED_PER_K
         new = solve_maar(
             graph,
             MAARConfig(),
             legit_seeds=legit_seeds,
             spammer_seeds=spammer_seeds,
         )
-        assert per_k_values(new) == SEEDED_PER_K
+        # Stops at k=1, the first step above k=0.5's rate.
+        assert stop_index(grid) == 3
+        assert per_k_values(new.per_k) == SEEDED_PER_K[:4]
         assert new.k == 0.5
         assert new.acceptance_rate == pytest.approx(407 / (407 + 821))
         assert_precise(new.suspicious_nodes(), scenario)
@@ -267,9 +304,15 @@ class TestMAARParity:
     def test_refinement_rounds_identical(self):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
+        grid = full_grid(graph, MAARConfig())
+        assert per_k_values(grid) == REFINED_PER_K[:-1]
         new = solve_maar(graph, MAARConfig(refine_rounds=2))
-        assert per_k_values(new) == REFINED_PER_K
+        # Stops at k=1, the first step above k=0.5's rate; the refinement
+        # round follows the steps run.
+        assert stop_index(grid) == 3
+        assert per_k_values(new.per_k) == REFINED_PER_K[:4] + REFINED_PER_K[-1:]
         assert new.k == 0.5
+        assert new.acceptance_rate == pytest.approx(407 / (407 + 822))
         assert_precise(new.suspicious_nodes(), scenario)
 
 

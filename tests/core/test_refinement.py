@@ -41,10 +41,8 @@ from repro.core.kl import (
     extended_kl_state,
     refine_subset,
 )
-from repro.core.multilevel import (
-    MultilevelConfig,
-    _sides_valid,
-)
+from repro.core.maar import is_valid_cut
+from repro.core.multilevel import MultilevelConfig
 
 from ..conftest import random_augmented_graph
 
@@ -430,17 +428,19 @@ class TestPolishGuard:
     def test_sides_valid_bounds(self):
         config = MultilevelConfig(min_suspicious=2, max_suspicious_fraction=0.5)
         total = 10
-        assert _sides_valid([1, 1, 0, 0, 0, 0, 0, 0, 0, 0], total, config)
-        assert _sides_valid([1] * 5 + [0] * 5, total, config)
+        assert is_valid_cut(2, total, 1, config)
+        assert is_valid_cut(5, total, 1, config)
         # Below min_suspicious.
-        assert not _sides_valid([1] + [0] * 9, total, config)
+        assert not is_valid_cut(1, total, 1, config)
         # Above the fraction cap.
-        assert not _sides_valid([1] * 6 + [0] * 4, total, config)
+        assert not is_valid_cut(6, total, 1, config)
+        # No cross rejection: no spam evidence.
+        assert not is_valid_cut(5, total, 0, config)
 
     def test_sides_valid_rejects_whole_graph(self):
         config = MultilevelConfig(max_suspicious_fraction=1.0)
-        assert not _sides_valid([1] * 8, 8, config)
-        assert _sides_valid([1] * 7 + [0], 8, config)
+        assert not is_valid_cut(8, 8, 1, config)
+        assert is_valid_cut(7, 8, 1, config)
 
     def test_solve_respects_fraction_cap(self):
         scenario = build_scenario(

@@ -8,6 +8,7 @@ malformed files are rejected with :class:`SnapshotFormatError` rather
 than garbage graphs.
 """
 
+import json
 import pickle
 import struct
 from array import array
@@ -123,6 +124,28 @@ class TestRoundTrip:
         assert_same_arrays(clone, graph)
         for name in ("f_wt", "ro_wt", "ri_wt", "node_weight"):
             assert list(getattr(clone, name)) == list(getattr(graph, name)), name
+
+    def test_node_weight_totals_are_plain_ints(self, tmp_path):
+        """A mapped ``node_weight`` holds numpy scalars; the totals read
+        from it must still be the plain ``int``s every other path gives,
+        which ``json`` accepts."""
+        graph = small_graph(backend="python").contract([0, 0, 1, 1, 2, 2, 3, 1], 4)
+        snap = save_snapshot(graph, tmp_path / "w.csrbin")
+        opened = [graph] + [
+            load_snapshot(snap, mode=mode, backend=backend)
+            for backend in BACKENDS
+            for mode in ("mmap", "copy")
+        ]
+        sides = [1, 0, 1, 0]
+        for clone in opened:
+            totals = [
+                clone.total_node_weight(),
+                clone.weighted_suspicious_size(sides),
+                clone.weighted_suspicious_size(sides, active=[1, 1, 0, 1]),
+            ]
+            assert [type(t) for t in totals] == [int, int, int]
+            assert totals == [8, 4, 2]
+            assert json.loads(json.dumps(totals)) == totals
 
     def test_float_weight_snapshot_rejected(self, tmp_path):
         snap = float_weight_snapshot(tmp_path / "f.csrbin")
