@@ -44,7 +44,7 @@ ENGINE_SIZES = (500, 1000, 2000, 4000)
 FAKE_FRACTION = 0.2  # the default attack scale's 5:1 legit:fake ratio
 
 #: Pre-PR ``BENCH_table2.json`` cluster rows (dict-record workers,
-#: full-vector broadcasts, estimate_bytes accounting) — the reference
+#: full-vector broadcasts, structural size-estimate accounting) — the reference
 #: the payload-reduction and speedup columns are computed against.
 PRE_PR_BASELINE = {
     1000: {"network_bytes": 3_051_168, "wall_seconds": 0.4379},

@@ -2,7 +2,7 @@
 """Running Rejecto on the Spark-like mini-cluster (Section V).
 
 Shows the deployment-shaped API: the social graph lives on simulated
-workers as partitioned, indexed datasets; the master holds only the node
+workers as replicated CSR shard blocks; the master holds only the node
 status and the gain bucket list; node structure flows through an LRU
 prefetch buffer. The run reports detection output together with the
 network traffic the data layout saves — compare the prefetching run

@@ -50,6 +50,17 @@ _SWEEPS: Dict[str, Callable] = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rejecto",
@@ -168,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--estimated",
-        type=int,
+        type=_positive_int,
         default=None,
         help="estimated spammer count (termination, §IV-E)",
     )
@@ -192,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="known spammer ids (§IV-F)",
     )
-    p.add_argument("--max-rounds", type=int, default=25)
+    p.add_argument("--max-rounds", type=_positive_int, default=25)
     p.add_argument(
         "--report",
         default=None,
@@ -254,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="interval graphs in time order (F/R edge-line format)",
     )
-    p.add_argument("--estimated", type=int, default=None)
+    p.add_argument("--estimated", type=_positive_int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--legit-seeds", type=int, nargs="*", default=[])
-    p.add_argument("--max-rounds", type=int, default=25)
+    p.add_argument("--max-rounds", type=_positive_int, default=25)
     add_jobs_arg(p)
 
     p = sub.add_parser(
@@ -698,10 +709,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Console entry point.
 
     Bad input — a missing or unreadable file, a malformed graph file, a
-    corrupt snapshot — stops with one ``rejecto: error: ...`` line on
-    stderr and exit code 2 (argparse's usage-error code) instead of a
-    traceback.
+    corrupt snapshot, a seed id outside the graph — stops with one
+    ``rejecto: error: ...`` line on stderr and exit code 2 (argparse's
+    usage-error code) instead of a traceback.
     """
+    from .core.maar import SeedError
     from .core.storage import SnapshotFormatError
     from .graphgen.loaders import LoaderError
     from .io import FormatError
@@ -709,7 +721,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _run_command(args)
-    except (OSError, FormatError, SnapshotFormatError, LoaderError) as exc:
+    except (OSError, FormatError, SnapshotFormatError, LoaderError, SeedError) as exc:
         print(f"rejecto: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,9 +1,9 @@
 """Spark-like mini-cluster substrate (Section V, Table II).
 
 A single-process stand-in for the paper's Spark/EC2 deployment that
-preserves its *data layout* and traffic patterns: partitioned datasets
-with lineage and caching on simulated workers, master-resident node
-status and gain buckets, LRU prefetching of node structure, and full
+preserves its *data layout* and traffic patterns: replicated CSR shard
+blocks on simulated workers that can fail, master-resident node status
+and gain buckets, LRU prefetching of node structure, and full
 network-I/O accounting. See DESIGN.md, substitution 2.
 """
 
@@ -16,7 +16,7 @@ from .engine import (
 )
 from .netsim import NetworkModel, NetworkSimulator, NetworkStats
 from .prefetch import PrefetchBuffer, PrefetchStats
-from .rdd import ClusterContext, DataLossError, PartitionedDataset, estimate_bytes
+from .rdd import ClusterContext, DataLossError
 from .worker import Worker, WorkerFailure
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "PrefetchBuffer",
     "PrefetchStats",
     "ClusterContext",
-    "PartitionedDataset",
-    "estimate_bytes",
     "Worker",
     "WorkerFailure",
     "DataLossError",

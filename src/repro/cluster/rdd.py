@@ -1,13 +1,17 @@
-"""Resilient-distributed-dataset-style partitioned collections.
+"""The master's view of the simulated cluster: block placement,
+distribution and failover.
 
 The Rejecto prototype stores the social graph as Spark RDDs (Section V).
-This module reimplements the slice of the RDD surface the system needs —
-lazy transformations with lineage, explicit caching, hash-partitioned
-shuffles, and collect/count actions — executing on the simulated workers
-of :mod:`repro.cluster.worker` with all master↔worker traffic charged to
-the :class:`repro.cluster.netsim.NetworkSimulator`.
+Here the graph travels as contiguous CSR shard blocks
+(:mod:`repro.cluster.blocks`): :meth:`ClusterContext.distribute_csr`
+places each partition's block on ``replication`` workers round robin,
+charging every upload to the
+:class:`repro.cluster.netsim.NetworkSimulator`, and
+:meth:`ClusterContext.block_replica_for` fails reads over to the next
+surviving replica. There is no lineage: a block whose replicas have all
+failed is lost, and reading it raises :class:`DataLossError`.
 
-Everything runs in one process; "distribution" means partition ownership
+Everything runs in one process; "distribution" means block ownership
 and traffic accounting, not parallel speedup. The point is to preserve
 the *data layout* of the paper's implementation (graph on the workers,
 algorithm state on the master) so Table II's scaling shape and the
@@ -17,8 +21,7 @@ prefetching ablation are measurable.
 from __future__ import annotations
 
 import itertools
-from array import array
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 from .blocks import (
     BlockRef,
@@ -30,67 +33,15 @@ from .blocks import (
 from .netsim import NetworkSimulator
 from .worker import Worker
 
-__all__ = ["ClusterContext", "PartitionedDataset", "estimate_bytes", "DataLossError"]
+__all__ = ["ClusterContext", "DataLossError"]
 
 
 class DataLossError(RuntimeError):
-    """Raised when every replica holding a source partition has failed.
+    """Raised when every replica holding a shard block has failed.
 
-    Mirrors Spark's unrecoverable case: lineage can recompute *derived*
-    data, but a lost source block with no surviving replica is gone.
+    Blocks are not rebuilt from their source graph, so a block with no
+    surviving replica is gone.
     """
-
-
-#: Recursion guard for pathological nesting. The old implementation
-#: silently returned 8 past depth 4, undercounting any deeply nested
-#: adjacency payload; genuinely deeper structures now raise instead of
-#: lying about their size.
-_MAX_ESTIMATE_DEPTH = 100
-
-
-def estimate_bytes(value: Any, _depth: int = 0) -> int:
-    """Cheap structural size estimate used for traffic accounting.
-
-    Exact O(1) fast paths cover the flat payloads the cluster actually
-    ships — ``array.array`` buffers and numpy arrays — and homogeneous
-    int sequences short-circuit to ``56 + 8·len`` without per-item
-    recursion. Nesting deeper than :data:`_MAX_ESTIMATE_DEPTH` raises
-    ``ValueError`` rather than silently undercounting.
-    """
-    if _depth > _MAX_ESTIMATE_DEPTH:
-        raise ValueError(
-            f"estimate_bytes: nesting deeper than {_MAX_ESTIMATE_DEPTH} "
-            "(cyclic or pathological payload)"
-        )
-    if isinstance(value, bool) or value is None:
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
-    if isinstance(value, str):
-        return 49 + len(value)
-    if isinstance(value, array):
-        # Exact: header plus the packed buffer.
-        return 56 + value.itemsize * len(value)
-    if isinstance(value, (list, tuple)):
-        # Fast path for the common adjacency shape: a flat run of ints
-        # costs one header plus 8 bytes each, no per-item recursion.
-        if all(type(item) is int for item in value):
-            return 56 + 8 * len(value)
-        return 56 + sum(estimate_bytes(item, _depth + 1) for item in value)
-    if isinstance(value, (set, frozenset)):
-        return 56 + sum(estimate_bytes(item, _depth + 1) for item in value)
-    if isinstance(value, dict):
-        return 64 + sum(
-            estimate_bytes(k, _depth + 1) + estimate_bytes(v, _depth + 1)
-            for k, v in value.items()
-        )
-    nbytes = getattr(value, "nbytes", None)
-    if nbytes is not None and isinstance(nbytes, int):
-        # numpy arrays (and buffer-protocol lookalikes): exact payload.
-        return 16 + nbytes
-    return 48
 
 
 class ClusterContext:
@@ -101,12 +52,11 @@ class ClusterContext:
     num_workers:
         Cluster size (one master is implicit; these are the workers).
     network:
-        Traffic accountant shared by all datasets created through this
-        context.
+        Traffic accountant charged with every upload through this
+        context (the engine shares it for the run's other traffic).
     replication:
-        Number of workers each *source* partition is stored on (Spark's
-        fault tolerance: replicated blocks survive worker failures;
-        derived data is recomputed from lineage).
+        Number of workers each partition's block is stored on; a block
+        survives as long as one of them is alive.
     """
 
     def __init__(
@@ -124,12 +74,7 @@ class ClusterContext:
         self.workers = [Worker(i) for i in range(num_workers)]
         self.network = network or NetworkSimulator()
         self.replication = replication
-        self._next_dataset_id = itertools.count()
         self._next_shard_id = itertools.count()
-
-    def worker_for(self, partition_id: int) -> Worker:
-        """Primary placement for a partition (round robin)."""
-        return self.workers[partition_id % len(self.workers)]
 
     def workers_for(self, partition_id: int) -> List[Worker]:
         """All replicas of a partition, primary first."""
@@ -138,27 +83,6 @@ class ClusterContext:
             self.workers[(partition_id + offset) % count]
             for offset in range(self.replication)
         ]
-
-    def alive_replica_for(self, partition_id: int) -> Worker:
-        """The first surviving replica, or raise :class:`DataLossError`."""
-        for worker in self.workers_for(partition_id):
-            if worker.alive:
-                return worker
-        raise DataLossError(
-            f"all {self.replication} replicas of partition {partition_id} "
-            "have failed"
-        )
-
-    def store_source_partition(
-        self, key, partition_id: int, records: List[Any]
-    ) -> None:
-        """Install a source chunk on every (alive) replica, charging the
-        upload per copy."""
-        for worker in self.workers_for(partition_id):
-            if not worker.alive:
-                continue
-            worker.store_partition(key, records)
-            self.network.send("upload", estimate_bytes(records))
 
     def distribute_csr(
         self, csr, num_partitions: int, transport: str = "auto"
@@ -229,212 +153,3 @@ class ClusterContext:
 
     def alive_workers(self) -> List[Worker]:
         return [worker for worker in self.workers if worker.alive]
-
-    def parallelize(
-        self, records: Iterable[Any], num_partitions: int = 4
-    ) -> "PartitionedDataset":
-        """Distribute ``records`` across the workers.
-
-        The upload from the master is charged to the network simulator.
-        """
-        if num_partitions < 1:
-            raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
-        records = list(records)
-        chunks: List[List[Any]] = [[] for _ in range(num_partitions)]
-        for index, record in enumerate(records):
-            chunks[index % num_partitions].append(record)
-        dataset = PartitionedDataset(self, num_partitions, source_chunks=chunks)
-        for pid, chunk in enumerate(chunks):
-            self.store_source_partition(dataset.partition_key(pid), pid, chunk)
-        return dataset
-
-    def total_resident_records(self) -> int:
-        return sum(worker.memory_records() for worker in self.workers)
-
-
-class PartitionedDataset:
-    """A lazily evaluated, partitioned collection with lineage.
-
-    Transformations (:meth:`map`, :meth:`filter`, :meth:`flat_map`,
-    :meth:`map_partitions`) build a lineage chain and defer execution;
-    actions (:meth:`collect`, :meth:`count`, :meth:`reduce`) pull results
-    to the master, charging the traffic. :meth:`cache` materializes each
-    partition on its worker on first evaluation and reuses it afterwards
-    — the Spark feature the paper leans on for intermediate results.
-    """
-
-    def __init__(
-        self,
-        context: ClusterContext,
-        num_partitions: int,
-        source_chunks: Optional[List[List[Any]]] = None,
-        parent: Optional["PartitionedDataset"] = None,
-        transform: Optional[Callable[[List[Any]], List[Any]]] = None,
-    ) -> None:
-        self.context = context
-        self.num_partitions = num_partitions
-        self.dataset_id = next(context._next_dataset_id)
-        self._parent = parent
-        self._transform = transform
-        self._is_source = source_chunks is not None
-        self._cached = False
-
-    # ------------------------------------------------------------------
-    # Lineage plumbing
-    # ------------------------------------------------------------------
-    def partition_key(self, partition_id: int) -> Tuple[int, int]:
-        """Storage key of a *source* partition on its worker."""
-        return (self.dataset_id, partition_id)
-
-    def _compute_partition(self, partition_id: int) -> List[Any]:
-        """Evaluate one partition on a surviving replica (no traffic:
-        lineage executes where the data lives).
-
-        Fault tolerance: the first alive replica serves (or recomputes
-        and re-caches) the partition; a failed worker's cache is simply
-        gone and lineage recomputation fills it back in — unless every
-        replica of the *source* chunk failed, which raises
-        :class:`DataLossError`.
-        """
-        worker = self.context.alive_replica_for(partition_id)
-        cache_key = (self.dataset_id, partition_id)
-        if self._cached and cache_key in worker.cache:
-            return worker.cache[cache_key]
-        if self._is_source:
-            source_key = self.partition_key(partition_id)
-            records = None
-            for replica in self.context.workers_for(partition_id):
-                if replica.alive and replica.has_partition(source_key):
-                    records = replica.partitions[source_key]
-                    break
-            if records is None:
-                raise DataLossError(
-                    f"source partition {partition_id} of dataset "
-                    f"{self.dataset_id} lost on all replicas"
-                )
-        else:
-            assert self._parent is not None and self._transform is not None
-            records = self._transform(self._parent._compute_partition(partition_id))
-        if self._cached:
-            worker.cache[cache_key] = records
-        return records
-
-    def _derive(
-        self, transform: Callable[[List[Any]], List[Any]]
-    ) -> "PartitionedDataset":
-        return PartitionedDataset(
-            self.context,
-            self.num_partitions,
-            parent=self,
-            transform=transform,
-        )
-
-    # ------------------------------------------------------------------
-    # Transformations (lazy)
-    # ------------------------------------------------------------------
-    def map(self, fn: Callable[[Any], Any]) -> "PartitionedDataset":
-        return self._derive(lambda records: [fn(r) for r in records])
-
-    def filter(self, predicate: Callable[[Any], bool]) -> "PartitionedDataset":
-        return self._derive(lambda records: [r for r in records if predicate(r)])
-
-    def flat_map(self, fn: Callable[[Any], Iterable[Any]]) -> "PartitionedDataset":
-        return self._derive(
-            lambda records: [out for r in records for out in fn(r)]
-        )
-
-    def map_partitions(
-        self, fn: Callable[[List[Any]], Iterable[Any]]
-    ) -> "PartitionedDataset":
-        return self._derive(lambda records: list(fn(records)))
-
-    def cache(self) -> "PartitionedDataset":
-        """Materialize this dataset's partitions on first use."""
-        self._cached = True
-        return self
-
-    # ------------------------------------------------------------------
-    # Shuffle
-    # ------------------------------------------------------------------
-    def reduce_by_key(
-        self,
-        reducer: Callable[[Any, Any], Any],
-        num_partitions: Optional[int] = None,
-    ) -> "PartitionedDataset":
-        """Hash-shuffle ``(key, value)`` records and reduce per key.
-
-        The shuffle is eager (as a Spark stage boundary would be): every
-        record that changes partition is charged as cross-worker traffic.
-        """
-        out_partitions = num_partitions or self.num_partitions
-        buckets: List[Dict[Any, Any]] = [dict() for _ in range(out_partitions)]
-        shuffled_bytes = 0
-        shuffled_messages = 0
-        for pid in range(self.num_partitions):
-            source_worker = self.context.worker_for(pid)
-            for key, value in self._compute_partition(pid):
-                target = hash(key) % out_partitions
-                if self.context.worker_for(target) is not source_worker:
-                    shuffled_bytes += estimate_bytes((key, value))
-                    shuffled_messages += 1
-                bucket = buckets[target]
-                bucket[key] = (
-                    reducer(bucket[key], value) if key in bucket else value
-                )
-        # Batch the per-record transfers into one message per worker pair.
-        self.context.network.send(
-            "shuffle",
-            shuffled_bytes,
-            messages=min(
-                shuffled_messages,
-                len(self.context.workers) * max(1, len(self.context.workers) - 1),
-            ),
-        )
-        chunks = [list(bucket.items()) for bucket in buckets]
-        result = PartitionedDataset(
-            self.context, out_partitions, source_chunks=chunks
-        )
-        for pid, chunk in enumerate(chunks):
-            self.context.store_source_partition(
-                result.partition_key(pid), pid, chunk
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    # Actions (eager, pull to master)
-    # ------------------------------------------------------------------
-    def collect(self) -> List[Any]:
-        """Pull every record to the master (charged per partition)."""
-        output: List[Any] = []
-        for pid in range(self.num_partitions):
-            records = self._compute_partition(pid)
-            self.context.network.send("collect", estimate_bytes(records))
-            output.extend(records)
-        return output
-
-    def count(self) -> int:
-        """Count records; only the per-partition counts travel."""
-        total = 0
-        for pid in range(self.num_partitions):
-            total += len(self._compute_partition(pid))
-            self.context.network.send("count", 8)
-        return total
-
-    def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
-        """Tree-reduce: one partial per partition travels to the master."""
-        partials = []
-        for pid in range(self.num_partitions):
-            records = self._compute_partition(pid)
-            if not records:
-                continue
-            partial = records[0]
-            for record in records[1:]:
-                partial = fn(partial, record)
-            partials.append(partial)
-            self.context.network.send("reduce", estimate_bytes(partial))
-        if not partials:
-            raise ValueError("reduce of an empty dataset")
-        result = partials[0]
-        for partial in partials[1:]:
-            result = fn(result, partial)
-        return result

@@ -1,12 +1,11 @@
 """Worker nodes of the mini-cluster.
 
-A :class:`Worker` owns a set of dataset partitions (Section V: "we
-distribute the large social graph structure to the workers") and serves
-three kinds of requests from the master: run a task over a partition,
-serve batched adjacency slices out of a resident CSR shard block, and
-compute the per-pass gain/cut state of a block against its local replica
-of the side vector. Every response's size is charged to the network
-simulator by the caller.
+A :class:`Worker` holds CSR shard blocks (Section V: "we distribute the
+large social graph structure to the workers") and serves two kinds of
+requests from the master: batched adjacency slices out of a resident
+block, and the per-pass gain/cut state of a block against its local
+replica of the side vector. Every response's size is charged to the
+network simulator by the caller.
 
 The side-vector replica is what the delta-broadcast protocol keeps in
 sync: the master installs the full vector once per run
@@ -15,15 +14,14 @@ switched since the last sync (:meth:`apply_side_delta`), so broadcast
 bytes scale with churn instead of graph size.
 
 Workers can *fail* (:meth:`Worker.fail`), dropping everything they hold
-— partitions, shard blocks, caches, the sides replica. The substrate
-recovers the way Spark does: source partitions and blocks survive on
-replicas, and derived (cached) data is recomputed from lineage on the
-next access.
+— shard blocks, block references, the sides replica — and refusing
+every later request. Blocks survive only on their other replicas
+(:meth:`repro.cluster.rdd.ClusterContext.block_replica_for`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .blocks import BlockRef, BlockSlices, ShardBlock
 
@@ -35,15 +33,11 @@ class WorkerFailure(RuntimeError):
 
 
 class Worker:
-    """One simulated cluster worker holding in-memory partitions."""
+    """One simulated cluster worker holding in-memory shard blocks."""
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.alive = True
-        #: partition id -> list of records
-        self.partitions: Dict[int, List[Any]] = {}
-        #: cached materializations of lazy datasets: (dataset id, partition id)
-        self.cache: Dict[tuple, List[Any]] = {}
         #: storage key -> resident CSR shard block
         self.blocks: Dict[Any, ShardBlock] = {}
         #: storage key -> snapshot reference, materialized into
@@ -52,7 +46,6 @@ class Worker:
         #: local replica of the master's side vector (delta-synced)
         self.sides: Optional[List[int]] = None
         self._sides_np = None
-        self.tasks_run = 0
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -60,8 +53,6 @@ class Worker:
     def fail(self) -> None:
         """Crash this worker: all resident state is lost."""
         self.alive = False
-        self.partitions.clear()
-        self.cache.clear()
         self.blocks.clear()
         self.block_refs.clear()
         self.sides = None
@@ -74,14 +65,6 @@ class Worker:
     # ------------------------------------------------------------------
     # Storage
     # ------------------------------------------------------------------
-    def store_partition(self, partition_id: int, records: List[Any]) -> None:
-        """Install a partition's records on this worker."""
-        self._check_alive()
-        self.partitions[partition_id] = records
-
-    def has_partition(self, partition_id: int) -> bool:
-        return partition_id in self.partitions
-
     def store_block(self, key: Any, block: ShardBlock) -> None:
         """Install one CSR shard block under its storage key."""
         self._check_alive()
@@ -108,29 +91,6 @@ class Worker:
                 block = ref.materialize()
                 self.blocks[key] = block
         return block
-
-    def memory_records(self) -> int:
-        """Total records resident (partitions, cache, and block nodes)."""
-        return (
-            sum(len(p) for p in self.partitions.values())
-            + sum(len(p) for p in self.cache.values())
-            + sum(b.num_nodes for b in self.blocks.values())
-        )
-
-    # ------------------------------------------------------------------
-    # Task execution
-    # ------------------------------------------------------------------
-    def run_task(
-        self, partition_id: int, task: Callable[[List[Any]], Any]
-    ) -> Any:
-        """Execute ``task`` over one resident partition."""
-        self._check_alive()
-        if partition_id not in self.partitions:
-            raise KeyError(
-                f"worker {self.worker_id} does not hold partition {partition_id}"
-            )
-        self.tasks_run += 1
-        return task(self.partitions[partition_id])
 
     # ------------------------------------------------------------------
     # Side-vector replica (delta-broadcast protocol)
@@ -182,7 +142,6 @@ class Worker:
             raise KeyError(
                 f"worker {self.worker_id} does not hold block {key!r}"
             )
-        self.tasks_run += 1
         return block.slices(nodes)
 
     def block_pass_state(
@@ -196,5 +155,4 @@ class Worker:
             raise KeyError(
                 f"worker {self.worker_id} does not hold block {key!r}"
             )
-        self.tasks_run += 1
         return block.pass_state(self._sides_view(block.backend), k)

@@ -55,6 +55,7 @@ __all__ = [
     "MAARConfig",
     "KCandidate",
     "MAARResult",
+    "SeedError",
     "SweepStep",
     "check_seeds",
     "geometric_k_sequence",
@@ -64,6 +65,11 @@ __all__ = [
     "solve_maar",
     "sweep_k_states",
 ]
+
+
+class SeedError(ValueError):
+    """Raised when a seed id is outside the graph or a node is listed as
+    both a legitimate and a spammer seed."""
 
 
 def check_seeds(
@@ -77,7 +83,7 @@ def check_seeds(
     otherwise wrap around via Python indexing and silently pin the
     *wrong* node — and rejects nodes listed as both legitimate and
     spammer seeds, which previously resolved to SUSPICIOUS merely
-    because the spammer loop ran last.
+    because the spammer loop ran last. Both raise :class:`SeedError`.
     """
     for name, seeds in (
         ("legit_seeds", legit_seeds),
@@ -85,13 +91,13 @@ def check_seeds(
     ):
         for u in seeds:
             if not 0 <= u < num_nodes:
-                raise ValueError(
+                raise SeedError(
                     f"{name} contains node id {u}, out of range for a "
                     f"graph with {num_nodes} nodes"
                 )
     overlap = set(legit_seeds) & set(spammer_seeds)
     if overlap:
-        raise ValueError(
+        raise SeedError(
             "seeds listed as both legitimate and spammer: "
             f"{sorted(overlap)}"
         )

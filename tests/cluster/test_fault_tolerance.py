@@ -1,5 +1,5 @@
-"""Fault-tolerance tests: worker failures, replication, and lineage
-recomputation — the Spark behaviours the mini-cluster substrate models."""
+"""Fault-tolerance tests: worker failures and block replication — the
+Spark behaviours the mini-cluster substrate models."""
 
 import pytest
 
@@ -10,54 +10,95 @@ from repro.cluster import (
     DataLossError,
     DistributedKL,
     NetworkSimulator,
+    ShardBlock,
     WorkerFailure,
 )
-from repro.core import KLConfig, Partition, extended_kl
+from repro.cluster.blocks import BlockSlices
+from repro.core import AugmentedSocialGraph, CSRGraph, KLConfig, Partition, extended_kl
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
+
+
+def build_csr(num_nodes=30):
+    friendships = [(u, u + 1) for u in range(num_nodes - 1)]
+    friendships += [(u, u + 4) for u in range(0, num_nodes - 4, 3)]
+    rejections = [(u, (u + num_nodes // 2) % num_nodes) for u in range(0, num_nodes, 2)]
+    return AugmentedSocialGraph.from_edges(
+        num_nodes, friendships=friendships, rejections=rejections
+    ).csr()
+
+
+def wire(slices):
+    """A fetch reply as comparable plain lists."""
+    return [list(getattr(slices, name)) for name in BlockSlices.__slots__]
 
 
 class TestWorkerFailure:
     def test_failed_worker_refuses_requests(self):
+        csr = build_csr()
         context = ClusterContext(2)
-        dataset = context.parallelize(range(10), 2)
+        sharded = context.distribute_csr(csr, 2)
         worker = context.workers[0]
+        key = sharded.key(0)
         worker.fail()
         with pytest.raises(WorkerFailure):
-            worker.run_task(dataset.partition_key(0), len)
+            worker.store_block(key, ShardBlock.from_csr(csr, 0, 1))
         with pytest.raises(WorkerFailure):
-            worker.store_partition((9, 9), [1])
+            worker.block_slices(key, [0])
+        with pytest.raises(WorkerFailure):
+            worker.block_pass_state(key, 1.0)
+        with pytest.raises(WorkerFailure):
+            worker.install_sides([LEGITIMATE] * csr.num_nodes)
 
-    def test_failure_loses_resident_state(self):
-        context = ClusterContext(2)
-        context.parallelize(range(10), 2)
+    def test_failure_loses_resident_state(self, tmp_path):
+        csr = build_csr()
+        snapshot = CSRGraph.open(csr.save(tmp_path / "graph.csrbin"))
+        context = ClusterContext(2, replication=2)
+        payload = context.distribute_csr(csr, 2, transport="payload")
+        context.distribute_csr(snapshot, 2, transport="reference")
         worker = context.workers[0]
-        assert worker.memory_records() > 0
+        worker.install_sides([LEGITIMATE] * csr.num_nodes)
+        assert worker.blocks and worker.block_refs and worker.sides is not None
         worker.fail()
-        assert worker.memory_records() == 0
         assert not worker.alive
+        assert not worker.blocks and not worker.block_refs
+        assert worker.sides is None
+        assert not worker.has_block(payload.key(0))
 
 
 class TestReplication:
     def test_replicated_source_survives_one_failure(self):
+        csr = build_csr()
         context = ClusterContext(3, replication=2)
-        dataset = context.parallelize(range(30), 6)
+        sharded = context.distribute_csr(csr, 6)
         context.workers[0].fail()
-        assert sorted(dataset.collect()) == list(range(30))
+        for pid in range(6):
+            key = sharded.key(pid)
+            lo, hi = sharded.range_of(pid)
+            nodes = list(range(lo, hi))
+            worker = context.block_replica_for(pid, key)
+            assert worker.alive
+            assert wire(worker.block_slices(key, nodes)) == wire(
+                ShardBlock.from_csr(csr, lo, hi).slices(nodes)
+            )
 
     def test_unreplicated_source_is_lost(self):
         context = ClusterContext(3, replication=1)
-        dataset = context.parallelize(range(30), 6)
+        sharded = context.distribute_csr(build_csr(), 6)
         context.workers[0].fail()
-        with pytest.raises(DataLossError):
-            dataset.collect()
+        # Round-robin placement puts partitions 0 and 3 on worker 0.
+        for pid in (0, 3):
+            with pytest.raises(DataLossError):
+                context.block_replica_for(pid, sharded.key(pid))
+        assert context.block_replica_for(1, sharded.key(1)).alive
 
     def test_all_replicas_down_is_data_loss(self):
         context = ClusterContext(2, replication=2)
-        dataset = context.parallelize(range(4), 2)
+        sharded = context.distribute_csr(build_csr(), 2)
         for worker in context.workers:
             worker.fail()
-        with pytest.raises(DataLossError):
-            dataset.collect()
+        for pid in range(2):
+            with pytest.raises(DataLossError):
+                context.block_replica_for(pid, sharded.key(pid))
 
     def test_replication_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -66,32 +107,18 @@ class TestReplication:
             ClusterContext(2, replication=0)
 
     def test_replication_charges_extra_upload(self):
+        csr = build_csr()
         net1 = NetworkSimulator()
-        ClusterContext(4, net1, replication=1).parallelize(range(100), 4)
+        ClusterContext(4, net1, replication=1).distribute_csr(
+            csr, 4, transport="payload"
+        )
         net2 = NetworkSimulator()
-        ClusterContext(4, net2, replication=3).parallelize(range(100), 4)
-        assert net2.stats.bytes_sent == pytest.approx(
-            3 * net1.stats.bytes_sent
+        ClusterContext(4, net2, replication=3).distribute_csr(
+            csr, 4, transport="payload"
         )
-
-
-class TestLineageRecomputation:
-    def test_cached_data_recomputed_on_surviving_replica(self):
-        """A failed worker's cache is gone; the next action recomputes
-        the derived partition from the replicated source (lineage)."""
-        context = ClusterContext(3, replication=2)
-        calls = []
-        dataset = (
-            context.parallelize(range(12), 3)
-            .map(lambda x: calls.append(x) or x * 2)
-            .cache()
-        )
-        assert sorted(dataset.collect()) == [x * 2 for x in range(12)]
-        first_pass = len(calls)
-        context.workers[0].fail()
-        assert sorted(dataset.collect()) == [x * 2 for x in range(12)]
-        # Only the failed worker's partitions were recomputed.
-        assert first_pass < len(calls) < 2 * first_pass
+        assert net1.stats.bytes_sent > 0
+        assert net2.stats.bytes_sent == 3 * net1.stats.bytes_sent
+        assert net2.stats.messages == 3 * net1.stats.messages
 
 
 class TestEngineUnderFailure:

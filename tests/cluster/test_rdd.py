@@ -1,200 +1,40 @@
-"""Tests for the mini-cluster RDD substrate."""
+"""Tests for the cluster context: block placement, upload accounting and
+replica failover."""
 
 import pytest
 
-from repro.cluster import ClusterContext, NetworkSimulator, estimate_bytes
+from repro.cluster import ClusterContext, NetworkSimulator
+from repro.core import AugmentedSocialGraph
 
 
 @pytest.fixture
-def context():
-    return ClusterContext(num_workers=3)
+def csr():
+    return AugmentedSocialGraph.from_edges(
+        12,
+        friendships=[(u, u + 1) for u in range(11)],
+        rejections=[(0, 6), (11, 3)],
+    ).csr()
 
 
 class TestParallelize:
-    def test_records_distributed_round_robin(self, context):
-        dataset = context.parallelize(range(10), num_partitions=4)
-        assert dataset.num_partitions == 4
-        assert sorted(dataset.collect()) == list(range(10))
+    """Distributing a source graph across the workers."""
 
-    def test_upload_charged(self):
+    def test_upload_charged(self, csr):
         net = NetworkSimulator()
-        context = ClusterContext(2, net)
-        context.parallelize(range(100), num_partitions=4)
-        assert net.stats.by_kind.get("upload") == 4
+        context = ClusterContext(3, net, replication=2)
+        context.distribute_csr(csr, num_partitions=4)
+        # One upload message per partition per replica.
+        assert net.stats.by_kind.get("upload") == 4 * 2
         assert net.stats.bytes_sent > 0
 
-    def test_invalid_arguments(self, context):
+    def test_invalid_arguments(self, csr):
         with pytest.raises(ValueError):
-            context.parallelize([1], num_partitions=0)
+            ClusterContext(3).distribute_csr(csr, 0)
         with pytest.raises(ValueError):
             ClusterContext(0)
 
 
-class TestTransformations:
-    def test_map(self, context):
-        dataset = context.parallelize(range(6), 2).map(lambda x: x * x)
-        assert sorted(dataset.collect()) == [0, 1, 4, 9, 16, 25]
-
-    def test_filter(self, context):
-        dataset = context.parallelize(range(10), 3).filter(lambda x: x % 2 == 0)
-        assert sorted(dataset.collect()) == [0, 2, 4, 6, 8]
-
-    def test_flat_map(self, context):
-        dataset = context.parallelize([1, 2], 1).flat_map(lambda x: [x] * x)
-        assert sorted(dataset.collect()) == [1, 2, 2]
-
-    def test_map_partitions(self, context):
-        dataset = context.parallelize(range(8), 2).map_partitions(
-            lambda records: [sum(records)]
-        )
-        assert sum(dataset.collect()) == sum(range(8))
-
-    def test_chained_lineage(self, context):
-        result = (
-            context.parallelize(range(20), 4)
-            .map(lambda x: x + 1)
-            .filter(lambda x: x % 3 == 0)
-            .map(lambda x: x * 10)
-            .collect()
-        )
-        assert sorted(result) == [30, 60, 90, 120, 150, 180]
-
-    def test_transformations_are_lazy(self, context):
-        calls = []
-        dataset = context.parallelize(range(4), 2).map(
-            lambda x: calls.append(x) or x
-        )
-        assert calls == []  # nothing evaluated yet
-        dataset.collect()
-        assert sorted(calls) == [0, 1, 2, 3]
-
-
-class TestCaching:
-    def test_cache_avoids_recomputation(self, context):
-        calls = []
-        dataset = (
-            context.parallelize(range(5), 2)
-            .map(lambda x: calls.append(x) or x)
-            .cache()
-        )
-        dataset.collect()
-        first = len(calls)
-        dataset.collect()
-        assert len(calls) == first  # second action served from cache
-
-    def test_uncached_recomputes(self, context):
-        calls = []
-        dataset = context.parallelize(range(5), 2).map(
-            lambda x: calls.append(x) or x
-        )
-        dataset.collect()
-        dataset.collect()
-        assert len(calls) == 10
-
-
-class TestActions:
-    def test_count_ships_counters_not_data(self):
-        net = NetworkSimulator()
-        context = ClusterContext(2, net)
-        dataset = context.parallelize(range(1000), 4)
-        net.reset()
-        assert dataset.count() == 1000
-        # 4 count messages of 8 bytes each, far below the data size.
-        assert net.stats.bytes_sent == 32
-
-    def test_reduce(self, context):
-        dataset = context.parallelize(range(1, 11), 3)
-        assert dataset.reduce(lambda a, b: a + b) == 55
-
-    def test_reduce_empty_rejected(self, context):
-        dataset = context.parallelize([], 2)
-        with pytest.raises(ValueError):
-            dataset.reduce(lambda a, b: a + b)
-
-
-class TestReduceByKey:
-    def test_word_count_style(self, context):
-        pairs = [("a", 1), ("b", 1), ("a", 1), ("c", 1), ("b", 1), ("a", 1)]
-        dataset = context.parallelize(pairs, 3).reduce_by_key(lambda a, b: a + b)
-        assert dict(dataset.collect()) == {"a": 3, "b": 2, "c": 1}
-
-    def test_shuffle_traffic_charged(self):
-        net = NetworkSimulator()
-        context = ClusterContext(3, net)
-        pairs = [(i % 7, 1) for i in range(200)]
-        dataset = context.parallelize(pairs, 6)
-        net.reset()
-        dataset.reduce_by_key(lambda a, b: a + b)
-        assert net.stats.by_kind.get("shuffle", 0) >= 1
-        assert net.stats.bytes_sent > 0
-
-    def test_custom_output_partitions(self, context):
-        pairs = [(i, i) for i in range(10)]
-        dataset = context.parallelize(pairs, 2).reduce_by_key(
-            lambda a, b: a + b, num_partitions=5
-        )
-        assert dataset.num_partitions == 5
-        assert sorted(dataset.collect()) == [(i, i) for i in range(10)]
-
-
-class TestEstimateBytes:
-    def test_scalar_sizes(self):
-        assert estimate_bytes(7) == 8
-        assert estimate_bytes(3.14) == 8
-        assert estimate_bytes(None) == 1
-        assert estimate_bytes("abcd") == 53
-
-    def test_container_sizes_grow(self):
-        assert estimate_bytes([1, 2, 3]) > estimate_bytes([1])
-        assert estimate_bytes({"k": [1, 2]}) > estimate_bytes({})
-
-    def test_int_list_fast_path_exact(self):
-        # Header plus 8 bytes per element — no per-item recursion.
-        assert estimate_bytes([1] * 10) == 56 + 8 * 10
-        assert estimate_bytes(list(range(1000))) == 56 + 8 * 1000
-
-    def test_array_buffer_exact(self):
-        from array import array
-
-        assert estimate_bytes(array("q", range(10))) == 56 + 8 * 10
-        assert estimate_bytes(array("b", [1, 2])) == 56 + 2
-
-    def test_nbytes_objects_exact(self):
-        numpy = pytest.importorskip("numpy")
-        assert estimate_bytes(numpy.zeros(10, dtype=numpy.int64)) == 16 + 80
-
-    def test_bools_are_not_swallowed_by_int_fast_path(self):
-        # type(True) is bool, not int — the flat-int fast path must not
-        # price a bool at 8 bytes.
-        assert estimate_bytes([True, False]) == 56 + 1 + 1
-
-    def test_deep_nesting_no_longer_undercounted(self):
-        """Regression: the old depth cap flattened anything below four
-        levels to 8 bytes, undercounting nested payloads. Every level
-        must now contribute its container header."""
-        six_deep = [[[[[[1]]]]]]
-        seven_deep = [[[[[[[1]]]]]]]
-        assert estimate_bytes(six_deep) == (56 + 8) + 56 * 5
-        assert estimate_bytes(seven_deep) == estimate_bytes(six_deep) + 56
-
-    def test_cyclic_payload_raises_instead_of_recursing(self):
-        cyclic = []
-        cyclic.append(cyclic)
-        with pytest.raises(ValueError):
-            estimate_bytes(cyclic)
-
-
 class TestDistributeCSR:
-    @pytest.fixture
-    def csr(self):
-        from repro.core import AugmentedSocialGraph
-
-        return AugmentedSocialGraph.from_edges(
-            12,
-            friendships=[(u, u + 1) for u in range(11)],
-            rejections=[(0, 6), (11, 3)],
-        ).csr()
-
     def test_blocks_land_on_every_replica(self, csr):
         context = ClusterContext(num_workers=3, replication=2)
         sharded = context.distribute_csr(csr, num_partitions=4)
@@ -229,36 +69,3 @@ class TestDistributeCSR:
         fallback.fail()
         with pytest.raises(DataLossError):
             context.block_replica_for(0, sharded.key(0))
-
-
-class TestShuffleProperty:
-    def test_reduce_by_key_matches_counter(self):
-        """Property: the shuffle+reduce agrees with a plain Counter for
-        arbitrary key/value streams."""
-        from collections import Counter
-
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        @given(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=-20, max_value=20),
-                    st.integers(min_value=-5, max_value=5),
-                ),
-                max_size=80,
-            ),
-            st.integers(min_value=1, max_value=6),
-        )
-        @settings(max_examples=40, deadline=None)
-        def check(pairs, partitions):
-            context = ClusterContext(3)
-            dataset = context.parallelize(pairs, max(1, partitions)).reduce_by_key(
-                lambda a, b: a + b
-            )
-            expected = Counter()
-            for key, value in pairs:
-                expected[key] += value
-            assert dict(dataset.collect()) == dict(expected)
-
-        check()

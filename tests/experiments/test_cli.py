@@ -212,6 +212,7 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert captured.err.startswith("rejecto: error: ")
+        assert captured.err.count("\n") == 1
         assert needle in captured.err
 
     def test_detect_missing_graph(self, tmp_path, capsys):
@@ -242,3 +243,59 @@ class TestBadInput:
         snap.write_bytes(bytes(raw))
         for argv in (["graph", "info", str(snap)], ["detect", "--graph", str(snap)]):
             self.assert_clean_error(capsys, argv, "flags word 5")
+
+    @pytest.fixture
+    def tiny_graph(self, tmp_path):
+        path = tmp_path / "tiny.graph"
+        path.write_text("# nodes: 3\nF 0 1\nF 1 2\nR 2 0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("seed", ["9", "-1"])
+    def test_detect_out_of_range_seed(self, tiny_graph, capsys, seed):
+        self.assert_clean_error(
+            capsys,
+            ["detect", "--graph", tiny_graph, "--legit-seeds", seed],
+            f"node id {seed}, out of range",
+        )
+
+    def test_detect_seed_listed_twice(self, tiny_graph, capsys):
+        self.assert_clean_error(
+            capsys,
+            ["detect", "--graph", tiny_graph, "--legit-seeds", "1",
+             "--spammer-seeds", "1"],
+            "both legitimate and spammer",
+        )
+
+    def test_multilevel_out_of_range_seed(self, tiny_graph, capsys):
+        self.assert_clean_error(
+            capsys,
+            ["multilevel", "--graph", tiny_graph, "--spammer-seeds", "9"],
+            "node id 9, out of range",
+        )
+
+    def test_shard_detect_out_of_range_seed(self, tiny_graph, capsys):
+        self.assert_clean_error(
+            capsys,
+            ["shard-detect", "--graphs", tiny_graph, "--legit-seeds", "9"],
+            "node id 9, out of range",
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--max-rounds", "0"],
+            ["detect", "--max-rounds", "-2"],
+            ["detect", "--estimated", "0"],
+            ["shard-detect", "--max-rounds", "0"],
+            ["shard-detect", "--estimated", "-1"],
+        ],
+    )
+    def test_counts_below_one_rejected_at_parsing(self, tiny_graph, capsys, argv):
+        source = "--graphs" if argv[0] == "shard-detect" else "--graph"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [source, tiny_graph])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"error: argument {argv[1]}: must be >= 1" in captured.err
