@@ -21,7 +21,6 @@ from .core import (
     AugmentedSocialGraph,
     KLConfig,
     MAARConfig,
-    Partition,
     Rejecto,
     RejectoConfig,
     RejectoResult,
@@ -33,7 +32,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AugmentedSocialGraph",
-    "Partition",
     "KLConfig",
     "MAARConfig",
     "Rejecto",

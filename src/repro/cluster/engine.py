@@ -48,8 +48,14 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.gains import _lowest_terms, _on_grid
 from ..core.kl import _bucket_pass, _check_k
-from ..core.maar import MAARConfig, geometric_k_sequence, is_valid_cut, run_k_sweep
-from ..core.objectives import LEGITIMATE, SUSPICIOUS
+from ..core.maar import (
+    MAARConfig,
+    geometric_k_sequence,
+    initial_partition,
+    is_valid_cut,
+    run_k_sweep,
+)
+from ..core.objectives import SUSPICIOUS
 from .blocks import (
     COUNTER_BYTES,
     INT_BYTES,
@@ -375,8 +381,9 @@ def distributed_maar(
 ) -> Tuple[List[int], float, Optional[float]]:
     """MAAR sweep on the cluster engine.
 
-    Mirrors :func:`repro.core.maar.solve_maar`'s sweep — rejection-init
-    partition, geometric ``k`` grid run upward under the same stop rule
+    Mirrors :func:`repro.core.maar.solve_maar`'s sweep — the same
+    starting cut (:func:`~repro.core.maar.initial_partition`), geometric
+    ``k`` grid run upward under the same stop rule
     (:func:`~repro.core.maar.run_k_sweep`) and validity rule
     (:func:`~repro.core.maar.is_valid_cut`, ``min_evidence`` included),
     lowest-acceptance-rate winner — and returns ``(suspicious_nodes,
@@ -387,10 +394,7 @@ def distributed_maar(
     maar_config = maar_config or MAARConfig()
     csr = graph.csr()
     engine = DistributedKL(csr, cluster_config)
-    init_sides = [
-        SUSPICIOUS if csr.rejections_received(u) else LEGITIMATE
-        for u in range(csr.num_nodes)
-    ]
+    init_sides = initial_partition(csr, maar_config).sides
 
     def solve(ks):
         sides, f_cross, r_cross = engine.run(ks[0], init_sides, stats=stats)

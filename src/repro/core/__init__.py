@@ -6,12 +6,16 @@ Public surface:
   directed social rejections (Section III-A); a mutable *builder* that
   finalizes into the flat-array :class:`CSRGraph` via ``.csr()``.
 * :class:`CSRGraph` / :class:`CSRView` / :class:`PartitionState` — the
-  immutable CSR snapshot, zero-copy residual views, and the unified
-  engine state the hot paths run on.
-* :class:`Partition` and the objective helpers — MAAR cut accounting.
+  immutable CSR snapshot, zero-copy residual views, and the one cut
+  type: sides, seed locks and the incremental MAAR cut counters every
+  solver runs on and returns.
+* The objective helpers — side labels, acceptance rate and
+  friends-to-rejections ratio of a cut.
 * :func:`extended_kl` — the paper's extension of Kernighan-Lin to
   rejection-augmented graphs (Algorithm 1); :func:`extended_kl_state`
   is the CSR-state engine entry point.
+* :func:`initial_partition` — the sweep's starting cut (the one place
+  :attr:`MAARConfig.init` is read).
 * :func:`solve_maar` — geometric ``k`` sweep approximating the Minimum
   Aggregate Acceptance Rate cut (Theorem 1).
 * :class:`Rejecto` — the iterative detector (Section IV-E) with seed
@@ -50,18 +54,13 @@ from .objectives import (
     LEGITIMATE,
     SUSPICIOUS,
     acceptance_rate,
-    cross_friendships,
-    cross_rejections_into_suspicious,
-    cut_counts,
     friends_to_rejections_ratio,
-    linear_objective,
 )
 from .multilevel import (
     MultilevelConfig,
     MultilevelResult,
     solve_maar_multilevel,
 )
-from .partition import Partition
 from .rejecto import DetectedGroup, Rejecto, RejectoConfig, RejectoResult
 from .forensics import DetectionForensics, GroupForensics, analyze_detection
 from .responses import Action, ResponsePlan, ResponsePolicy
@@ -77,15 +76,10 @@ __all__ = [
     "PartitionState",
     "WeightedCSRGraph",
     "resolve_backend",
-    "Partition",
     "LEGITIMATE",
     "SUSPICIOUS",
     "acceptance_rate",
-    "cross_friendships",
-    "cross_rejections_into_suspicious",
-    "cut_counts",
     "friends_to_rejections_ratio",
-    "linear_objective",
     "HeapGainIndex",
     "KLConfig",
     "KLStats",

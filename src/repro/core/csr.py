@@ -625,8 +625,8 @@ class WeightedCSRGraph(CSRGraph):
         self, sides: Sequence[int], active: Optional[Sequence[int]] = None
     ) -> int:
         """Original-node population of side 1, as a plain ``int`` — every
-        super-node counts its merged members (mirrors
-        ``WeightedPartition.suspicious_size``)."""
+        super-node counts its merged members. Only ``active`` nodes count
+        when a mask is given."""
         nw = self.node_weight
         if active is None:
             return int(sum(nw[u] for u in range(self.num_nodes) if sides[u]))
@@ -778,11 +778,13 @@ class PartitionState:
     """Sides, frozen-seed locks, and incremental MAAR cut counters over a
     residual view — the single state object the KL engine mutates.
 
-    Semantics match :class:`repro.core.partition.Partition` restricted to
-    the view's active nodes: ``f_cross`` counts active-active cross
-    friendships, ``r_cross`` counts rejections cast by active side-0 nodes
-    onto active side-1 nodes. On a :class:`WeightedCSRGraph` both
-    counters are exact ``int`` weight sums.
+    The one cut type: every solver starts from one
+    (:func:`repro.core.maar.initial_partition`) and returns one.
+    ``f_cross`` counts active-active cross friendships ``|F(Ū, U)|`` and
+    ``r_cross`` counts rejections cast by active side-0 nodes onto
+    active side-1 nodes ``|R⃗⟨Ū, U⟩|``; on a :class:`WeightedCSRGraph`
+    both are exact ``int`` weight sums. Their dict-adjacency reference
+    is the test oracle in ``tests/core/partition_oracle.py``.
     """
 
     __slots__ = ("view", "sides", "locked", "f_cross", "r_cross", "side_sizes")
@@ -894,8 +896,8 @@ class PartitionState:
     def switch(self, u: int) -> None:
         """Move active node ``u`` to the other side, updating the counters.
 
-        Same delta rules as ``Partition.switch``, restricted to active
-        neighbours (inactive nodes contribute to no counter).
+        A rejection ⟨a, b⟩ counts only while ``a`` is on side 0 and
+        ``b`` on side 1; inactive neighbours contribute to no counter.
         """
         view = self.view
         csr, active, sides = view.csr, view.active, self.sides

@@ -68,7 +68,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .csr import PartitionState
 from .gains import HeapGainIndex, _lowest_terms, _on_grid
-from .graph import AugmentedSocialGraph
 from .kernels import (
     boundary_nodes,
     gain_deltas,
@@ -77,7 +76,6 @@ from .kernels import (
     weighted_gain_deltas,
     weighted_heap_gains,
 )
-from .partition import Partition
 
 __all__ = [
     "KLConfig",
@@ -931,23 +929,26 @@ def refine_subset(
 
 
 def extended_kl(
-    graph: AugmentedSocialGraph,
+    graph,
     k: float,
-    initial: Partition,
+    initial,
     locked: Optional[Sequence[bool]] = None,
     config: Optional[KLConfig] = None,
     stats: Optional[KLStats] = None,
-) -> Partition:
+) -> PartitionState:
     """Minimize ``|F(Ū,U)| − k·|R⃗⟨Ū,U⟩|`` from the given initial partition.
 
     Parameters
     ----------
     graph:
-        The rejection-augmented social graph.
+        The rejection-augmented social graph: an
+        :class:`~repro.core.graph.AugmentedSocialGraph` builder or a
+        finalized :class:`~repro.core.csr.CSRGraph`.
     k:
         The rejection weight of the linearized objective (positive).
     initial:
-        Starting partition; it is copied, not mutated.
+        Starting cut: anything with a ``sides`` list (one 0/1 label per
+        node); it is copied, not mutated.
     locked:
         Optional per-node flags; locked nodes (seeds) never switch.
     config:
@@ -957,16 +958,8 @@ def extended_kl(
 
     Returns
     -------
-    Partition
-        The improved partition.
+    PartitionState
+        The improved cut over the graph's full view.
     """
-    _check_k(k)
-    config = config or KLConfig()
-    n = graph.num_nodes
-    if locked is None:
-        locked = [False] * n
-    elif len(locked) != n:
-        raise ValueError(f"locked has length {len(locked)}, expected {n}")
     state = PartitionState(graph.csr().view(), initial.sides, locked)
-    out = extended_kl_state(state, k, config, stats)
-    return Partition.from_counts(graph, out.sides, out.f_cross, out.r_cross)
+    return extended_kl_state(state, k, config, stats)

@@ -42,12 +42,10 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import random
 
 from .csr import CSRView, PartitionState
-from .graph import AugmentedSocialGraph
 from .kernels import active_in_rejections
 from .kl import KLConfig, KLStats, extended_kl_state
 from .objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
 from .parallel import parallel_map, warn_jobs_ignored
-from .partition import Partition
 
 logger = logging.getLogger(__name__)
 
@@ -135,7 +133,8 @@ class MAARConfig:
         that has received at least one rejection on the suspicious side
         (a strong, deterministic warm start); ``"all_legitimate"`` starts
         from the empty suspicious region; ``"random"`` assigns side 1
-        with probability ``random_fraction``.
+        with probability ``random_fraction`` (in ``[0, 1]``).
+        :func:`initial_partition` is the one place this is read.
     min_suspicious:
         A cut is a valid spammer candidate only if the suspicious region
         holds at least this many nodes and at least one cross rejection
@@ -224,7 +223,7 @@ class KCandidate:
 class MAARResult:
     """Best cut found by the sweep plus per-``k`` diagnostics."""
 
-    partition: Optional[Partition]
+    partition: Optional[PartitionState]
     k: Optional[float]
     acceptance_rate: float
     per_k: List[KCandidate]
@@ -241,58 +240,32 @@ class MAARResult:
 
 
 def initial_partition(
-    graph: AugmentedSocialGraph,
+    graph,
     config: MAARConfig,
     legit_seeds: Sequence[int] = (),
     spammer_seeds: Sequence[int] = (),
-) -> Partition:
-    """Build the sweep's starting partition.
+) -> PartitionState:
+    """Build the sweep's starting cut — the one reader of ``config.init``.
 
-    Seeds override the strategy: legitimate seeds always start (and stay)
-    on side 0, spammer seeds on side 1. Seed ids are validated against
-    the graph (:func:`check_seeds`); out-of-range or overlapping seed
-    lists raise ``ValueError``.
+    ``graph`` is an :class:`~repro.core.graph.AugmentedSocialGraph`
+    builder, a finalized :class:`~repro.core.csr.CSRGraph` (both start
+    on their full view) or a residual :class:`CSRView`. The strategy
+    applies to active nodes only: ``"rejection"`` counts only rejections
+    cast by still-active users, exactly as a ``graph.subgraph()`` prune
+    of the inactive users would leave them, and ``"random"`` draws once
+    per active node.
+    Inactive nodes stay on side 0, where they touch no counter.
+
+    Seeds override the strategy: legitimate seeds start on side 0,
+    spammer seeds on side 1, and both are locked so no KL pass moves
+    them. Seed ids are validated against the graph (:func:`check_seeds`);
+    out-of-range or overlapping seed lists, an unknown strategy and a
+    ``random_fraction`` outside ``[0, 1]`` raise ``ValueError``.
     """
-    n = graph.num_nodes
-    check_seeds(n, legit_seeds, spammer_seeds)
-    if config.init == "rejection":
-        sides = [
-            SUSPICIOUS if graph.rej_in[u] else LEGITIMATE for u in range(n)
-        ]
-    elif config.init == "all_legitimate":
-        sides = [LEGITIMATE] * n
-    elif config.init == "random":
-        rng = random.Random(config.random_seed)
-        sides = [
-            SUSPICIOUS if rng.random() < config.random_fraction else LEGITIMATE
-            for _ in range(n)
-        ]
-    else:
-        raise ValueError(f"unknown init strategy {config.init!r}")
-    for u in legit_seeds:
-        sides[u] = LEGITIMATE
-    for u in spammer_seeds:
-        sides[u] = SUSPICIOUS
-    return Partition(graph, sides)
-
-
-def _view_initial_sides(
-    view: CSRView,
-    config: MAARConfig,
-    legit_seeds: Sequence[int] = (),
-    spammer_seeds: Sequence[int] = (),
-) -> List[int]:
-    """Initial side assignment for a (possibly residual) CSR view.
-
-    Mirrors :func:`initial_partition` with active-node filtering: the
-    ``"rejection"`` strategy counts only rejections cast by still-active
-    users, exactly as a ``graph.subgraph()`` prune of the inactive users
-    would leave them. Sides of inactive nodes are irrelevant
-    to the counters and left at 0.
-    """
+    view = graph if isinstance(graph, CSRView) else graph.csr().view()
     n = view.csr.num_nodes
+    check_seeds(n, legit_seeds, spammer_seeds)
     active = view.active
-    sides = [LEGITIMATE] * n
     if config.init == "rejection":
         # One batch count of active rejecters (weights are ignored).
         received = active_in_rejections(view)
@@ -301,19 +274,28 @@ def _view_initial_sides(
             for a, r in zip(active, received)
         ]
     elif config.init == "all_legitimate":
-        pass
+        sides = [LEGITIMATE] * n
     elif config.init == "random":
+        if not 0.0 <= config.random_fraction <= 1.0:
+            raise ValueError(
+                "MAARConfig.random_fraction must lie in [0, 1], got "
+                f"{config.random_fraction!r}"
+            )
         rng = random.Random(config.random_seed)
-        for u in range(n):
-            if active[u] and rng.random() < config.random_fraction:
-                sides[u] = SUSPICIOUS
+        sides = [
+            SUSPICIOUS if a and rng.random() < config.random_fraction else LEGITIMATE
+            for a in active
+        ]
     else:
         raise ValueError(f"unknown init strategy {config.init!r}")
+    locked = [False] * n
     for u in legit_seeds:
         sides[u] = LEGITIMATE
+        locked[u] = True
     for u in spammer_seeds:
         sides[u] = SUSPICIOUS
-    return sides
+        locked[u] = True
+    return PartitionState(view, sides, locked)
 
 
 def is_valid_cut(size, population: int, r_cross: int, config) -> bool:
@@ -509,20 +491,9 @@ def _solve_maar_view(
 
     Every KL run operates on :class:`PartitionState` — no subgraph
     materialization. The returned result's ``partition`` is the winning
-    :class:`PartitionState` (duck-compatible with :class:`Partition` for
-    the queries the callers use).
+    :class:`PartitionState`.
     """
-    n = view.csr.num_nodes
-    check_seeds(n, legit_seeds, spammer_seeds)
-    locked = [False] * n
-    for u in legit_seeds:
-        locked[u] = True
-    for u in spammer_seeds:
-        locked[u] = True
-
-    init = PartitionState(
-        view, _view_initial_sides(view, config, legit_seeds, spammer_seeds), locked
-    )
+    init = initial_partition(view, config, legit_seeds, spammer_seeds)
     num_active = view.num_active
 
     def valid(state: PartitionState) -> bool:
@@ -604,20 +575,11 @@ def solve_maar(
     ``result.per_k`` holds exactly the steps run, the stop step
     included, then any ``refine_rounds`` steps.
 
-    ``graph`` may be an :class:`AugmentedSocialGraph` builder or an
-    already-finalized :class:`repro.core.csr.CSRGraph`; either way the
-    sweep runs on the flat-array core. For builder inputs the result's
-    ``partition`` is a :class:`Partition`; for CSR inputs it is the
-    winning :class:`PartitionState`.
+    ``graph`` may be an :class:`~repro.core.graph.AugmentedSocialGraph`
+    builder or an already-finalized :class:`repro.core.csr.CSRGraph`;
+    either way the sweep runs on the flat-array core and the result's
+    ``partition`` is the winning :class:`PartitionState` over the graph's
+    full view.
     """
     config = config or MAARConfig()
-    is_builder = isinstance(graph, AugmentedSocialGraph)
-    result = _solve_maar_view(
-        graph.csr().view(), config, legit_seeds, spammer_seeds
-    )
-    if is_builder and result.partition is not None:
-        state = result.partition
-        result.partition = Partition.from_counts(
-            graph, state.sides, state.f_cross, state.r_cross
-        )
-    return result
+    return _solve_maar_view(graph.csr().view(), config, legit_seeds, spammer_seeds)

@@ -66,7 +66,13 @@ from .kernels import (
     movable_frontier,
 )
 from .kl import KLConfig, KLStats, extended_kl_state, refine_subset
-from .maar import check_seeds, geometric_k_sequence, is_valid_cut, sweep_k_states
+from .maar import (
+    MAARConfig,
+    geometric_k_sequence,
+    initial_partition,
+    is_valid_cut,
+    sweep_k_states,
+)
 from .parallel import chunk_evenly, parallel_map
 from .objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
 
@@ -418,20 +424,10 @@ def solve_maar_multilevel(
     total_nodes = csr0.num_nodes
     if total_nodes == 0:
         return MultilevelResult([], 1.0, None)
-    check_seeds(total_nodes, legit_seeds, spammer_seeds)
-
-    locked = [False] * total_nodes
-    ri_ptr = csr0.hot()[4]
-    init_sides = [
-        SUSPICIOUS if ri_ptr[u + 1] > ri_ptr[u] else LEGITIMATE
-        for u in range(total_nodes)
-    ]
-    for u in legit_seeds:
-        locked[u] = True
-        init_sides[u] = LEGITIMATE
-    for u in spammer_seeds:
-        locked[u] = True
-        init_sides[u] = SUSPICIOUS
+    # The default MAARConfig's "rejection" start: users who received a
+    # rejection begin suspicious; seeds are pinned and locked.
+    fine_init = initial_partition(csr0, MAARConfig(), legit_seeds, spammer_seeds)
+    locked, init_sides = fine_init.locked, fine_init.sides
 
     # --- Coarsening phase -------------------------------------------------
     levels: List[CSRGraph] = [csr0]

@@ -18,24 +18,18 @@ side 0 onto side 1 (``R⃗⟨Ū, U⟩``) — rejections *among* the suspicious
 region, or cast by it, never enter the objective. That asymmetry is what
 makes the scheme collusion-resistant.
 
-These functions recompute the counters from scratch; they are the ground
-truth against which the incremental counters of
-:class:`repro.core.partition.Partition` are property-tested.
+The counters themselves live on :class:`repro.core.csr.PartitionState`;
+this module holds the side labels and the two cut-quality measures
+computed from them. The from-scratch dict-adjacency counters the
+incremental ones are property-tested against are a test oracle
+(``tests/core/partition_oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-from .graph import AugmentedSocialGraph
-
 __all__ = [
-    "cross_friendships",
-    "cross_rejections_into_suspicious",
-    "cut_counts",
     "acceptance_rate",
     "friends_to_rejections_ratio",
-    "linear_objective",
     "SUSPICIOUS",
     "LEGITIMATE",
 ]
@@ -44,35 +38,6 @@ __all__ = [
 SUSPICIOUS = 1
 #: Side label of the legitimate region ``Ū``.
 LEGITIMATE = 0
-
-
-def cross_friendships(graph: AugmentedSocialGraph, sides: Sequence[int]) -> int:
-    """``|F(Ū, U)|`` — friendships crossing the partition (direction-free)."""
-    return sum(1 for u, v in graph.friendships() if sides[u] != sides[v])
-
-
-def cross_rejections_into_suspicious(
-    graph: AugmentedSocialGraph, sides: Sequence[int]
-) -> int:
-    """``|R⃗⟨Ū, U⟩|`` — rejections cast by side 0 onto side 1.
-
-    Only these rejections appear in the MAAR objective: a rejection is
-    counted iff the rejecter sits in the legitimate region and the
-    rejected request sender sits in the suspicious region.
-    """
-    return sum(
-        1
-        for rejecter, sender in graph.rejections()
-        if sides[rejecter] == LEGITIMATE and sides[sender] == SUSPICIOUS
-    )
-
-
-def cut_counts(graph: AugmentedSocialGraph, sides: Sequence[int]) -> Tuple[int, int]:
-    """``(|F(Ū, U)|, |R⃗⟨Ū, U⟩|)`` computed from scratch."""
-    return (
-        cross_friendships(graph, sides),
-        cross_rejections_into_suspicious(graph, sides),
-    )
 
 
 def acceptance_rate(f_cross: int, r_cross: int) -> float:
@@ -100,13 +65,3 @@ def friends_to_rejections_ratio(f_cross: int, r_cross: int) -> float:
         return float("inf")
     return f_cross / r_cross
 
-
-def linear_objective(f_cross: int, r_cross: int, k: float) -> float:
-    """The linearized objective ``W(U) = |F(Ū,U)| − k·|R⃗⟨Ū,U⟩|``.
-
-    Theorem 1: at ``k = k*`` (the optimal friends-to-rejections ratio),
-    the MAAR cut is exactly the minimizer of this linear objective; the
-    extended KL search of :mod:`repro.core.kl` minimizes it for each
-    ``k`` on a geometric grid.
-    """
-    return f_cross - k * r_cross

@@ -17,13 +17,13 @@ from repro.core import (
     KLConfig,
     KLStats,
     MAARConfig,
-    Partition,
     extended_kl,
     solve_maar,
 )
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
 from ..conftest import augmented_graphs
+from ..core.partition_oracle import Partition
 
 try:
     import numpy  # noqa: F401
@@ -104,6 +104,22 @@ class TestEquivalenceWithCore:
         assert suspicious == core.suspicious_nodes()
         assert best_k == core.k
         assert rate == core.acceptance_rate == 0.5
+
+    @pytest.mark.parametrize("init", ["all_legitimate", "random"])
+    def test_distributed_maar_honours_init(self, init):
+        """Regression: the cluster sweep always started from the
+        rejection rule, whatever ``MAARConfig.init`` said (seed 1 with
+        ``all_legitimate``: 62 nodes at rate 0.3236 against the core's
+        1 node at 0.2692)."""
+        graph = build_scenario(
+            ScenarioConfig(num_legit=300, num_fakes=60, seed=1)
+        ).graph
+        config = MAARConfig(k_steps=6, init=init)
+        core = solve_maar(graph, config)
+        suspicious, rate, best_k = distributed_maar(graph, maar_config=config)
+        assert suspicious == core.suspicious_nodes()
+        assert rate == core.acceptance_rate
+        assert best_k == core.k
 
     def test_locked_nodes_respected(self, scenario):
         graph = scenario.graph

@@ -14,8 +14,10 @@ from repro.cluster import (
     WorkerFailure,
 )
 from repro.cluster.blocks import BlockSlices
-from repro.core import AugmentedSocialGraph, CSRGraph, KLConfig, Partition, extended_kl
+from repro.core import AugmentedSocialGraph, CSRGraph, KLConfig, extended_kl
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
+
+from ..core.partition_oracle import Partition
 
 
 def build_csr(num_nodes=30):

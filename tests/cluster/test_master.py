@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from repro.cluster.master import MasterState, prefetch_source
 from repro.cluster.prefetch import PrefetchBuffer
-from repro.core import AugmentedSocialGraph, KLConfig, Partition, extended_kl
+from repro.core import AugmentedSocialGraph, KLConfig, extended_kl
 from repro.core.kl import _bucket_pass
+
+from ..core.partition_oracle import Partition
 
 RES = 8
 OFFSET = 64

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from repro.core import (
     AugmentedSocialGraph,
     CSRGraph,
-    Partition,
     PartitionState,
-    cut_counts,
     resolve_backend,
 )
 from repro.core.csr import WeightedCSRGraph
 
 from ..conftest import graphs_with_sides, random_augmented_graph
+from .partition_oracle import Partition, cut_counts
 from .weighted_oracle import WeightedAugmentedGraph, WeightedPartition
 
 

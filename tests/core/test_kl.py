@@ -8,14 +8,13 @@ from repro.core import (
     AugmentedSocialGraph,
     KLConfig,
     KLStats,
-    Partition,
-    cut_counts,
     extended_kl,
 )
 from repro.core.csr import PartitionState
 from repro.core.kl import extended_kl_state, refine_subset
 
 from ..conftest import augmented_graphs, random_augmented_graph
+from .partition_oracle import Partition, cut_counts
 
 
 def planted_spam_graph():

@@ -10,7 +10,9 @@ from repro.core import (
     solve_maar,
 )
 
+from ..conftest import random_augmented_graph
 from .maar_oracle import full_grid, grid_winner, per_k_values, stop_index
+from .partition_oracle import cut_counts
 
 
 class TestGeometricSequence:
@@ -91,8 +93,6 @@ class TestInitialPartition:
         """On a residual view a node starts suspicious only while some
         still-active user rejects it; on an int64-weighted residual view
         the rule is the same, whatever the rejection weights."""
-        from repro.core.maar import _view_initial_sides
-
         from .weighted_oracle import WeightedAugmentedGraph
 
         if backend == "numpy":
@@ -102,14 +102,66 @@ class TestInitialPartition:
         )
         view = graph.csr(backend).view().without([3])
         config = MAARConfig(init="rejection")
-        assert _view_initial_sides(view, config) == [0, 0, 1, 0, 0]
+        assert initial_partition(view, config).sides == [0, 0, 1, 0, 0]
         weighted = WeightedAugmentedGraph(5)
         weighted.add_friendship(0, 1, 2)
         for a, b, w in ((0, 2, 1), (1, 2, 3), (3, 4, 2), (0, 3, 4)):
             weighted.add_rejection(a, b, w)
         wview = weighted.csr(backend).view().without([3])
         assert wview.csr.weighted
-        assert _view_initial_sides(wview, config) == [0, 0, 1, 0, 0]
+        assert initial_partition(wview, config).sides == [0, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("fraction", [2.0, -3.0, 1.5, -0.01])
+    def test_random_fraction_outside_unit_interval_rejected(self, fraction):
+        """Regression: 2.0 used to start every node suspicious and -3.0
+        none, silently."""
+        graph = AugmentedSocialGraph(5)
+        config = MAARConfig(init="random", random_fraction=fraction)
+        with pytest.raises(ValueError, match="random_fraction"):
+            initial_partition(graph, config)
+        with pytest.raises(ValueError, match="random_fraction"):
+            solve_maar(graph, config)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_random_fraction_bounds_accepted(self, fraction):
+        graph = AugmentedSocialGraph(5)
+        p = initial_partition(
+            graph, MAARConfig(init="random", random_fraction=fraction)
+        )
+        assert p.sides == [int(fraction)] * 5
+
+    @pytest.mark.parametrize("init", ["rejection", "all_legitimate", "random"])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_builder_csr_and_view_inputs_agree(self, init, seeded):
+        """A builder, its CSR graph and its full view are one starting
+        cut: same sides, locks and counters; the rejection rule is
+        "suspicious iff someone rejected you"."""
+        graph = random_augmented_graph(40, 80, 30, seed=3)
+        n = graph.num_nodes
+        config = MAARConfig(init=init, random_seed=5, random_fraction=0.3)
+        legit, spammer = ([0, 7], [3]) if seeded else ([], [])
+        csr = graph.csr()
+        cuts = [
+            initial_partition(source, config, legit, spammer)
+            for source in (graph, csr, csr.view())
+        ]
+        first = cuts[0]
+        for cut in cuts:
+            assert (cut.sides, cut.locked, cut.f_cross, cut.r_cross) == (
+                first.sides, first.locked, first.f_cross, first.r_cross
+            )
+        assert (first.f_cross, first.r_cross) == cut_counts(graph, first.sides)
+        assert first.locked == [u in legit + spammer for u in range(n)]
+        assert all(first.sides[u] == 0 for u in legit)
+        assert all(first.sides[u] == 1 for u in spammer)
+        if init == "rejection":
+            expected = [1 if graph.rej_in[u] else 0 for u in range(n)]
+            for u in legit:
+                expected[u] = 0
+            for u in spammer:
+                expected[u] = 1
+            assert first.sides == expected
+            assert 0 < sum(expected) < n
 
     def test_solve_maar_validates_seeds(self):
         graph = AugmentedSocialGraph.from_edges(4, rejections=[(0, 2)])

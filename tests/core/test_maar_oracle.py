@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import AugmentedSocialGraph, MAARConfig, solve_maar
-from repro.core.objectives import cut_counts
 
 from ..conftest import augmented_graphs, random_augmented_graph
 from .maar_oracle import (
@@ -28,6 +27,7 @@ from .maar_oracle import (
     per_k_values,
     stop_index,
 )
+from .partition_oracle import cut_counts
 
 CONFIGS = {
     "default": MAARConfig(),

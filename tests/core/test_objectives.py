@@ -10,14 +10,16 @@ from repro.core import (
     LEGITIMATE,
     SUSPICIOUS,
     acceptance_rate,
-    cross_friendships,
-    cross_rejections_into_suspicious,
-    cut_counts,
     friends_to_rejections_ratio,
-    linear_objective,
 )
 
 from ..conftest import graphs_with_sides
+from .partition_oracle import (
+    cross_friendships,
+    cross_rejections_into_suspicious,
+    cut_counts,
+    linear_objective,
+)
 
 
 class TestCrossFriendships:

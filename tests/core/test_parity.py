@@ -34,7 +34,7 @@ from hypothesis import given, settings
 
 from repro.attacks.scenario import ScenarioConfig, build_scenario
 from repro.cluster.engine import DistributedKL, distributed_maar
-from repro.core import AugmentedSocialGraph, Partition
+from repro.core import AugmentedSocialGraph
 from repro.core.csr import PartitionState
 from repro.core.kl import KLConfig, KLStats, extended_kl, extended_kl_state
 from repro.core.maar import MAARConfig, solve_maar
@@ -49,6 +49,7 @@ from .maar_oracle import (
     per_k_values,
     stop_index,
 )
+from .partition_oracle import Partition
 
 FULL_REBUILD = KLConfig(incremental=False)
 PRECISION_FLOOR = 0.9

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AugmentedSocialGraph, Partition, cut_counts
+from repro.core import AugmentedSocialGraph
 
 from ..conftest import graphs_with_sides
+from .partition_oracle import Partition, cut_counts
 
 
 class TestConstruction:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks import ScenarioConfig, build_scenario
-from repro.core import Partition, solve_maar
+from repro.core import solve_maar
 from repro.core.csr import PartitionState
 from repro.core.kernels import heavy_edge_matching, matching_to_mapping
 from repro.core.kl import extended_kl_state
@@ -15,6 +15,7 @@ from repro.core.multilevel import MultilevelConfig, solve_maar_multilevel
 from repro.metrics import precision_recall
 
 from ..conftest import augmented_graphs, graphs_with_sides
+from .partition_oracle import Partition
 from .weighted_oracle import WeightedAugmentedGraph, WeightedPartition
 
 
