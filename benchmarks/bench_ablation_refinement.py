@@ -1,19 +1,15 @@
-"""Ablation: boundary-only parallel refinement vs full-frontier sweeps.
+"""Ablation: boundary-only refinement vs full-frontier sweeps.
 
 The multilevel pipeline spends most of its wall clock re-refining each
 uncoarsened level, and a full-frontier pass re-tests every node every
 round even though the projected cut is already near-converged. This
-ablation sweeps the three refinement knobs
+ablation sweeps the two refinement knobs
 :class:`repro.core.multilevel.MultilevelConfig` grew for the
 boundary-only scheme:
 
 * **frontier** — ``"full"`` (classic whole-graph engine passes) vs
   ``"boundary"`` (movable frontier → connected regions →
-  ``refine_subset`` fan-out, rounds until no frontier move remains);
-* **refine_jobs** — region fan-out width; any value must be
-  bit-identical to ``refine_jobs=1`` (regions are pairwise
-  non-adjacent, the merge is input-ordered), so the sweep asserts the
-  partitions match, not just the quality;
+  ``refine_subset`` per region, rounds until no frontier move remains);
 * **refine_tolerance** — early-exit: skip intermediate levels while
   the most recent refined level improved the objective by at most the
   tolerance (the finest level always refines).
@@ -51,14 +47,12 @@ FULL_SCALE = (3000, 600)
 SMOKE_SCALE = (400, 80)
 SEED = 7
 FRONTIERS = ("full", "boundary")
-JOBS = (1, 2)
 TOLERANCES = (0.0, 0.01)
 
 
-def _solve_row(graph, fakes, frontier, refine_jobs, refine_tolerance):
+def _solve_row(graph, fakes, frontier, refine_tolerance):
     config = MultilevelConfig(
         frontier=frontier,
-        refine_jobs=refine_jobs,
         refine_tolerance=refine_tolerance,
     )
     start = time.perf_counter()
@@ -68,7 +62,6 @@ def _solve_row(graph, fakes, frontier, refine_jobs, refine_tolerance):
     detail = result.timings["refine_detail"]
     return {
         "frontier": frontier,
-        "refine_jobs": refine_jobs,
         "refine_tolerance": refine_tolerance,
         "seconds": seconds,
         "refine_seconds": sum(result.timings["refine"]),
@@ -79,7 +72,7 @@ def _solve_row(graph, fakes, frontier, refine_jobs, refine_tolerance):
         "tested": sum(d["tested"] for d in detail),
         "moves": sum(d["moves"] for d in detail),
         "found": result.found,
-        "suspicious": sorted(result.suspicious),
+        "suspicious": len(result.suspicious),
         "k": result.k,
         "acceptance_rate": result.acceptance_rate,
         "precision": metrics.precision,
@@ -88,12 +81,11 @@ def _solve_row(graph, fakes, frontier, refine_jobs, refine_tolerance):
 
 
 def frontier_sweep(num_legit, num_fakes):
-    """frontier × refine_jobs × refine_tolerance over one scenario.
+    """frontier × refine_tolerance over one scenario.
 
-    Returns the rows (with ``suspicious`` stripped down to a count) and
-    asserts the two determinism invariants inline: ``refine_jobs`` never
-    changes the partition, and the boundary frontier detects the same
-    planted population as the full one.
+    Returns the rows (``suspicious`` is the detected count) and asserts
+    inline that every row, boundary or full, detects the planted
+    population at precision and recall above 0.9.
     """
     scenario = build_scenario(
         ScenarioConfig(num_legit=num_legit, num_fakes=num_fakes, seed=SEED)
@@ -101,34 +93,12 @@ def frontier_sweep(num_legit, num_fakes):
     rows = []
     for frontier in FRONTIERS:
         for tolerance in TOLERANCES:
-            for jobs in JOBS:
-                rows.append(
-                    _solve_row(
-                        scenario.graph,
-                        scenario.fakes,
-                        frontier,
-                        jobs,
-                        tolerance,
-                    )
-                )
-    by_key = {
-        (r["frontier"], r["refine_tolerance"], r["refine_jobs"]): r
-        for r in rows
-    }
-    for frontier in FRONTIERS:
-        for tolerance in TOLERANCES:
-            solo = by_key[(frontier, tolerance, 1)]
-            for jobs in JOBS[1:]:
-                wide = by_key[(frontier, tolerance, jobs)]
-                assert wide["suspicious"] == solo["suspicious"], (
-                    f"refine_jobs={jobs} changed the partition at "
-                    f"frontier={frontier!r} tolerance={tolerance}"
-                )
-                assert wide["k"] == solo["k"]
+            rows.append(
+                _solve_row(scenario.graph, scenario.fakes, frontier, tolerance)
+            )
     for row in rows:
         assert row["recall"] > 0.9, row
         assert row["precision"] > 0.9, row
-        row["suspicious"] = len(row["suspicious"])
     return rows
 
 
@@ -173,16 +143,12 @@ def run_report(smoke=False):
     full = next(
         r
         for r in rows
-        if r["frontier"] == "full"
-        and r["refine_tolerance"] == 0.0
-        and r["refine_jobs"] == 1
+        if r["frontier"] == "full" and r["refine_tolerance"] == 0.0
     )
     boundary = next(
         r
         for r in rows
-        if r["frontier"] == "boundary"
-        and r["refine_tolerance"] == 0.0
-        and r["refine_jobs"] == 1
+        if r["frontier"] == "boundary" and r["refine_tolerance"] == 0.0
     )
     return {
         "meta": bench_metadata(),

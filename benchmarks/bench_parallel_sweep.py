@@ -10,11 +10,14 @@ This benchmark measures the end-to-end ``solve_maar`` wall clock at
 to the serial sweep, and writes everything to
 ``BENCH_parallel_sweep.json`` at the repo root.
 
-Each row records how many of the grid's steps the sweep ran
-(``steps_run`` of ``grid_steps``) and every grid step's serial duration,
-measured as a single-step sweep (``per_k_seconds``). ``cpu_count`` is
-recorded so readers can tell which regime a given JSON was produced in;
-the measured-speedup assertion only applies on multi-core hosts.
+Every configuration is timed ``REPEATS`` times, serial and parallel
+interleaved within each repeat so machine drift hits them alike; the
+row reports the median. Each row records how many of the grid's steps
+the sweep ran (``steps_run`` of ``grid_steps``) and every grid step's
+serial duration, measured as a single-step sweep (``per_k_seconds``).
+``cpu_count`` is recorded so readers can tell which regime a given JSON
+was produced in; the measured-speedup assertion only applies on
+multi-core hosts.
 
 Usage::
 
@@ -25,13 +28,14 @@ Usage::
 import argparse
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
 from benchmeta import bench_metadata
 from repro.attacks import ScenarioConfig, build_scenario
 from repro.core import MAARConfig, geometric_k_sequence, solve_maar
-from repro.core.parallel import fork_available, resolve_executor
+from repro.core.parallel import fork_available
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_parallel_sweep.json"
@@ -42,6 +46,8 @@ FULL_SCALES = ((2000, 400), (8333, 1667))
 SMOKE_SCALES = ((400, 80),)
 FULL_WORKERS = (2, 4, 8)
 SMOKE_WORKERS = (2,)
+#: Timed runs per configuration; the row keeps the median.
+REPEATS = 3
 
 
 def _result_fingerprint(result):
@@ -75,17 +81,28 @@ def measure_per_k(graph, config):
     return durations
 
 
+def _timed_solve(graph, jobs):
+    start = time.perf_counter()
+    result = solve_maar(graph, MAARConfig(jobs=jobs))
+    return result, time.perf_counter() - start
+
+
 def run_scale(num_legit, num_fakes, worker_grid):
     scenario = build_scenario(
         ScenarioConfig(num_legit=num_legit, num_fakes=num_fakes)
     )
     graph = scenario.graph.csr()
 
-    start = time.perf_counter()
-    serial = solve_maar(graph, MAARConfig())
-    serial_seconds = time.perf_counter() - start
+    seconds = {jobs: [] for jobs in (1,) + tuple(worker_grid)}
+    results = {}
+    for _ in range(REPEATS):
+        for jobs in seconds:
+            results[jobs], elapsed = _timed_solve(graph, jobs)
+            seconds[jobs].append(elapsed)
+    serial = results[1]
     assert serial.found
     reference = _result_fingerprint(serial)
+    serial_seconds = statistics.median(seconds[1])
 
     per_k = measure_per_k(graph, MAARConfig())
     row = {
@@ -94,6 +111,7 @@ def run_scale(num_legit, num_fakes, worker_grid):
         "users": graph.num_nodes,
         "friendships": graph.num_friendships,
         "rejections": graph.num_rejections,
+        "repeats": REPEATS,
         "serial_seconds": serial_seconds,
         "grid_steps": len(per_k),
         "steps_run": len(serial.per_k),
@@ -102,15 +120,12 @@ def run_scale(num_legit, num_fakes, worker_grid):
         "workers": {},
     }
     for jobs in worker_grid:
-        start = time.perf_counter()
-        parallel = solve_maar(graph, MAARConfig(jobs=jobs))
-        seconds = time.perf_counter() - start
-        identical = _result_fingerprint(parallel) == reference
+        identical = _result_fingerprint(results[jobs]) == reference
         assert identical, f"parallel sweep (jobs={jobs}) diverged from serial"
+        median = statistics.median(seconds[jobs])
         row["workers"][str(jobs)] = {
-            "seconds": seconds,
-            "measured_speedup": serial_seconds / seconds,
-            "backend": resolve_executor("auto", jobs),
+            "seconds": median,
+            "measured_speedup": serial_seconds / median,
             "identical": identical,
         }
     return row

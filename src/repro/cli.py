@@ -290,13 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         "classic whole-graph pass",
     )
     p.add_argument(
-        "--refine-jobs",
-        type=int,
-        default=1,
-        help="worker count for the boundary-region fan-out (results are "
-        "bit-identical to --refine-jobs 1); 0 means all cores",
-    )
-    p.add_argument(
         "--refine-tolerance",
         type=float,
         default=0.0,
@@ -318,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the result and per-level timings as JSON",
     )
-    add_jobs_arg(p)
 
     return parser
 
@@ -501,17 +493,10 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
     from .experiments.runner import load_graph_source
 
     graph = load_graph_source(args.graph, as_csr=True).csr()
-    refine_jobs = args.refine_jobs
-    if refine_jobs <= 0:
-        from .core.parallel import default_jobs
-
-        refine_jobs = default_jobs()
     config = MultilevelConfig(
         frontier=args.frontier,
         refine_tolerance=args.refine_tolerance,
-        refine_jobs=refine_jobs,
         refine_stall=args.refine_stall if args.refine_stall > 0 else None,
-        jobs=_resolve_jobs(args),
     )
     start = _time.perf_counter()
     result = solve_maar_multilevel(
@@ -571,7 +556,6 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
             "config": {
                 "frontier": args.frontier,
                 "refine_tolerance": args.refine_tolerance,
-                "refine_jobs": refine_jobs,
             },
         }
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -42,14 +42,7 @@ from .maar import (
     solve_maar,
     sweep_k_states,
 )
-from .parallel import (
-    available_backends,
-    default_jobs,
-    fork_available,
-    parallel_map,
-    resolve_executor,
-    warn_jobs_ignored,
-)
+from .parallel import default_jobs, fork_available, parallel_map
 from .objectives import (
     LEGITIMATE,
     SUSPICIOUS,
@@ -93,12 +86,9 @@ __all__ = [
     "initial_partition",
     "solve_maar",
     "sweep_k_states",
-    "available_backends",
     "default_jobs",
     "fork_available",
     "parallel_map",
-    "resolve_executor",
-    "warn_jobs_ignored",
     "Rejecto",
     "RejectoConfig",
     "RejectoResult",

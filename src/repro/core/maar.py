@@ -45,7 +45,7 @@ from .csr import CSRView, PartitionState
 from .kernels import active_in_rejections
 from .kl import KLConfig, KLStats, extended_kl_state
 from .objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
-from .parallel import parallel_map, warn_jobs_ignored
+from .parallel import parallel_map
 
 logger = logging.getLogger(__name__)
 
@@ -180,11 +180,7 @@ class MAARConfig:
         past the stop are dropped, so results are bit-identical to
         ``jobs=1`` (tested in ``tests/core/test_parity.py``). Ignored —
         with a ``logger.warning`` naming the reason — when
-        ``warm_start=True`` (the steps are coupled).
-    executor:
-        Backend for the parallel sweep: ``"auto"`` (process on fork
-        platforms, thread otherwise), ``"serial"``, ``"thread"``, or
-        ``"process"``.
+        ``warm_start=True`` (the steps are coupled). Must be at least 1.
     """
 
     k_min: float = 0.125
@@ -200,7 +196,6 @@ class MAARConfig:
     warm_start: bool = False
     refine_rounds: int = 0
     jobs: int = 1
-    executor: str = "auto"
 
     def k_values(self) -> List[float]:
         return geometric_k_sequence(self.k_min, self.k_factor, self.k_steps)
@@ -408,7 +403,6 @@ def sweep_k_states(
     k_values: Sequence[float],
     kl_config: Optional[KLConfig] = None,
     jobs: int = 1,
-    executor: str = "auto",
     stats: Optional[KLStats] = None,
     *,
     valid: Callable[[PartitionState], bool],
@@ -426,11 +420,14 @@ def sweep_k_states(
     :class:`KLStats` of the steps kept merge into ``stats`` in ``k``
     order and the rest are dropped, so the parallel path is
     indistinguishable from the serial one (tested in
-    ``tests/core/test_parity.py``). Shared by the flat MAAR sweep, the
-    Rejecto rounds and the multilevel coarse-level sweep.
+    ``tests/core/test_parity.py``). ``jobs`` below 1 raises
+    ``ValueError``. Shared by the flat MAAR sweep, the Rejecto rounds and
+    the multilevel coarse-level sweep.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     kl_config = kl_config or KLConfig()
-    if warm_start or jobs <= 1:
+    if warm_start or jobs == 1:
         start = init
 
         def solve(ks):
@@ -446,7 +443,7 @@ def sweep_k_states(
     def solve_batch(ks):
         cuts = []
         for sides, f_cross, r_cross, side_sizes, k_stats in parallel_map(
-            _sweep_k_task, ks, shared=(init, kl_config), jobs=jobs, executor=executor
+            _sweep_k_task, ks, shared=(init, kl_config), jobs=jobs
         ):
             cut = PartitionState.__new__(PartitionState)
             cut.view = init.view
@@ -500,12 +497,11 @@ def _solve_maar_view(
         return is_valid_cut(state.suspicious_size, num_active, state.r_cross, config)
 
     if config.jobs > 1 and config.warm_start:
-        warn_jobs_ignored(
-            logger,
-            "MAARConfig",
+        logger.warning(
+            "MAARConfig(jobs=%d) ignored: warm_start=True couples the k "
+            "steps (each starts from the previous cut), so the sweep runs "
+            "serially",
             config.jobs,
-            "warm_start=True couples the k steps (each starts from the "
-            "previous cut), so the sweep runs serially",
         )
     stats = KLStats()
     steps, winner = sweep_k_states(
@@ -513,7 +509,6 @@ def _solve_maar_view(
         config.k_values(),
         config.kl,
         jobs=config.jobs,
-        executor=config.executor,
         stats=stats,
         valid=valid,
         warm_start=config.warm_start,

@@ -44,9 +44,10 @@ The solver is CSR-native end to end, which makes
   bit-identical python fallbacks);
 * refinement uses the fused integer bucket engine of
   :mod:`repro.core.kl` on every level (weighted sweep on coarse levels);
-* the coarse-level ``k`` sweep fans out through
-  :func:`repro.core.maar.sweep_k_states`, honouring
-  ``MultilevelConfig(jobs, executor)`` exactly like the flat MAAR sweep.
+* the coarse-level ``k`` sweep is :func:`repro.core.maar.sweep_k_states`,
+  the flat MAAR sweep's driver, run serially: on 2 CPUs neither the
+  coarse sweep nor the region refinement gained from a process pool
+  (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ from .maar import (
     is_valid_cut,
     sweep_k_states,
 )
-from .parallel import chunk_evenly, parallel_map
+# Unused here: perfbench/layertrace.py wraps ``multilevel.parallel_map``.
+from .parallel import parallel_map  # noqa: F401
 from .objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
 
 logger = logging.getLogger(__name__)
@@ -95,8 +97,7 @@ class MultilevelConfig:
 
     ``backend`` is the CSR array backend (``"python"``/``"numpy"``/
     ``"auto"``). ``matching_rounds`` bounds the mutual heavy-edge
-    matching rounds per level. ``jobs``/``executor`` fan the coarse-level
-    ``k`` sweep out through :mod:`repro.core.parallel`.
+    matching rounds per level.
 
     Refinement:
 
@@ -107,8 +108,8 @@ class MultilevelConfig:
         :func:`~repro.core.kernels.movable_frontier`). The frontier
         splits into connected *regions*
         (:func:`~repro.core.kernels.cut_regions`: components under all
-        three edge layers, so no edge crosses two regions), each region
-        refines independently
+        three edge layers, so no edge crosses two regions), and each
+        region refines in turn
         through :func:`~repro.core.kl.refine_subset` — KL's shared pass
         skeleton with the region as its candidate list: the integer
         bucket pass at the sweep's grid ``k``, the float heap pass at
@@ -119,11 +120,6 @@ class MultilevelConfig:
         :class:`~repro.core.kl.KLConfig`, so any full-state engine run
         the boundary path falls back to scopes its passes with
         :func:`repro.core.kernels.boundary_nodes` too.
-    ``refine_jobs``
-        Worker count for the region fan-out (``frontier="boundary"``
-        only). Regions are mutually non-adjacent, so their moves and
-        counter deltas compose exactly whatever the execution order:
-        ``refine_jobs=N`` is bit-identical to ``refine_jobs=1``.
     ``refine_tolerance``
         Early-exit knob: when positive, a level's refinement is skipped
         while the *previous* level's refinement improved the objective
@@ -140,8 +136,8 @@ class MultilevelConfig:
         near-converged, so the best prefix sits close to the front of
         the gain order and the exhaustive FM tail is almost always
         rollback work. ``None`` restores full passes. Identical on
-        every ``refine_jobs``/backend, so determinism is unaffected;
-        an explicit ``stall_limit`` on the engine config is respected.
+        every backend, so determinism is unaffected; an explicit
+        ``stall_limit`` on the engine config is respected.
         Must be a positive int or ``None``.
     """
 
@@ -158,11 +154,8 @@ class MultilevelConfig:
     seed: int = 0
     backend: str = "auto"
     matching_rounds: int = 8
-    jobs: int = 1
-    executor: str = "auto"
     frontier: str = "boundary"
     refine_tolerance: float = 0.0
-    refine_jobs: int = 1
     refine_stall: Optional[int] = 256
 
 
@@ -248,24 +241,6 @@ def _project_sides(sides, mapping, num_fine: int, backend: str) -> List[int]:
     return [sides[mapping[u]] for u in range(num_fine)]
 
 
-def _refine_chunk_worker(chunk, shared):
-    """Refine one chunk of regions against a private copy of the sides.
-
-    The worker never writes the shared side vector (serial and thread
-    backends hand it over by reference): each chunk refines a local
-    copy and reports per-region ``(moved, Δf, Δr, tested, applied)``
-    for the parent to merge in input order. Regions are pairwise
-    non-adjacent, so applying earlier regions' moves to the local copy
-    cannot influence later regions in the same chunk.
-    """
-    view, sides, locked, k, kl_config = shared
-    local = list(sides)
-    return [
-        refine_subset(view, local, locked, region, k, kl_config)
-        for region in chunk
-    ]
-
-
 def _skip_entry(level: int) -> Dict[str, object]:
     """The ``refine_detail`` record for a level skipped by early exit."""
     return {
@@ -309,12 +284,13 @@ def _refine_level_boundary(
 ):
     """Boundary-only refinement of one level, in place.
 
-    Rounds of: movable frontier → connected regions → region fan-out
-    through :func:`repro.core.parallel.parallel_map` → ordered merge of
-    the per-region moves and exact counter deltas. A round that moves
-    nothing (or an empty frontier) ends the level; a frontier covering
-    more than ``_DENSE_FRONTIER`` of the graph falls back to one
-    classic full-state refinement run. Mutates ``sides`` and returns
+    Rounds of: movable frontier → connected regions → one
+    :func:`~repro.core.kl.refine_subset` call per region, in order, on
+    ``sides`` in place, summing the exact counter deltas. Regions are
+    pairwise non-adjacent, so no region reads another's moves. A round
+    that moves nothing (or an empty frontier) ends the level; a frontier
+    covering more than ``_DENSE_FRONTIER`` of the graph falls back to
+    one classic full-state refinement run. Mutates ``sides`` and returns
     ``(f_cross, r_cross, detail)`` with the updated exact counters.
     """
     view = graph.view()
@@ -357,24 +333,16 @@ def _refine_level_boundary(
             return state.f_cross, state.r_cross, detail
         regions = cut_regions(graph, bnodes)
         detail["regions"] = max(detail["regions"], len(regions))
-        chunks = chunk_evenly(regions, max(1, config.refine_jobs))
-        results = parallel_map(
-            _refine_chunk_worker,
-            chunks,
-            shared=(view, sides, locked, k, region_config),
-            jobs=config.refine_jobs,
-            executor=config.executor,
-        )
         detail["rounds"] = round_idx + 1
         round_moves = 0
-        for chunk_result in results:
-            for moved, delta_f, delta_r, tested, _applied in chunk_result:
-                for u in moved:
-                    sides[u] = 1 - sides[u]
-                f_cross += delta_f
-                r_cross += delta_r
-                detail["tested"] = detail["tested"] + tested
-                round_moves += len(moved)
+        for region in regions:
+            moved, delta_f, delta_r, tested, _applied = refine_subset(
+                view, sides, locked, region, k, region_config
+            )
+            f_cross += delta_f
+            r_cross += delta_r
+            detail["tested"] = detail["tested"] + tested
+            round_moves += len(moved)
         detail["moves"] = detail["moves"] + round_moves
         if round_moves == 0:
             break
@@ -497,8 +465,6 @@ def solve_maar_multilevel(
         init,
         k_values,
         KLConfig(max_passes=config.max_passes),
-        jobs=config.jobs,
-        executor=config.executor,
         valid=coarse_valid,
     )
     sweep_time = time.perf_counter() - t_sweep

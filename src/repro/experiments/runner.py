@@ -96,9 +96,9 @@ class SchemeSetup:
     paper assumes OSN providers know a small set of inspected users
     (Section III-B) and pre-places them to rule out the problematic
     legitimate-region cuts (Section IV-F). ``k_steps`` bounds Rejecto's
-    ``k`` sweep; ``jobs``/``executor`` fan that sweep out through
-    :mod:`repro.core.parallel` inside every detection round (results
-    are bit-identical to the serial sweep).
+    ``k`` sweep; ``jobs`` fans that sweep out to worker processes
+    through :mod:`repro.core.parallel` inside every detection round
+    (results are bit-identical to the serial sweep).
     """
 
     num_trusted_seeds: int = 20
@@ -107,7 +107,6 @@ class SchemeSetup:
     k_steps: int = 10
     max_rounds: int = 25
     jobs: int = 1
-    executor: str = "auto"
     votetrust: VoteTrustConfig = field(default_factory=VoteTrustConfig)
 
 
@@ -125,9 +124,7 @@ def run_rejecto(
             setup.rejecto_legit_seeds, setup.rejecto_spammer_seeds
         )
     config = RejectoConfig(
-        maar=MAARConfig(
-            k_steps=setup.k_steps, jobs=setup.jobs, executor=setup.executor
-        ),
+        maar=MAARConfig(k_steps=setup.k_steps, jobs=setup.jobs),
         estimated_spammers=declared,
         max_rounds=setup.max_rounds,
     )

@@ -55,10 +55,9 @@ class SweepConfig:
     ``trials`` repeats every sweep point over consecutive seeds
     (``seed``, ``seed+1``, …) and reports the mean precision per point;
     the per-trial spread is kept in :attr:`SweepResult.spread`.
-    ``jobs > 1`` fans the sweep points out through
+    ``jobs > 1`` fans the sweep points out to worker processes through
     :mod:`repro.core.parallel` (each point is an independent simulation,
-    so this is embarrassingly parallel); ``executor`` picks the backend
-    (``"auto"`` → worker processes on fork platforms).
+    so this is embarrassingly parallel).
     """
 
     num_legit: int = 1500
@@ -67,7 +66,6 @@ class SweepConfig:
     seed: int = 7
     trials: int = 1
     jobs: int = 1
-    executor: str = "auto"
     setup: SchemeSetup = field(default_factory=SchemeSetup)
 
     def base_scenario(self, trial: int = 0, **overrides) -> ScenarioConfig:
@@ -130,9 +128,7 @@ def _run_sweep(
         for x in x_values
         for trial in range(trials)
     ]
-    outcomes = parallel_map(
-        _evaluate_point, jobs, jobs=config.jobs, executor=config.executor
-    )
+    outcomes = parallel_map(_evaluate_point, jobs, jobs=config.jobs)
 
     series: Dict[str, List[float]] = {}
     spread: Dict[str, List[float]] = {}

@@ -5,6 +5,8 @@ import pytest
 from repro.core import (
     AugmentedSocialGraph,
     MAARConfig,
+    Rejecto,
+    RejectoConfig,
     geometric_k_sequence,
     initial_partition,
     solve_maar,
@@ -303,8 +305,24 @@ class TestIgnoredJobsWarnings:
     def test_parallel_sweep_does_not_warn(self, caplog):
         graph, _ = spam_graph()
         with caplog.at_level("WARNING", logger="repro.core.maar"):
-            solve_maar(graph, MAARConfig(jobs=2, executor="thread"))
+            solve_maar(graph, MAARConfig(jobs=2))
         assert not caplog.records
+
+
+class TestJobsBelowOne:
+    """``jobs`` below 1 is an error, not a quiet serial run."""
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_solve_maar_rejects(self, jobs):
+        graph, _ = spam_graph()
+        with pytest.raises(ValueError, match="jobs"):
+            solve_maar(graph, MAARConfig(jobs=jobs))
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejecto_detect_rejects(self, jobs):
+        graph, _ = spam_graph()
+        with pytest.raises(ValueError, match="jobs"):
+            Rejecto(RejectoConfig(maar=MAARConfig(jobs=jobs))).detect(graph)
 
 
 class TestMAARResult:

@@ -1,32 +1,29 @@
 """Tests for the ``repro.core.parallel`` execution layer.
 
-The executor contract is: whatever the backend, ``parallel_map`` returns
+The contract is: whatever ``jobs``, ``parallel_map`` returns
 ``[fn(item, shared) for item in items]`` — same values, same order, with
 worker exceptions propagating. The MAAR-facing guarantees (bit-identical
 sweeps) live in ``tests/core/test_parity.py``; here we pin the layer
-itself plus the pickling support the process backend relies on.
+itself plus the pickling support the spawned process pool relies on.
 """
 
 import multiprocessing
+import os
 import pickle
 
 import pytest
 
 from repro.core import AugmentedSocialGraph
+from repro.core import parallel
 from repro.core.csr import CSRGraph, PartitionState, WeightedCSRGraph
-from repro.core.parallel import (
-    BACKENDS,
-    default_jobs,
-    fork_available,
-    parallel_map,
-    resolve_executor,
-)
+from repro.core.parallel import default_jobs, parallel_map
 
-ALL_BACKENDS = ("serial", "thread", "process")
+#: ``jobs=1`` is the in-process loop, ``jobs=2`` the process pool.
+JOBS = [pytest.param(1, id="serial"), pytest.param(2, id="process")]
 
 
 def square_plus_shared(item, shared):
-    """Module-level so the process backend can pickle it by reference."""
+    """Module-level so the process pool can pickle it by reference."""
     offset = 0 if shared is None else shared["offset"]
     return item * item + offset
 
@@ -56,6 +53,27 @@ def weighted_flat_lists(graph):
     ]
 
 
+def weighted_buffer(item, graph):
+    """Pool task: one buffer of the shared weighted graph. Module-level
+    so a spawned worker can import it."""
+    return weighted_flat_lists(graph)[item]
+
+
+def contracted_graph(backend):
+    """A weighted coarse graph: pairs contracted so the weights are
+    genuinely non-unit."""
+    csr = AugmentedSocialGraph.from_edges(
+        8,
+        friendships=[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)],
+        rejections=[(0, 4), (1, 5), (2, 6), (3, 7)],
+    ).csr(backend=backend)
+    return csr.contract([0, 0, 1, 1, 2, 2, 3, 3], 4)
+
+
+def caller_pid(item, shared):
+    return os.getpid()
+
+
 def roundtrip_in_child(payload):
     """Spawn-worker body: unpickle the graph the way a spawn pool
     initializer would, and report what arrived."""
@@ -68,41 +86,23 @@ def roundtrip_in_child(payload):
     )
 
 
-class TestResolveExecutor:
-    def test_auto_serial_for_single_job(self):
-        assert resolve_executor("auto", 1) == "serial"
-        assert resolve_executor("auto", 0) == "serial"
-
-    def test_auto_prefers_process_on_fork_platforms(self):
-        expected = "process" if fork_available() else "thread"
-        assert resolve_executor("auto", 4) == expected
-
-    def test_explicit_backends_honoured(self):
-        for backend in BACKENDS:
-            assert resolve_executor(backend, 4) == backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("spark", 4)
-
+class TestDefaultJobs:
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
 
 
 class TestParallelMap:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_order_and_values_match_serial(self, backend):
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_order_and_values_match_serial(self, jobs):
         items = list(range(17))
         expected = [square_plus_shared(i, None) for i in items]
-        assert parallel_map(
-            square_plus_shared, items, jobs=3, executor=backend
-        ) == expected
+        assert parallel_map(square_plus_shared, items, jobs=jobs) == expected
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_shared_payload_reaches_workers(self, backend):
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_shared_payload_reaches_workers(self, jobs):
         shared = {"offset": 1000}
         assert parallel_map(
-            square_plus_shared, [1, 2, 3], shared=shared, jobs=2, executor=backend
+            square_plus_shared, [1, 2, 3], shared=shared, jobs=jobs
         ) == [1001, 1004, 1009]
 
     def test_empty_and_single_item_short_circuit(self):
@@ -110,23 +110,44 @@ class TestParallelMap:
         assert parallel_map(square_plus_shared, [3], jobs=4) == [9]
 
     def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            parallel_map(square_plus_shared, [1, 2], jobs=0, executor="thread")
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                parallel_map(square_plus_shared, [1, 2], jobs=jobs)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_worker_exceptions_propagate(self, backend):
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_worker_exceptions_propagate(self, jobs):
         with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(boom, [1, 2, 3], jobs=2, executor=backend)
+            parallel_map(boom, [1, 2, 3], jobs=jobs)
 
-    def test_jobs_one_stays_serial_for_any_backend(self):
-        for backend in ALL_BACKENDS:
-            assert parallel_map(
-                square_plus_shared, [2, 3], jobs=1, executor=backend
-            ) == [4, 9]
+    def test_jobs_one_runs_in_the_calling_process(self):
+        assert parallel_map(caller_pid, [2, 3], jobs=1) == [os.getpid()] * 2
+
+    def test_spawn_fallback_matches_serial(self, monkeypatch):
+        """Without fork the pool spawns its workers and pickles the
+        shared payload into each; the result is the serial result and
+        the parent's registry is left empty."""
+        graph = contracted_graph("auto")
+        items = list(range(10))
+        serial = parallel_map(weighted_buffer, items, shared=graph, jobs=1)
+        methods = []
+        get_context = multiprocessing.get_context
+
+        def recording_get_context(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        monkeypatch.setattr(
+            parallel.multiprocessing, "get_context", recording_get_context
+        )
+        spawned = parallel_map(weighted_buffer, items, shared=graph, jobs=2)
+        assert methods == ["spawn"]
+        assert spawned == serial
+        assert parallel._SHARED == {}
 
 
 class TestCSRPickling:
-    """The process backend's spawn fallback pickles the shared payload;
+    """The process pool's spawn fallback pickles the shared payload;
     the CSR types must round-trip with their derived caches stripped."""
 
     def graph(self):
@@ -190,18 +211,9 @@ class TestWeightedCSRPickling:
     parallel sweeps; the round-trip must be bit-identical on both
     backends, including real spawn transfers."""
 
-    def weighted(self, backend):
-        csr = AugmentedSocialGraph.from_edges(
-            8,
-            friendships=[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)],
-            rejections=[(0, 4), (1, 5), (2, 6), (3, 7)],
-        ).csr(backend=backend)
-        # Contract pairs so the coarse weights are genuinely non-unit.
-        return csr.contract([0, 0, 1, 1, 2, 2, 3, 3], 4)
-
     @pytest.mark.parametrize("backend", weighted_backends())
     def test_roundtrip_bit_identical(self, backend):
-        graph = self.weighted(backend)
+        graph = contracted_graph(backend)
         graph.hot()
         graph.hot_weights()
         clone = pickle.loads(pickle.dumps(graph))
@@ -217,15 +229,15 @@ class TestWeightedCSRPickling:
     def test_backends_pickle_to_same_graph(self):
         """The *graphs* (not necessarily the pickle bytes) that arrive
         on the far side are identical whichever backend sent them."""
-        py = pickle.loads(pickle.dumps(self.weighted("python")))
-        np_ = pickle.loads(pickle.dumps(self.weighted("numpy")))
+        py = pickle.loads(pickle.dumps(contracted_graph("python")))
+        np_ = pickle.loads(pickle.dumps(contracted_graph("numpy")))
         assert weighted_flat_lists(py) == weighted_flat_lists(np_)
 
     def test_spawn_transfer_bit_identical(self):
         """A real spawn-mode child receives the same buffers the parent
         sent — the transfer the process pool initializer performs on
         platforms without fork."""
-        graph = self.weighted("auto")
+        graph = contracted_graph("auto")
         context = multiprocessing.get_context("spawn")
         with context.Pool(1) as pool:
             name, weighted, snapshot_path, lists = pool.apply(

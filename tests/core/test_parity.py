@@ -318,20 +318,20 @@ class TestMAARParity:
 
 
 class TestParallelSweepParity:
-    """Serial vs thread vs process ``k`` sweeps must be bit-identical:
-    same best cut, same per-``k`` candidates, same aggregate KL stats,
-    same Rejecto groups (the reduction replays the serial tie-breaks on
-    ordered worker results)."""
+    """Serial vs ``jobs=2`` process-pool ``k`` sweeps must be
+    bit-identical: same best cut, same per-``k`` candidates, same
+    aggregate KL stats, same Rejecto groups (the reduction replays the
+    serial tie-breaks on ordered worker results)."""
 
-    BACKENDS = ("thread", "process")
+    JOBS = [pytest.param(2, id="process")]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_maar_sweep_identical(self, name, backend):
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_maar_sweep_identical(self, name, jobs):
         scenario = scenario_graph(**SCENARIOS[name])
         graph = canonical(scenario.graph)
         serial = solve_maar(graph, MAARConfig())
-        parallel = solve_maar(graph, MAARConfig(jobs=2, executor=backend))
+        parallel = solve_maar(graph, MAARConfig(jobs=jobs))
         assert_maar_results_equal(serial, parallel)
         assert_precise(serial.suspicious_nodes(), scenario)
         assert parallel.suspicious_nodes() == serial.suspicious_nodes()
@@ -340,8 +340,8 @@ class TestParallelSweepParity:
         assert parallel.stats.switches_tested == serial.stats.switches_tested
         assert parallel.stats.objective_history == serial.stats.objective_history
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_seeded_sweep_identical(self, backend):
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_seeded_sweep_identical(self, jobs):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
         legit_seeds, spammer_seeds = scenario.sample_seeds(20, 5, seed=11)
@@ -353,7 +353,7 @@ class TestParallelSweepParity:
         )
         parallel = solve_maar(
             graph,
-            MAARConfig(jobs=2, executor=backend),
+            MAARConfig(jobs=jobs),
             legit_seeds=legit_seeds,
             spammer_seeds=spammer_seeds,
         )
@@ -361,13 +361,13 @@ class TestParallelSweepParity:
         assert_precise(serial.suspicious_nodes(), scenario)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rejecto_groups_identical(self, name, backend):
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_rejecto_groups_identical(self, name, jobs):
         scenario = scenario_graph(**SCENARIOS[name])
         graph = canonical(scenario.graph)
         serial = Rejecto().detect(graph)
         parallel = Rejecto(
-            RejectoConfig(maar=MAARConfig(jobs=2, executor=backend))
+            RejectoConfig(maar=MAARConfig(jobs=jobs))
         ).detect(graph)
         assert parallel.termination == serial.termination
         assert parallel.rounds_run == serial.rounds_run

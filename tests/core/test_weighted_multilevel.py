@@ -216,14 +216,6 @@ class TestMultilevelEngines:
         assert python_result.k == numpy_result.k
         assert python_result.level_sizes == numpy_result.level_sizes
 
-    def test_jobs_do_not_change_the_result(self, scenario):
-        serial = solve_maar_multilevel(scenario.graph, MultilevelConfig(jobs=1))
-        fanned = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(jobs=2, executor="thread")
-        )
-        assert serial.suspicious == fanned.suspicious
-        assert serial.k == fanned.k
-
     def test_timings_recorded(self, scenario):
         result = solve_maar_multilevel(scenario.graph)
         assert result.found

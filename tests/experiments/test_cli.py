@@ -194,14 +194,15 @@ class TestMultilevelCommand:
         payload = json.loads(report.read_text())
         assert payload["suspicious"]
         assert set(payload["config"]) == {
-            "frontier", "refine_jobs", "refine_tolerance",
+            "frontier", "refine_tolerance",
         }
 
     def test_no_incremental_flag_is_gone(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["multilevel", "--graph", "g.txt", "--no-incremental"]
-            )
+        """So are the removed fan-out flags ``--refine-jobs`` and
+        ``--jobs``."""
+        for flag in (["--no-incremental"], ["--refine-jobs", "2"], ["--jobs", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["multilevel", "--graph", "g.txt"] + flag)
 
 
 class TestBadInput:
