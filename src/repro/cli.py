@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="worker count for parallel execution (sweep points and "
-            "the per-round MAAR k sweep); 0 means all cores",
+            "the per-round MAAR k sweep); 0 means all usable CPUs",
         )
 
     for name in _SWEEPS:
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_jobs(args: argparse.Namespace) -> int:
-    """``--jobs 0`` means "use every core"."""
+    """``--jobs 0`` means "use every CPU this process may run on"."""
     jobs = getattr(args, "jobs", 1)
     if jobs <= 0:
         from .core.parallel import default_jobs

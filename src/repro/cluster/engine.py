@@ -396,9 +396,9 @@ def distributed_maar(
     engine = DistributedKL(csr, cluster_config)
     init_sides = initial_partition(csr, maar_config).sides
 
-    def solve(ks):
-        sides, f_cross, r_cross = engine.run(ks[0], init_sides, stats=stats)
-        return [_Cut(bytes(sides), f_cross, r_cross)]
+    def solve(k):
+        sides, f_cross, r_cross = engine.run(k, init_sides, stats=stats)
+        return _Cut(bytes(sides), f_cross, r_cross)
 
     steps, winner = run_k_sweep(
         geometric_k_sequence(

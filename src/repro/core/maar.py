@@ -27,9 +27,11 @@ in ``tests/core/maar_oracle.py`` measures how often. The paper's full
 grid stays available one step at a time
 (``MAARConfig(k_min=k, k_steps=1)``).
 
-:func:`run_k_sweep` holds the stop rule and :func:`is_valid_cut` the
-validity rule. The flat sweep, Rejecto rounds and multilevel's coarse
-sweep reach them through :func:`sweep_k_states`;
+:func:`run_k_sweep` runs the stop rule over a grid solved in order and
+:func:`is_valid_cut` is the validity rule. The flat sweep, Rejecto
+rounds and multilevel's coarse sweep reach them through
+:func:`sweep_k_states`, which with ``jobs > 1`` applies the same rule to
+worker results as they stream in;
 :func:`repro.cluster.engine.distributed_maar` calls them directly.
 """
 
@@ -174,11 +176,13 @@ class MAARConfig:
     jobs:
         Worker count for the ``k`` sweep. With ``warm_start=False``
         (the default) every ``k`` step is an independent KL run over the
-        same immutable CSR snapshot, so ``jobs > 1`` runs the steps in
-        ascending batches of ``jobs`` through :mod:`repro.core.parallel`
-        and applies the stop rule in grid order; steps a batch computed
-        past the stop are dropped, so results are bit-identical to
-        ``jobs=1`` (tested in ``tests/core/test_parity.py``). Ignored —
+        same immutable CSR snapshot, so ``jobs > 1`` streams the grid
+        through one :func:`repro.core.parallel.parallel_map` call: its
+        workers (at most the usable CPUs) start once per sweep, take the
+        next ``k`` as they free up, and the stop rule runs on their cuts
+        in grid order; steps still running at the stop step are killed,
+        so results are bit-identical to ``jobs=1`` (tested in
+        ``tests/core/test_parity.py``). Ignored —
         with a ``logger.warning`` naming the reason — when
         ``warm_start=True`` (the steps are coupled). Must be at least 1.
     """
@@ -337,44 +341,56 @@ class SweepStep(NamedTuple):
         )
 
 
+class _StopRule:
+    """The sweep's stop rule, fed one step at a time in grid order.
+
+    ``steps`` holds every step seen and ``winner`` the index of the
+    lowest-key valid one (``None`` while no step was valid)."""
+
+    def __init__(self, valid: Callable[[object], bool]) -> None:
+        self.valid = valid
+        self.steps: List[SweepStep] = []
+        self.winner: Optional[int] = None
+
+    def add(self, k: float, cut) -> bool:
+        """Record the next grid step; true when it is the stop step."""
+        step = SweepStep(k, cut, self.valid(cut))
+        self.steps.append(step)
+        if self.winner is not None:
+            best = self.steps[self.winner].key()
+            if not step.valid or step.key()[0] > best[0]:
+                return True
+            if step.key() < best:
+                self.winner = len(self.steps) - 1
+        elif step.valid:
+            self.winner = len(self.steps) - 1
+        return False
+
+
 def run_k_sweep(
     k_values: Sequence[float],
-    solve: Callable[[List[float]], List[object]],
+    solve: Callable[[float], object],
     valid: Callable[[object], bool],
-    batch: int = 1,
 ) -> Tuple[List[SweepStep], Optional[int]]:
     """Run an ascending ``k`` grid and stop at the first step that
     cannot win.
 
-    ``solve(ks)`` returns the cuts for the ``k`` values ``ks``, in
-    order; it is called on consecutive slices of at most ``batch`` grid
-    values. ``valid(cut)`` is the caller's :func:`is_valid_cut`. Once a
+    ``solve(k)`` returns the cut for one grid value, called in grid
+    order. ``valid(cut)`` is the caller's :func:`is_valid_cut`. Once a
     valid best exists, the first step that is invalid or has a strictly
     higher acceptance rate is the stop step: it is recorded and the
     sweep ends. Steps at an equal rate keep going, so the
     ``(rate, −r_cross)`` tie-break still sees them.
 
     Returns ``(steps, winner)``: every step up to and including the stop
-    step, in grid order — cuts a batch computed past the stop are
-    dropped — and the index of the lowest-key valid step, or ``None``
-    when no step was valid.
+    step, in grid order, and the index of the lowest-key valid step, or
+    ``None`` when no step was valid.
     """
-    steps: List[SweepStep] = []
-    winner: Optional[int] = None
-    for start in range(0, len(k_values), batch):
-        ks = list(k_values[start : start + batch])
-        for k, cut in zip(ks, solve(ks)):
-            step = SweepStep(k, cut, valid(cut))
-            steps.append(step)
-            if winner is not None:
-                best = steps[winner].key()
-                if not step.valid or step.key()[0] > best[0]:
-                    return steps, winner
-                if step.key() < best:
-                    winner = len(steps) - 1
-            elif step.valid:
-                winner = len(steps) - 1
-    return steps, winner
+    rule = _StopRule(valid)
+    for k in k_values:
+        if rule.add(k, solve(k)):
+            break
+    return rule.steps, rule.winner
 
 
 def _sweep_k_task(k: float, shared) -> Tuple[List[int], float, float, List[int], KLStats]:
@@ -383,7 +399,7 @@ def _sweep_k_task(k: float, shared) -> Tuple[List[int], float, float, List[int],
     ``shared`` carries the (read-only) initial :class:`PartitionState`
     and KL config; only ``k`` varies per task. Returns the switched
     sides plus counters and this step's own :class:`KLStats`, which the
-    parent merges back in ``k`` order for the steps the sweep keeps, so
+    parent merges back in ``k`` order for the steps up to the stop, so
     the aggregate diagnostics match the serial sweep exactly.
     """
     init, kl_config = shared
@@ -415,10 +431,12 @@ def sweep_k_states(
     previous step's cut. ``valid`` judges each cut (the caller's
     :func:`is_valid_cut`). Returns ``run_k_sweep``'s ``(steps,
     winner)``. With ``jobs > 1`` (and no warm start, which couples the
-    steps) ascending batches of ``jobs`` steps fan out through
-    :func:`repro.core.parallel.parallel_map`; the per-step
-    :class:`KLStats` of the steps kept merge into ``stats`` in ``k``
-    order and the rest are dropped, so the parallel path is
+    steps) the whole grid goes through one
+    :func:`repro.core.parallel.parallel_map` call whose ``stop``
+    predicate is the stop rule, applied to the cuts in grid order as
+    they arrive; steps still running at the stop are killed. The
+    per-step :class:`KLStats` of the steps up to the stop merge into
+    ``stats`` in ``k`` order, so the parallel path is
     indistinguishable from the serial one (tested in
     ``tests/core/test_parity.py``). ``jobs`` below 1 raises
     ``ValueError``. Shared by the flat MAAR sweep, the Rejecto rounds and
@@ -430,40 +448,34 @@ def sweep_k_states(
     if warm_start or jobs == 1:
         start = init
 
-        def solve(ks):
+        def solve(k):
             nonlocal start
-            cut = extended_kl_state(start, ks[0], config=kl_config, stats=stats)
+            cut = extended_kl_state(start, k, config=kl_config, stats=stats)
             if warm_start:
                 start = cut
-            return [cut]
+            return cut
 
         return run_k_sweep(k_values, solve, valid)
-    step_stats: List[KLStats] = []
+    ks = list(k_values)
+    rule = _StopRule(valid)
 
-    def solve_batch(ks):
-        cuts = []
-        for sides, f_cross, r_cross, side_sizes, k_stats in parallel_map(
-            _sweep_k_task, ks, shared=(init, kl_config), jobs=jobs
-        ):
-            cut = PartitionState.__new__(PartitionState)
-            cut.view = init.view
-            cut.sides = sides
-            cut.locked = init.locked
-            cut.f_cross = f_cross
-            cut.r_cross = r_cross
-            cut.side_sizes = side_sizes
-            cuts.append(cut)
-            step_stats.append(k_stats)
-        return cuts
+    def stop(result) -> bool:
+        cut = PartitionState.__new__(PartitionState)
+        cut.view = init.view
+        cut.sides, cut.f_cross, cut.r_cross, cut.side_sizes, _ = result
+        cut.locked = init.locked
+        return rule.add(ks[len(rule.steps)], cut)
 
-    steps, winner = run_k_sweep(k_values, solve_batch, valid, batch=jobs)
+    results = parallel_map(
+        _sweep_k_task, ks, shared=(init, kl_config), jobs=jobs, stop=stop
+    )
     if stats is not None:
-        for k_stats in step_stats[: len(steps)]:
+        for *_, k_stats in results:
             stats.passes += k_stats.passes
             stats.switches_applied += k_stats.switches_applied
             stats.switches_tested += k_stats.switches_tested
             stats.objective_history.extend(k_stats.objective_history)
-    return steps, winner
+    return rule.steps, rule.winner
 
 
 def _k_candidate(k: float, state: PartitionState, valid: bool) -> KCandidate:

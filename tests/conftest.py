@@ -91,3 +91,13 @@ def spam_scenario_graph():
         for t in targets[3:]:
             graph.add_rejection(t, f)
     return graph, list(range(n_legit)), fakes
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let ``parallel_map`` start a real pool of at least 2 workers,
+    whatever the host's CPU count (it caps workers at ``default_jobs()``)."""
+    from repro.core import parallel
+
+    cpus = parallel.default_jobs()
+    monkeypatch.setattr(parallel, "default_jobs", lambda: max(2, cpus))

@@ -302,7 +302,7 @@ class TestIgnoredJobsWarnings:
             solve_maar(graph, MAARConfig(jobs=2, warm_start=True))
         assert any("warm_start" in rec.message for rec in caplog.records)
 
-    def test_parallel_sweep_does_not_warn(self, caplog):
+    def test_parallel_sweep_does_not_warn(self, caplog, two_cpus):
         graph, _ = spam_graph()
         with caplog.at_level("WARNING", logger="repro.core.maar"):
             solve_maar(graph, MAARConfig(jobs=2))

@@ -1,15 +1,25 @@
 """Tests for the ``repro.core.parallel`` execution layer.
 
 The contract is: whatever ``jobs``, ``parallel_map`` returns
-``[fn(item, shared) for item in items]`` — same values, same order, with
-worker exceptions propagating. The MAAR-facing guarantees (bit-identical
+``[fn(item, shared) for item in items]`` cut after the first result a
+``stop`` predicate accepts — same values, same order, with worker
+exceptions propagating, a dead worker raising instead of hanging, and
+no worker outliving the call. The MAAR-facing guarantees (bit-identical
 sweeps) live in ``tests/core/test_parity.py``; here we pin the layer
 itself plus the pickling support the spawned process pool relies on.
+
+Every test runs with ``default_jobs()`` raised to at least 2 (the
+``two_cpus`` fixture), so ``jobs=2`` starts a real pool on any host.
 """
 
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +28,12 @@ from repro.core import parallel
 from repro.core.csr import CSRGraph, PartitionState, WeightedCSRGraph
 from repro.core.parallel import default_jobs, parallel_map
 
+pytestmark = pytest.mark.usefixtures("two_cpus")
+
 #: ``jobs=1`` is the in-process loop, ``jobs=2`` the process pool.
 JOBS = [pytest.param(1, id="serial"), pytest.param(2, id="process")]
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def square_plus_shared(item, shared):
@@ -74,6 +88,23 @@ def caller_pid(item, shared):
     return os.getpid()
 
 
+def mark_started(item, shared):
+    """Leave a marker file for ``item``; items in ``slow`` then sleep
+    long enough that only a kill ends them quickly, items in ``fail``
+    raise."""
+    directory, slow, fail = shared
+    Path(directory, f"started-{item}").touch()
+    if item in slow:
+        time.sleep(60)
+    if item in fail:
+        raise RuntimeError(f"boom on {item}")
+    return item
+
+
+def started(directory):
+    return sorted(int(p.name.split("-")[1]) for p in Path(directory).iterdir())
+
+
 def roundtrip_in_child(payload):
     """Spawn-worker body: unpickle the graph the way a spawn pool
     initializer would, and report what arrived."""
@@ -89,6 +120,28 @@ def roundtrip_in_child(payload):
 class TestDefaultJobs:
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
+
+    def test_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.undo()  # drop the two_cpus patch: test the real helper
+        if hasattr(os, "sched_getaffinity"):
+            assert parallel.default_jobs() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert parallel.default_jobs() == (os.cpu_count() or 1)
+
+
+class TestWorkerCap:
+    """``parallel_map`` starts ``min(jobs, len(items), default_jobs())``
+    workers and runs in-process when that is 1."""
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(parallel, "default_jobs", lambda: 1)
+        assert parallel_map(caller_pid, [1, 2, 3], jobs=4) == [os.getpid()] * 3
+
+    def test_never_more_workers_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "default_jobs", lambda: 2)
+        pids = set(parallel_map(caller_pid, range(12), jobs=8))
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= 2
 
 
 class TestParallelMap:
@@ -116,8 +169,10 @@ class TestParallelMap:
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_worker_exceptions_propagate(self, jobs):
-        with pytest.raises(RuntimeError, match="boom"):
+        with pytest.raises(RuntimeError, match="boom on 1") as raised:
             parallel_map(boom, [1, 2, 3], jobs=jobs)
+        if jobs > 1:  # the worker's traceback rides along as the cause
+            assert "in boom" in str(raised.value.__cause__)
 
     def test_jobs_one_runs_in_the_calling_process(self):
         assert parallel_map(caller_pid, [2, 3], jobs=1) == [os.getpid()] * 2
@@ -143,7 +198,137 @@ class TestParallelMap:
         spawned = parallel_map(weighted_buffer, items, shared=graph, jobs=2)
         assert methods == ["spawn"]
         assert spawned == serial
-        assert parallel._SHARED == {}
+        assert multiprocessing.active_children() == []
+
+
+class TestStop:
+    """A ``stop`` predicate ends the map at the first result it accepts:
+    the serial prefix comes back, later items never start or are
+    killed, and no worker survives."""
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    @pytest.mark.parametrize("at", [0, 3, 11, 99])
+    def test_returns_serial_prefix(self, jobs, at):
+        """Stop at the result of item ``at`` (99: never stops)."""
+        items = list(range(12))
+        serial = [square_plus_shared(i, None) for i in items]
+        result = parallel_map(
+            square_plus_shared, items, jobs=jobs, stop=lambda r: r == at * at
+        )
+        assert result == serial[: at + 1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_items_past_the_window_never_start(self, jobs, tmp_path):
+        """Stop at item 3: with ``jobs`` workers at most ``jobs - 1``
+        items past it may have started, and item 4 (slow, in flight on
+        the pool) is killed instead of awaited."""
+        begin = time.perf_counter()
+        result = parallel_map(
+            mark_started,
+            range(20),
+            shared=(str(tmp_path), {4}, set()),
+            jobs=jobs,
+            stop=lambda r: r == 3,
+        )
+        assert result == [0, 1, 2, 3]
+        assert started(tmp_path)[:4] == [0, 1, 2, 3]
+        assert max(started(tmp_path)) <= 3 + jobs - 1
+        assert time.perf_counter() - begin < 30
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_error_past_the_stop_is_not_raised(self, jobs, tmp_path):
+        result = parallel_map(
+            mark_started,
+            range(8),
+            shared=(str(tmp_path), set(), {4, 5}),
+            jobs=jobs,
+            stop=lambda r: r == 3,
+        )
+        assert result == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_error_before_the_stop_propagates(self, jobs, tmp_path):
+        with pytest.raises(RuntimeError, match="boom on 2"):
+            parallel_map(
+                mark_started,
+                range(8),
+                shared=(str(tmp_path), set(), {2}),
+                jobs=jobs,
+                stop=lambda r: r == 3,
+            )
+        assert multiprocessing.active_children() == []
+
+
+#: Run in a fresh interpreter: a map whose task kills its worker with
+#: ``os._exit`` must raise, not hang. ``{call}`` is the map to run.
+DEAD_WORKER_SCRIPT = """
+import os, sys
+from repro.core import maar, parallel
+parallel.default_jobs = lambda: 2
+
+def die_on_two(item, shared):
+    if item == 2:
+        os._exit(3)
+    return item
+
+try:
+{call}
+except Exception as exc:
+    print("raised", type(exc).__name__)
+    sys.exit(0)
+print("returned")
+sys.exit(1)
+"""
+
+
+def run_dead_worker(call):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    body = textwrap.indent(textwrap.dedent(call).strip(), "    ")
+    script = DEAD_WORKER_SCRIPT.format(call=body)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout.split()[-1]
+
+
+class TestDeadWorker:
+    """A worker that exits mid-task makes the map raise (each case in a
+    subprocess under a timeout, so a hang fails instead of blocking)."""
+
+    def test_map_raises(self):
+        call = "parallel.parallel_map(die_on_two, range(8), jobs=2)"
+        assert run_dead_worker(call) == "BrokenProcessPool"
+
+    def test_map_with_stop_raises(self):
+        call = (
+            "parallel.parallel_map(die_on_two, range(8), jobs=2, "
+            "stop=lambda r: r == 5)"
+        )
+        assert run_dead_worker(call) == "BrokenProcessPool"
+
+    def test_sweep_raises(self):
+        """The MAAR sweep's stop rule runs on the stream; a worker
+        dying under it still raises."""
+        call = """
+        from repro.core import AugmentedSocialGraph, MAARConfig, solve_maar
+        def die(k, shared):
+            os._exit(3)
+        maar._sweep_k_task = die
+        graph = AugmentedSocialGraph.from_edges(
+            6, friendships=[(0, 1), (1, 2), (3, 4)],
+            rejections=[(0, 5), (1, 5), (2, 3)],
+        )
+        solve_maar(graph, MAARConfig(jobs=2))
+        """
+        assert run_dead_worker(call) == "BrokenProcessPool"
 
 
 class TestCSRPickling:

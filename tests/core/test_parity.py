@@ -317,6 +317,7 @@ class TestMAARParity:
         assert_precise(new.suspicious_nodes(), scenario)
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestParallelSweepParity:
     """Serial vs ``jobs=2`` process-pool ``k`` sweeps must be
     bit-identical: same best cut, same per-``k`` candidates, same

@@ -142,6 +142,7 @@ class TestMultiTrialSweeps:
         assert a.seed != b.seed
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestParallelSweeps:
     def test_parallel_matches_sequential(self):
         sequential = request_volume_sweep(
