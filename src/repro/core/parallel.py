@@ -198,7 +198,10 @@ def parallel_map(
                     error, trace = value
                     raise error from _WorkerTraceback(trace)
                 results.append(value)
-                if len(results) == len(tasks) or (stop is not None and stop(value)):
+                # ``stop`` sees every result, the last one too, as in the
+                # in-process loop: callers may record state in it.
+                stopped = stop is not None and stop(value)
+                if stopped or len(results) == len(tasks):
                     return results
     finally:
         for proc in procs:

@@ -209,13 +209,19 @@ class TestStop:
     @pytest.mark.parametrize("jobs", JOBS)
     @pytest.mark.parametrize("at", [0, 3, 11, 99])
     def test_returns_serial_prefix(self, jobs, at):
-        """Stop at the result of item ``at`` (99: never stops)."""
+        """Stop at the result of item ``at`` (99: never stops). ``stop``
+        sees every returned result once, in order, the last one too."""
         items = list(range(12))
         serial = [square_plus_shared(i, None) for i in items]
-        result = parallel_map(
-            square_plus_shared, items, jobs=jobs, stop=lambda r: r == at * at
-        )
+        seen = []
+
+        def stop(result):
+            seen.append(result)
+            return result == at * at
+
+        result = parallel_map(square_plus_shared, items, jobs=jobs, stop=stop)
         assert result == serial[: at + 1]
+        assert seen == result
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", JOBS)

@@ -342,6 +342,21 @@ class TestParallelSweepParity:
         assert parallel.stats.objective_history == serial.stats.objective_history
 
     @pytest.mark.parametrize("jobs", JOBS)
+    def test_full_grid_sweep_identical(self, jobs):
+        """A grid that ends before the stop rule fires: the sweep runs
+        every step and the last one wins, on the pool as in-process."""
+        scenario = scenario_graph()
+        graph = canonical(scenario.graph)
+        config = MAARConfig(k_steps=3)
+        serial = solve_maar(graph, config)
+        assert [c.k for c in serial.per_k] == config.k_values()
+        assert serial.k == config.k_values()[-1]
+        parallel = solve_maar(graph, MAARConfig(k_steps=3, jobs=jobs))
+        assert_maar_results_equal(serial, parallel)
+        assert_stats_equal(serial.stats, parallel.stats)
+        assert_precise(serial.suspicious_nodes(), scenario)
+
+    @pytest.mark.parametrize("jobs", JOBS)
     def test_seeded_sweep_identical(self, jobs):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
