@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument(
         "--no-remap",
         action="store_true",
-        help="keep edge-list node ids verbatim instead of densifying them",
+        help="keep SNAP edge-list node ids verbatim instead of densifying "
+        "them (F/R files always keep their ids)",
     )
 
     gi = gsub.add_parser("info", help="print a snapshot's header and layout")
@@ -571,13 +572,7 @@ def _run_graph(args: argparse.Namespace, out) -> None:
         from .experiments.runner import load_graph_source
 
         source = Path(args.input)
-        graph = load_graph_source(source, as_csr=True)
-        csr = graph.csr()
-        if args.no_remap:
-            # Re-parse honouring raw ids (only meaningful for edge lists).
-            from .graphgen.loaders import load_snap_edgelist
-
-            csr = load_snap_edgelist(source, remap=False, as_csr=True)
+        csr = load_graph_source(source, as_csr=True, remap=not args.no_remap)
         out_path = Path(args.out) if args.out else source.with_name(
             source.name.removesuffix(".gz").removesuffix(".txt") + ".csrbin"
         )

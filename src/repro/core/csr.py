@@ -133,6 +133,76 @@ def _build_csr(
     return ptr, idx
 
 
+#: Largest node count whose ``u·n + v`` pair keys fit in int64.
+_MAX_KEYED_NODES = 3_037_000_499
+
+
+def _edge_pairs(np, edges):
+    """``edges`` as an ``(m, 2)`` int64 array (a list of pairs, any
+    iterable of pairs, or an ``(m, 2)`` integer array)."""
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if pairs.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError("edges must be (u, v) pairs of integer node ids")
+    return pairs.astype(np.int64, copy=False)
+
+
+def _keys(np, num_nodes: int, rows, cols):
+    """Pair keys ``rows·n + cols``; ids outside ``[0, n)`` raise."""
+    if rows.size and (
+        min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= num_nodes
+    ):
+        raise IndexError(f"edge endpoint out of range [0, {num_nodes})")
+    return rows * num_nodes + cols
+
+
+def _sorted_unique(np, keys):
+    """``np.unique(keys)`` by sort and neighbour compare (numpy 2's hashed
+    ``unique`` is ~20x slower on 10^5 int64 keys)."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _csr_from_keys(np, num_nodes: int, keys) -> Tuple[array, array]:
+    """(ptr, idx) ``array('q')`` buffers from sorted unique pair keys."""
+    rows, cols = np.divmod(keys, num_nodes)
+    ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=ptr[1:])
+    out_ptr, out_idx = array("q"), array("q")
+    out_ptr.frombytes(ptr.tobytes())
+    out_idx.frombytes(cols.tobytes())
+    return out_ptr, out_idx
+
+
+def _pack_edges_numpy(num_nodes: int, friendships, rejections) -> Tuple[array, ...]:
+    """The numpy twin of :meth:`CSRGraph.from_edges`' loops: one int64
+    key per edge, self-loops and duplicates dropped, rows cut from the
+    sorted keys. Gives the same six buffers."""
+    import numpy as np
+
+    f = _edge_pairs(np, friendships)
+    lo, hi = np.minimum(f[:, 0], f[:, 1]), np.maximum(f[:, 0], f[:, 1])
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
+    f_keys = _sorted_unique(np, _keys(np, num_nodes, lo, hi))
+    lo, hi = np.divmod(f_keys, num_nodes)
+    f_keys = np.sort(np.concatenate((f_keys, hi * num_nodes + lo)))
+
+    r = _edge_pairs(np, rejections)
+    r = r[r[:, 0] != r[:, 1]]
+    ro_keys = _sorted_unique(np, _keys(np, num_nodes, r[:, 0], r[:, 1]))
+    rejecter, sender = np.divmod(ro_keys, num_nodes)
+    ri_keys = np.sort(sender * num_nodes + rejecter)
+    return (
+        *_csr_from_keys(np, num_nodes, f_keys),
+        *_csr_from_keys(np, num_nodes, ro_keys),
+        *_csr_from_keys(np, num_nodes, ri_keys),
+    )
+
+
 class CSRGraph:
     """Immutable CSR snapshot of a rejection-augmented social graph.
 
@@ -219,7 +289,17 @@ class CSRGraph:
         backend: str = "auto",
     ) -> "CSRGraph":
         """Build directly from edge lists (duplicates collapse, as in the
-        builder)."""
+        builder).
+
+        On the ``"numpy"`` backend the edges (pairs, or ``(m, 2)`` int
+        arrays) are packed in batch; the ``"python"`` loops below are
+        the no-numpy path and the oracle the batch packer is pinned to
+        (same buffers, byte for byte). The batch packer rejects every
+        id outside ``[0, num_nodes)`` with ``IndexError``.
+        """
+        if resolve_backend(backend) == "numpy" and num_nodes <= _MAX_KEYED_NODES:
+            buffers = _pack_edges_numpy(num_nodes, friendships, rejections)
+            return cls(num_nodes, *buffers, backend=backend)
         friends: List[List[int]] = [[] for _ in range(num_nodes)]
         rej_out: List[List[int]] = [[] for _ in range(num_nodes)]
         rej_in: List[List[int]] = [[] for _ in range(num_nodes)]

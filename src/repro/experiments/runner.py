@@ -57,6 +57,7 @@ def load_graph_source(
     as_csr: bool = True,
     mode: str = "mmap",
     cache: bool = False,
+    remap: bool = True,
 ):
     """Open a graph from any of the on-disk forms the repo reads.
 
@@ -66,8 +67,10 @@ def load_graph_source(
     augmented edge-line file goes through
     :func:`repro.io.load_augmented_graph`; anything else parses as a
     SNAP edge list (``.gz`` transparently), with ``cache=True`` packing
-    it once into the loader's content-hash cache. Snapshot sources are
-    always CSR; text sources honour ``as_csr``.
+    it once into the loader's content-hash cache and ``remap=False``
+    keeping its raw ids (``F``/``R`` files and snapshots carry raw ids
+    already and ignore ``remap``). Snapshot sources are always CSR;
+    text sources honour ``as_csr``.
     """
     source = Path(source)
     kind = _sniff_format(source)
@@ -82,7 +85,7 @@ def load_graph_source(
     from ..graphgen.loaders import load_snap_edgelist
 
     return load_snap_edgelist(
-        source, as_csr=as_csr, cache=cache and as_csr
+        source, remap=remap, as_csr=as_csr, cache=cache and as_csr
     )
 
 

@@ -5,20 +5,35 @@ and the SNAP ecosystem:
 
 * **Augmented graph** — one line per edge: ``F u v`` for a friendship,
   ``R rejecter sender`` for a directed rejection, with ``#`` comments
-  and a ``# nodes: N`` header preserving isolated nodes.
-* **Request log** — CSV ``sender,target,accepted`` with a header row.
+  and a ``# nodes: N`` header preserving isolated nodes (at most one).
+  Ids are ASCII decimal digits; ``int``'s other spellings (``+1``,
+  ``0_1``, non-ASCII digits) are rejected.
+* **Request log** — CSV ``sender,target,accepted`` with a header row,
+  every field ASCII decimal digits.
 * **Detection report** — JSON with per-group members and cut statistics,
   the artifact an OSN operator would feed into enforcement.
+
+Loading an augmented graph as CSR on the numpy backend takes a batch
+path when the file is *canonical*, i.e. exactly what
+:func:`save_augmented_graph` writes: leading ``#`` header lines, then
+only ``F|R <digits> <digits>\\n`` lines. The file is read once as
+bytes, checked with numpy byte-class tests, parsed with one
+``np.fromstring`` and packed by :meth:`CSRGraph.from_edges`' batch
+packer. Any other file (tabs, CRLF, blank lines, a comment after the
+first edge, a bad line) goes to the line scanner, which is also the
+whole ``"python"`` backend path and the only code that raises
+:class:`FormatError`, so an error reads the same on both backends.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
-from typing import Union
+from typing import List, Optional, Tuple, Union
 
 from .attacks.requests import RequestLog
-from .core.csr import CSRGraph
+from .core.csr import CSRGraph, resolve_backend
 from .core.graph import AugmentedSocialGraph
 from .core.rejecto import RejectoResult
 
@@ -85,10 +100,35 @@ def load_augmented_graph(
     The ``# nodes:`` header is optional; without it the node count is
     inferred as ``max id + 1``. With ``as_csr=True`` the edges are packed
     straight into an immutable :class:`CSRGraph` (the form the detector
-    runs on) without materializing the mutable builder.
+    runs on) without materializing the mutable builder; on the numpy
+    backend a canonical file is parsed and packed in batch
+    (:func:`_parse_canonical`), anything else by the line scanner.
     """
     path = Path(path)
-    declared_nodes = None
+    if as_csr and resolve_backend("auto") == "numpy":
+        parsed = _parse_canonical(path.read_bytes())
+        if parsed is not None:
+            return CSRGraph.from_edges(*parsed)
+    num_nodes, friendships, rejections = _scan_augmented(path)
+    if as_csr:
+        return CSRGraph.from_edges(num_nodes, friendships, rejections)
+    return AugmentedSocialGraph.from_edges(num_nodes, friendships, rejections)
+
+
+def _decimal(token: str) -> Optional[int]:
+    """``int(token)`` when ``token`` is ASCII decimal digits, else
+    ``None`` (``int`` alone would take ``+1``, ``0_1`` or Arabic-Indic
+    digits)."""
+    return int(token) if token.isascii() and token.isdigit() else None
+
+
+def _scan_augmented(
+    path: Path,
+) -> Tuple[int, List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """Parse an ``F``/``R`` file line by line: ``(num_nodes,
+    friendships, rejections)``. Every :class:`FormatError` of the
+    format is raised here, with ``path:lineno``."""
+    declared_nodes = declared_line = None
     friendships = []
     rejections = []
     max_id = -1
@@ -100,13 +140,18 @@ def load_augmented_graph(
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.lower().startswith("nodes:"):
-                    try:
-                        declared_nodes = int(body.split(":", 1)[1])
-                    except ValueError as exc:
+                    count = _decimal(body.split(":", 1)[1].strip())
+                    if count is None:
                         raise FormatError(
                             f"{path}:{lineno}: bad nodes header "
                             f"{_excerpt(line)}"
-                        ) from exc
+                        )
+                    if declared_line is not None:
+                        raise FormatError(
+                            f"{path}:{lineno}: second nodes header "
+                            f"{_excerpt(line)} (first on line {declared_line})"
+                        )
+                    declared_nodes, declared_line = count, lineno
                 continue
             parts = line.split()
             if len(parts) != 3 or parts[0] not in ("F", "R"):
@@ -114,13 +159,12 @@ def load_augmented_graph(
                     f"{path}:{lineno}: expected 'F u v' or 'R u v', got "
                     f"{_excerpt(line)}"
                 )
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
+            u, v = (_decimal(token.removeprefix("-")) for token in parts[1:])
+            if u is None or v is None:
                 raise FormatError(
                     f"{path}:{lineno}: non-integer id in {_excerpt(line)}"
-                ) from exc
-            if u < 0 or v < 0:
+                )
+            if parts[1].startswith("-") or parts[2].startswith("-"):
                 raise FormatError(
                     f"{path}:{lineno}: negative id in {_excerpt(line)}"
                 )
@@ -134,9 +178,91 @@ def load_augmented_graph(
         raise FormatError(
             f"{path}: nodes header says {num_nodes} but ids reach {max_id}"
         )
-    if as_csr:
-        return CSRGraph.from_edges(num_nodes, friendships, rejections)
-    return AugmentedSocialGraph.from_edges(num_nodes, friendships, rejections)
+    return num_nodes, friendships, rejections
+
+
+#: A header line the batch parser reads itself: ``#`` then printable
+#: ASCII or tabs, where ``bytes.strip`` and ``str.strip`` agree.
+_HEADER_LINE = re.compile(rb"#[\t\x20-\x7e]*")
+#: Body byte classes: 0 other, 1 digit, 2 space, 3 LF, 4 ``F``/``R``.
+_BYTE_CLASS = bytearray(256)
+_BYTE_CLASS[ord("0") : ord("9") + 1] = b"\x01" * 10
+_BYTE_CLASS[ord(" ")] = 2
+_BYTE_CLASS[ord("\n")] = 3
+_BYTE_CLASS[ord("F")] = _BYTE_CLASS[ord("R")] = 4
+#: ``F``/``R`` to the digits ``0``/``1``, so a body parses as numbers.
+_KIND_DIGITS = bytes.maketrans(b"FR", b"01")
+#: Longest id the batch parser takes (10**18 - 1 fits in int64).
+_MAX_ID_DIGITS = 18
+
+
+def _parse_canonical(data: bytes):
+    """Batch-parse the body :func:`save_augmented_graph` writes.
+
+    Accepts leading ``#`` header lines, then only lines of exactly
+    ``F|R <digits> <digits>\\n``, checked with numpy byte-class tests.
+    Returns ``(num_nodes, friendships, rejections)`` with ``(m, 2)``
+    int64 edge arrays, or ``None`` for any other file (tabs, CRLF,
+    blank lines, later comments, bad lines or headers, ids past
+    :data:`_MAX_ID_DIGITS` digits): those go to
+    :func:`_scan_augmented`, which raises every :class:`FormatError`,
+    so a bad file reads the same error on both backends.
+    """
+    import numpy as np
+
+    if b"\r" in data:
+        return None
+    declared, pos = None, 0
+    while data.startswith(b"#", pos):
+        end = data.find(b"\n", pos)
+        if end < 0 or not _HEADER_LINE.fullmatch(data, pos, end):
+            return None
+        body = data[pos + 1 : end].strip()
+        if body.lower().startswith(b"nodes:"):
+            count = body[len(b"nodes:") :].strip()
+            if declared is not None or not count.isdigit():
+                return None
+            declared = int(count)
+        pos = end + 1
+
+    raw = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    if raw.size and raw[-1] != ord("\n"):
+        return None
+    classes = np.take(np.frombuffer(_BYTE_CLASS, dtype=np.uint8), raw)
+    ends = np.flatnonzero(classes == 3)
+    spaces = np.flatnonzero(classes == 2)
+    lines = ends.size
+    if (
+        np.count_nonzero(classes == 0)
+        or spaces.size != 2 * lines
+        or np.count_nonzero(classes == 4) != lines
+    ):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    spaces = spaces.reshape(lines, 2)
+    u_digits = spaces[:, 1] - spaces[:, 0] - 1
+    v_digits = ends - spaces[:, 1] - 1
+    if lines and not (
+        (classes[starts] == 4).all()
+        and (spaces[:, 0] == starts + 1).all()
+        and 1 <= min(u_digits.min(), v_digits.min())
+        and max(u_digits.max(), v_digits.max()) <= _MAX_ID_DIGITS
+    ):
+        return None
+
+    values = np.fromstring(
+        data[pos:].translate(_KIND_DIGITS), dtype=np.int64, sep=" "
+    )
+    if values.size != 3 * lines:
+        return None
+    rows = values.reshape(lines, 3)
+    ids = rows[:, 1:]
+    max_id = int(ids.max()) if lines else -1
+    num_nodes = declared if declared is not None else max_id + 1
+    if num_nodes < max_id + 1:
+        return None
+    is_rejection = rows[:, 0] == 1
+    return num_nodes, ids[~is_rejection], ids[is_rejection]
 
 
 # ----------------------------------------------------------------------
@@ -170,12 +296,18 @@ def load_request_log(path: _PathLike) -> RequestLog:
                 raise FormatError(
                     f"{path}:{lineno}: expected 3 fields, got {_excerpt(line)}"
                 )
-            try:
-                sender, target, accepted = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
+            # The digit test of _decimal, inlined: this loop is the
+            # whole set-up of a log-driven detection.
+            if not (
+                line.isascii()
+                and parts[0].isdigit()
+                and parts[1].isdigit()
+                and parts[2].isdigit()
+            ):
                 raise FormatError(
                     f"{path}:{lineno}: non-integer field in {_excerpt(line)}"
-                ) from exc
+                )
+            sender, target, accepted = int(parts[0]), int(parts[1]), int(parts[2])
             if accepted not in (0, 1):
                 raise FormatError(f"{path}:{lineno}: accepted must be 0/1, got {accepted}")
             log.record(sender, target, bool(accepted))

@@ -1,5 +1,8 @@
 """Tests for the flat-array CSR core: CSRGraph, CSRView, PartitionState."""
 
+import importlib.util
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +129,82 @@ class TestCSRGraph:
         assert len(csr) == 0
         assert list(csr.friendships()) == []
         assert csr.view().num_active == 0
+
+
+CSR_BUFFERS = ("f_ptr", "f_idx", "ro_ptr", "ro_idx", "ri_ptr", "ri_idx")
+
+
+def assert_same_buffers(batch, scalar):
+    assert batch.num_nodes == scalar.num_nodes
+    for name in CSR_BUFFERS:
+        got, want = getattr(batch, name), getattr(scalar, name)
+        assert isinstance(got, array) and got.typecode == "q", name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@st.composite
+def edge_lists(draw):
+    """Node count plus raw friendship and rejection pairs, with
+    duplicates, self-loops, both directions and isolated nodes."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    if n == 0:
+        return 0, [], []
+    pair = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    )
+    return (
+        n,
+        draw(st.lists(pair, max_size=50)),
+        draw(st.lists(pair, max_size=50)),
+    )
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="numpy not installed"
+)
+class TestBatchPacker:
+    """``from_edges`` on the numpy backend against the python loops."""
+
+    @given(edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_python_loops(self, case):
+        n, friendships, rejections = case
+        scalar = CSRGraph.from_edges(n, friendships, rejections, backend="python")
+        batch = CSRGraph.from_edges(n, friendships, rejections, backend="numpy")
+        assert_same_buffers(batch, scalar)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_random_graphs_match_builder(self, seed):
+        graph = random_augmented_graph(300, 1200, 500, seed=seed)
+        friendships = list(graph.friendships())
+        # Every edge twice, once reversed, plus self-loops.
+        friendships += [(v, u) for u, v in friendships] + [(7, 7), (9, 9)]
+        rejections = list(graph.rejections()) * 2 + [(4, 4)]
+        batch = CSRGraph.from_edges(300, friendships, rejections, backend="numpy")
+        assert_same_buffers(batch, CSRGraph.from_builder(graph, backend="python"))
+
+    def test_accepts_arrays_and_generators(self):
+        np = pytest.importorskip("numpy")
+        edges = [(0, 1), (2, 1), (1, 0)]
+        want = CSRGraph.from_edges(3, edges, edges, backend="python")
+        for given_edges in (np.array(edges), (edge for edge in edges)):
+            batch = CSRGraph.from_edges(3, given_edges, edges, backend="numpy")
+            assert_same_buffers(batch, want)
+
+    def test_out_of_range_ids_raise(self):
+        for edges in ([(0, 3)], [(-1, 2)]):
+            with pytest.raises(IndexError, match="out of range"):
+                CSRGraph.from_edges(3, edges, backend="numpy")
+            with pytest.raises(IndexError, match="out of range"):
+                CSRGraph.from_edges(3, rejections=edges, backend="numpy")
+        # Self-loops are dropped before the range check, as in the loops.
+        assert CSRGraph.from_edges(3, [(5, 5)], backend="numpy").num_friendships == 0
+
+    def test_non_pairs_raise(self):
+        for edges in ([(0, 1, 2)], [(0.0, 1.0)]):
+            with pytest.raises(ValueError, match="pairs"):
+                CSRGraph.from_edges(3, edges, backend="numpy")
 
 
 class TestCSRView:

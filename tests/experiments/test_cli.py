@@ -151,6 +151,54 @@ class TestGraphCommands:
         assert "1 rejections" in out_text
         assert out_path.exists()
 
+    def test_pack_no_remap_keeps_augmented_ids(self, tmp_path):
+        from repro.core import CSRGraph
+        from repro.io import load_augmented_graph
+
+        source = tmp_path / "aug.txt"
+        source.write_text("# nodes: 9\nF 0 1\nF 7 2\nR 8 0\n")
+        out_path = tmp_path / "aug.csrbin"
+        out_text = run_cli(
+            ["graph", "pack", str(source), "--no-remap", "--out", str(out_path)]
+        )
+        assert "packed 9 nodes, 2 friendships, 1 rejections" in out_text
+        packed = CSRGraph.open(out_path)
+        loaded = load_augmented_graph(source, as_csr=True)
+        assert list(packed.friendships()) == list(loaded.friendships())
+        assert list(packed.rejections()) == list(loaded.rejections())
+
+    def test_pack_no_remap_parses_snap_file_once(self, tmp_path, monkeypatch):
+        from repro.graphgen import loaders
+
+        calls = []
+        original = loaders.load_snap_edgelist
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("remap"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(loaders, "load_snap_edgelist", counting)
+        source = tmp_path / "edges.txt"
+        source.write_text("# sparse ids\n10 20\n20 30\n")
+        out_path = tmp_path / "raw.csrbin"
+        out_text = run_cli(
+            ["graph", "pack", str(source), "--no-remap", "--out", str(out_path)]
+        )
+        assert calls == [False]
+        assert "packed 31 nodes, 2 friendships" in out_text
+        run_cli(["graph", "pack", str(source), "--out", str(out_path)])
+        assert calls == [False, True]
+        assert "3 nodes" in run_cli(["graph", "info", str(out_path)])
+
+    def test_pack_malformed_augmented_file_is_one_error(self, tmp_path, capsys):
+        source = tmp_path / "aug.txt"
+        source.write_text("# nodes: 4\nF 0 1\nR 2 3\nF 1 x\n")
+        assert main(["graph", "pack", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("rejecto: error:") == 1
+        assert f"{source}:4: non-integer id" in err
+        assert "Traceback" not in err
+
     def test_info_segments_flag(self, tmp_path):
         source = tmp_path / "edges.txt"
         source.write_text(self.EDGES)

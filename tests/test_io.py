@@ -1,6 +1,9 @@
 """Tests for graph/request-log/report persistence."""
 
+import importlib.util
 import json
+import random
+from array import array
 
 import pytest
 
@@ -8,6 +11,7 @@ from repro.attacks import RequestLog, ScenarioConfig, build_scenario
 from repro.core import AugmentedSocialGraph, Rejecto, RejectoConfig
 from repro.io import (
     FormatError,
+    _parse_canonical,
     load_augmented_graph,
     load_detection_report,
     load_request_log,
@@ -221,4 +225,230 @@ class TestErrorExcerpts:
         path = tmp_path / "log.tsv"
         path.write_text("sender,target,accepted\n1,2\n")
         with pytest.raises(FormatError, match=r"log\.tsv:2: expected 3 fields.*'1,2'"):
+            load_request_log(path)
+
+
+CSR_BUFFERS = ("f_ptr", "f_idx", "ro_ptr", "ro_idx", "ri_ptr", "ri_idx")
+
+
+def load_csr_both(path, monkeypatch):
+    """``load_augmented_graph(path, as_csr=True)`` on each backend."""
+    graphs = {}
+    for backend in ("numpy", "python"):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        graphs[backend] = load_augmented_graph(path, as_csr=True)
+    assert graphs["numpy"].backend == "numpy"
+    assert graphs["python"].backend == "python"
+    return graphs["numpy"], graphs["python"]
+
+
+def assert_same_csr(batch, scalar):
+    """Equal node counts and CSR buffers, byte for byte, as ``array('q')``."""
+    assert batch.num_nodes == scalar.num_nodes
+    for name in CSR_BUFFERS:
+        got, want = getattr(batch, name), getattr(scalar, name)
+        assert isinstance(got, array) and got.typecode == "q", name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def ba_spam_wave_graph(seed):
+    """The multilevel perfbench input at reduced scale: BA m=4 plus a
+    sybil region running the baseline spam wave."""
+    from repro.attacks.spam import (
+        add_careless_requests,
+        send_friend_spam,
+        simulate_legitimate_rejections,
+    )
+    from repro.attacks.sybil import SybilRegionConfig, inject_sybil_region
+    from repro.graphgen import barabasi_albert
+
+    rng = random.Random(seed)
+    graph = barabasi_albert(400, 4, rng)
+    legit = list(range(graph.num_nodes))
+    simulate_legitimate_rejections(graph, legit, 0.2, rng)
+    fakes = inject_sybil_region(graph, SybilRegionConfig(num_fakes=96), rng)
+    send_friend_spam(graph, fakes, legit, 20, 0.7, rng)
+    add_careless_requests(graph, legit, fakes, 0.15, rng)
+    return graph
+
+
+def scenario_graph(seed):
+    """The cluster perfbench input at reduced scale."""
+    config = ScenarioConfig(num_legit=360, num_fakes=40, seed=seed)
+    return build_scenario(config).graph
+
+
+def request_log_graph(seed):
+    """A graph built from a request log, as the rounds perfbench input
+    is, then persisted in the F/R form."""
+    rng = random.Random(seed)
+    log = RequestLog()
+    for _ in range(600):
+        sender, target = rng.sample(range(200), 2)
+        log.record(sender, target, rng.random() < 0.6)
+    return log.to_augmented_graph(200)
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="numpy not installed"
+)
+class TestBatchIngest:
+    """The numpy batch parse/pack path against the scalar oracle."""
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "build", [ba_spam_wave_graph, scenario_graph, request_log_graph]
+    )
+    def test_perfbench_style_inputs_match_scalar(
+        self, build, seed, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "g.txt"
+        save_augmented_graph(build(seed), path)
+        assert _parse_canonical(path.read_bytes()) is not None
+        assert_same_csr(*load_csr_both(path, monkeypatch))
+
+    def test_property_edge_lists(self, tmp_path, monkeypatch):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def files(draw):
+            n = draw(st.integers(min_value=1, max_value=12))
+            node = st.integers(min_value=0, max_value=n - 1)
+            # Duplicates, self-loops and both directions of a pair all
+            # come up; ids past the edges are isolated nodes.
+            edge = st.tuples(st.sampled_from("FR"), node, node)
+            edges = draw(st.lists(edge, max_size=40))
+            header = draw(st.sampled_from(["", f"# nodes: {n}\n"]))
+            return header + "".join(f"{kind} {u} {v}\n" for kind, u, v in edges)
+
+        @given(files())
+        @settings(max_examples=60, deadline=None)
+        def check(text):
+            path = tmp_path / "g.txt"
+            path.write_text(text)
+            assert _parse_canonical(path.read_bytes()) is not None
+            assert_same_csr(*load_csr_both(path, monkeypatch))
+
+        check()
+
+    def test_empty_files(self, tmp_path, monkeypatch):
+        for text, nodes in [("", 0), ("# nodes: 3\n", 3), ("# v1\n", 0)]:
+            path = tmp_path / "g.txt"
+            path.write_text(text)
+            assert _parse_canonical(path.read_bytes()) is not None
+            batch, scalar = load_csr_both(path, monkeypatch)
+            assert batch.num_nodes == nodes
+            assert_same_csr(batch, scalar)
+
+    CANONICAL = "# rejecto augmented graph v1\n# nodes: 6\nF 0 1\nF 1 2\nR 3 0\nR 4 5\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            CANONICAL.replace("F 1 2", "F\t1\t2"),
+            CANONICAL.replace("\n", "\r\n"),
+            CANONICAL.replace("F 1 2\n", "F 1 2\n\n"),
+            CANONICAL.replace("F 1 2\n", "F 1 2\n# middle\n"),
+            CANONICAL.replace("R 3 0", "R  3 0 "),
+            CANONICAL.replace("R 4 5\n", "R 4 5"),
+            CANONICAL.replace("F 0 1", "F 00 01"),
+            "\n" + CANONICAL,
+        ],
+        ids=[
+            "tabs",
+            "crlf",
+            "blank-line",
+            "mid-comment",
+            "extra-spaces",
+            "no-final-newline",
+            "leading-zeros",
+            "leading-blank",
+        ],
+    )
+    def test_non_canonical_files_fall_back(self, text, tmp_path, monkeypatch):
+        canonical = tmp_path / "canonical.txt"
+        canonical.write_text(self.CANONICAL)
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        want, _ = load_csr_both(canonical, monkeypatch)
+        batch, scalar = load_csr_both(path, monkeypatch)
+        assert_same_csr(batch, scalar)
+        assert_same_csr(batch, want)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "F 0 1\r\n",
+            "F 0 1\nF 1 2",
+            "F 0 1\n\n",
+            "F 0  1\n",
+            "F 0 1 \n",
+            " F 0 1\n",
+            "F 0 1\n# late\n",
+            "F 0 1 2\nF 3\n",
+            "F 0 1\nX 2 3\n",
+            "F 1234567890123456789 0\n",
+            "# nodes: 1\n# nodes: 2\n",
+            "# nodes: x\n",
+            "# nodes: 1\nF 0 1\n",
+            "#\x1cnodes: 5\n",
+            "#\r# nodes: 2\nF 0 1\n",
+        ],
+    )
+    def test_batch_parser_refuses_non_canonical_bodies(self, text):
+        assert _parse_canonical(text.encode()) is None
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("X 0 1\n", ":1: expected 'F u v'"),
+            ("F 0\n", ":1: expected 'F u v'"),
+            ("F 0 1\nF a b\n", ":2: non-integer id"),
+            ("F 0 1\nF 1 2\nR 0 1\nF -1 2\n", ":4: negative id"),
+            ("F 0_1 2\n", ":1: non-integer id"),
+            ("F +1 2\n", ":1: non-integer id"),
+            ("F ١ 2\n", ":1: non-integer id"),
+            ("F 1 ²\n", ":1: non-integer id"),
+            ("# nodes: two\nF 0 1\n", ":1: bad nodes header"),
+            ("# nodes: -5\n", ":1: bad nodes header"),
+            ("# nodes: +5\nF 0 1\n", ":1: bad nodes header"),
+            ("# nodes: 5\n# nodes: 7\nF 0 1\n", ":2: second nodes header"),
+            ("F 0 1\n# nodes: 5\n# nodes: 5\n", ":3: second nodes header"),
+            ("# nodes: 1\nF 0 3\n", ": nodes header says 1 but ids reach 3"),
+            ("F 0 1\nF 0 1 \nF 1\tx\n", ":3: non-integer id"),
+        ],
+    )
+    def test_bad_files_raise_the_same_error_on_both_backends(
+        self, text, message, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        errors = []
+        for backend in ("numpy", "python"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            with pytest.raises(FormatError) as excinfo:
+                load_augmented_graph(path, as_csr=True)
+            errors.append(str(excinfo.value))
+        with pytest.raises(FormatError) as excinfo:
+            load_augmented_graph(path)
+        errors.append(str(excinfo.value))
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0].startswith(f"{path}{message}")
+
+    def test_second_nodes_header_names_the_first(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# v1\n# nodes: 5\n# nodes: 7\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:3: .*first on line 2"):
+            load_augmented_graph(path)
+
+
+class TestRequestLogIds:
+    @pytest.mark.parametrize(
+        "row", ["0_1,2,1", "+1,2,1", "1,١,1", "1,2,+1", " 1,2,1 x", "-1,2,1", "1,2, 1"]
+    )
+    def test_only_ascii_decimal_fields(self, row, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(f"sender,target,accepted\n0,1,1\n{row}\n")
+        with pytest.raises(FormatError, match=r"log\.csv:3: non-integer field"):
             load_request_log(path)
