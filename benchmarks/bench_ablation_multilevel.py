@@ -8,15 +8,18 @@ Three measurement groups:
   ``solve_maar`` run on the same planted scenario, the reference the
   multilevel scheme approximates; both validated for detection quality;
 * **large-graph solve** — a ~100k-node scenario (the soc-Slashdot
-  catalog entry at full scale plus 20k fakes) solved end to end under
-  both refinement frontiers (``boundary`` and
-  ``full``), recording the per-level timing breakdown
-  (coarsen / coarse sweep / refine) that the ``timings`` field of
-  :class:`repro.core.multilevel.MultilevelResult` exposes, plus the
-  refine-leg speedup the boundary scoping buys;
+  catalog entry at full scale plus 20k fakes) solved end to end,
+  recording the per-level timing breakdown (coarsen / coarse sweep /
+  refine) that the ``timings`` field of
+  :class:`repro.core.multilevel.MultilevelResult` exposes;
 * **million-graph solve** — a ≥1M-node synthetic BA scenario (1M legit
-  users, m=4, plus 240k fakes running the baseline spam wave), boundary
-  frontier only — the workload the boundary-only path unlocks.
+  users, m=4, plus 240k fakes running the baseline spam wave) — the
+  workload the boundary-only refinement unlocks.
+
+``BENCH_multilevel.json`` rows written before the whole-graph
+refinement scope (``MultilevelConfig.frontier="full"``) was removed
+carry a ``frontiers.full`` leg and ``*_over_full`` speedups; those
+figures come from that deleted path.
 
 Writes ``BENCH_multilevel.json`` at the repo root.
 
@@ -239,32 +242,17 @@ def _timed_solve(csr, fakes, config=None, rounds=1):
 
 
 def large_graph_solve(num_fakes=LARGE_FAKES, rounds=2):
-    """End-to-end csr-engine solves on the ~100k-node scenario — one per
-    refinement frontier, with the refine-leg speedup the boundary scheme
-    buys at this scale."""
+    """End-to-end csr-engine solves on the ~100k-node scenario; the
+    fastest of ``rounds`` is reported."""
     csr, fakes, acquisition = acquire_large_scenario(num_fakes)
-    row = _graph_facts(LARGE_DATASET, csr, acquisition)
-    row["frontiers"] = {
-        frontier: _timed_solve(
-            csr, fakes, MultilevelConfig(frontier=frontier), rounds=rounds
-        )
-        for frontier in ("boundary", "full")
+    return {
+        **_graph_facts(LARGE_DATASET, csr, acquisition),
+        **_timed_solve(csr, fakes, rounds=rounds),
     }
-    boundary = row["frontiers"]["boundary"]
-    full = row["frontiers"]["full"]
-    row["refine_speedup_boundary_over_full"] = (
-        full["refine_seconds"] / boundary["refine_seconds"]
-    )
-    row["solve_speedup_boundary_over_full"] = (
-        full["solve_seconds"] / boundary["solve_seconds"]
-    )
-    return row
 
 
 def million_graph_solve():
-    """One end-to-end csr-engine solve on the ≥1M-node BA scenario —
-    boundary frontier only; the full-frontier leg is the one the scheme
-    exists to avoid at this scale."""
+    """One end-to-end csr-engine solve on the ≥1M-node BA scenario."""
     csr, fakes, acquisition = acquire_million_scenario()
     return {
         **_graph_facts("synthetic-1M", csr, acquisition),

@@ -1,25 +1,25 @@
-"""Ablation: boundary-only refinement vs full-frontier sweeps.
+"""Ablation: multilevel refinement early exit, and the Dinkelbach polish.
 
 The multilevel pipeline spends most of its wall clock re-refining each
-uncoarsened level, and a full-frontier pass re-tests every node every
-round even though the projected cut is already near-converged. This
-ablation sweeps the two refinement knobs
-:class:`repro.core.multilevel.MultilevelConfig` grew for the
-boundary-only scheme:
+uncoarsened level around the movable frontier (frontier → connected
+regions → ``refine_subset`` per region, rounds until no frontier move
+remains). This ablation sweeps the early-exit knob of
+:class:`repro.core.multilevel.MultilevelConfig`:
 
-* **frontier** — ``"full"`` (classic whole-graph engine passes) vs
-  ``"boundary"`` (movable frontier → connected regions →
-  ``refine_subset`` per region, rounds until no frontier move remains);
-* **refine_tolerance** — early-exit: skip intermediate levels while
-  the most recent refined level improved the objective by at most the
-  tolerance (the finest level always refines).
+* **refine_tolerance** — skip intermediate levels while the most
+  recent refined level improved the objective by at most the tolerance
+  (the finest level always refines).
 
 Every row records the refine leg (the sum of the per-level refine
 timings) next to the end-to-end solve, plus detection quality against
-the planted fakes, so the report states what the frontier scoping
-buys *and* what the early exit costs. A run also includes one
-Dinkelbach-polish row (the pre-existing ``refine_rounds`` ablation on
-the flat solver) for continuity with earlier reports.
+the planted fakes, so the report states what the early exit saves and
+what it costs. A run also includes the Dinkelbach-polish rows (the
+``refine_rounds`` ablation on the flat solver): what a few ratio rounds
+buy on a deliberately coarse grid.
+
+Reports written before the whole-graph refinement scope
+(``MultilevelConfig.frontier="full"``) was removed also carried a
+``frontier`` axis and a boundary-over-full refine speedup.
 
 Writes ``BENCH_refinement.json`` at the repo root.
 
@@ -46,22 +46,17 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_refinement.json"
 FULL_SCALE = (3000, 600)
 SMOKE_SCALE = (400, 80)
 SEED = 7
-FRONTIERS = ("full", "boundary")
 TOLERANCES = (0.0, 0.01)
 
 
-def _solve_row(graph, fakes, frontier, refine_tolerance):
-    config = MultilevelConfig(
-        frontier=frontier,
-        refine_tolerance=refine_tolerance,
-    )
+def _solve_row(graph, fakes, refine_tolerance):
+    config = MultilevelConfig(refine_tolerance=refine_tolerance)
     start = time.perf_counter()
     result = solve_maar_multilevel(graph, config)
     seconds = time.perf_counter() - start
     metrics = precision_recall(result.suspicious, fakes)
     detail = result.timings["refine_detail"]
     return {
-        "frontier": frontier,
         "refine_tolerance": refine_tolerance,
         "seconds": seconds,
         "refine_seconds": sum(result.timings["refine"]),
@@ -80,22 +75,20 @@ def _solve_row(graph, fakes, frontier, refine_tolerance):
     }
 
 
-def frontier_sweep(num_legit, num_fakes):
-    """frontier × refine_tolerance over one scenario.
+def tolerance_sweep(num_legit, num_fakes):
+    """One multilevel solve per ``refine_tolerance`` over one scenario.
 
     Returns the rows (``suspicious`` is the detected count) and asserts
-    inline that every row, boundary or full, detects the planted
-    population at precision and recall above 0.9.
+    inline that every row detects the planted population at precision
+    and recall above 0.9.
     """
     scenario = build_scenario(
         ScenarioConfig(num_legit=num_legit, num_fakes=num_fakes, seed=SEED)
     )
-    rows = []
-    for frontier in FRONTIERS:
-        for tolerance in TOLERANCES:
-            rows.append(
-                _solve_row(scenario.graph, scenario.fakes, frontier, tolerance)
-            )
+    rows = [
+        _solve_row(scenario.graph, scenario.fakes, tolerance)
+        for tolerance in TOLERANCES
+    ]
     for row in rows:
         assert row["recall"] > 0.9, row
         assert row["precision"] > 0.9, row
@@ -103,9 +96,8 @@ def frontier_sweep(num_legit, num_fakes):
 
 
 def dinkelbach_context(num_legit, num_fakes):
-    """The pre-existing flat-solver ratio-refinement ablation, one row
-    per grid, kept so the report still answers the original question:
-    what do a few Dinkelbach rounds buy on a deliberately coarse grid?"""
+    """The flat-solver ratio-refinement ablation, one row per grid: what
+    do a few Dinkelbach rounds buy on a deliberately coarse grid?"""
     scenario = build_scenario(
         ScenarioConfig(num_legit=num_legit, num_fakes=num_fakes, seed=SEED)
     )
@@ -139,28 +131,12 @@ def dinkelbach_context(num_legit, num_fakes):
 
 def run_report(smoke=False):
     num_legit, num_fakes = SMOKE_SCALE if smoke else FULL_SCALE
-    rows = frontier_sweep(num_legit, num_fakes)
-    full = next(
-        r
-        for r in rows
-        if r["frontier"] == "full" and r["refine_tolerance"] == 0.0
-    )
-    boundary = next(
-        r
-        for r in rows
-        if r["frontier"] == "boundary" and r["refine_tolerance"] == 0.0
-    )
     return {
         "meta": bench_metadata(),
         "smoke": smoke,
         "num_legit": num_legit,
         "num_fakes": num_fakes,
-        "frontier_sweep": rows,
-        "refine_speedup_boundary_over_full": (
-            full["refine_seconds"] / boundary["refine_seconds"]
-            if boundary["refine_seconds"]
-            else None
-        ),
+        "tolerance_sweep": tolerance_sweep(num_legit, num_fakes),
         "dinkelbach_context": dinkelbach_context(num_legit, num_fakes),
     }
 
@@ -175,7 +151,7 @@ def bench_refinement(benchmark):
     payload = benchmark.pedantic(
         run_report, kwargs={"smoke": True}, rounds=1, iterations=1
     )
-    assert payload["frontier_sweep"]
+    assert payload["tolerance_sweep"]
 
 
 def main(argv=None):

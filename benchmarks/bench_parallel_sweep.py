@@ -1,8 +1,8 @@
 """Parallel MAAR ``k``-sweep: serial vs multi-worker wall clock.
 
 The sweep's ``k`` steps are independent extended-KL runs over one
-immutable CSR snapshot (``MAARConfig(warm_start=False)``, the default),
-so ``MAARConfig(jobs=N)`` streams them through one
+immutable CSR snapshot, each from the same initial cut, so
+``MAARConfig(jobs=N)`` streams them through one
 :func:`repro.core.parallel.parallel_map` pool per sweep, stopping at the
 first step that cannot win and killing the steps still running. A pool
 never has more workers than the CPUs the process may use

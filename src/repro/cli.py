@@ -283,14 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         ".csrbin binary snapshot (see `rejecto graph pack`)",
     )
     p.add_argument(
-        "--frontier",
-        choices=("boundary", "full"),
-        default="boundary",
-        help="refinement scope per uncoarsened level: 'boundary' refines "
-        "connected regions around the movable frontier, 'full' runs the "
-        "classic whole-graph pass",
-    )
-    p.add_argument(
         "--refine-tolerance",
         type=float,
         default=0.0,
@@ -495,7 +487,6 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
 
     graph = load_graph_source(args.graph, as_csr=True).csr()
     config = MultilevelConfig(
-        frontier=args.frontier,
         refine_tolerance=args.refine_tolerance,
         refine_stall=args.refine_stall if args.refine_stall > 0 else None,
     )
@@ -554,10 +545,7 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
             "level_sizes": result.level_sizes,
             "timings": timings,
             "seconds": seconds,
-            "config": {
-                "frontier": args.frontier,
-                "refine_tolerance": args.refine_tolerance,
-            },
+            "config": {"refine_tolerance": args.refine_tolerance},
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             _json.dump(payload, fh, indent=2, sort_keys=True)

@@ -294,8 +294,9 @@ class CSRGraph:
         On the ``"numpy"`` backend the edges (pairs, or ``(m, 2)`` int
         arrays) are packed in batch; the ``"python"`` loops below are
         the no-numpy path and the oracle the batch packer is pinned to
-        (same buffers, byte for byte). The batch packer rejects every
-        id outside ``[0, num_nodes)`` with ``IndexError``.
+        (same buffers, byte for byte). Both reject every id outside
+        ``[0, num_nodes)`` with ``IndexError``; self-loops are dropped
+        before the check.
         """
         if resolve_backend(backend) == "numpy" and num_nodes <= _MAX_KEYED_NODES:
             buffers = _pack_edges_numpy(num_nodes, friendships, rejections)
@@ -305,15 +306,23 @@ class CSRGraph:
         rej_in: List[List[int]] = [[] for _ in range(num_nodes)]
         friend_set = set()
         for u, v in friendships:
+            if u == v:
+                continue
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise IndexError(f"edge endpoint out of range [0, {num_nodes})")
             key = (u, v) if u <= v else (v, u)
-            if u == v or key in friend_set:
+            if key in friend_set:
                 continue
             friend_set.add(key)
             friends[u].append(v)
             friends[v].append(u)
         rej_set = set()
         for rejecter, sender in rejections:
-            if rejecter == sender or (rejecter, sender) in rej_set:
+            if rejecter == sender:
+                continue
+            if not (0 <= rejecter < num_nodes and 0 <= sender < num_nodes):
+                raise IndexError(f"edge endpoint out of range [0, {num_nodes})")
+            if (rejecter, sender) in rej_set:
                 continue
             rej_set.add((rejecter, sender))
             rej_out[rejecter].append(sender)

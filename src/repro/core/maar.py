@@ -33,6 +33,8 @@ rounds and multilevel's coarse sweep reach them through
 :func:`sweep_k_states`, which with ``jobs > 1`` applies the same rule to
 worker results as they stream in;
 :func:`repro.cluster.engine.distributed_maar` calls them directly.
+:func:`dinkelbach_polish` re-solves a winner at its own ratio, for the
+flat sweep's ``refine_rounds`` and multilevel's finest level.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "SeedError",
     "SweepStep",
     "check_seeds",
+    "dinkelbach_polish",
     "geometric_k_sequence",
     "initial_partition",
     "is_valid_cut",
@@ -151,10 +154,6 @@ class MAARConfig:
         default (0.6) tolerates the paper's 1:1 stress workloads, where
         the fake region plus a few misplaced users can slightly exceed
         half of the graph.
-    warm_start:
-        When ``True``, each ``k`` step starts from the previous step's
-        partition rather than from the initial partition; faster, but
-        couples the steps. The stop rule applies the same way.
     min_evidence:
         Minimum average rejection evidence — ``r_cross`` divided by the
         suspicious region's size — for a valid candidate. The paper's
@@ -165,26 +164,22 @@ class MAARConfig:
         zero-acceptance cut. Default 0 keeps the paper's plain
         formulation.
     refine_rounds:
-        Optional Dinkelbach-style refinement after the sweep (an
-        extension beyond the paper): repeatedly re-run the KL search at
-        ``k`` equal to the best cut's own friends-to-rejections ratio,
-        warm-started from that cut. By Theorem 1's logic, any cut with a
-        *negative* linear objective at that ``k`` has a strictly lower
-        ratio, so each accepted round improves the acceptance rate; the
-        loop stops at the first non-improving round. Off by default (0
-        rounds) to match the paper's plain grid sweep.
+        Rounds of the Dinkelbach polish after the sweep (an extension
+        beyond the paper; :func:`dinkelbach_polish`): re-run the KL
+        search at ``k`` equal to the best cut's own
+        friends-to-rejections ratio, starting from that cut, until a
+        round does not improve. Off by default (0 rounds) to match the
+        paper's plain grid sweep.
     jobs:
-        Worker count for the ``k`` sweep. With ``warm_start=False``
-        (the default) every ``k`` step is an independent KL run over the
-        same immutable CSR snapshot, so ``jobs > 1`` streams the grid
+        Worker count for the ``k`` sweep. Every ``k`` step is an
+        independent KL run from the same starting cut over the same
+        immutable CSR snapshot, so ``jobs > 1`` streams the grid
         through one :func:`repro.core.parallel.parallel_map` call: its
         workers (at most the usable CPUs) start once per sweep, take the
         next ``k`` as they free up, and the stop rule runs on their cuts
         in grid order; steps still running at the stop step are killed,
         so results are bit-identical to ``jobs=1`` (tested in
-        ``tests/core/test_parity.py``). Ignored —
-        with a ``logger.warning`` naming the reason — when
-        ``warm_start=True`` (the steps are coupled). Must be at least 1.
+        ``tests/core/test_parity.py``). Must be at least 1.
     """
 
     k_min: float = 0.125
@@ -197,7 +192,6 @@ class MAARConfig:
     min_suspicious: int = 1
     max_suspicious_fraction: float = 0.6
     min_evidence: float = 0.0
-    warm_start: bool = False
     refine_rounds: int = 0
     jobs: int = 1
 
@@ -422,16 +416,13 @@ def sweep_k_states(
     stats: Optional[KLStats] = None,
     *,
     valid: Callable[[PartitionState], bool],
-    warm_start: bool = False,
 ) -> Tuple[List[SweepStep], Optional[int]]:
     """The ``k`` sweep: :func:`extended_kl_state` per grid ``k`` under
     :func:`run_k_sweep`'s stop rule.
 
-    Every step starts from ``init``, or with ``warm_start`` from the
-    previous step's cut. ``valid`` judges each cut (the caller's
-    :func:`is_valid_cut`). Returns ``run_k_sweep``'s ``(steps,
-    winner)``. With ``jobs > 1`` (and no warm start, which couples the
-    steps) the whole grid goes through one
+    Every step starts from ``init``. ``valid`` judges each cut (the
+    caller's :func:`is_valid_cut`). Returns ``run_k_sweep``'s ``(steps,
+    winner)``. With ``jobs > 1`` the whole grid goes through one
     :func:`repro.core.parallel.parallel_map` call whose ``stop``
     predicate is the stop rule, applied to the cuts in grid order as
     they arrive; steps still running at the stop are killed. The
@@ -445,17 +436,12 @@ def sweep_k_states(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     kl_config = kl_config or KLConfig()
-    if warm_start or jobs == 1:
-        start = init
-
-        def solve(k):
-            nonlocal start
-            cut = extended_kl_state(start, k, config=kl_config, stats=stats)
-            if warm_start:
-                start = cut
-            return cut
-
-        return run_k_sweep(k_values, solve, valid)
+    if jobs == 1:
+        return run_k_sweep(
+            k_values,
+            lambda k: extended_kl_state(init, k, config=kl_config, stats=stats),
+            valid,
+        )
     ks = list(k_values)
     rule = _StopRule(valid)
 
@@ -476,6 +462,45 @@ def sweep_k_states(
             stats.switches_tested += k_stats.switches_tested
             stats.objective_history.extend(k_stats.objective_history)
     return rule.steps, rule.winner
+
+
+def dinkelbach_polish(
+    cut: PartitionState,
+    k: float,
+    refine: Callable[[PartitionState, float], PartitionState],
+    valid: Callable[[PartitionState], bool],
+    rounds: int,
+) -> Tuple[PartitionState, float, List[SweepStep]]:
+    """Polish a sweep's winning ``cut`` (found at ``k``) by Dinkelbach's
+    fixpoint step: re-solve at the cut's own ratio ``k ← F/R``.
+
+    By Theorem 1's argument, any cut with a negative linear objective at
+    that ``k`` has a strictly lower ratio, which is what lets a round
+    correct a coarse grid's (or a coarse level's) ``k``. Each round
+    calls ``refine(cut, ratio)`` on the current best and keeps the
+    result only when ``valid`` accepts it and its
+    :meth:`SweepStep.key` — the order the sweep picks its winner by —
+    is strictly lower; the first round that is not kept, and a cut with
+    no finite positive ratio, end the polish. At most ``rounds`` rounds
+    run. Shared by the flat sweep (``MAARConfig.refine_rounds``) and
+    multilevel's finest level.
+
+    Returns ``(cut, k, steps)``: the polished cut, the ``k`` it was
+    found at, and every round's step in order, kept or not.
+    """
+    best = SweepStep(k, cut, True)
+    steps: List[SweepStep] = []
+    for _ in range(rounds):
+        ratio = best.cut.ratio()
+        if not 0 < ratio < float("inf"):
+            break
+        candidate = refine(best.cut, ratio)
+        step = SweepStep(ratio, candidate, valid(candidate))
+        steps.append(step)
+        if not step.valid or step.key() >= best.key():
+            break
+        best = step
+    return best.cut, best.k, steps
 
 
 def _k_candidate(k: float, state: PartitionState, valid: bool) -> KCandidate:
@@ -508,13 +533,6 @@ def _solve_maar_view(
     def valid(state: PartitionState) -> bool:
         return is_valid_cut(state.suspicious_size, num_active, state.r_cross, config)
 
-    if config.jobs > 1 and config.warm_start:
-        logger.warning(
-            "MAARConfig(jobs=%d) ignored: warm_start=True couples the k "
-            "steps (each starts from the previous cut), so the sweep runs "
-            "serially",
-            config.jobs,
-        )
     stats = KLStats()
     steps, winner = sweep_k_states(
         init,
@@ -523,7 +541,6 @@ def _solve_maar_view(
         jobs=config.jobs,
         stats=stats,
         valid=valid,
-        warm_start=config.warm_start,
     )
     per_k: List[KCandidate] = []
     for step in steps:
@@ -537,28 +554,20 @@ def _solve_maar_view(
             step.cut.suspicious_size,
             step.valid,
         )
-    best: Optional[PartitionState] = None
-    best_k: Optional[float] = None
-    best_key: Tuple[float, float] = (float("inf"), 0)
-    if winner is not None:
-        best, best_k, best_key = steps[winner].cut, steps[winner].k, steps[winner].key()
-
-    for _ in range(config.refine_rounds if best is not None else 0):
-        ratio = best.ratio()
-        if not 0 < ratio < float("inf"):
-            break
-        candidate = extended_kl_state(best, ratio, config=config.kl, stats=stats)
-        step = SweepStep(ratio, candidate, valid(candidate))
-        per_k.append(_k_candidate(*step))
-        if not step.valid or step.key() >= best_key:
-            break
-        best, best_k, best_key = candidate, ratio, step.key()
-
-    acceptance = best_key[0] if best is not None else 1.0
+    if winner is None:
+        return MAARResult(None, None, 1.0, per_k, stats)
+    best, best_k, polish = dinkelbach_polish(
+        steps[winner].cut,
+        steps[winner].k,
+        lambda cut, k: extended_kl_state(cut, k, config=config.kl, stats=stats),
+        valid,
+        config.refine_rounds,
+    )
+    per_k.extend(_k_candidate(*step) for step in polish)
     return MAARResult(
         partition=best,
         k=best_k,
-        acceptance_rate=acceptance,
+        acceptance_rate=best.acceptance_rate(),
         per_k=per_k,
         stats=stats,
     )

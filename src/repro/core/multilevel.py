@@ -66,9 +66,10 @@ from .kernels import (
     matching_to_mapping,
     movable_frontier,
 )
-from .kl import KLConfig, KLStats, extended_kl_state, refine_subset
+from .kl import KLConfig, extended_kl_state, refine_subset
 from .maar import (
     MAARConfig,
+    dinkelbach_polish,
     geometric_k_sequence,
     initial_partition,
     is_valid_cut,
@@ -101,25 +102,22 @@ class MultilevelConfig:
 
     Refinement:
 
-    ``frontier``
-        ``"boundary"`` (default) refines each uncoarsened level only
-        around the movable frontier: the nodes whose switch is
-        profitable right now plus their one-hop neighbours (see
-        :func:`~repro.core.kernels.movable_frontier`). The frontier
-        splits into connected *regions*
-        (:func:`~repro.core.kernels.cut_regions`: components under all
-        three edge layers, so no edge crosses two regions), and each
-        region refines in turn
-        through :func:`~repro.core.kl.refine_subset` — KL's shared pass
-        skeleton with the region as its candidate list: the integer
-        bucket pass at the sweep's grid ``k``, the float heap pass at
-        the Dinkelbach polish's off-grid ratio — and rounds repeat
-        until a round moves nothing. ``"full"`` restores the
-        classic whole-graph refinement pass at every level. The value
-        is also threaded into the refinement
-        :class:`~repro.core.kl.KLConfig`, so any full-state engine run
-        the boundary path falls back to scopes its passes with
-        :func:`repro.core.kernels.boundary_nodes` too.
+    Each uncoarsened level refines only around the movable frontier:
+    the nodes whose switch is profitable right now plus their one-hop
+    neighbours (see :func:`~repro.core.kernels.movable_frontier`). The
+    frontier splits into connected *regions*
+    (:func:`~repro.core.kernels.cut_regions`: components under all
+    three edge layers, so no edge crosses two regions), and each region
+    refines in turn through :func:`~repro.core.kl.refine_subset` —
+    KL's shared pass skeleton with the region as its candidate list:
+    the integer bucket pass at the sweep's grid ``k``, the float heap
+    pass at the Dinkelbach polish's off-grid ratio — and rounds repeat
+    until a round moves nothing. The refinement
+    :class:`~repro.core.kl.KLConfig` runs ``frontier="boundary"``, so
+    the full-state engine run a saturated frontier falls back to
+    scopes its passes with :func:`repro.core.kernels.boundary_nodes`
+    too.
+
     ``refine_tolerance``
         Early-exit knob: when positive, a level's refinement is skipped
         while the *previous* level's refinement improved the objective
@@ -129,8 +127,8 @@ class MultilevelConfig:
         level always refines. ``0.0`` (default) disables early exit.
     ``refine_stall``
         Stall limit for the region passes
-        (:attr:`~repro.core.kl.KLConfig.stall_limit` scoped to
-        ``frontier="boundary"`` region refinement): a region pass stops
+        (:attr:`~repro.core.kl.KLConfig.stall_limit` scoped to the
+        region passes): a region pass stops
         tentatively switching after this many consecutive non-improving
         pops instead of exhausting the region. Uncoarsened cuts are
         near-converged, so the best prefix sits close to the front of
@@ -154,7 +152,6 @@ class MultilevelConfig:
     seed: int = 0
     backend: str = "auto"
     matching_rounds: int = 8
-    frontier: str = "boundary"
     refine_tolerance: float = 0.0
     refine_stall: Optional[int] = 256
 
@@ -170,7 +167,7 @@ class MultilevelResult:
     and ``"total_seconds"``. ``"refine_detail"`` carries one dict per
     uncoarsening level (same order as ``"refine"``) with the level
     index, the refinement ``scope`` (``"boundary"``/``"dense"``/
-    ``"full"``/``"skipped"``), the first-round frontier size
+    ``"skipped"``), the first-round frontier size
     (``boundary``), the peak region count, and the round/move/tested
     tallies; ``"early_exits"`` counts the levels skipped by
     ``refine_tolerance``.
@@ -223,6 +220,10 @@ def _project_coarse_labels(
 #: by round as the cut converges — while a full engine run keeps
 #: sweeping every node for every one of its internal passes.
 _DENSE_FRONTIER = 0.98
+
+#: Dinkelbach polish rounds at the finest level
+#: (:func:`repro.core.maar.dinkelbach_polish`).
+_POLISH_ROUNDS = 2
 
 
 def _project_sides(sides, mapping, num_fine: int, backend: str) -> List[int]:
@@ -364,11 +365,6 @@ def solve_maar_multilevel(
     """
     t_start = time.perf_counter()
     config = config or MultilevelConfig()
-    if config.frontier not in ("full", "boundary"):
-        raise ValueError(
-            f"unknown frontier {config.frontier!r}; expected 'full' or "
-            "'boundary'"
-        )
     if config.refine_stall is not None and config.refine_stall < 1:
         raise ValueError(
             "refine_stall must be a positive int or None, got "
@@ -482,39 +478,12 @@ def solve_maar_multilevel(
     # refinement deltas move them — which is what lets the boundary path
     # build states through PartitionState.from_counts with no recount.
     refine_config = KLConfig(
-        max_passes=config.refine_passes,
-        frontier=config.frontier,
+        max_passes=config.refine_passes, frontier="boundary"
     )
-    boundary = config.frontier == "boundary"
     refine_times: List[float] = []
     refine_detail: List[Dict[str, object]] = []
     early_exits = 0
     prev_improve: Optional[float] = None
-
-    def full_refine(state_graph, level_sides, level_locked, level):
-        stats = KLStats()
-        state = extended_kl_state(
-            PartitionState(state_graph.view(), level_sides, level_locked),
-            best_k,
-            refine_config,
-            stats,
-        )
-        moves = sum(
-            1
-            for u in range(state_graph.num_nodes)
-            if state.sides[u] != level_sides[u]
-        )
-        detail = {
-            "level": level,
-            "scope": "full",
-            "boundary": state_graph.num_nodes,
-            "regions": 1,
-            "rounds": stats.passes,
-            "moves": moves,
-            "tested": stats.switches_tested,
-            "skipped": False,
-        }
-        return state, detail
 
     # Each coarser level is released once its cut is projected down, so
     # the finest levels refine without the whole hierarchy held alive.
@@ -532,24 +501,17 @@ def solve_maar_multilevel(
             refine_detail.append(_skip_entry(level))
             refine_times.append(time.perf_counter() - t_level)
             continue
-        if boundary:
-            f_cross, r_cross, detail = _refine_level_boundary(
-                current,
-                sides,
-                locked_levels[level],
-                best_k,
-                config,
-                refine_config,
-                f_cross,
-                r_cross,
-            )
-            detail["level"] = level
-        else:
-            state, detail = full_refine(
-                current, sides, locked_levels[level], level
-            )
-            sides = state.sides
-            f_cross, r_cross = state.f_cross, state.r_cross
+        f_cross, r_cross, detail = _refine_level_boundary(
+            current,
+            sides,
+            locked_levels[level],
+            best_k,
+            config,
+            refine_config,
+            f_cross,
+            r_cross,
+        )
+        detail["level"] = level
         prev_improve = objective - (f_cross - best_k * r_cross)
         refine_detail.append(detail)
         refine_times.append(time.perf_counter() - t_level)
@@ -557,70 +519,43 @@ def solve_maar_multilevel(
     del levels[1:]
     if mappings:
         sides = _project_sides(sides, mappings.pop(), total_nodes, csr0.backend)
+    f_cross, r_cross, detail = _refine_level_boundary(
+        csr0, sides, locked, best_k, config, refine_config, f_cross, r_cross
+    )
+    detail["level"] = 0
+    refine_detail.append(detail)
+    view0 = csr0.view()
+
+    def polish_refine(cut: PartitionState, k: float) -> PartitionState:
+        cand_sides = list(cut.sides)
+        cand_f, cand_r, _detail = _refine_level_boundary(
+            csr0,
+            cand_sides,
+            locked,
+            k,
+            config,
+            refine_config,
+            cut.f_cross,
+            cut.r_cross,
+        )
+        return PartitionState.from_counts(
+            view0, cand_sides, locked, cand_f, cand_r
+        )
+
     # Dinkelbach polish: re-refine at the cut's own ratio (Theorem 1's
-    # fixpoint), which corrects the coarse level's k estimate.
-    if boundary:
-        f_cross, r_cross, detail = _refine_level_boundary(
-            csr0, sides, locked, best_k, config, refine_config, f_cross, r_cross
-        )
-        detail["level"] = 0
-        refine_detail.append(detail)
-        for _ in range(2):
-            if r_cross <= 0:
-                break
-            ratio = f_cross / r_cross
-            if not ratio > 0:
-                break
-            cand_sides = list(sides)
-            cand_f, cand_r, _polish = _refine_level_boundary(
-                csr0,
-                cand_sides,
-                locked,
-                ratio,
-                config,
-                refine_config,
-                f_cross,
-                r_cross,
-            )
-            # A lower ratio can "improve" the rate by inflating the
-            # suspicious side past max_suspicious_fraction; the final gate
-            # would then discard the whole result, so an invalid candidate
-            # never replaces a valid cut.
-            if acceptance_rate(cand_f, cand_r) >= acceptance_rate(
-                f_cross, r_cross
-            ) or not is_valid_cut(
-                sum(1 for s in cand_sides if s == SUSPICIOUS),
-                total_nodes,
-                cand_r,
-                config,
-            ):
-                break
-            sides, f_cross, r_cross = cand_sides, cand_f, cand_r
-            best_k = ratio
-        fine = PartitionState.from_counts(
-            csr0.view(), sides, locked, f_cross, r_cross
-        )
-    else:
-        fine, detail = full_refine(csr0, sides, locked, 0)
-        refine_detail.append(detail)
-        for _ in range(2):
-            if fine.r_cross <= 0:
-                break
-            ratio = fine.f_cross / fine.r_cross
-            if not ratio > 0:
-                break
-            candidate = extended_kl_state(fine, ratio, refine_config)
-            if candidate.acceptance_rate() >= fine.acceptance_rate() or not (
-                is_valid_cut(
-                    candidate.suspicious_size,
-                    total_nodes,
-                    candidate.r_cross,
-                    config,
-                )
-            ):
-                break
-            fine = candidate
-            best_k = ratio
+    # fixpoint), which corrects the coarse level's k estimate. A lower
+    # ratio can "improve" the rate by inflating the suspicious side past
+    # max_suspicious_fraction; the final gate would then discard the
+    # whole result, so an invalid candidate never replaces a valid cut.
+    fine, best_k, _steps = dinkelbach_polish(
+        PartitionState.from_counts(view0, sides, locked, f_cross, r_cross),
+        best_k,
+        polish_refine,
+        lambda cut: is_valid_cut(
+            cut.suspicious_size, total_nodes, cut.r_cross, config
+        ),
+        _POLISH_ROUNDS,
+    )
     refine_times.append(time.perf_counter() - t_level)
 
     suspicious = [u for u, s in enumerate(fine.sides) if s == SUSPICIOUS]

@@ -1,9 +1,8 @@
 """Fanning independent solver runs out to worker processes.
 
 The MAAR sweep (Section IV-D) runs one extended-KL search per ``k`` on a
-geometric grid; with the default ``warm_start=False`` every step starts
-from the *same* initial partition over the *same* immutable
-:class:`~repro.core.csr.CSRGraph` snapshot, so the steps are independent
+geometric grid; every step starts from the *same* initial partition
+over the *same* immutable :class:`~repro.core.csr.CSRGraph` snapshot, so the steps are independent
 — exactly the shape the paper's Spark implementation (Section V)
 exploits across a cluster. This module provides the laptop-scale
 equivalent: one ordered ``map``, :func:`parallel_map`.

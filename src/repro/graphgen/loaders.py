@@ -77,6 +77,16 @@ def edgelist_cache_path(
     return base / f"{stem}-{flag}-{digest}.csrbin"
 
 
+def _snap_id(token: str) -> Optional[int]:
+    """``int(token)`` when ``token`` is an optional ``-`` then ASCII
+    decimal digits, else ``None`` (``int`` alone would take ``+3``,
+    ``0_1`` or Arabic-Indic digits). The sign is kept so that
+    ``remap=True`` accepts negative ids and ``remap=False`` can name
+    them."""
+    digits = token[1:] if token.startswith("-") else token
+    return int(token) if digits.isascii() and digits.isdigit() else None
+
+
 def load_snap_edgelist(
     path: Union[str, Path],
     remap: bool = True,
@@ -91,7 +101,9 @@ def load_snap_edgelist(
     sparse ids. With ``remap=False`` ids are kept verbatim (they must be
     non-negative; the graph gets ``max_id + 1`` nodes). In both modes
     duplicate and reverse-duplicate edges collapse and self-loops are
-    dropped (several SNAP datasets contain them). With ``as_csr=True``
+    dropped (several SNAP datasets contain them). An id is an optional
+    ``-`` and ASCII decimal digits; anything else raises
+    :class:`LoaderError` naming the line. With ``as_csr=True``
     the edges are packed straight into an immutable
     :class:`~repro.core.csr.CSRGraph` — the right choice when the graph
     goes directly into the detector and will not be mutated.
@@ -120,10 +132,9 @@ def load_snap_edgelist(
             parts = line.split()
             if len(parts) < 2:
                 raise LoaderError(f"{path}:{lineno}: expected two ids, got {line!r}")
-            try:
-                raw_u, raw_v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise LoaderError(f"{path}:{lineno}: non-integer id in {line!r}") from exc
+            raw_u, raw_v = _snap_id(parts[0]), _snap_id(parts[1])
+            if raw_u is None or raw_v is None:
+                raise LoaderError(f"{path}:{lineno}: non-integer id in {line!r}")
             if raw_u == raw_v:
                 continue
             if remap:

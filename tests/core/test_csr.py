@@ -160,6 +160,23 @@ def edge_lists(draw):
     )
 
 
+BACKENDS = ("python", "numpy") if importlib.util.find_spec("numpy") else ("python",)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("edges", [[(-1, 0)], [(0, -2)], [(0, 3)], [(3, 1)]])
+def test_from_edges_rejects_out_of_range_ids(backend, edges):
+    """Both packers raise instead of storing a wrapped negative id or
+    indexing past the last row."""
+    with pytest.raises(IndexError, match="out of range"):
+        CSRGraph.from_edges(3, edges, backend=backend)
+    with pytest.raises(IndexError, match="out of range"):
+        CSRGraph.from_edges(3, rejections=edges, backend=backend)
+    # Self-loops are dropped before the range check.
+    loops = CSRGraph.from_edges(3, [(-1, -1)], [(5, 5)], backend=backend)
+    assert loops.num_friendships == loops.num_rejections == 0
+
+
 @pytest.mark.skipif(
     importlib.util.find_spec("numpy") is None, reason="numpy not installed"
 )

@@ -253,12 +253,6 @@ class TestSolveMAAR:
         result = solve_maar(graph, spammer_seeds=[fakes[0]])
         assert fakes[0] in result.suspicious_nodes()
 
-    def test_warm_start_produces_valid_cut(self):
-        graph, fakes = spam_graph()
-        result = solve_maar(graph, MAARConfig(warm_start=True))
-        assert result.found
-        assert set(result.suspicious_nodes()) == set(fakes)
-
     def test_min_suspicious_filters_tiny_cuts(self):
         graph = AugmentedSocialGraph.from_edges(
             5, friendships=[(0, 1), (1, 2)], rejections=[(0, 4), (1, 4), (2, 4)]
@@ -293,14 +287,7 @@ class TestSolveMAAR:
 
 
 class TestIgnoredJobsWarnings:
-    """``jobs > 1`` that cannot fan out must say why instead of silently
-    running serial."""
-
-    def test_warm_start_warns(self, caplog):
-        graph, _ = spam_graph()
-        with caplog.at_level("WARNING", logger="repro.core.maar"):
-            solve_maar(graph, MAARConfig(jobs=2, warm_start=True))
-        assert any("warm_start" in rec.message for rec in caplog.records)
+    """A ``jobs > 1`` sweep fans out and logs no warning."""
 
     def test_parallel_sweep_does_not_warn(self, caplog, two_cpus):
         graph, _ = spam_graph()

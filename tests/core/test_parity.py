@@ -396,16 +396,6 @@ class TestParallelSweepParity:
         assert parallel.detected() == serial.detected()
         assert_precise(serial.detected(limit=len(scenario.fakes)), scenario)
 
-    def test_warm_start_falls_back_to_serial_semantics(self):
-        """``warm_start`` couples the k steps; ``jobs`` must not change
-        the result (the sweep ignores the fan-out and stays serial)."""
-        scenario = scenario_graph()
-        graph = canonical(scenario.graph)
-        serial = solve_maar(graph, MAARConfig(warm_start=True))
-        parallel = solve_maar(graph, MAARConfig(warm_start=True, jobs=2))
-        assert_maar_results_equal(serial, parallel)
-        assert_precise(serial.suspicious_nodes(), scenario)
-
     def test_refinement_after_parallel_sweep_identical(self):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)

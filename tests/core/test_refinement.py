@@ -40,7 +40,7 @@ from repro.core.kl import (
     extended_kl_state,
     refine_subset,
 )
-from repro.core.maar import is_valid_cut
+from repro.core.maar import is_valid_cut, solve_maar
 from repro.core.multilevel import MultilevelConfig
 
 from ..conftest import random_augmented_graph
@@ -308,34 +308,28 @@ class TestMultilevelBoundary:
         )
 
     def test_boundary_quality_close_to_full(self, scenario):
-        full = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(frontier="full")
-        )
-        bound = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(frontier="boundary")
-        )
+        """Boundary-only multilevel refinement stays close to the flat
+        sweep, which runs KL over the full graph at every ``k``."""
+        full = solve_maar(scenario.graph)
+        bound = solve_maar_multilevel(scenario.graph)
         assert bound.found and full.found
         assert bound.acceptance_rate <= full.acceptance_rate + 0.01
-        overlap = len(set(bound.suspicious) & set(full.suspicious))
-        assert overlap >= 0.95 * len(full.suspicious)
+        flat = full.suspicious_nodes()
+        overlap = len(set(bound.suspicious) & set(flat))
+        assert overlap >= 0.95 * len(flat)
 
     def test_refine_detail_recorded(self, scenario):
-        result = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(frontier="boundary")
-        )
+        result = solve_maar_multilevel(scenario.graph)
         detail = result.timings["refine_detail"]
         assert len(detail) == len(result.timings["refine"])
         assert detail[-1]["level"] == 0
         assert all(
-            d["scope"] in ("boundary", "dense", "full", "skipped")
-            for d in detail
+            d["scope"] in ("boundary", "dense", "skipped") for d in detail
         )
         assert result.timings["early_exits"] == 0
 
     def test_early_exit_skips_levels_and_records_them(self, scenario):
-        config = MultilevelConfig(
-            frontier="boundary", refine_tolerance=1.0, coarsest_nodes=100
-        )
+        config = MultilevelConfig(refine_tolerance=1.0, coarsest_nodes=100)
         result = solve_maar_multilevel(scenario.graph, config)
         assert result.found
         skipped = [
@@ -346,12 +340,6 @@ class TestMultilevelBoundary:
         assert all(d["scope"] == "skipped" for d in skipped)
         # The finest level always refines.
         assert not result.timings["refine_detail"][-1]["skipped"]
-
-    def test_unknown_frontier_rejected(self, scenario):
-        with pytest.raises(ValueError, match="unknown frontier"):
-            solve_maar_multilevel(
-                scenario.graph, MultilevelConfig(frontier="bogus")
-            )
 
     @pytest.mark.parametrize("refine_stall", [0, -1])
     def test_non_positive_refine_stall_rejected(self, scenario, refine_stall):
@@ -372,15 +360,11 @@ class TestMultilevelBoundary:
         scenario = build_scenario(
             ScenarioConfig(num_legit=400, num_fakes=80, seed=seed)
         )
-        config = MultilevelConfig(frontier="boundary", coarsest_nodes=80)
+        config = MultilevelConfig(coarsest_nodes=80)
         baseline = solve_maar_multilevel(scenario.graph, config)
         relaxed = solve_maar_multilevel(
             scenario.graph,
-            MultilevelConfig(
-                frontier="boundary",
-                coarsest_nodes=80,
-                refine_tolerance=tolerance,
-            ),
+            MultilevelConfig(coarsest_nodes=80, refine_tolerance=tolerance),
         )
         assert relaxed.found == baseline.found
         if baseline.found:

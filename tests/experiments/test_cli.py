@@ -241,16 +241,22 @@ class TestMultilevelCommand:
         )
         payload = json.loads(report.read_text())
         assert payload["suspicious"]
-        assert set(payload["config"]) == {
-            "frontier", "refine_tolerance",
-        }
+        assert set(payload["config"]) == {"refine_tolerance"}
 
     def test_no_incremental_flag_is_gone(self):
         """So are the removed fan-out flags ``--refine-jobs`` and
-        ``--jobs``."""
-        for flag in (["--no-incremental"], ["--refine-jobs", "2"], ["--jobs", "2"]):
-            with pytest.raises(SystemExit):
+        ``--jobs`` and the removed ``--frontier`` refinement scope: each
+        is an argparse usage error (exit 2)."""
+        for flag in (
+            ["--no-incremental"],
+            ["--refine-jobs", "2"],
+            ["--jobs", "2"],
+            ["--frontier", "full"],
+            ["--frontier", "boundary"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(["multilevel", "--graph", "g.txt"] + flag)
+            assert excinfo.value.code == 2
 
 
 class TestBadInput:

@@ -117,6 +117,23 @@ class TestSnapLoader:
         with pytest.raises(LoaderError, match="non-integer"):
             load_snap_edgelist(path)
 
+    @pytest.mark.parametrize("line", ["0_1 2", "+3 4", "3 \u0664", "- 2"])
+    @pytest.mark.parametrize("remap", [True, False])
+    def test_non_decimal_id_raises(self, tmp_path, line, remap):
+        """``int()`` would read ``0_1`` as 1, ``+3`` as 3 and the
+        Arabic-Indic digit four as 4."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(LoaderError, match=":2: non-integer id"):
+            load_snap_edgelist(path, remap=remap)
+
+    def test_negative_ids_remap(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("-1 2\n2 -7\n")
+        graph = load_snap_edgelist(path)
+        assert graph.num_nodes == 3
+        assert graph.num_friendships == 2
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")
