@@ -223,15 +223,9 @@ class VoteTrust:
         import numpy as np
 
         config = self.config
-        senders = np.fromiter(
-            (request.sender for request in log), dtype=np.int64, count=len(log)
-        )
-        targets = np.fromiter(
-            (request.target for request in log), dtype=np.int64, count=len(log)
-        )
-        accepted = np.fromiter(
-            (request.accepted for request in log), dtype=bool, count=len(log)
-        )
+        senders = np.frombuffer(log.senders, dtype=np.int64)
+        targets = np.frombuffer(log.targets, dtype=np.int64)
+        accepted = np.frombuffer(log.accepted, dtype=bool)
         votes_vector = np.zeros(num_users)
         for u, mass in votes.items():
             votes_vector[u] = mass

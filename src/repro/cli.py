@@ -676,10 +676,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Console entry point.
 
     Bad input — a missing or unreadable file, a malformed graph file, a
-    corrupt snapshot, a seed id outside the graph — stops with one
+    corrupt snapshot, an edge the graph refuses (a self-loop, an id out
+    of range), a seed id outside the graph — stops with one
     ``rejecto: error: ...`` line on stderr and exit code 2 (argparse's
     usage-error code) instead of a traceback.
     """
+    from .core.graph import GraphError
     from .core.maar import SeedError
     from .core.storage import SnapshotFormatError
     from .graphgen.loaders import LoaderError
@@ -688,7 +690,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _run_command(args)
-    except (OSError, FormatError, SnapshotFormatError, LoaderError, SeedError) as exc:
+    except (
+        OSError, FormatError, SnapshotFormatError, LoaderError, SeedError, GraphError
+    ) as exc:
         print(f"rejecto: error: {exc}", file=sys.stderr)
         return 2
     return 0

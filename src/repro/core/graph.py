@@ -35,6 +35,25 @@ def _pair(u: int, v: int) -> Tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
+def _first_rows(np, keys):
+    """Ascending indices of the first row holding each distinct key:
+    the rows whose ``add_*`` call inserted an edge."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return np.sort(order[first])
+
+
+def _rows_in_order(np, nodes, rows, values) -> List[List[int]]:
+    """Per-node lists of ``values``, grouped by ``rows`` and kept in the
+    given order, which is the order the builder's appends ran in. Ids
+    come from ``nodes``, one ``int`` object per node, not one per entry."""
+    flat = nodes[values[np.argsort(rows, kind="stable")]].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=nodes.size)).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
 class AugmentedSocialGraph:
     """A social graph augmented with directed social rejections.
 
@@ -95,6 +114,42 @@ class AugmentedSocialGraph:
             graph.add_friendship(u, v)
         for u, v in rejections:
             graph.add_rejection(u, v)
+        return graph
+
+    @classmethod
+    def _from_edge_arrays(
+        cls, num_nodes: int, friendships, rejections
+    ) -> "AugmentedSocialGraph":
+        """The numpy twin of :meth:`from_edges` for ``(m, 2)`` int64
+        arrays whose ids the caller has checked: all in
+        ``[0, num_nodes)``, no self-loops, ``num_nodes`` within the CSR
+        packer's key range.
+
+        Gives the builder ``from_edges`` gives — each adjacency list in
+        insertion order, both sets filled in first-insertion order (so
+        they iterate alike) — and presets the CSR snapshot packed in
+        batch, so the first :meth:`csr` call costs nothing.
+        """
+        import numpy as np
+
+        from .csr import CSRGraph, _pack_edges_numpy
+
+        graph = cls(num_nodes)
+        lo = np.minimum(friendships[:, 0], friendships[:, 1])
+        hi = np.maximum(friendships[:, 0], friendships[:, 1])
+        first = _first_rows(np, lo * num_nodes + hi)
+        f, lo, hi = friendships[first], lo[first], hi[first]
+        r = rejections[_first_rows(np, rejections[:, 0] * num_nodes + rejections[:, 1])]
+        nodes = np.arange(num_nodes).astype(object)
+        # add_friendship(u, v) appends v to friends[u], then u to friends[v].
+        graph.friends = _rows_in_order(np, nodes, f.ravel(), f[:, ::-1].ravel())
+        graph.rej_out = _rows_in_order(np, nodes, r[:, 0], r[:, 1])
+        graph.rej_in = _rows_in_order(np, nodes, r[:, 1], r[:, 0])
+        graph._friend_set = set(zip(nodes[lo].tolist(), nodes[hi].tolist()))
+        graph._rej_set = set(zip(nodes[r[:, 0]].tolist(), nodes[r[:, 1]].tolist()))
+        graph._csr_cache = CSRGraph(
+            num_nodes, *_pack_edges_numpy(num_nodes, f, r), backend="numpy"
+        )
         return graph
 
     def _check_node(self, u: int) -> None:

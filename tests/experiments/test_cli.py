@@ -285,6 +285,28 @@ class TestBadInput:
         bad.write_text("nodes 3\nF 0 1\nF 0 oops\n")
         self.assert_clean_error(capsys, ["detect", "--graph", str(bad)], str(bad))
 
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_detect_self_request(self, tmp_path, capsys, monkeypatch, backend):
+        """A request a user sent themselves is refused by the graph, on
+        both backends, as one error line."""
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        log = tmp_path / "log.csv"
+        log.write_text("sender,target,accepted\n0,1,1\n1,1,0\n")
+        self.assert_clean_error(
+            capsys,
+            ["detect", "--requests", str(log)],
+            "self-rejection on node 1 is not allowed",
+        )
+
+    def test_detect_self_friendship_line(self, tmp_path, capsys):
+        bad = tmp_path / "self.graph"
+        bad.write_text("# nodes: 3\nF 0 1\nF 2 2\n")
+        self.assert_clean_error(
+            capsys,
+            ["detect", "--graph", str(bad)],
+            "self-friendship on node 2 is not allowed",
+        )
+
     def test_snapshot_with_unwritten_flags(self, tmp_path, capsys):
         """A weighted snapshot whose flags word (byte 16) says 5 instead
         of 7 is a format error, not a crash inside graph construction."""

@@ -98,15 +98,20 @@ class TestDefenseInDepth:
 
 class TestScaling:
     def test_rows_and_linearity(self):
-        result = scaling_study(
-            ScalingConfig(user_counts=(300, 600, 1200), k_steps=2)
-        )
-        assert [row.users for row in result.rows] == [300, 600, 1200]
-        assert all(row.wall_seconds > 0 for row in result.rows)
-        assert all(row.network_messages > 0 for row in result.rows)
+        config = ScalingConfig(user_counts=(300, 600, 1200), k_steps=2)
+        results = [scaling_study(config) for _ in range(3)]
+        for result in results:
+            assert [row.users for row in result.rows] == [300, 600, 1200]
+            assert all(row.wall_seconds > 0 for row in result.rows)
+            assert all(row.network_messages > 0 for row in result.rows)
         # Near-linear scaling: per-edge cost within a loose constant band
-        # across a 4x size range (Table II's qualitative claim).
-        per_edge = [row.microseconds_per_edge for row in result.rows]
+        # across a 4x size range (Table II's qualitative claim). Each size
+        # is timed as the fastest of three runs, so one stalled run on a
+        # loaded machine does not decide the ratio.
+        per_edge = [
+            min(result.rows[i].microseconds_per_edge for result in results)
+            for i in range(len(config.user_counts))
+        ]
         assert max(per_edge) < 12 * min(per_edge)
 
     def test_render(self):

@@ -83,6 +83,7 @@ class TestRequestLogRoundtrip:
             ("0,1\n", "3 fields"),
             ("0,1,yes\n", "non-integer"),
             ("0,1,2\n", "0/1"),
+            ("99999999999999999999,1,1\n", "id past int64"),
         ]:
             path = tmp_path / "log.csv"
             path.write_text("sender,target,accepted\n" + row)
