@@ -100,11 +100,13 @@ class RequestLog:
 
         ``num_users`` defaults to ``max id + 1`` over the log.
 
-        On the numpy backend the builder is filled from the columns in
-        batch, with its CSR snapshot already packed
-        (:meth:`AugmentedSocialGraph._from_edge_arrays`). A log the
-        loop below would refuse (a self-request, a negative id, an id at
-        or above ``num_users``) runs the loop, so its
+        On the numpy backend the result is a CSR-first builder
+        (:meth:`AugmentedSocialGraph._from_edge_arrays`): its CSR is
+        packed from the columns in batch, so ``.csr()``, the edge counts
+        and the ``repr`` cost nothing, and its lists and edge sets are
+        filled, equal to the loop's, when one of them is first read. A
+        log the loop below would refuse (a self-request, a negative id,
+        an id at or above ``num_users``) runs the loop, so its
         :class:`~repro.core.graph.GraphError` names the same request.
         """
         from ..core.csr import resolve_backend

@@ -17,6 +17,12 @@ The hot paths (extended KL, the MAAR sweep, Rejecto's rounds) do not run on
 the builder — they run on its immutable flat-array finalization,
 :class:`repro.core.csr.CSRGraph`, obtained from :meth:`AugmentedSocialGraph.csr`
 (cached; invalidated by any mutation).
+
+A builder loaded in batch on the numpy backend (a request log's
+``to_augmented_graph``, an ``F``/``R`` file's ``load_augmented_graph``)
+starts CSR-first: it holds its edge arrays and the packed snapshot, and
+fills its lists and edge sets on the first read of one of them, so a
+load that only calls ``.csr()`` never builds them.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = ["AugmentedSocialGraph", "GraphError"]
+
+#: The builder structures a batch-loaded graph fills on first read.
+_LAZY_SLOTS = frozenset(("friends", "rej_out", "rej_in", "_friend_set", "_rej_set"))
 
 
 class GraphError(ValueError):
@@ -68,6 +77,11 @@ class AugmentedSocialGraph:
     and deduplicated per direction (``⟨u, v⟩`` and ``⟨v, u⟩`` are distinct
     edges). Self-loops are rejected for both edge types because neither a
     self-friendship nor a self-rejection is meaningful in the model.
+
+    A graph from :meth:`_from_edge_arrays` keeps only its edge arrays and
+    CSR snapshot until one of ``friends``, ``rej_out``, ``rej_in`` or the
+    two edge sets is first read (:meth:`_materialize`); every reader and
+    writer then sees the structures :meth:`from_edges` would have built.
     """
 
     __slots__ = (
@@ -78,6 +92,7 @@ class AugmentedSocialGraph:
         "_friend_set",
         "_rej_set",
         "_csr_cache",
+        "_edge_arrays",
     )
 
     def __init__(self, num_nodes: int) -> None:
@@ -93,6 +108,8 @@ class AugmentedSocialGraph:
         self._friend_set: set = set()
         self._rej_set: set = set()
         self._csr_cache = None
+        #: (friendships, rejections) arrays of a graph not yet materialized
+        self._edge_arrays = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -125,16 +142,42 @@ class AugmentedSocialGraph:
         ``[0, num_nodes)``, no self-loops, ``num_nodes`` within the CSR
         packer's key range.
 
-        Gives the builder ``from_edges`` gives — each adjacency list in
-        insertion order, both sets filled in first-insertion order (so
-        they iterate alike) — and presets the CSR snapshot packed in
-        batch, so the first :meth:`csr` call costs nothing.
+        Packs the CSR snapshot in batch (the packer drops duplicate
+        edges) and keeps the arrays; the builder structures are left
+        unset until :meth:`_materialize` fills them on first read, so a
+        caller that only needs ``.csr()``, the edge counts or the
+        ``repr`` never pays for them.
         """
-        import numpy as np
-
         from .csr import CSRGraph, _pack_edges_numpy
 
-        graph = cls(num_nodes)
+        graph = cls.__new__(cls)
+        graph.num_nodes = num_nodes
+        graph._edge_arrays = (friendships, rejections)
+        graph._csr_cache = CSRGraph(
+            num_nodes, *_pack_edges_numpy(num_nodes, friendships, rejections),
+            backend="numpy",
+        )
+        return graph
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: on a batch-loaded graph the five
+        # builder structures, filled here on their first read.
+        if name not in _LAZY_SLOTS:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self._materialize()
+        return object.__getattribute__(self, name)
+
+    def _materialize(self) -> None:
+        """Fill the builder structures from the kept edge arrays exactly
+        as :meth:`from_edges` would: each adjacency list in insertion
+        order, both sets filled in first-insertion order (so they
+        iterate alike). The CSR snapshot is left as it is."""
+        import numpy as np
+
+        friendships, rejections = self._edge_arrays
+        num_nodes = self.num_nodes
         lo = np.minimum(friendships[:, 0], friendships[:, 1])
         hi = np.maximum(friendships[:, 0], friendships[:, 1])
         first = _first_rows(np, lo * num_nodes + hi)
@@ -142,15 +185,12 @@ class AugmentedSocialGraph:
         r = rejections[_first_rows(np, rejections[:, 0] * num_nodes + rejections[:, 1])]
         nodes = np.arange(num_nodes).astype(object)
         # add_friendship(u, v) appends v to friends[u], then u to friends[v].
-        graph.friends = _rows_in_order(np, nodes, f.ravel(), f[:, ::-1].ravel())
-        graph.rej_out = _rows_in_order(np, nodes, r[:, 0], r[:, 1])
-        graph.rej_in = _rows_in_order(np, nodes, r[:, 1], r[:, 0])
-        graph._friend_set = set(zip(nodes[lo].tolist(), nodes[hi].tolist()))
-        graph._rej_set = set(zip(nodes[r[:, 0]].tolist(), nodes[r[:, 1]].tolist()))
-        graph._csr_cache = CSRGraph(
-            num_nodes, *_pack_edges_numpy(num_nodes, f, r), backend="numpy"
-        )
-        return graph
+        self.friends = _rows_in_order(np, nodes, f.ravel(), f[:, ::-1].ravel())
+        self.rej_out = _rows_in_order(np, nodes, r[:, 0], r[:, 1])
+        self.rej_in = _rows_in_order(np, nodes, r[:, 1], r[:, 0])
+        self._friend_set = set(zip(nodes[lo].tolist(), nodes[hi].tolist()))
+        self._rej_set = set(zip(nodes[r[:, 0]].tolist(), nodes[r[:, 1]].tolist()))
+        self._edge_arrays = None
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.num_nodes:
@@ -238,11 +278,15 @@ class AugmentedSocialGraph:
     @property
     def num_friendships(self) -> int:
         """Total number of undirected friendships ``|F|``."""
+        if self._edge_arrays is not None:
+            return self._csr_cache.num_friendships
         return len(self._friend_set)
 
     @property
     def num_rejections(self) -> int:
         """Total number of directed rejection edges ``|R⃗|``."""
+        if self._edge_arrays is not None:
+            return self._csr_cache.num_rejections
         return len(self._rej_set)
 
     def friendships(self) -> Iterator[Tuple[int, int]]:

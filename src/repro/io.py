@@ -13,16 +13,18 @@ and the SNAP ecosystem:
 * **Detection report** — JSON with per-group members and cut statistics,
   the artifact an OSN operator would feed into enforcement.
 
-Loading an augmented graph as CSR on the numpy backend takes a batch
-path when the file is *canonical*, i.e. exactly what
+Loading an augmented graph on the numpy backend takes a batch path
+when the file is *canonical*, i.e. exactly what
 :func:`save_augmented_graph` writes: leading ``#`` header lines, then
-only ``F|R <digits> <digits>\\n`` lines. The file is read once as
-bytes, checked with numpy byte-class tests, parsed with one
-``np.fromstring`` and packed by :meth:`CSRGraph.from_edges`' batch
-packer. Any other file (tabs, CRLF, blank lines, a comment after the
-first edge, a bad line) goes to the line scanner, which is also the
-whole ``"python"`` backend path and the only code that raises
-:class:`FormatError`, so an error reads the same on both backends.
+only ``F|R <digits> <digits>\\n`` lines, none a self-loop. The file is
+read once as bytes, checked with numpy byte-class tests, parsed with
+one ``np.fromstring`` and packed by :meth:`CSRGraph.from_edges`' batch
+packer; the builder form keeps the parsed arrays and fills its lists
+and edge sets only when they are first read. Any other file (tabs,
+CRLF, blank lines, a comment after the first edge, a self-loop, a bad
+line) goes to the line scanner, which is also the whole ``"python"``
+backend path and the only code that raises :class:`FormatError`, so an
+error reads the same on both backends.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from .attacks.requests import RequestLog
-from .core.csr import CSRGraph, resolve_backend
+from .core.csr import _MAX_KEYED_NODES, CSRGraph, resolve_backend
 from .core.graph import AugmentedSocialGraph
 from .core.rejecto import RejectoResult
 
@@ -98,17 +100,24 @@ def load_augmented_graph(
     """Read a graph written by :func:`save_augmented_graph`.
 
     The ``# nodes:`` header is optional; without it the node count is
-    inferred as ``max id + 1``. With ``as_csr=True`` the edges are packed
-    straight into an immutable :class:`CSRGraph` (the form the detector
-    runs on) without materializing the mutable builder; on the numpy
-    backend a canonical file is parsed and packed in batch
-    (:func:`_parse_canonical`), anything else by the line scanner.
+    inferred as ``max id + 1``. A self-loop line (``F u u``, ``R u u``)
+    is a :class:`FormatError` naming its line. With ``as_csr=True`` the
+    edges are packed straight into an immutable :class:`CSRGraph` (the
+    form the detector runs on) without materializing the mutable
+    builder. On the numpy backend a canonical file is parsed and packed
+    in batch (:func:`_parse_canonical`), anything else by the line
+    scanner; in builder form the batch path gives a CSR-first builder
+    (:meth:`AugmentedSocialGraph._from_edge_arrays`) whose lists and
+    edge sets are filled on first read, equal to the scanner's.
     """
     path = Path(path)
-    if as_csr and resolve_backend("auto") == "numpy":
+    if resolve_backend("auto") == "numpy":
         parsed = _parse_canonical(path.read_bytes())
         if parsed is not None:
-            return CSRGraph.from_edges(*parsed)
+            if as_csr:
+                return CSRGraph.from_edges(*parsed)
+            if parsed[0] <= _MAX_KEYED_NODES:
+                return AugmentedSocialGraph._from_edge_arrays(*parsed)
     num_nodes, friendships, rejections = _scan_augmented(path)
     if as_csr:
         return CSRGraph.from_edges(num_nodes, friendships, rejections)
@@ -168,6 +177,12 @@ def _scan_augmented(
                 raise FormatError(
                     f"{path}:{lineno}: negative id in {_excerpt(line)}"
                 )
+            if u == v:
+                kind = "friendship" if parts[0] == "F" else "rejection"
+                raise FormatError(
+                    f"{path}:{lineno}: self-{kind} on node {u} is not "
+                    f"allowed: {_excerpt(line)}"
+                )
             max_id = max(max_id, u, v)
             if parts[0] == "F":
                 friendships.append((u, v))
@@ -204,7 +219,7 @@ def _parse_canonical(data: bytes):
     Returns ``(num_nodes, friendships, rejections)`` with ``(m, 2)``
     int64 edge arrays, or ``None`` for any other file (tabs, CRLF,
     blank lines, later comments, bad lines or headers, ids past
-    :data:`_MAX_ID_DIGITS` digits): those go to
+    :data:`_MAX_ID_DIGITS` digits, a self-loop): those go to
     :func:`_scan_augmented`, which raises every :class:`FormatError`,
     so a bad file reads the same error on both backends.
     """
@@ -259,7 +274,7 @@ def _parse_canonical(data: bytes):
     ids = rows[:, 1:]
     max_id = int(ids.max()) if lines else -1
     num_nodes = declared if declared is not None else max_id + 1
-    if num_nodes < max_id + 1:
+    if num_nodes < max_id + 1 or (ids[:, 0] == ids[:, 1]).any():
         return None
     is_rejection = rows[:, 0] == 1
     return num_nodes, ids[~is_rejection], ids[is_rejection]

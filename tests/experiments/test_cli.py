@@ -307,6 +307,27 @@ class TestBadInput:
             "self-friendship on node 2 is not allowed",
         )
 
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize(
+        "line, kind", [("F 2 2", "friendship"), ("R 2 2", "rejection")]
+    )
+    @pytest.mark.parametrize("command", ["graph pack", "detect --graph"])
+    def test_self_loop_line_names_the_file_line(
+        self, tmp_path, capsys, monkeypatch, backend, line, kind, command
+    ):
+        """A self-loop line is one error naming ``path:line`` from every
+        loader path: ``graph pack`` used to drop it silently, ``detect
+        --graph`` to stop with a message naming neither."""
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        bad = tmp_path / "self.graph"
+        bad.write_text(f"# nodes: 3\nF 0 1\n{line}\n")
+        argv = command.split() + [str(bad)]
+        if command == "graph pack":
+            argv += ["--out", str(tmp_path / "self.csrbin")]
+        self.assert_clean_error(
+            capsys, argv, f"{bad}:3: self-{kind} on node 2 is not allowed"
+        )
+
     def test_snapshot_with_unwritten_flags(self, tmp_path, capsys):
         """A weighted snapshot whose flags word (byte 16) says 5 instead
         of 7 is a format error, not a crash inside graph construction."""

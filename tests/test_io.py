@@ -20,6 +20,8 @@ from repro.io import (
     save_request_log,
 )
 
+from .test_request_log import builder_state, builds_lazily
+
 
 class TestGraphRoundtrip:
     def test_roundtrip_preserves_everything(self, tmp_path):
@@ -243,6 +245,21 @@ def load_csr_both(path, monkeypatch):
     return graphs["numpy"], graphs["python"]
 
 
+def load_builder_both(path, monkeypatch):
+    """``load_augmented_graph(path)`` in builder form on each backend,
+    as :func:`builder_state` reads it (CSR first, structures after);
+    the numpy load of a canonical file is a CSR-first batch builder."""
+    states = {}
+    for backend in ("numpy", "python"):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        graph = load_augmented_graph(path)
+        if backend == "numpy":
+            assert builds_lazily(graph)
+        states[backend] = builder_state(graph, backend)
+    assert states["numpy"] == states["python"]
+    return states["numpy"]
+
+
 def assert_same_csr(batch, scalar):
     """Equal node counts and CSR buffers, byte for byte, as ``array('q')``."""
     assert batch.num_nodes == scalar.num_nodes
@@ -307,6 +324,7 @@ class TestBatchIngest:
         save_augmented_graph(build(seed), path)
         assert _parse_canonical(path.read_bytes()) is not None
         assert_same_csr(*load_csr_both(path, monkeypatch))
+        load_builder_both(path, monkeypatch)
 
     def test_property_edge_lists(self, tmp_path, monkeypatch):
         from hypothesis import given, settings
@@ -328,8 +346,28 @@ class TestBatchIngest:
         def check(text):
             path = tmp_path / "g.txt"
             path.write_text(text)
+            lines = text.splitlines()
+            loops = [
+                lineno
+                for lineno, line in enumerate(lines, start=1)
+                if line[0] in "FR" and line.split()[1] == line.split()[2]
+            ]
+            if loops:
+                # The scanner names the first self-loop line on every path.
+                assert _parse_canonical(path.read_bytes()) is None
+                errors = set()
+                for backend in ("numpy", "python"):
+                    monkeypatch.setenv("REPRO_BACKEND", backend)
+                    for as_csr in (True, False):
+                        with pytest.raises(FormatError) as excinfo:
+                            load_augmented_graph(path, as_csr=as_csr)
+                        errors.add(str(excinfo.value))
+                (error,) = errors
+                assert error.startswith(f"{path}:{loops[0]}: self-")
+                return
             assert _parse_canonical(path.read_bytes()) is not None
             assert_same_csr(*load_csr_both(path, monkeypatch))
+            load_builder_both(path, monkeypatch)
 
         check()
 
@@ -341,6 +379,7 @@ class TestBatchIngest:
             batch, scalar = load_csr_both(path, monkeypatch)
             assert batch.num_nodes == nodes
             assert_same_csr(batch, scalar)
+            assert load_builder_both(path, monkeypatch)[0] == nodes
 
     CANONICAL = "# rejecto augmented graph v1\n# nodes: 6\nF 0 1\nF 1 2\nR 3 0\nR 4 5\n"
 
@@ -395,6 +434,8 @@ class TestBatchIngest:
             "# nodes: 1\nF 0 1\n",
             "#\x1cnodes: 5\n",
             "#\r# nodes: 2\nF 0 1\n",
+            "# nodes: 3\nF 0 1\nF 2 2\n",
+            "F 0 1\nR 3 3\n",
         ],
     )
     def test_batch_parser_refuses_non_canonical_bodies(self, text):
@@ -418,6 +459,16 @@ class TestBatchIngest:
             ("F 0 1\n# nodes: 5\n# nodes: 5\n", ":3: second nodes header"),
             ("# nodes: 1\nF 0 3\n", ": nodes header says 1 but ids reach 3"),
             ("F 0 1\nF 0 1 \nF 1\tx\n", ":3: non-integer id"),
+            (
+                "# nodes: 3\nF 0 1\nF 2 2\n",
+                ":3: self-friendship on node 2 is not allowed: 'F 2 2'",
+            ),
+            (
+                "# nodes: 3\nF 0 1\nR 2 2\n",
+                ":3: self-rejection on node 2 is not allowed: 'R 2 2'",
+            ),
+            ("R 7 007\nF 0 x\n", ":1: self-rejection on node 7"),
+            ("# nodes: 2\nF 3 3\n", ":2: self-friendship on node 3"),
         ],
     )
     def test_bad_files_raise_the_same_error_on_both_backends(

@@ -1,8 +1,9 @@
 """Batch request-log ingest against the line loop it replaces.
 
 On the numpy backend ``load_request_log`` parses a canonical CSV in
-batch and ``RequestLog.to_augmented_graph`` fills the builder from the
-log's columns; ``REPRO_BACKEND=python`` runs the line loop and the
+batch and ``RequestLog.to_augmented_graph`` returns a CSR-first builder
+packed from the log's columns, whose lists and sets are filled when
+first read; ``REPRO_BACKEND=python`` runs the line loop and the
 ``add_*`` loop, which are the oracle here. Every test loads or builds
 the same input on both backends and compares the results, or the
 ``FormatError``/``GraphError`` text with its line number.
@@ -25,6 +26,7 @@ from repro.io import (
 )
 
 CSR_BUFFERS = ("f_ptr", "f_idx", "ro_ptr", "ro_idx", "ri_ptr", "ri_idx")
+LAZY_SLOTS = ("friends", "rej_out", "rej_in", "_friend_set", "_rej_set")
 HEADER = "sender,target,accepted\n"
 
 needs_numpy = pytest.mark.skipif(
@@ -50,19 +52,39 @@ def log_state(log):
     return columns, list(log)
 
 
+def unset_slots(graph):
+    """The builder structures ``graph`` has not filled yet."""
+    unset = []
+    for name in LAZY_SLOTS:
+        try:
+            object.__getattribute__(graph, name)
+        except AttributeError:
+            unset.append(name)
+    return unset
+
+
 def builder_state(graph, backend):
     """Node count, adjacency lists in order, both sets in iteration
-    order, and the six CSR buffers."""
+    order, the six CSR buffers and the edge counts.
+
+    Read as a CSR-first caller reads them: the CSR, the counts and the
+    ``repr`` first, the builder structures after. Reading the structures
+    must leave the CSR buffers and the counts as they were."""
     csr = graph.csr(backend=backend)
-    return (
+    buffers = [getattr(csr, name).tobytes() for name in CSR_BUFFERS]
+    counts = (graph.num_friendships, graph.num_rejections, repr(graph))
+    state = (
         graph.num_nodes,
         graph.friends,
         graph.rej_out,
         graph.rej_in,
         list(graph._friend_set),
         list(graph._rej_set),
-        [getattr(csr, name).tobytes() for name in CSR_BUFFERS],
     )
+    csr = graph.csr(backend=backend)
+    assert [getattr(csr, name).tobytes() for name in CSR_BUFFERS] == buffers
+    assert counts == (len(graph._friend_set), len(graph._rej_set), repr(graph))
+    return state + (buffers, counts)
 
 
 def load_on(backend, path, monkeypatch):
@@ -83,11 +105,21 @@ def assert_same_builder(log, num_users, monkeypatch):
     return batch
 
 
+def builds_lazily(graph):
+    """Whether ``graph`` is a CSR-first batch builder: it has its CSR
+    before the first ``csr()`` call, and that call, the counts and the
+    ``repr`` leave all five builder structures unfilled."""
+    if graph._csr_cache is None:
+        return False
+    graph.csr()
+    graph.num_friendships, graph.num_rejections, repr(graph)
+    return unset_slots(graph) == list(LAZY_SLOTS)
+
+
 def fills_in_batch(log, num_users, monkeypatch):
-    """Whether the numpy backend builds ``log``'s graph in batch: only
-    the batch builder has its CSR before the first ``csr()`` call."""
+    """Whether the numpy backend builds ``log``'s graph in batch."""
     monkeypatch.setenv("REPRO_BACKEND", "numpy")
-    return log.to_augmented_graph(num_users)._csr_cache is not None
+    return builds_lazily(log.to_augmented_graph(num_users))
 
 
 def write_log(path, rows, pad):
