@@ -7,7 +7,7 @@ and gain buckets, LRU prefetching of node structure, and full
 network-I/O accounting. See DESIGN.md, substitution 2.
 """
 
-from .blocks import BlockSlices, ShardBlock, ShardedCSR, partition_bounds
+from .blocks import ShardBlock, ShardedCSR, partition_bounds
 from .engine import (
     ClusterConfig,
     ClusterRunStats,
@@ -33,7 +33,6 @@ __all__ = [
     "Worker",
     "WorkerFailure",
     "DataLossError",
-    "BlockSlices",
     "ShardBlock",
     "ShardedCSR",
     "partition_bounds",

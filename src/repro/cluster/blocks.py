@@ -10,9 +10,9 @@ with cached plain-list and numpy views mirroring
 -per-node layout with contiguous blocks buys three things:
 
 * **batched block-slice fetches** — one request pulls the adjacency of
-  many nodes as a single mini-CSR (:class:`BlockSlices`) whose payload
-  is byte-accurate (8 bytes per int64 element plus a fixed header)
-  instead of a per-tuple structural estimate;
+  many nodes as request-ordered records plus the exact reply size (8
+  bytes per int64 element plus a fixed header) instead of a per-tuple
+  structural estimate;
 * **vectorized per-pass state** — the master's gain rebuild and
   cross-cut recount run the :func:`repro.core.kernels.shard_gain_deltas`
   / :func:`~repro.core.kernels.shard_cut_counts` batch kernels over each
@@ -38,7 +38,6 @@ from ..core.kernels import buffer_tolist, shard_cut_counts, shard_gain_deltas
 __all__ = [
     "ShardBlock",
     "BlockRef",
-    "BlockSlices",
     "ShardedCSR",
     "partition_bounds",
     "block_payload_bytes",
@@ -56,6 +55,11 @@ COUNTER_BYTES = 16
 SIDE_BYTE = 1
 #: Wire width of one node id / pointer / gain (int64 / float64).
 INT_BYTES = 8
+
+#: Per-node adjacency as a block-slice fetch serves it:
+#: ``(node, friends, rej_out, rej_in)``, each adjacency a list sliced
+#: once off the block's rows.
+NodeRecord = Tuple[int, Sequence[int], Sequence[int], Sequence[int]]
 
 
 def block_payload_bytes(csr, lo: int, hi: int) -> int:
@@ -82,61 +86,6 @@ def partition_bounds(num_nodes: int, num_partitions: int) -> List[int]:
     for p in range(num_partitions):
         bounds.append(bounds[-1] + base + (1 if p < rem else 0))
     return bounds
-
-
-class BlockSlices:
-    """The wire form of one batched adjacency fetch: a mini-CSR over the
-    requested nodes (in request order), with offsets local to the reply
-    and neighbour ids global."""
-
-    __slots__ = ("nodes", "f_off", "f_idx", "ro_off", "ro_idx", "ri_off", "ri_idx")
-
-    def __init__(
-        self,
-        nodes: List[int],
-        f_off: List[int],
-        f_idx: List[int],
-        ro_off: List[int],
-        ro_idx: List[int],
-        ri_off: List[int],
-        ri_idx: List[int],
-    ) -> None:
-        self.nodes = nodes
-        self.f_off, self.f_idx = f_off, f_idx
-        self.ro_off, self.ro_idx = ro_off, ro_idx
-        self.ri_off, self.ri_idx = ri_off, ri_idx
-
-    def payload_bytes(self) -> int:
-        """Exact wire size: every id/offset is one int64."""
-        elements = (
-            len(self.nodes)
-            + len(self.f_off)
-            + len(self.f_idx)
-            + len(self.ro_off)
-            + len(self.ro_idx)
-            + len(self.ri_off)
-            + len(self.ri_idx)
-        )
-        return MESSAGE_HEADER_BYTES + INT_BYTES * elements
-
-    def records(self) -> List[Tuple[int, List[int], List[int], List[int]]]:
-        """Unpack into per-node ``(node, friends, rej_out, rej_in)``
-        records — the master-side shape the prefetch buffer holds and
-        :func:`repro.cluster.master.prefetch_source` serves."""
-        out = []
-        f_off, f_idx = self.f_off, self.f_idx
-        ro_off, ro_idx = self.ro_off, self.ro_idx
-        ri_off, ri_idx = self.ri_off, self.ri_idx
-        for j, node in enumerate(self.nodes):
-            out.append(
-                (
-                    node,
-                    f_idx[f_off[j] : f_off[j + 1]],
-                    ro_idx[ro_off[j] : ro_off[j + 1]],
-                    ri_idx[ri_off[j] : ri_off[j + 1]],
-                )
-            )
-        return out
 
 
 class ShardBlock:
@@ -249,30 +198,28 @@ class ShardBlock:
             self._np_cache = cache
         return cache
 
-    def slices(self, nodes: Sequence[int]) -> BlockSlices:
-        """Batched block-slice read: the adjacency of the requested
-        (global-id) nodes as one flat mini-CSR, in request order."""
+    def slices(self, nodes: Sequence[int]) -> Tuple[List[NodeRecord], int]:
+        """Batched block-slice read: the requested (global-id) nodes'
+        ``(node, friends, rej_out, rej_in)`` records in request order,
+        plus the reply's exact wire size. For ``m`` nodes the reply
+        carries the ids, three offset arrays of ``m + 1`` entries and
+        the adjacency, one int64 each, behind the fixed header."""
         fp, fi, op, oi, ip_, ii = self.hot()
-        lo = self.lo
-        ids: List[int] = []
-        f_off, o_off, i_off = [0], [0], [0]
-        f_out: List[int] = []
-        o_out: List[int] = []
-        i_out: List[int] = []
+        lo, size = self.lo, self.hi - self.lo
+        records: List[NodeRecord] = []
+        elements = 3
         for node in nodes:
             r = node - lo
-            if not 0 <= r < self.num_nodes:
+            if not 0 <= r < size:
                 raise KeyError(
                     f"node {node} outside block range [{lo}, {self.hi})"
                 )
-            ids.append(node)
-            f_out.extend(fi[fp[r] : fp[r + 1]])
-            f_off.append(len(f_out))
-            o_out.extend(oi[op[r] : op[r + 1]])
-            o_off.append(len(o_out))
-            i_out.extend(ii[ip_[r] : ip_[r + 1]])
-            i_off.append(len(i_out))
-        return BlockSlices(ids, f_off, f_out, o_off, o_out, i_off, i_out)
+            friends = fi[fp[r] : fp[r + 1]]
+            rej_out = oi[op[r] : op[r + 1]]
+            rej_in = ii[ip_[r] : ip_[r + 1]]
+            elements += 4 + len(friends) + len(rej_out) + len(rej_in)
+            records.append((node, friends, rej_out, rej_in))
+        return records, MESSAGE_HEADER_BYTES + INT_BYTES * elements
 
     def pass_state(self, sides: Sequence[int], k: float):
         """Worker-side per-pass contribution: the block's per-node switch

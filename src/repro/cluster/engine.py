@@ -19,9 +19,10 @@ Implements the architecture of Section V:
   per-node gains and its exact boundary-counter parts — the master never
   re-derives either from adjacency;
 * node structure is pulled through an LRU **prefetch buffer**: each miss
-  issues one batched *block-slice* fetch whose reply is a flat mini-CSR
-  over the missed node plus the current top-gain candidates, which are
-  exactly the nodes the greedy loop will pop next;
+  issues one batched *block-slice* fetch for the missed node plus the
+  current top-gain candidates, which are exactly the nodes the greedy
+  loop will pop next; each partition touched replies with the
+  request-ordered records plus the exact reply size;
 * status updates travel as **delta broadcasts**: the full side vector is
   installed once per run (1 byte per node), and each subsequent pass
   ships only the ids of the nodes its best prefix actually switched
@@ -43,6 +44,7 @@ which also pin every fetch batch.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -56,13 +58,8 @@ from ..core.maar import (
     run_k_sweep,
 )
 from ..core.objectives import SUSPICIOUS
-from .blocks import (
-    COUNTER_BYTES,
-    INT_BYTES,
-    MESSAGE_HEADER_BYTES,
-    SIDE_BYTE,
-    BlockSlices,
-)
+from ..core.kernels import scaled_gain_bound
+from .blocks import COUNTER_BYTES, INT_BYTES, MESSAGE_HEADER_BYTES, SIDE_BYTE
 from .master import MasterState, NodeRecord, prefetch_source
 from .netsim import NetworkSimulator, NetworkStats
 from .prefetch import PrefetchBuffer
@@ -177,17 +174,8 @@ class DistributedKL:
         # different nodes is looser than the per-node maximum, which is
         # harmless: the offset only sizes the bucket array (a uniform
         # shift) and never alters pop order.
-        fp, _, op, _, ip_, _ = csr.hot()
-        self._max_f_degree = max(
-            (fp[u + 1] - fp[u] for u in range(csr.num_nodes)), default=0
-        )
-        self._max_r_degree = max(
-            (
-                (op[u + 1] - op[u]) + (ip_[u + 1] - ip_[u])
-                for u in range(csr.num_nodes)
-            ),
-            default=0,
-        )
+        self._max_f_degree = scaled_gain_bound(csr, 1, 0)
+        self._max_r_degree = scaled_gain_bound(csr, 0, 1)
 
     def _bucket_offset(self, k_scaled: int, res: int) -> int:
         """Bucket index of a zero gain at the bucket scale ``(k_scaled,
@@ -257,22 +245,23 @@ class DistributedKL:
         self, nodes: Sequence[int]
     ) -> List[Tuple[int, NodeRecord]]:
         """One batched block-slice fetch: group the wanted nodes by owning
-        partition, pull each group's adjacency as a flat mini-CSR from a
+        partition, pull each group's request-ordered records from a
         surviving replica, charge one message per partition touched at
         the reply's exact wire size."""
         sharded = self.sharded
+        bounds = sharded.bounds
         by_partition: Dict[int, List[int]] = {}
         for node in nodes:
-            by_partition.setdefault(sharded.partition_of(node), []).append(node)
+            pid = bisect_right(bounds, node) - 1
+            by_partition.setdefault(pid, []).append(node)
         fetched: List[Tuple[int, NodeRecord]] = []
         payload = 0
         for pid, wanted in by_partition.items():
-            worker = self.context.block_replica_for(pid, sharded.key(pid))
-            slices: BlockSlices = worker.block_slices(sharded.key(pid), wanted)
-            payload += slices.payload_bytes()
-            fetched.extend(
-                (record[0], record) for record in slices.records()
-            )
+            key = sharded.key(pid)
+            worker = self.context.block_replica_for(pid, key)
+            records, nbytes = worker.block_slices(key, wanted)
+            payload += nbytes
+            fetched.extend(zip(wanted, records))
         self.network.send("fetch", payload, messages=len(by_partition))
         return fetched
 

@@ -19,14 +19,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple
 
+from .blocks import NodeRecord
 from .prefetch import PrefetchBuffer
 
 __all__ = ["MasterState", "NodeRecord", "prefetch_source"]
-
-#: Per-node adjacency as unpacked from a block-slice fetch:
-#: ``(node, friends, rej_out, rej_in)`` with each adjacency an id
-#: sequence (list slices off the wire arrays).
-NodeRecord = Tuple[int, Sequence[int], Sequence[int], Sequence[int]]
 
 #: ``source(u, heads, nxt, max_b, size) -> (friends, rej_out, rej_in)``
 RecordSource = Callable[..., Tuple[Sequence[int], Sequence[int], Sequence[int]]]

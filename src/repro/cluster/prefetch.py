@@ -7,11 +7,12 @@ evict nodes from the buffer."
 
 The buffer fronts the workers' block-slice reads: a hit costs nothing; a
 miss triggers one batched *block-slice* fetch — the missed node *plus*
-the current top-gain candidates travel back as a single flat mini-CSR
-per partition touched (see :class:`repro.cluster.blocks.BlockSlices`) —
-so the next pops of the bucket list land in the buffer. The buffer
-itself is key→record and protocol-agnostic; the engine's fetch callback
-does the grouping and the byte-exact accounting.
+the current top-gain candidates travel back as one reply per partition
+touched, request-ordered records plus the exact reply size (see
+:meth:`repro.cluster.blocks.ShardBlock.slices`) — so the next pops of
+the bucket list land in the buffer. The buffer itself is key→record and
+protocol-agnostic; the engine's fetch callback does the grouping and the
+byte-exact accounting.
 """
 
 from __future__ import annotations

@@ -141,9 +141,12 @@ class ClusterContext:
         return sharded
 
     def block_replica_for(self, partition_id: int, key) -> Worker:
-        """The first surviving replica still holding ``key``'s block, or
-        raise :class:`DataLossError` when the block is gone everywhere."""
-        for worker in self.workers_for(partition_id):
+        """The first surviving replica still holding ``key``'s block, in
+        :meth:`workers_for` order, or raise :class:`DataLossError` when
+        the block is gone everywhere."""
+        workers = self.workers
+        for offset in range(self.replication):
+            worker = workers[(partition_id + offset) % len(workers)]
             if worker.alive and worker.has_block(key):
                 return worker
         raise DataLossError(

@@ -2,9 +2,10 @@
 
 A :class:`Worker` holds CSR shard blocks (Section V: "we distribute the
 large social graph structure to the workers") and serves two kinds of
-requests from the master: batched adjacency slices out of a resident
-block, and the per-pass gain/cut state of a block against its local
-replica of the side vector. Every response's size is charged to the
+requests from the master: batched adjacency fetches out of a resident
+block (request-ordered records plus the exact reply size), and the
+per-pass gain/cut state of a block against its local replica of the
+side vector. Every response's size is charged to the
 network simulator by the caller.
 
 The side-vector replica is what the delta-broadcast protocol keeps in
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .blocks import BlockRef, BlockSlices, ShardBlock
+from .blocks import BlockRef, NodeRecord, ShardBlock
 
 __all__ = ["Worker", "WorkerFailure"]
 
@@ -134,8 +135,11 @@ class Worker:
     # ------------------------------------------------------------------
     # Block-slice fetches and per-pass gain state
     # ------------------------------------------------------------------
-    def block_slices(self, key: Any, nodes: Sequence[int]) -> BlockSlices:
-        """Serve one batched adjacency fetch out of a resident block."""
+    def block_slices(
+        self, key: Any, nodes: Sequence[int]
+    ) -> Tuple[List[NodeRecord], int]:
+        """Serve one batched adjacency fetch out of a resident block:
+        the request-ordered records plus the exact reply size."""
         self._check_alive()
         block = self._resolve_block(key)
         if block is None:

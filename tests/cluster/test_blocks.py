@@ -1,6 +1,9 @@
 """Tests for the CSR shard-block layer: slicing, wire-format byte math,
 and shard-kernel parity with the full-graph kernels across backends."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from repro.cluster.blocks import (
     COUNTER_BYTES,
     INT_BYTES,
     MESSAGE_HEADER_BYTES,
+    BlockRef,
     ShardBlock,
     ShardedCSR,
     partition_bounds,
@@ -27,6 +31,7 @@ from repro.core.kernels import (
     shard_cut_counts,
     shard_gain_deltas,
 )
+from repro.core.storage import clear_snapshot_cache
 
 from ..conftest import augmented_graphs
 
@@ -105,8 +110,8 @@ class TestShardedCSR:
 @given(augmented_graphs(max_nodes=24, max_edges=60), st.integers(1, 7))
 @settings(max_examples=30, deadline=None)
 def test_blocks_reassemble_adjacency(graph, num_partitions):
-    """Slicing into blocks and reading every node back via records()
-    reproduces the graph's adjacency exactly."""
+    """Slicing into blocks and fetching every node back reproduces the
+    graph's adjacency exactly."""
     csr = graph.csr()
     blocks = make_blocks(csr, num_partitions)
     seen = 0
@@ -114,7 +119,8 @@ def test_blocks_reassemble_adjacency(graph, num_partitions):
         node_range = list(range(block.lo, block.hi))
         if not node_range:
             continue
-        for node, friends, rej_out, rej_in in block.slices(node_range).records():
+        records, _ = block.slices(node_range)
+        for node, friends, rej_out, rej_in in records:
             assert list(friends) == sorted(graph.friends[node])
             assert list(rej_out) == sorted(graph.rej_out[node])
             assert list(rej_in) == sorted(graph.rej_in[node])
@@ -208,11 +214,11 @@ class TestSlices:
         return ShardBlock.from_csr(graph.csr(), 1, 5)
 
     def test_request_order_preserved(self, block):
-        slices = block.slices([4, 2, 3])
-        assert slices.nodes == [4, 2, 3]
-        records = slices.records()
+        records, _ = block.slices([4, 2, 3])
         assert [r[0] for r in records] == [4, 2, 3]
         assert records[1][1] == [1, 3]  # node 2's friends
+        assert records[0] == (4, [3, 5], [], [])
+        assert records[2] == (3, [2, 4], [], [0])
 
     def test_out_of_block_request_rejected(self, block):
         with pytest.raises(KeyError):
@@ -221,11 +227,16 @@ class TestSlices:
             block.slices([5])
 
     def test_payload_bytes_exact(self, block):
-        slices = block.slices([2])
+        _, nbytes = block.slices([2])
         # nodes(1) + three offset arrays of 2 + friends [1, 3] + no
         # rejections, all int64, plus the fixed header.
         elements = 1 + 3 * 2 + 2 + 0 + 0
-        assert slices.payload_bytes() == MESSAGE_HEADER_BYTES + INT_BYTES * elements
+        assert nbytes == MESSAGE_HEADER_BYTES + INT_BYTES * elements
+        # Node 3 adds its id, one entry per offset array, two friends
+        # and one rejection received.
+        _, nbytes = block.slices([2, 3])
+        elements += 1 + 3 + 2 + 0 + 1
+        assert nbytes == MESSAGE_HEADER_BYTES + INT_BYTES * elements
 
     def test_block_payload_bytes_exact(self, block):
         # 4 nodes -> three ptr arrays of 5 entries; edge slots counted
@@ -235,3 +246,59 @@ class TestSlices:
 
     def test_counter_constant_covers_two_int64(self):
         assert COUNTER_BYTES == 2 * INT_BYTES
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("source", ("payload", "snapshot"))
+@given(
+    graph=augmented_graphs(max_nodes=24, max_edges=60),
+    num_partitions=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_slices_are_csr_rows_at_exact_size(
+    backend, source, graph, num_partitions, data
+):
+    """Any node batch fetched from a payload block or a snapshot-mapped
+    block comes back as the CSR rows, in request order, at exactly
+    ``header + 8·(4m + 3 + Σ|adjacency|)`` bytes."""
+    csr = graph.csr(backend)
+    fp, fi, op, oi, ip_, ii = csr.hot()
+    bounds = partition_bounds(csr.num_nodes, num_partitions)
+    with tempfile.TemporaryDirectory() as tmp:
+        clear_snapshot_cache()
+        path = str(csr.save(Path(tmp) / "graph.csrbin"))
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                if lo == hi:
+                    continue
+                if source == "payload":
+                    block = ShardBlock.from_csr(csr, lo, hi)
+                else:
+                    block = BlockRef(path, lo, hi).materialize(backend)
+                nodes = data.draw(
+                    st.lists(st.integers(lo, hi - 1), max_size=2 * (hi - lo))
+                )
+                records, nbytes = block.slices(nodes)
+                assert [record[0] for record in records] == nodes
+                adjacency = 0
+                for u, friends, rej_out, rej_in in records:
+                    assert friends == fi[fp[u] : fp[u + 1]]
+                    assert rej_out == oi[op[u] : op[u + 1]]
+                    assert rej_in == ii[ip_[u] : ip_[u + 1]]
+                    assert all(
+                        type(v) is int for v in friends + rej_out + rej_in
+                    )
+                    adjacency += len(friends) + len(rej_out) + len(rej_in)
+                assert nbytes == MESSAGE_HEADER_BYTES + INT_BYTES * (
+                    4 * len(nodes) + 3 + adjacency
+                )
+                outside = data.draw(
+                    st.one_of(
+                        st.integers(-3, lo - 1), st.integers(hi, hi + 3)
+                    )
+                )
+                with pytest.raises(KeyError):
+                    block.slices(nodes + [outside])
+        finally:
+            clear_snapshot_cache()

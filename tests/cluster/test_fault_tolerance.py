@@ -13,7 +13,6 @@ from repro.cluster import (
     ShardBlock,
     WorkerFailure,
 )
-from repro.cluster.blocks import BlockSlices
 from repro.core import AugmentedSocialGraph, CSRGraph, KLConfig, extended_kl
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
@@ -27,11 +26,6 @@ def build_csr(num_nodes=30):
     return AugmentedSocialGraph.from_edges(
         num_nodes, friendships=friendships, rejections=rejections
     ).csr()
-
-
-def wire(slices):
-    """A fetch reply as comparable plain lists."""
-    return [list(getattr(slices, name)) for name in BlockSlices.__slots__]
 
 
 class TestWorkerFailure:
@@ -79,9 +73,10 @@ class TestReplication:
             nodes = list(range(lo, hi))
             worker = context.block_replica_for(pid, key)
             assert worker.alive
-            assert wire(worker.block_slices(key, nodes)) == wire(
-                ShardBlock.from_csr(csr, lo, hi).slices(nodes)
-            )
+            records, nbytes = worker.block_slices(key, nodes)
+            fresh = ShardBlock.from_csr(csr, lo, hi)
+            assert (records, nbytes) == fresh.slices(nodes)
+            assert [record[0] for record in records] == nodes
 
     def test_unreplicated_source_is_lost(self):
         context = ClusterContext(3, replication=1)
