@@ -14,7 +14,7 @@ in the full run; a small planted scenario under ``--smoke``):
   identically (the writer serializes canonical little-endian bytes);
 * **distribution bytes** — uploading the graph to the mini-cluster as
   block payloads vs as snapshot references
-  (``ClusterConfig.shard_transport``), reporting bytes shipped, bytes
+  (``ClusterContext.distribute_csr(transport=...)``), reporting bytes shipped, bytes
   avoided, and the reduction factor.
 
 Running this module directly (``PYTHONPATH=src python

@@ -124,7 +124,8 @@ def run_shard_transport(users=4000, k_steps=4, seed=7):
     """Payload-mode vs reference-mode distribution, same graph.
 
     Packs the scenario graph into a snapshot, runs the full distributed
-    sweep once per transport, asserts the results are identical, and
+    sweep once on the in-memory graph (payloads) and once on the opened
+    snapshot (references), asserts the results are identical, and
     reports the upload-byte reduction the shard references deliver.
     ``k_steps=4`` matches the benchmark's cluster workload; a shorter
     sweep finds no cut here, and two empty answers prove no parity, so
@@ -147,10 +148,7 @@ def run_shard_transport(users=4000, k_steps=4, seed=7):
             stats = ClusterRunStats()
             start = time.perf_counter()
             nodes, rate, k = distributed_maar(
-                graph,
-                cluster_config=ClusterConfig(shard_transport=transport),
-                maar_config=maar,
-                stats=stats,
+                graph, maar_config=maar, stats=stats
             )
             runs[transport] = {
                 "result": (tuple(nodes), rate, k),

@@ -30,7 +30,6 @@ adjacency.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.kernels import buffer_tolist, shard_cut_counts, shard_gain_deltas
@@ -300,15 +299,6 @@ class ShardedCSR:
     def key(self, partition_id: int) -> Tuple[str, int, int]:
         """Storage key of one block on its workers."""
         return ("csr", self.shard_id, partition_id)
-
-    def partition_of(self, node: int) -> int:
-        """Owning partition of a node (contiguous ranges, O(log P))."""
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(
-                f"node id {node} out of range for sharded graph with "
-                f"{self.num_nodes} nodes"
-            )
-        return bisect_right(self.bounds, node) - 1
 
     def range_of(self, partition_id: int) -> Tuple[int, int]:
         return self.bounds[partition_id], self.bounds[partition_id + 1]

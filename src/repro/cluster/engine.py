@@ -74,13 +74,12 @@ class ClusterConfig:
 
     Defaults mirror the paper's five-node evaluation cluster. A
     ``buffer_capacity`` of 0 disables prefetching (the "fetch per node
-    on demand" strawman of Section V). ``shard_transport`` selects how
-    blocks reach the workers: ``"auto"`` (default) ships O(1) snapshot
-    references when the graph was opened from a ``.csrbin`` snapshot
-    and falls back to array payloads otherwise; ``"payload"`` /
-    ``"reference"`` force one mode (reference requires a snapshot-backed
-    graph). Results are identical either way — only the distribution
-    bytes differ, recorded as ``NetworkStats.bytes_avoided``.
+    on demand" strawman of Section V). Blocks reach the workers as
+    O(1) snapshot references when the graph was opened from a
+    ``.csrbin`` snapshot and as array payloads otherwise
+    (:meth:`ClusterContext.distribute_csr`). Results are identical
+    either way — only the distribution bytes differ, recorded as
+    ``NetworkStats.bytes_avoided``.
 
     The master runs the integer bucket pass, so ``k`` must sit on the
     ``1/resolution`` grid (``resolution`` is a positive int). As in
@@ -95,7 +94,6 @@ class ClusterConfig:
     resolution: int = 8
     max_passes: int = 30
     replication: int = 1
-    shard_transport: str = "auto"
 
     def __post_init__(self) -> None:
         # Each of these would otherwise fail late (at the first run) or
@@ -113,11 +111,6 @@ class ClusterConfig:
             value = getattr(self, name)
             if value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
-        if self.shard_transport not in ("auto", "payload", "reference"):
-            raise ValueError(
-                f"shard_transport must be 'auto', 'payload', or "
-                f"'reference', got {self.shard_transport!r}"
-            )
 
 
 @dataclass
@@ -165,11 +158,7 @@ class DistributedKL:
             self.network,
             replication=self.config.replication,
         )
-        self.sharded = self.context.distribute_csr(
-            csr,
-            self.config.num_partitions,
-            transport=self.config.shard_transport,
-        )
+        self.sharded = self.context.distribute_csr(csr, self.config.num_partitions)
         # Degree maxima for the bucket offset at each k. A bound from two
         # different nodes is looser than the per-node maximum, which is
         # harmless: the offset only sizes the bucket array (a uniform

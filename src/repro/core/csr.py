@@ -55,9 +55,9 @@ from .kernels import (
     buffer_tolist,
     buffer_typecode,
     contract_arrays,
+    node_deltas,
     recount_active,
     scaled_gain_bound,
-    weighted_recount_active,
 )
 from .objectives import (
     LEGITIMATE,
@@ -966,71 +966,39 @@ class PartitionState:
         return state
 
     def recount(self) -> None:
-        """Recompute the counters and side sizes from scratch (O(V+E)).
-
-        Unweighted graphs route through
-        :func:`repro.core.kernels.recount_active` and weighted graphs
-        through :func:`repro.core.kernels.weighted_recount_active`
-        (vectorized on the numpy backend, scalar otherwise —
-        bit-identical either way, since both sum integers).
-        """
+        """Recompute the counters and side sizes from scratch (O(V+E))
+        with :func:`repro.core.kernels.recount_active` (vectorized on the
+        numpy backend, scalar otherwise — bit-identical either way,
+        since both sum integers)."""
         view = self.view
-        kernel = weighted_recount_active if view.csr.weighted else recount_active
-        self.f_cross, self.r_cross, ones = kernel(view, self.sides)
+        self.f_cross, self.r_cross, ones = recount_active(view, self.sides)
         self.side_sizes = [view.num_active - ones, ones]
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def _deltas(self, u: int) -> Tuple[int, int]:
+        """``(Δf_cross, Δr_cross)`` of switching ``u``: the shared rule
+        :func:`repro.core.kernels.node_deltas` over active neighbours."""
+        view = self.view
+        csr = view.csr
+        active = None if view.num_active == csr.num_nodes else view.active
+        sides = self.sides
+        return node_deltas(csr.hot(), csr.hot_weights(), active, sides, u, sides[u])
+
     def switch(self, u: int) -> None:
         """Move active node ``u`` to the other side, updating the counters.
 
         A rejection ⟨a, b⟩ counts only while ``a`` is on side 0 and
         ``b`` on side 1; inactive neighbours contribute to no counter.
         """
-        view = self.view
-        csr, active, sides = view.csr, view.active, self.sides
-        fp, fi, op, oi, ip_, ii = csr.hot()
-        weights = csr.hot_weights()
-        s = sides[u]
-        if weights is None:
-            friends_delta = 0
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    friends_delta += 1 if sides[v] == s else -1
-            rej_delta = 0
-            sign = -1 if s == LEGITIMATE else 1
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == SUSPICIOUS:
-                    rej_delta += sign
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and sides[w] == LEGITIMATE:
-                    rej_delta -= sign
-        else:
-            fw, ow, iw = weights
-            friends_delta = 0
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    friends_delta += fw[i] if sides[v] == s else -fw[i]
-            rej_delta = 0
-            sign = -1 if s == LEGITIMATE else 1
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == SUSPICIOUS:
-                    rej_delta += sign * ow[i]
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and sides[w] == LEGITIMATE:
-                    rej_delta -= sign * iw[i]
+        friends_delta, rej_delta = self._deltas(u)
+        s = self.sides[u]
         self.f_cross += friends_delta
         self.r_cross += rej_delta
         self.side_sizes[s] -= 1
         self.side_sizes[1 - s] += 1
-        sides[u] = 1 - s
+        self.sides[u] = 1 - s
 
     def switch_gain(self, u: int, k: float) -> float:
         """Gain (decrease in ``W = f_cross − k·r_cross``) of switching ``u``.
@@ -1038,44 +1006,7 @@ class PartitionState:
         Pure query; the reference against which the engine's incremental
         gain indexes are property-tested.
         """
-        view = self.view
-        csr, active, sides = view.csr, view.active, self.sides
-        fp, fi, op, oi, ip_, ii = csr.hot()
-        weights = csr.hot_weights()
-        s = sides[u]
-        if weights is None:
-            friends_delta = 0
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    friends_delta += 1 if sides[v] == s else -1
-            rej_delta = 0
-            sign = -1 if s == LEGITIMATE else 1
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == SUSPICIOUS:
-                    rej_delta += sign
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and sides[w] == LEGITIMATE:
-                    rej_delta -= sign
-        else:
-            fw, ow, iw = weights
-            friends_delta = 0
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    friends_delta += fw[i] if sides[v] == s else -fw[i]
-            rej_delta = 0
-            sign = -1 if s == LEGITIMATE else 1
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == SUSPICIOUS:
-                    rej_delta += sign * ow[i]
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and sides[w] == LEGITIMATE:
-                    rej_delta -= sign * iw[i]
+        friends_delta, rej_delta = self._deltas(u)
         return -(friends_delta - k * rej_delta)
 
     # ------------------------------------------------------------------

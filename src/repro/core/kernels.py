@@ -1,34 +1,35 @@
-"""Batch kernels over the flat CSR arrays.
+"""Batch kernels over the flat CSR arrays, and the one switch rule.
 
-Every KL pass used to open with a scalar O(V+E) sweep — initial switch
-gains for all unlocked nodes, plus a from-scratch recount whenever a
-:class:`~repro.core.csr.PartitionState` is built. Those sweeps are
-*embarrassingly per-edge*: each edge slot contributes an independent
-±1/±k term to its row's total, which is exactly the shape numpy's
-segment reductions handle in a handful of whole-array operations. This
-module collects those batch kernels in one place:
+Algorithm 1 has one local rule: switching ``u`` changes ``|F(Ū,U)|``
+by its same-side minus cross-side friends and ``|R⃗⟨Ū,U⟩|`` by
+``(2·side(u)−1)·(out_susp(u) − in_legit(u))``. Weighted coarse graphs
+and the cluster's shard blocks apply the same rule with each edge
+counted by its weight. This module writes it once per backend:
+:func:`node_deltas` (one node, scalar) with its batch loop, one numpy
+delta body, and one numpy/scalar pair of cut-count bodies. A missing
+weight array means weight 1 and a missing active mask means every node
+is active, so the same four bodies serve unit graphs, int64-weighted
+graphs (:class:`~repro.core.csr.WeightedCSRGraph`), residual views and
+shard blocks. ``PartitionState.switch``/``switch_gain``, the KL
+bucket refresh and every kernel below call them:
 
-* :func:`gain_deltas` — per-node friend-delta and rejection-delta (the
-  two integers every gain formula is assembled from);
+* :func:`gain_deltas` / :func:`weighted_gain_deltas` — per-node
+  friend-delta and rejection-delta (the two integers every gain
+  formula is assembled from); each refuses the other graph kind;
 * :func:`heap_gains` — per-node float gains ``-(fd − k·rd)`` for the
   heap engine;
 * :func:`recount_active` — the boundary counters ``f_cross``/``r_cross``
-  and the side-1 population in one shot;
+  (weight sums on weighted graphs) and the side-1 population;
 * :func:`active_in_rejections` — in-rejection counts restricted to
   active rejecters (Rejecto's member-evidence ordering; weights are
   ignored);
 * :func:`scaled_gain_bound` — the integer-scaled lifetime gain bound
   that sizes the FM bucket array;
 * :func:`shard_gain_deltas` / :func:`shard_cut_counts` — the same
-  per-node deltas and boundary counters evaluated over one contiguous
-  CSR *shard block* (a worker-resident slice of the graph, see
-  :mod:`repro.cluster.blocks`), so the distributed engine's per-pass
-  gain rebuild runs as whole-array kernels on each worker instead of a
-  scalar loop over dict records;
-* :func:`weighted_gain_deltas` / :func:`weighted_heap_gains` /
-  :func:`weighted_recount_active` — the weighted twins of the three
-  kernels above for weighted coarse graphs
-  (:class:`~repro.core.csr.WeightedCSRGraph`);
+  deltas and counters over one contiguous CSR *shard block* (a
+  worker-resident slice of the graph, see :mod:`repro.cluster.blocks`),
+  so the distributed engine's per-pass gain rebuild runs as whole-array
+  kernels on each worker;
 * :func:`boundary_nodes` / :func:`weighted_boundary_nodes` — the cut
   frontier of a partition: every active node on the cut or with a
   positive switch gain, plus their active neighbours, which is where
@@ -44,22 +45,18 @@ module collects those batch kernels in one place:
   scatter-adds.
 
 Dispatch follows the graph's ``backend`` attribute: ``"numpy"`` runs the
-vectorized ``_np`` variants over zero-copy ``frombuffer`` views,
-``"python"`` runs the scalar ``_py`` fallbacks. Both produce
-**bit-identical** results — all quantities are integers (or single
-float expressions over integers, identical elementwise in IEEE double),
-so the engines never see which backend filled their arrays. The
-property tests in ``tests/core/test_kernels.py`` pin each pair to each
-other and to the scalar reference ``PartitionState.switch_gain``.
-
-The unweighted gain kernels refuse weighted graphs and the ``weighted_*``
-twins refuse unweighted ones; the rest take either. Every weight is an
-int64 (:class:`~repro.core.csr.WeightedCSRGraph` is the only weighted
-graph): contraction of a unit-weight augmented graph only ever **sums
-unit edges**, integer sums are order-insensitive, and so the weighted
-kernels are bit-identical across backends just like the unweighted ones.
-That is what gives the weighted multilevel path the bucket index and
-the batch kernels.
+vectorized bodies over zero-copy ``frombuffer`` views, ``"python"`` the
+scalar ones. Both produce **bit-identical** results — all quantities
+are integers (or single float expressions over integers, identical
+elementwise in IEEE double), so the engines never see which backend
+filled their arrays. Every weight is an int64
+(:class:`~repro.core.csr.WeightedCSRGraph` is the only weighted graph):
+contraction of a unit-weight augmented graph only ever **sums unit
+edges**, and integer sums are order-insensitive. That is what gives the
+weighted multilevel path the bucket index and the batch kernels. The
+property tests in ``tests/core/test_kernels.py`` pin every kernel to the
+dict-adjacency oracles of ``tests/core/partition_oracle.py`` and
+``tests/core/weighted_oracle.py``, which share no code with this module.
 """
 
 from __future__ import annotations
@@ -82,8 +79,7 @@ __all__ = [
     "shard_gain_deltas",
     "shard_cut_counts",
     "weighted_gain_deltas",
-    "weighted_heap_gains",
-    "weighted_recount_active",
+    "node_deltas",
     "heavy_edge_matching",
     "matching_to_mapping",
     "contract_arrays",
@@ -147,21 +143,184 @@ def _use_numpy(csr) -> bool:
 
 
 def _np_state(view):
-    """Numpy views of the CSR arrays plus the active mask and row ids."""
+    """Numpy, the graph's array dict (per-slot row ids included) and the
+    active mask as bools — ``None`` when every node is active."""
     import numpy as np
 
     csr = view.csr
-    arrs = csr.numpy_arrays()
-    rows = csr.numpy_rows()
-    active = np.frombuffer(view.active, dtype=np.uint8).astype(bool)
-    return np, arrs, rows, active
+    csr.numpy_rows()
+    active = None
+    if view.num_active != csr.num_nodes:
+        active = np.frombuffer(view.active, dtype=np.uint8).astype(bool)
+    return np, csr.numpy_arrays(), active
+
+
+def _view_hot(view):
+    """``(hot, weights, active)`` of a view for the scalar bodies:
+    plain-list adjacency, plain-list weights (``None`` when unweighted)
+    and the active mask (``None`` when every node is active)."""
+    csr = view.csr
+    active = None if view.num_active == csr.num_nodes else view.active
+    return csr.hot(), csr.hot_weights(), active
 
 
 def _segment_sums(np, contrib, ptr):
     """Per-row sums of ``contrib`` under CSR ``ptr`` (empty rows -> 0)."""
     cumulative = np.zeros(len(contrib) + 1, dtype=np.int64)
-    np.cumsum(contrib, out=cumulative[1:])
+    np.cumsum(contrib, dtype=np.int64, out=cumulative[1:])
     return cumulative[ptr[1:]] - cumulative[ptr[:-1]]
+
+
+# ----------------------------------------------------------------------
+# The switch rule: one numpy body, one scalar body, for every graph kind
+# ----------------------------------------------------------------------
+# Each body serves the three graph kinds. A unit graph has no weight
+# arrays (every edge counts 1); a WeightedCSRGraph counts each edge by
+# its int64 weight; a shard block is a row range [lo, lo + m) of an
+# unweighted graph with local pointers and global neighbour ids. Every
+# neighbour id indexes the *global* sides and active mask, and
+# ``active=None`` means every node is active.
+
+
+def node_deltas(hot, weights, active, sides, row: int, s: int) -> Tuple[int, int]:
+    """``(fd, rd)`` of switching the node in adjacency row ``row``,
+    currently on side ``s`` (Algorithm 1's one local rule).
+
+    ``fd`` is the weight of the node's friends on its own side minus
+    those across: the change of ``|F(Ū,U)|``. ``rd`` is
+    ``(2s−1)·(out_susp − in_legit)``: the weight of the rejections it
+    cast onto side 1 minus those it received from side 0, signed by its
+    side — the change of ``|R⃗⟨Ū,U⟩|``. Only active neighbours count.
+    ``hot`` is the six plain-list CSR arrays (``row`` indexes the
+    pointers), ``weights`` their three weight lists or ``None``.
+    """
+    fp, fi, op, oi, ip_, ii = hot
+    fd = rd = 0
+    if weights is None:
+        for v in fi[fp[row] : fp[row + 1]]:
+            if active is None or active[v]:
+                fd += 1 if sides[v] == s else -1
+        for v in oi[op[row] : op[row + 1]]:
+            if sides[v] and (active is None or active[v]):
+                rd += 1
+        for v in ii[ip_[row] : ip_[row + 1]]:
+            if not sides[v] and (active is None or active[v]):
+                rd -= 1
+    else:
+        fw, ow, iw = weights
+        for i in range(fp[row], fp[row + 1]):
+            v = fi[i]
+            if active is None or active[v]:
+                fd += fw[i] if sides[v] == s else -fw[i]
+        for i in range(op[row], op[row + 1]):
+            v = oi[i]
+            if sides[v] and (active is None or active[v]):
+                rd += ow[i]
+        for i in range(ip_[row], ip_[row + 1]):
+            v = ii[i]
+            if not sides[v] and (active is None or active[v]):
+                rd -= iw[i]
+    return fd, (rd if s else -rd)
+
+
+def _deltas_py(hot, weights, active, sides, lo: int, m: int):
+    """:func:`node_deltas` of rows ``0..m-1`` (nodes ``lo..lo+m-1``);
+    inactive nodes get ``(0, 0)``."""
+    fd = [0] * m
+    rd = [0] * m
+    for r in range(m):
+        u = lo + r
+        if active is None or active[u]:
+            fd[r], rd[r] = node_deltas(hot, weights, active, sides, r, sides[u])
+    return fd, rd
+
+
+def _deltas_np(np, arrs, active, sides, lo: int = 0):
+    """The numpy body of :func:`_deltas_py`: int64 ``(fd, rd)`` arrays
+    over the ``m`` rows of ``arrs`` (a CSR graph's or a shard block's
+    array dict, per-slot row ids included)."""
+    sides = np.asarray(sides, dtype=np.int64)
+    own = sides[lo : lo + len(arrs["f_ptr"]) - 1]
+    f_idx, ro_idx, ri_idx = arrs["f_idx"], arrs["ro_idx"], arrs["ri_idx"]
+    f_wt, ro_wt, ri_wt = arrs.get("f_wt"), arrs.get("ro_wt"), arrs.get("ri_wt")
+
+    same = sides[f_idx] == own[arrs["f_row"]]
+    contrib = np.where(same, 1, -1) if f_wt is None else np.where(same, f_wt, -f_wt)
+    susp = sides[ro_idx] == 1
+    legit = sides[ri_idx] == 0
+    if active is not None:
+        contrib = np.where(active[f_idx], contrib, 0)
+        susp &= active[ro_idx]
+        legit &= active[ri_idx]
+    fd = _segment_sums(np, contrib, arrs["f_ptr"])
+    out_susp = _segment_sums(
+        np, susp if ro_wt is None else np.where(susp, ro_wt, 0), arrs["ro_ptr"]
+    )
+    in_legit = _segment_sums(
+        np, legit if ri_wt is None else np.where(legit, ri_wt, 0), arrs["ri_ptr"]
+    )
+    rd = (2 * own - 1) * (out_susp - in_legit)
+    if active is not None:
+        mine = active[lo : lo + len(own)]
+        fd = np.where(mine, fd, 0)
+        rd = np.where(mine, rd, 0)
+    return fd, rd
+
+
+def _cut_counts_py(hot, weights, active, sides, lo: int, m: int):
+    """``(f_cross, r_cross, side1_population)`` of rows ``0..m-1``:
+    active cross friendships counted once per pair (at the row of the
+    smaller *global* id), rejections cast by active side-0 nodes onto
+    active side-1 nodes counted at the caster's row, each by weight."""
+    fp, fi, op, oi = hot[:4]
+    fw, ow = weights[:2] if weights is not None else (None, None)
+    f_cross = r_cross = ones = 0
+    for r in range(m):
+        u = lo + r
+        if active is not None and not active[u]:
+            continue
+        s = sides[u]
+        ones += s
+        for i in range(fp[r], fp[r + 1]):
+            v = fi[i]
+            if u < v and sides[v] != s and (active is None or active[v]):
+                f_cross += 1 if fw is None else fw[i]
+        if s == 0:
+            for i in range(op[r], op[r + 1]):
+                v = oi[i]
+                if sides[v] == 1 and (active is None or active[v]):
+                    r_cross += 1 if ow is None else ow[i]
+    return f_cross, r_cross, ones
+
+
+def _cut_counts_np(np, arrs, active, sides, lo: int = 0):
+    """The numpy body of :func:`_cut_counts_py`."""
+    sides = np.asarray(sides, dtype=np.int64)
+    own = sides[lo : lo + len(arrs["f_ptr"]) - 1]
+    f_row, f_idx = arrs["f_row"], arrs["f_idx"]
+    ro_row, ro_idx = arrs["ro_row"], arrs["ro_idx"]
+    f_mask = ((f_row + lo if lo else f_row) < f_idx) & (
+        own[f_row] != sides[f_idx]
+    )
+    r_mask = (own[ro_row] == 0) & (sides[ro_idx] == 1)
+    ones = own == 1
+    if active is not None:
+        mine = active[lo : lo + len(own)]
+        f_mask &= mine[f_row] & active[f_idx]
+        r_mask &= mine[ro_row] & active[ro_idx]
+        ones &= mine
+    f_wt, ro_wt = arrs.get("f_wt"), arrs.get("ro_wt")
+    f_cross = np.count_nonzero(f_mask) if f_wt is None else f_wt[f_mask].sum()
+    r_cross = np.count_nonzero(r_mask) if ro_wt is None else ro_wt[r_mask].sum()
+    return int(f_cross), int(r_cross), int(np.count_nonzero(ones))
+
+
+def _view_deltas(view, sides) -> Tuple[List[int], List[int]]:
+    csr = view.csr
+    if _use_numpy(csr):
+        fd, rd = _deltas_np(*_np_state(view), sides)
+        return fd.tolist(), rd.tolist()
+    return _deltas_py(*_view_hot(view), sides, 0, csr.num_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -178,99 +337,10 @@ def gain_deltas(view, sides: Sequence[int]) -> Tuple[List[int], List[int]]:
     are 0; entries for locked nodes are computed like any other (locks
     are the caller's concern).
     """
-    csr = view.csr
-    _check_unweighted(csr)
-    if _use_numpy(csr):
-        return _gain_deltas_np(view, sides)
-    return _gain_deltas_py(view, sides)
+    _check_unweighted(view.csr)
+    return _view_deltas(view, sides)
 
 
-def _gain_deltas_np(view, sides: Sequence[int]) -> Tuple[List[int], List[int]]:
-    fd, rd = _gain_delta_arrays_np(*_np_state(view), sides)
-    return fd.tolist(), rd.tolist()
-
-
-def _gain_delta_arrays_np(np, arrs, rows, active, sides):
-    """Array-returning core of :func:`_gain_deltas_np` (shared with the
-    boundary-frontier kernel, which consumes the deltas as arrays)."""
-    sides_np = np.asarray(sides, dtype=np.int64)
-    f_row, ro_row, ri_row = rows
-
-    act_v = active[arrs["f_idx"]]
-    same = sides_np[arrs["f_idx"]] == sides_np[f_row]
-    contrib = np.where(act_v, np.where(same, 1, -1), 0).astype(np.int64)
-    fd = _segment_sums(np, contrib, arrs["f_ptr"])
-
-    out_susp = _segment_sums(
-        np,
-        (active[arrs["ro_idx"]] & (sides_np[arrs["ro_idx"]] == 1)).astype(np.int64),
-        arrs["ro_ptr"],
-    )
-    in_legit = _segment_sums(
-        np,
-        (active[arrs["ri_idx"]] & (sides_np[arrs["ri_idx"]] == 0)).astype(np.int64),
-        arrs["ri_ptr"],
-    )
-    rd = (2 * sides_np - 1) * (out_susp - in_legit)
-
-    zero = np.int64(0)
-    fd = np.where(active, fd, zero)
-    rd = np.where(active, rd, zero)
-    return fd, rd
-
-
-def _gain_deltas_py(view, sides: Sequence[int]) -> Tuple[List[int], List[int]]:
-    csr = view.csr
-    fp, fi, op, oi, ip_, ii = csr.hot()
-    active = view.active
-    n = csr.num_nodes
-    fd = [0] * n
-    rd = [0] * n
-    for u in range(n):
-        if not active[u]:
-            continue
-        s = sides[u]
-        acc = 0
-        for i in range(fp[u], fp[u + 1]):
-            v = fi[i]
-            if active[v]:
-                acc += 1 if sides[v] == s else -1
-        fd[u] = acc
-        acc = 0
-        if s:
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v]:
-                    acc += 1
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and not sides[w]:
-                    acc -= 1
-        else:
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v]:
-                    acc -= 1
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and not sides[w]:
-                    acc += 1
-        rd[u] = acc
-    return fd, rd
-
-
-def heap_gains(view, sides: Sequence[int], k: float) -> List[float]:
-    """Per-node float gains ``-(fd − k·rd)``, the heap engine's initial
-    index content. Bit-identical to ``PartitionState.switch_gain`` on
-    active nodes: both evaluate the same single IEEE-double expression
-    over the same integers."""
-    fd, rd = gain_deltas(view, sides)
-    return [-(fd[u] - k * rd[u]) for u in range(len(fd))]
-
-
-# ----------------------------------------------------------------------
-# Weighted kernels (WeightedCSRGraph coarse graphs)
-# ----------------------------------------------------------------------
 def weighted_gain_deltas(view, sides: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Weighted per-node ``(friend_delta, rejection_delta)`` of a switch.
 
@@ -279,161 +349,18 @@ def weighted_gain_deltas(view, sides: Sequence[int]) -> Tuple[List[int], List[in
     backends are bit-identical. Requires a weighted graph
     (:func:`_check_weighted`); entries for inactive nodes are 0.
     """
-    csr = view.csr
-    _check_weighted(csr)
-    if _use_numpy(csr):
-        return _weighted_gain_deltas_np(view, sides)
-    return _weighted_gain_deltas_py(view, sides)
+    _check_weighted(view.csr)
+    return _view_deltas(view, sides)
 
 
-def _weighted_gain_deltas_np(view, sides) -> Tuple[List[int], List[int]]:
-    fd, rd = _weighted_gain_delta_arrays_np(*_np_state(view), sides)
-    return fd.tolist(), rd.tolist()
-
-
-def _weighted_gain_delta_arrays_np(np, arrs, rows, active, sides):
-    """Array-returning core of :func:`_weighted_gain_deltas_np`."""
-    sides_np = np.asarray(sides, dtype=np.int64)
-    f_row, _, _ = rows
-
-    act_v = active[arrs["f_idx"]]
-    same = sides_np[arrs["f_idx"]] == sides_np[f_row]
-    contrib = np.where(act_v, np.where(same, arrs["f_wt"], -arrs["f_wt"]), 0)
-    fd = _segment_sums(np, contrib, arrs["f_ptr"])
-
-    out_susp = _segment_sums(
-        np,
-        np.where(
-            active[arrs["ro_idx"]] & (sides_np[arrs["ro_idx"]] == 1),
-            arrs["ro_wt"],
-            0,
-        ),
-        arrs["ro_ptr"],
-    )
-    in_legit = _segment_sums(
-        np,
-        np.where(
-            active[arrs["ri_idx"]] & (sides_np[arrs["ri_idx"]] == 0),
-            arrs["ri_wt"],
-            0,
-        ),
-        arrs["ri_ptr"],
-    )
-    rd = (2 * sides_np - 1) * (out_susp - in_legit)
-
-    zero = np.int64(0)
-    fd = np.where(active, fd, zero)
-    rd = np.where(active, rd, zero)
-    return fd, rd
-
-
-def _weighted_gain_deltas_py(view, sides) -> Tuple[List[int], List[int]]:
-    csr = view.csr
-    fp, fi, op, oi, ip_, ii = csr.hot()
-    fw, ow, iw = csr.hot_weights()
-    active = view.active
-    n = csr.num_nodes
-    fd = [0] * n
-    rd = [0] * n
-    for u in range(n):
-        if not active[u]:
-            continue
-        s = sides[u]
-        acc = 0
-        for i in range(fp[u], fp[u + 1]):
-            v = fi[i]
-            if active[v]:
-                acc += fw[i] if sides[v] == s else -fw[i]
-        fd[u] = acc
-        acc = 0
-        if s:
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v]:
-                    acc += ow[i]
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and not sides[w]:
-                    acc -= iw[i]
-        else:
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v]:
-                    acc -= ow[i]
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and not sides[w]:
-                    acc += iw[i]
-        rd[u] = acc
-    return fd, rd
-
-
-def weighted_heap_gains(view, sides: Sequence[int], k: float) -> List[float]:
-    """Weighted per-node float gains ``-(fd − k·rd)`` for the heap
-    engine. ``fd``/``rd`` are exact integers, so this is the same single
-    IEEE-double expression as the scalar ``switch_gain`` — bit-identical
-    across backends."""
-    fd, rd = weighted_gain_deltas(view, sides)
+def heap_gains(view, sides: Sequence[int], k: float) -> List[float]:
+    """Per-node float gains ``-(fd − k·rd)``, the heap engine's initial
+    index content, on unweighted and weighted graphs. Bit-identical to
+    ``PartitionState.switch_gain`` on active nodes: both evaluate the
+    same single IEEE-double expression over the same integers."""
+    kernel = weighted_gain_deltas if view.csr.weighted else gain_deltas
+    fd, rd = kernel(view, sides)
     return [-(fd[u] - k * rd[u]) for u in range(len(fd))]
-
-
-def weighted_recount_active(view, sides: Sequence[int]) -> Tuple[int, int, int]:
-    """Weighted ``(f_cross, r_cross, side1_population)`` over the active
-    mask: cross friendships sum their int64 weights once per unordered
-    pair, cast rejections sum theirs at the caster's row, and the third
-    entry is the plain (unweighted) active side-1 node count that
-    ``PartitionState.side_sizes`` tracks."""
-    csr = view.csr
-    _check_weighted(csr)
-    if _use_numpy(csr):
-        return _weighted_recount_np(view, sides)
-    return _weighted_recount_py(view, sides)
-
-
-def _weighted_recount_np(view, sides) -> Tuple[int, int, int]:
-    np, arrs, rows, active = _np_state(view)
-    sides_np = np.asarray(sides, dtype=np.int64)
-    f_row, ro_row, _ = rows
-    f_idx, ro_idx = arrs["f_idx"], arrs["ro_idx"]
-    f_mask = (
-        (f_row < f_idx)
-        & active[f_row]
-        & active[f_idx]
-        & (sides_np[f_row] != sides_np[f_idx])
-    )
-    r_mask = (
-        active[ro_row]
-        & active[ro_idx]
-        & (sides_np[ro_row] == 0)
-        & (sides_np[ro_idx] == 1)
-    )
-    f_cross = int(arrs["f_wt"][f_mask].sum())
-    r_cross = int(arrs["ro_wt"][r_mask].sum())
-    ones = int(np.count_nonzero(active & (sides_np == 1)))
-    return f_cross, r_cross, ones
-
-
-def _weighted_recount_py(view, sides) -> Tuple[int, int, int]:
-    csr = view.csr
-    fp, fi, op, oi, _, _ = csr.hot()
-    fw, ow, _ = csr.hot_weights()
-    active = view.active
-    f_cross = r_cross = ones = 0
-    for u in range(csr.num_nodes):
-        if not active[u]:
-            continue
-        s = sides[u]
-        ones += s
-        for i in range(fp[u], fp[u + 1]):
-            v = fi[i]
-            if u < v and active[v] and sides[v] != s:
-                f_cross += fw[i]
-        if s == 0:
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == 1:
-                    r_cross += ow[i]
-    return f_cross, r_cross, ones
 
 
 # ----------------------------------------------------------------------
@@ -462,11 +389,8 @@ def boundary_nodes(view, sides: Sequence[int], k: float) -> List[int]:
     plus the single IEEE-double comparison ``k·rd > fd`` over the same
     exact integers.
     """
-    csr = view.csr
-    _check_unweighted(csr)
-    if _use_numpy(csr):
-        return _boundary_nodes_np(view, sides, k, weighted=False)
-    return _boundary_nodes_py(view, sides, k, weighted=False)
+    _check_unweighted(view.csr)
+    return _boundary_nodes(view, sides, k)
 
 
 def weighted_boundary_nodes(view, sides: Sequence[int], k: float) -> List[int]:
@@ -475,29 +399,30 @@ def weighted_boundary_nodes(view, sides: Sequence[int], k: float) -> List[int]:
     integer, so a crossing edge crosses regardless of weight) and the
     positive-gain clause uses the weighted deltas — still exact
     integers, so both backends agree bit for bit."""
-    csr = view.csr
-    _check_weighted(csr)
-    if _use_numpy(csr):
-        return _boundary_nodes_np(view, sides, k, weighted=True)
-    return _boundary_nodes_py(view, sides, k, weighted=True)
+    _check_weighted(view.csr)
+    return _boundary_nodes(view, sides, k)
 
 
-def _boundary_nodes_np(view, sides, k, weighted):
-    np, arrs, rows, active = _np_state(view)
+def _boundary_nodes(view, sides, k):
+    if _use_numpy(view.csr):
+        return _boundary_nodes_np(view, sides, k)
+    return _boundary_nodes_py(view, sides, k)
+
+
+def _boundary_nodes_np(view, sides, k):
+    np, arrs, active = _np_state(view)
+    fd, rd = _deltas_np(np, arrs, active, sides)
+    if active is None:
+        active = np.ones(view.csr.num_nodes, dtype=bool)
     sides_np = np.asarray(sides, dtype=np.int64)
-    f_row, ro_row, ri_row = rows
+    f_row, ro_row, ri_row = arrs["f_row"], arrs["ro_row"], arrs["ri_row"]
     f_idx, ro_idx, ri_idx = arrs["f_idx"], arrs["ro_idx"], arrs["ri_idx"]
-    n = len(active)
 
-    seed = np.zeros(n, dtype=bool)
+    seed = np.zeros(len(active), dtype=bool)
     # (a) cross-side friendships: symmetric storage marks both endpoints.
     cross = active[f_row] & active[f_idx] & (sides_np[f_row] != sides_np[f_idx])
     seed[f_row[cross]] = True
     # (b) positive switch gain: -(fd - k*rd) > 0 <=> k*rd > fd.
-    if weighted:
-        fd, rd = _weighted_gain_delta_arrays_np(np, arrs, rows, active, sides)
-    else:
-        fd, rd = _gain_delta_arrays_np(np, arrs, rows, active, sides)
     seed |= active & (k * rd > fd)
 
     # One-switch look-ahead: seeds plus their active neighbours. The
@@ -511,15 +436,12 @@ def _boundary_nodes_np(view, sides, k, weighted):
     return np.nonzero(out)[0].tolist()
 
 
-def _boundary_nodes_py(view, sides, k, weighted):
+def _boundary_nodes_py(view, sides, k):
     csr = view.csr
     fp, fi, op, oi, ip_, ii = csr.hot()
     active = view.active
     n = csr.num_nodes
-    if weighted:
-        fd, rd = _weighted_gain_deltas_py(view, sides)
-    else:
-        fd, rd = _gain_deltas_py(view, sides)
+    fd, rd = _deltas_py(*_view_hot(view), sides, 0, n)
 
     seed = bytearray(n)
     for u in range(n):
@@ -571,28 +493,16 @@ def movable_frontier(view, sides: Sequence[int], k: float) -> List[int]:
     float comparison ``k·rd > fd`` runs over the same exact integers.
     """
     csr = view.csr
-    weighted = csr.f_wt is not None
     if _use_numpy(csr):
-        return _movable_frontier_np(view, sides, k, weighted)
-    return _movable_frontier_py(view, sides, k, weighted)
-
-
-def _movable_frontier_np(view, sides, k, weighted):
-    np, arrs, rows, active = _np_state(view)
-    core = _weighted_gain_delta_arrays_np if weighted else _gain_delta_arrays_np
-    fd, rd = core(np, arrs, rows, active, sides)
-    # Inactive rows have fd = rd = 0, so they never seed.
-    seed = k * rd > fd
-    out = seed.copy()
-    out[arrs["f_idx"][seed[rows[0]]]] = True
-    return np.flatnonzero(out).tolist()
-
-
-def _movable_frontier_py(view, sides, k, weighted):
-    csr = view.csr
+        np, arrs, active = _np_state(view)
+        fd, rd = _deltas_np(np, arrs, active, sides)
+        # Inactive rows have fd = rd = 0, so they never seed.
+        seed = k * rd > fd
+        out = seed.copy()
+        out[arrs["f_idx"][seed[arrs["f_row"]]]] = True
+        return np.flatnonzero(out).tolist()
     fp, fi = csr.hot()[:2]
-    core = _weighted_gain_deltas_py if weighted else _gain_deltas_py
-    fd, rd = core(view, sides)
+    fd, rd = _deltas_py(*_view_hot(view), sides, 0, csr.num_nodes)
     out = bytearray(csr.num_nodes)
     for u in range(csr.num_nodes):
         if k * rd[u] > fd[u]:
@@ -719,60 +629,14 @@ def recount_active(view, sides: Sequence[int]) -> Tuple[int, int, int]:
     ``f_cross`` counts active-active cross friendships once per
     unordered pair; ``r_cross`` counts rejections cast by active side-0
     nodes onto active side-1 nodes — the exact quantities
-    :meth:`PartitionState.recount` re-derives.
+    :meth:`PartitionState.recount` re-derives. On a weighted graph both
+    are int64 weight sums; the third entry stays the plain active
+    side-1 node count that ``PartitionState.side_sizes`` tracks.
     """
     csr = view.csr
-    _check_unweighted(csr)
     if _use_numpy(csr):
-        return _recount_np(view, sides)
-    return _recount_py(view, sides)
-
-
-def _recount_np(view, sides: Sequence[int]) -> Tuple[int, int, int]:
-    np, arrs, rows, active = _np_state(view)
-    sides_np = np.asarray(sides, dtype=np.int64)
-    f_row, ro_row, _ = rows
-    f_idx, ro_idx = arrs["f_idx"], arrs["ro_idx"]
-    f_cross = int(
-        np.count_nonzero(
-            (f_row < f_idx)
-            & active[f_row]
-            & active[f_idx]
-            & (sides_np[f_row] != sides_np[f_idx])
-        )
-    )
-    r_cross = int(
-        np.count_nonzero(
-            active[ro_row]
-            & active[ro_idx]
-            & (sides_np[ro_row] == 0)
-            & (sides_np[ro_idx] == 1)
-        )
-    )
-    ones = int(np.count_nonzero(active & (sides_np == 1)))
-    return f_cross, r_cross, ones
-
-
-def _recount_py(view, sides: Sequence[int]) -> Tuple[int, int, int]:
-    csr = view.csr
-    fp, fi, op, oi, _, _ = csr.hot()
-    active = view.active
-    f_cross = r_cross = ones = 0
-    for u in range(csr.num_nodes):
-        if not active[u]:
-            continue
-        s = sides[u]
-        ones += s
-        for i in range(fp[u], fp[u + 1]):
-            v = fi[i]
-            if u < v and active[v] and sides[v] != s:
-                f_cross += 1
-        if s == 0:
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == 1:
-                    r_cross += 1
-    return f_cross, r_cross, ones
+        return _cut_counts_np(*_np_state(view), sides)
+    return _cut_counts_py(*_view_hot(view), sides, 0, csr.num_nodes)
 
 
 def active_in_rejections(view) -> List[int]:
@@ -781,9 +645,10 @@ def active_in_rejections(view) -> List[int]:
     rejecters, not weights, so weighted graphs are accepted too."""
     csr = view.csr
     if _use_numpy(csr):
-        np, arrs, _, active = _np_state(view)
-        contrib = active[arrs["ri_idx"]].astype(np.int64)
-        return _segment_sums(np, contrib, arrs["ri_ptr"]).tolist()
+        np, arrs, active = _np_state(view)
+        if active is None:
+            return np.diff(arrs["ri_ptr"]).tolist()
+        return _segment_sums(np, active[arrs["ri_idx"]], arrs["ri_ptr"]).tolist()
     _, _, _, _, ip_, ii = csr.hot()
     active = view.active
     return [
@@ -867,60 +732,11 @@ def shard_gain_deltas(block, sides: Sequence[int]) -> Tuple[List[int], List[int]
     bit-identical integers.
     """
     if block.backend == "numpy":
-        return _shard_gain_deltas_np(block, sides)
-    return _shard_gain_deltas_py(block, sides)
+        import numpy as np
 
-
-def _shard_gain_deltas_np(block, sides) -> Tuple[List[int], List[int]]:
-    import numpy as np
-
-    arrs = block.numpy_state()
-    sides_np = np.asarray(sides, dtype=np.int64)
-    own = sides_np[block.lo : block.lo + block.num_nodes]
-
-    same = sides_np[arrs["f_idx"]] == own[arrs["f_row"]]
-    contrib = np.where(same, 1, -1).astype(np.int64)
-    fd = _segment_sums(np, contrib, arrs["f_ptr"])
-
-    out_susp = _segment_sums(
-        np, (sides_np[arrs["ro_idx"]] == 1).astype(np.int64), arrs["ro_ptr"]
-    )
-    in_legit = _segment_sums(
-        np, (sides_np[arrs["ri_idx"]] == 0).astype(np.int64), arrs["ri_ptr"]
-    )
-    rd = (2 * own - 1) * (out_susp - in_legit)
-    return fd.tolist(), rd.tolist()
-
-
-def _shard_gain_deltas_py(block, sides) -> Tuple[List[int], List[int]]:
-    fp, fi, op, oi, ip_, ii = block.hot()
-    lo = block.lo
-    m = block.num_nodes
-    fd = [0] * m
-    rd = [0] * m
-    for r in range(m):
-        s = sides[lo + r]
-        acc = 0
-        for i in range(fp[r], fp[r + 1]):
-            acc += 1 if sides[fi[i]] == s else -1
-        fd[r] = acc
-        acc = 0
-        if s:
-            for i in range(op[r], op[r + 1]):
-                if sides[oi[i]]:
-                    acc += 1
-            for i in range(ip_[r], ip_[r + 1]):
-                if not sides[ii[i]]:
-                    acc -= 1
-        else:
-            for i in range(op[r], op[r + 1]):
-                if sides[oi[i]]:
-                    acc -= 1
-            for i in range(ip_[r], ip_[r + 1]):
-                if not sides[ii[i]]:
-                    acc += 1
-        rd[r] = acc
-    return fd, rd
+        fd, rd = _deltas_np(np, block.numpy_state(), None, sides, block.lo)
+        return fd.tolist(), rd.tolist()
+    return _deltas_py(block.hot(), None, None, sides, block.lo, block.num_nodes)
 
 
 def shard_cut_counts(block, sides: Sequence[int]) -> Tuple[int, int]:
@@ -933,47 +749,14 @@ def shard_cut_counts(block, sides: Sequence[int]) -> Tuple[int, int]:
     side-1 targets (each rejection counted once, at its caster's row).
     """
     if block.backend == "numpy":
-        return _shard_cut_counts_np(block, sides)
-    return _shard_cut_counts_py(block, sides)
+        import numpy as np
 
-
-def _shard_cut_counts_np(block, sides) -> Tuple[int, int]:
-    import numpy as np
-
-    arrs = block.numpy_state()
-    sides_np = np.asarray(sides, dtype=np.int64)
-    own = sides_np[block.lo : block.lo + block.num_nodes]
-    f_row_global = arrs["f_row"] + block.lo
-    f_cross = int(
-        np.count_nonzero(
-            (f_row_global < arrs["f_idx"])
-            & (own[arrs["f_row"]] != sides_np[arrs["f_idx"]])
+        counts = _cut_counts_np(np, block.numpy_state(), None, sides, block.lo)
+    else:
+        counts = _cut_counts_py(
+            block.hot(), None, None, sides, block.lo, block.num_nodes
         )
-    )
-    r_cross = int(
-        np.count_nonzero(
-            (own[arrs["ro_row"]] == 0) & (sides_np[arrs["ro_idx"]] == 1)
-        )
-    )
-    return f_cross, r_cross
-
-
-def _shard_cut_counts_py(block, sides) -> Tuple[int, int]:
-    fp, fi, op, oi, _, _ = block.hot()
-    lo = block.lo
-    f_cross = r_cross = 0
-    for r in range(block.num_nodes):
-        u = lo + r
-        s = sides[u]
-        for i in range(fp[r], fp[r + 1]):
-            v = fi[i]
-            if u < v and sides[v] != s:
-                f_cross += 1
-        if s == 0:
-            for i in range(op[r], op[r + 1]):
-                if sides[oi[i]] == 1:
-                    r_cross += 1
-    return f_cross, r_cross
+    return counts[:2]
 
 
 # ----------------------------------------------------------------------

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .csr import PartitionState
@@ -72,9 +73,9 @@ from .kernels import (
     boundary_nodes,
     gain_deltas,
     heap_gains,
+    node_deltas,
     weighted_boundary_nodes,
     weighted_gain_deltas,
-    weighted_heap_gains,
 )
 
 __all__ = [
@@ -212,40 +213,22 @@ def adjust_neighbor_gains(
     """
     view = state.view
     sides = state.sides
-    csr = view.csr
-    fp, fi, op, oi, ip_, ii = csr.hot()
     active = view.active
-    weights = csr.hot_weights()
+    fp, fi, op, oi, ip_, ii = view.csr.hot()
+    fw, ow, iw = view.csr.hot_weights() or (None, None, None)
+    unit = repeat(1)
+    lo, hi = fp[u], fp[u + 1]
+    for v, w in zip(fi[lo:hi], unit if fw is None else fw[lo:hi]):
+        if active[v] and v in index:
+            index.adjust(v, 2.0 * w if sides[v] == prev_side else -2.0 * w)
     rej_sign = k * (1 - 2 * prev_side)
-    if weights is None:
-        for i in range(fp[u], fp[u + 1]):
-            v = fi[i]
+    for idx, wt, lo, hi in (
+        (oi, ow, op[u], op[u + 1]),
+        (ii, iw, ip_[u], ip_[u + 1]),
+    ):
+        for v, w in zip(idx[lo:hi], unit if wt is None else wt[lo:hi]):
             if active[v] and v in index:
-                index.adjust(v, 2.0 if sides[v] == prev_side else -2.0)
-        for i in range(op[u], op[u + 1]):
-            v = oi[i]
-            if active[v] and v in index:
-                index.adjust(v, (2 * sides[v] - 1) * rej_sign)
-        for i in range(ip_[u], ip_[u + 1]):
-            w = ii[i]
-            if active[w] and w in index:
-                index.adjust(w, (2 * sides[w] - 1) * rej_sign)
-    else:
-        fw, ow, iw = weights
-        for i in range(fp[u], fp[u + 1]):
-            v = fi[i]
-            if active[v] and v in index:
-                index.adjust(
-                    v, 2.0 * fw[i] if sides[v] == prev_side else -2.0 * fw[i]
-                )
-        for i in range(op[u], op[u + 1]):
-            v = oi[i]
-            if active[v] and v in index:
-                index.adjust(v, (2 * sides[v] - 1) * rej_sign * ow[i])
-        for i in range(ip_[u], ip_[u + 1]):
-            w = ii[i]
-            if active[w] and w in index:
-                index.adjust(w, (2 * sides[w] - 1) * rej_sign * iw[i])
+                index.adjust(v, (2 * sides[v] - 1) * rej_sign * w)
 
 
 def _run_passes(
@@ -313,42 +296,17 @@ def _run_passes(
             ]
 
         def fill(vals: list, nodes) -> None:
+            # ``adj`` is already active-filtered (unit) or all-active
+            # (weighted), so no mask is passed.
             for u in nodes:
-                if not active[u] or locked[u]:
-                    continue
-                s = sides[u]
-                fd = rd = 0
-                if weights is None:
-                    for v in fi[fp[u] : fp[u + 1]]:
-                        fd += 1 if sides[v] == s else -1
-                    for v in oi[op[u] : op[u + 1]]:
-                        if sides[v]:
-                            rd += 1
-                    for v in ii[ip_[u] : ip_[u + 1]]:
-                        if not sides[v]:
-                            rd -= 1
-                else:
-                    fw, ow, iw = weights
-                    lo, hi = fp[u], fp[u + 1]
-                    for v, w in zip(fi[lo:hi], fw[lo:hi]):
-                        fd += w if sides[v] == s else -w
-                    lo, hi = op[u], op[u + 1]
-                    for v, w in zip(oi[lo:hi], ow[lo:hi]):
-                        if sides[v]:
-                            rd += w
-                    lo, hi = ip_[u], ip_[u + 1]
-                    for v, w in zip(ii[lo:hi], iw[lo:hi]):
-                        if not sides[v]:
-                            rd -= w
-                # A legitimate node's switch reverses every rejection delta.
-                vals[u] = k_scaled * (rd if s else -rd) - fd * res + zero
+                if active[u] and not locked[u]:
+                    fd, rd = node_deltas(adj, weights, None, sides, u, sides[u])
+                    vals[u] = k_scaled * rd - fd * res + zero
 
     else:
         zero = 0.0
 
         def batch() -> list:
-            if csr.weighted:
-                return weighted_heap_gains(view, sides, k)
             return heap_gains(view, sides, k)
 
         def fill(vals: list, nodes) -> None:
@@ -499,7 +457,11 @@ def _bucket_pass(
     function calls — which is where the speed comes from (see
     ``BENCH_gain_index.json``). Unweighted graphs take the unit sweep
     over the active-filtered adjacency; weighted graphs take the
-    weighted sweep, which scales every step by the edge weight.
+    weighted sweep, which scales every step by the edge weight. These
+    six sweeps repeat the switch rule of
+    :func:`~repro.core.kernels.node_deltas` inline on purpose: merged
+    into one loop (unit weights as ``repeat(1)``) they made whole
+    solves 6–15 % slower, and one loop per sweep was slower as well.
 
     ``k_scaled/res`` is the pass's ``k``, and ``gain_b`` holds each
     gain times ``res`` plus ``offset`` (which must exceed every

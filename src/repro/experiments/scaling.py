@@ -57,8 +57,8 @@ class ScalingRow:
     #: Scenario generation time — kept separate from ``wall_seconds`` so
     #: the solve timing never silently absorbs graph acquisition cost.
     build_seconds: float = 0.0
-    #: Upload bytes not shipped thanks to shard references (0 in the
-    #: default payload path; see ``ClusterConfig.shard_transport``).
+    #: Upload bytes not shipped thanks to shard references (0 when the
+    #: graph is not snapshot-backed; see ``ClusterContext.distribute_csr``).
     bytes_avoided: int = 0
 
     @property

@@ -34,6 +34,7 @@ from repro.core.kernels import (
 from repro.core.storage import clear_snapshot_cache
 
 from ..conftest import augmented_graphs
+from ..core.partition_oracle import Partition, cut_counts, switch_deltas
 
 BACKENDS = ("python", "numpy") if HAS_NUMPY else ("python",)
 
@@ -83,22 +84,29 @@ class TestPartitionBounds:
 
 
 class TestShardedCSR:
-    def test_partition_of_respects_bounds(self):
-        sharded = ShardedCSR(0, [0, 3, 6, 8, 10], "python")
-        assert [sharded.partition_of(u) for u in range(10)] == [
-            0, 0, 0, 1, 1, 1, 2, 2, 3, 3,
-        ]
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fetch_skips_empty_blocks(self, backend):
+        """With more partitions than nodes the trailing blocks are empty;
+        every node's fetched record is still its own CSR row, served by
+        the one partition that owns it."""
+        from repro.cluster import ClusterConfig, DistributedKL
+        from repro.core import AugmentedSocialGraph
 
-    def test_partition_of_skips_empty_blocks(self):
-        sharded = ShardedCSR(0, [0, 1, 2, 3, 3, 3], "python")
-        assert sharded.partition_of(2) == 2
-
-    def test_out_of_range_rejected(self):
-        sharded = ShardedCSR(0, [0, 5], "python")
-        with pytest.raises(ValueError):
-            sharded.partition_of(5)
-        with pytest.raises(ValueError):
-            sharded.partition_of(-1)
+        graph = AugmentedSocialGraph.from_edges(
+            4, friendships=[(0, 1), (1, 2), (2, 3)], rejections=[(0, 3), (3, 1)]
+        )
+        csr = graph.csr(backend)
+        dkl = DistributedKL(csr, ClusterConfig(num_workers=3, num_partitions=7))
+        assert dkl.sharded.bounds == [0, 1, 2, 3, 4, 4, 4, 4]
+        fp, fi, op, oi, ip_, ii = csr.hot()
+        nodes = [3, 0, 2, 1, 3]
+        fetched = dkl._fetch_records(nodes)
+        assert sorted(node for node, _ in fetched) == sorted(nodes)
+        for node, (u, friends, rej_out, rej_in) in fetched:
+            assert u == node
+            assert friends == fi[fp[u] : fp[u + 1]]
+            assert rej_out == oi[op[u] : op[u + 1]]
+            assert rej_in == ii[ip_[u] : ip_[u + 1]]
 
     def test_keys_distinct_per_shard_and_partition(self):
         a = ShardedCSR(0, [0, 2, 4], "python")
@@ -129,6 +137,9 @@ def test_blocks_reassemble_adjacency(graph, num_partitions):
 
 
 class TestShardKernelParity:
+    """Shard kernels against the full-graph kernels and, since both run
+    the one switch rule, against the dict-adjacency oracle too."""
+
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(augmented_graphs(max_nodes=20, max_edges=50), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
@@ -144,6 +155,10 @@ class TestShardKernelParity:
             rd_cat.extend(rd)
         assert fd_cat == fd_ref
         assert rd_cat == rd_ref
+        oracle = Partition(graph, sides)
+        assert list(zip(fd_cat, rd_cat)) == [
+            switch_deltas(oracle, u) for u in range(csr.num_nodes)
+        ]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(augmented_graphs(max_nodes=20, max_edges=50), st.integers(1, 5))
@@ -160,6 +175,7 @@ class TestShardKernelParity:
             f_sum += f_part
             r_sum += r_part
         assert (f_sum, r_sum) == (f_ref, r_ref)
+        assert (f_sum, r_sum) == cut_counts(graph, sides)
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
     @given(augmented_graphs(max_nodes=20, max_edges=50))

@@ -44,8 +44,7 @@ KINDS = {
     "tight": {"buffer_capacity": 96, "prefetch_batch": 16},
     "on_demand": {"buffer_capacity": 0},
     "locked": {"buffer_capacity": 96, "prefetch_batch": 16},
-    "reference": {"buffer_capacity": 96, "prefetch_batch": 16,
-                  "shard_transport": "reference"},
+    "reference": {"buffer_capacity": 96, "prefetch_batch": 16},
     "failover": {"num_workers": 4, "num_partitions": 8, "replication": 2,
                  "buffer_capacity": 96, "prefetch_batch": 16},
 }

@@ -12,7 +12,6 @@ reference-shippable.
 import pytest
 
 from repro.cluster import (
-    ClusterConfig,
     ClusterContext,
     ClusterRunStats,
     NetworkSimulator,
@@ -81,10 +80,6 @@ class TestTransportSelection:
         )
         worker = context.workers_for(0)[0]
         assert sharded.key(0) in worker.blocks
-
-    def test_cluster_config_validates_transport(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(shard_transport="teleport")
 
 
 class TestWireAccounting:
@@ -177,11 +172,7 @@ class TestEndToEndParity:
             ("reference", CSRGraph.open(snap)),
         ):
             stats = ClusterRunStats()
-            nodes, rate, k = distributed_maar(
-                graph,
-                cluster_config=ClusterConfig(shard_transport=transport),
-                stats=stats,
-            )
+            nodes, rate, k = distributed_maar(graph, stats=stats)
             results[transport] = (tuple(nodes), rate, k, stats)
         assert results["payload"][:3] == results["reference"][:3]
         ref_stats = results["reference"][3]
@@ -200,11 +191,7 @@ class TestEndToEndParity:
         csr = scenario.graph.csr(backend="python")
         snap = csr.save(tmp_path / "py.csrbin")
         mapped = CSRGraph.open(snap, backend="python")
-        payload_result = distributed_maar(
-            csr, cluster_config=ClusterConfig(shard_transport="payload")
-        )
-        reference_result = distributed_maar(
-            mapped, cluster_config=ClusterConfig(shard_transport="reference")
-        )
+        payload_result = distributed_maar(csr)
+        reference_result = distributed_maar(mapped)
         assert tuple(payload_result[0]) == tuple(reference_result[0])
         assert payload_result[1:] == reference_result[1:]

@@ -13,7 +13,11 @@ definitions over the builder's adjacency:
 * :func:`linear_objective` — ``W(U) = |F(Ū,U)| − k·|R⃗⟨Ū,U⟩|``;
 * :class:`Partition` — a bipartition of an
   :class:`~repro.core.graph.AugmentedSocialGraph` with the two counters
-  maintained incrementally under single-node switches.
+  maintained incrementally under single-node switches;
+* :func:`induced` — the graph a residual view stands for, so a
+  :class:`Partition` over it is the reference for that view;
+* :func:`switch_deltas` — a switch's counter deltas, read off any
+  incremental partition (this one or the weighted oracle's).
 
 A :class:`Partition` has a ``sides`` list, so it also serves as a
 starting cut for :func:`repro.core.kl.extended_kl`.
@@ -36,7 +40,9 @@ __all__ = [
     "cross_friendships",
     "cross_rejections_into_suspicious",
     "cut_counts",
+    "induced",
     "linear_objective",
+    "switch_deltas",
 ]
 
 
@@ -67,6 +73,31 @@ def cut_counts(graph: AugmentedSocialGraph, sides: Sequence[int]) -> Tuple[int, 
         cross_friendships(graph, sides),
         cross_rejections_into_suspicious(graph, sides),
     )
+
+
+def induced(graph: AugmentedSocialGraph, active: Sequence[int]) -> AugmentedSocialGraph:
+    """``graph`` restricted to the nodes flagged in ``active``, ids kept:
+    every edge with an inactive endpoint is dropped, which is how a
+    residual view counts."""
+    out = AugmentedSocialGraph(graph.num_nodes)
+    for u, v in graph.friendships():
+        if active[u] and active[v]:
+            out.add_friendship(u, v)
+    for rejecter, sender in graph.rejections():
+        if active[rejecter] and active[sender]:
+            out.add_rejection(rejecter, sender)
+    return out
+
+
+def switch_deltas(partition, u: int) -> Tuple[int, int]:
+    """``(Δf_cross, Δr_cross)`` of switching ``u``, measured by switching
+    it and back on any partition with incremental ``f_cross``/``r_cross``
+    counters."""
+    before = partition.f_cross, partition.r_cross
+    partition.switch(u)
+    after = partition.f_cross, partition.r_cross
+    partition.switch(u)
+    return after[0] - before[0], after[1] - before[1]
 
 
 def linear_objective(f_cross: int, r_cross: int, k: float) -> float:

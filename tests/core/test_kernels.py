@@ -1,12 +1,15 @@
 """Property tests for the batch kernels of :mod:`repro.core.kernels`.
 
 Every kernel has a numpy variant and a pure-Python scalar fallback, and
-both must be *bit-identical* to the scalar reference computations the
-engines used before the kernels existed (``PartitionState.switch_gain``,
-``PartitionState.recount``, ``CSRView.rejections_received``). The tests
-run each kernel on residual views with inactive nodes — the case where
-an off-by-one in the active-mask handling would hide on all-active
-graphs.
+both must be *bit-identical* to each other and to the scalar queries
+(``PartitionState.switch_gain``, ``PartitionState.recount``,
+``CSRView.rejections_received``). Those queries share the switch rule
+with the kernels, so the gain and counter kernels are also pinned to
+the dict-adjacency oracles (``partition_oracle.Partition``,
+``weighted_oracle.WeightedPartition``), which share no code with them.
+The tests run each kernel on residual views with inactive nodes — the
+case where an off-by-one in the active-mask handling would hide on
+all-active graphs — and on weighted coarse graphs.
 """
 
 import pytest
@@ -22,10 +25,11 @@ from repro.core.kernels import (
     recount_active,
     scaled_gain_bound,
     weighted_gain_deltas,
-    weighted_recount_active,
 )
 
 from ..conftest import graphs_with_sides
+from .partition_oracle import Partition, induced, switch_deltas
+from .weighted_oracle import WeightedPartition, from_csr
 
 try:
     import numpy  # noqa: F401
@@ -43,6 +47,56 @@ def residual_view(graph, backend):
     mask) on the requested backend."""
     removed = [u for u in range(graph.num_nodes) if u % 5 == 4]
     return graph.csr(backend).view().without(removed)
+
+
+def weighted_view(seed, backend, residual):
+    """A weighted coarse graph's all-active or residual view, its sides,
+    and the weighted oracle over the same active edges."""
+    from .test_weighted_parity import coarse_state
+
+    csr, sides = coarse_state(seed, levels=2, backend=backend)
+    view = csr.view()
+    if residual:
+        view = view.without(range(2, csr.num_nodes, 5))
+    assert any(w > 1 for w in csr.f_wt) and any(w > 1 for w in csr.ro_wt)
+    return view, sides, WeightedPartition(from_csr(csr, view.active), sides)
+
+
+def assert_kernels_match_oracle(view, sides, oracle):
+    """Deltas, heap gains and cut counters of ``view`` equal the
+    oracle's: per active node its switch's counter deltas and gain,
+    ``(0, 0)`` on inactive nodes, and the cut counters."""
+    kernel = weighted_gain_deltas if view.csr.weighted else gain_deltas
+    fd, rd = kernel(view, sides)
+    gains = {k: heap_gains(view, sides, k) for k in K_VALUES}
+    active = view.active
+    for u in range(view.csr.num_nodes):
+        if not active[u]:
+            assert (fd[u], rd[u]) == (0, 0)
+            continue
+        assert (fd[u], rd[u]) == switch_deltas(oracle, u)
+        for k in K_VALUES:
+            assert gains[k][u] == oracle.switch_gain(u, k)
+    ones = sum(1 for u in range(len(sides)) if active[u] and sides[u])
+    assert recount_active(view, sides) == (oracle.f_cross, oracle.r_cross, ones)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(graphs_with_sides())
+    @settings(max_examples=40, deadline=None)
+    def test_unit_kernels_on_residual_views(self, backend, graph_and_sides):
+        graph, sides = graph_and_sides
+        view = residual_view(graph, backend)
+        oracle = Partition(induced(graph, view.active), sides)
+        assert_kernels_match_oracle(view, list(sides), oracle)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("residual", (False, True))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_kernels(self, backend, residual, seed):
+        view, sides, oracle = weighted_view(seed, backend, residual)
+        assert_kernels_match_oracle(view, sides, oracle)
 
 
 class TestGainDeltas:
@@ -165,8 +219,10 @@ class TestScaledGainBound:
 
 class TestWeightedRejected:
     def test_kernels_refuse_weighted_graphs(self):
-        """The unweighted gain kernels refuse a weighted graph, and their
-        weighted twins refuse an unweighted one, on both backends."""
+        """The unweighted gain kernel refuses a weighted graph and its
+        weighted twin an unweighted one, on both backends; heap gains
+        and the counters take either kind and match the weighted
+        oracle."""
         from .test_weighted_parity import coarse_state
 
         for backend in BACKENDS:
@@ -174,15 +230,14 @@ class TestWeightedRejected:
             view = csr.view()
             with pytest.raises(ValueError, match="unweighted-only"):
                 gain_deltas(view, sides)
-            with pytest.raises(ValueError, match="unweighted-only"):
-                heap_gains(view, sides, 1.0)
-            with pytest.raises(ValueError, match="unweighted-only"):
-                recount_active(view, sides)
+            oracle = WeightedPartition(from_csr(csr), sides)
+            gains = heap_gains(view, sides, 1.0)
+            assert gains == [oracle.switch_gain(u, 1.0) for u in range(len(sides))]
+            assert recount_active(view, sides)[:2] == (oracle.f_cross, oracle.r_cross)
             plain = AugmentedSocialGraph.from_edges(3, [(0, 1)], [(2, 0)])
             plain_view = plain.csr(backend).view()
-            for kernel in (weighted_gain_deltas, weighted_recount_active):
-                with pytest.raises(ValueError, match="WeightedCSRGraph"):
-                    kernel(plain_view, [0, 1, 0])
+            with pytest.raises(ValueError, match="WeightedCSRGraph"):
+                weighted_gain_deltas(plain_view, [0, 1, 0])
 
     def test_unweighted_kernels_refuse_int_weighted_graphs(self):
         from .weighted_oracle import WeightedAugmentedGraph
@@ -194,8 +249,10 @@ class TestWeightedRejected:
         assert isinstance(view.csr, WeightedCSRGraph)
         with pytest.raises(ValueError, match="unweighted-only"):
             gain_deltas(view, [0, 1, 0, 1])
-        with pytest.raises(ValueError, match="unweighted-only"):
-            recount_active(view, [0, 1, 0, 1])
+        sides = [0, 1, 0, 1]
+        oracle = WeightedPartition(graph, sides)
+        assert (oracle.f_cross, oracle.r_cross) == (2, 3)
+        assert recount_active(view, sides) == (oracle.f_cross, oracle.r_cross, 2)
         # scaled_gain_bound supports int64 weights: weighted degrees
         # (max over nodes of deg_F·res + k_scaled·deg_R — here node 2's
         # weight-3 rejection dominates node 0's weight-2 friendship).

@@ -1,13 +1,26 @@
-"""Tests for the incremental partition counters."""
+"""Tests for the incremental partition counters: the dict-adjacency
+oracle itself, and ``PartitionState`` (the CSR cut every solver runs on)
+tracking the oracles switch by switch on residual and weighted views."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AugmentedSocialGraph
+from repro.core.csr import PartitionState
 
 from ..conftest import graphs_with_sides
-from .partition_oracle import Partition, cut_counts
+from .partition_oracle import Partition, cut_counts, induced
+from .weighted_oracle import WeightedPartition, from_csr
+
+try:
+    import numpy  # noqa: F401
+
+    BACKENDS = ("python", "numpy")
+except ImportError:  # pragma: no cover
+    BACKENDS = ("python",)
 
 
 class TestConstruction:
@@ -165,3 +178,50 @@ def test_double_switch_is_identity(case, data):
     p.switch(u)
     p.switch(u)
     assert (list(p.sides), p.f_cross, p.r_cross) == snapshot
+
+
+def assert_state_tracks_oracle(state, oracle, moves, k=0.75):
+    """Switch ``moves`` on both; after every switch the CSR state's
+    counters and every active node's gain equal the oracle's."""
+    active = state.view.active
+    nodes = [u for u in range(len(state.sides)) if active[u]]
+    for u in moves:
+        state.switch(u)
+        oracle.switch(u)
+        assert state.sides == oracle.sides
+        assert (state.f_cross, state.r_cross) == (oracle.f_cross, oracle.r_cross)
+        for v in nodes:
+            assert state.switch_gain(v, k) == oracle.switch_gain(v, k)
+    assert state.verify_counts()
+
+
+class TestPartitionStateOracle:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(graphs_with_sides(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_residual_view_tracks_oracle(self, backend, case, data):
+        graph, sides = case
+        view = graph.csr(backend).view().without(range(1, graph.num_nodes, 4))
+        nodes = [u for u in range(graph.num_nodes) if view.active[u]]
+        moves = data.draw(st.lists(st.sampled_from(nodes), max_size=12))
+        state = PartitionState(view, sides)
+        oracle = Partition(induced(graph, view.active), sides)
+        assert (state.f_cross, state.r_cross) == (oracle.f_cross, oracle.r_cross)
+        assert_state_tracks_oracle(state, oracle, moves)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("residual", (False, True))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_view_tracks_oracle(self, backend, residual, seed):
+        from .test_weighted_parity import coarse_state
+
+        csr, sides = coarse_state(seed, levels=2, backend=backend)
+        view = csr.view()
+        if residual:
+            view = view.without(range(0, csr.num_nodes, 3))
+        nodes = [u for u in range(csr.num_nodes) if view.active[u]]
+        moves = random.Random(seed).choices(nodes, k=15)
+        state = PartitionState(view, sides)
+        oracle = WeightedPartition(from_csr(csr, view.active), sides)
+        assert (state.f_cross, state.r_cross) == (oracle.f_cross, oracle.r_cross)
+        assert_state_tracks_oracle(state, oracle, moves)

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from repro.core.csr import PartitionState, WeightedCSRGraph
 from repro.core.kernels import (
     contract_arrays,
+    heap_gains,
     heavy_edge_matching,
     matching_to_mapping,
+    recount_active,
     weighted_gain_deltas,
-    weighted_heap_gains,
-    weighted_recount_active,
 )
 from repro.core.kl import KLConfig, KLStats, extended_kl_state
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
@@ -163,12 +163,8 @@ class TestCoarseningKernelParity:
             fd_np, rd_np = weighted_gain_deltas(view_np, sides)
             assert list(fd_py) == list(fd_np)
             assert list(rd_py) == list(rd_np)
-            assert weighted_heap_gains(view_py, sides, 2.0) == weighted_heap_gains(
-                view_np, sides, 2.0
-            )
-            assert weighted_recount_active(view_py, sides) == weighted_recount_active(
-                view_np, sides
-            )
+            assert heap_gains(view_py, sides, 2.0) == heap_gains(view_np, sides, 2.0)
+            assert recount_active(view_py, sides) == recount_active(view_np, sides)
 
 
 class TestWeightedKLParity:

@@ -16,7 +16,10 @@ slow, obviously-correct reference they are checked against:
 * :func:`weighted_csr` — finalization of a builder into a
   :class:`~repro.core.csr.WeightedCSRGraph`. Weights must be integral
   (every weight the solver produces is a sum of unit edges);
-  fractional weights are rejected, since no CSR graph can hold them.
+  fractional weights are rejected, since no CSR graph can hold them;
+* :func:`from_csr` — the way back: a builder holding a weighted CSR
+  graph's edges, read off its raw buffers, optionally restricted to a
+  residual view's active nodes.
 
 Objective semantics are identical to the unweighted case with every
 edge count replaced by a weight sum; an unweighted graph embedded with
@@ -35,6 +38,7 @@ from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 __all__ = [
     "WeightedAugmentedGraph",
     "WeightedPartition",
+    "from_csr",
     "weighted_csr",
 ]
 
@@ -91,6 +95,28 @@ def weighted_csr(graph: "WeightedAugmentedGraph", backend: str = "auto"):
         node_weight=array("q", graph.node_weight),
         backend=backend,
     )
+
+
+def from_csr(csr, active=None) -> "WeightedAugmentedGraph":
+    """A builder holding ``csr``'s weighted edges and node weights, read
+    straight off its flat buffers; with an ``active`` mask, every edge
+    with an inactive endpoint is dropped (a residual view's graph)."""
+    n = csr.num_nodes
+    keep = [1] * n if active is None else active
+    graph = WeightedAugmentedGraph(n)
+    f_ptr, f_idx, f_wt = (list(map(int, b)) for b in (csr.f_ptr, csr.f_idx, csr.f_wt))
+    o_ptr, o_idx, o_wt = (list(map(int, b)) for b in (csr.ro_ptr, csr.ro_idx, csr.ro_wt))
+    for u in range(n):
+        for i in range(f_ptr[u], f_ptr[u + 1]):
+            v = f_idx[i]
+            if u < v and keep[u] and keep[v]:
+                graph.add_friendship(u, v, f_wt[i])
+        for i in range(o_ptr[u], o_ptr[u + 1]):
+            v = o_idx[i]
+            if keep[u] and keep[v]:
+                graph.add_rejection(u, v, o_wt[i])
+    graph.node_weight = [int(w) for w in csr.node_weight]
+    return graph
 
 
 class WeightedAugmentedGraph:
