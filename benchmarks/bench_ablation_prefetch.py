@@ -1,8 +1,9 @@
 """Ablation: prefetching on the mini-cluster.
 
 Section V's I/O optimization: each miss pulls the bucket list's
-top-gain candidates in one batched block-slice fetch, with LRU eviction;
-between passes only the switched node ids are broadcast. Measures wall
+top-gain candidates in one batched block-slice fetch; prefetched records
+stay until read, read ones are evicted LRU; between passes only the
+switched node ids are broadcast. Measures wall
 time and reports the per-kind message/byte breakdown; the computed cut
 must be identical with and without prefetching — it is a pure I/O
 optimization.

@@ -100,6 +100,8 @@ def cluster_row_payload(row):
         "network_bytes": row.network_bytes,
         "prefetch_hit_rate": row.prefetch_hit_rate,
         "fetch_batches": row.fetch_batches,
+        "records_fetched": row.records_fetched,
+        "switches_tested": row.switches_tested,
         "bytes_by_kind": dict(row.bytes_by_kind),
     }
     baseline = PRE_PR_BASELINE.get(row.users)
@@ -201,7 +203,8 @@ def run_smoke():
     """CI guard: a two-size study with full wire-protocol assertions.
 
     Verifies the sharded engine end to end — per-kind byte accounting,
-    delta broadcasts actually in use, prefetching effective, and
+    delta broadcasts actually in use, prefetching effective (and no
+    record fetched twice in a pass), and
     shard-reference distribution bit-identical to payloads — without
     touching ``BENCH_table2.json``.
     """
@@ -219,6 +222,11 @@ def run_smoke():
         assert sum(kinds.values()) == row.network_bytes
         assert row.prefetch_hit_rate > 0.5, row.prefetch_hit_rate
         assert row.fetch_batches > 0
+        # No record crosses the wire twice in one pass.
+        assert row.records_fetched <= row.switches_tested, (
+            row.records_fetched,
+            row.switches_tested,
+        )
 
     # Delta broadcasts engage whenever a run takes more than one pass.
     stats = ClusterRunStats()
@@ -229,6 +237,7 @@ def run_smoke():
     assert stats.passes > runs, "expected multi-pass runs in the smoke scenario"
     assert "delta" in kinds, "multi-pass runs must emit delta broadcasts"
     assert stats.network.by_kind["delta"] % ClusterConfig().num_workers == 0
+    assert stats.records_fetched <= stats.switches_tested
     assert sum(kinds.values()) == stats.network.bytes_sent
 
     # Shard references: identical non-empty results above the precision

@@ -3,7 +3,7 @@
 A single-process stand-in for the paper's Spark/EC2 deployment that
 preserves its *data layout* and traffic patterns: replicated CSR shard
 blocks on simulated workers that can fail, master-resident node status
-and gain buckets, LRU prefetching of node structure, and full
+and gain buckets, prefetching of node structure, and full
 network-I/O accounting. See DESIGN.md, substitution 2.
 """
 

@@ -18,11 +18,12 @@ Implements the architecture of Section V:
   block (vectorized on the numpy backend) and replies with the block's
   per-node gains and its exact boundary-counter parts — the master never
   re-derives either from adjacency;
-* node structure is pulled through an LRU **prefetch buffer**: each miss
-  issues one batched *block-slice* fetch for the missed node plus the
-  current top-gain candidates, which are exactly the nodes the greedy
-  loop will pop next; each partition touched replies with the
-  request-ordered records plus the exact reply size;
+* node structure is pulled through a **prefetch buffer**: each miss
+  issues one batched *block-slice* fetch for the missed node plus
+  top-gain candidates the buffer does not hold, taken in the order the
+  greedy loop will pop them; each partition touched replies with the
+  request-ordered records plus the exact reply size. Prefetched records
+  stay until read; read ones are evicted LRU;
 * status updates travel as **delta broadcasts**: the full side vector is
   installed once per run (1 byte per node), and each subsequent pass
   ships only the ids of the nodes its best prefix actually switched
@@ -302,9 +303,7 @@ class DistributedKL:
             fetch_batch=self._fetch_records,
             batch_size=config.prefetch_batch,
         )
-        # Walk four batches deep so a miss can fill its batch with nodes
-        # the buffer does not already hold.
-        source = prefetch_source(buffer, 4 * config.prefetch_batch)
+        source = prefetch_source(buffer)
         # Full sync opens every run: replicas must start from this run's
         # initial sides, whatever a previous run left behind.
         self._broadcast_full(sides)

@@ -24,7 +24,7 @@ from .prefetch import PrefetchBuffer
 
 __all__ = ["MasterState", "NodeRecord", "prefetch_source"]
 
-#: ``source(u, heads, nxt, max_b, size) -> (friends, rej_out, rej_in)``
+#: ``source(u, heads, nxt, max_b, bucket_of) -> (friends, rej_out, rej_in)``
 RecordSource = Callable[..., Tuple[Sequence[int], Sequence[int], Sequence[int]]]
 
 
@@ -90,42 +90,75 @@ class MasterState:
         return cls(list(sides), f_cross, r_cross, eligible, gain_b)
 
 
-def prefetch_source(buffer: PrefetchBuffer, depth: int) -> RecordSource:
+def prefetch_source(buffer: PrefetchBuffer) -> RecordSource:
     """The record source the master's bucket pass reads adjacency from.
 
     A node resident in ``buffer`` is served without walking. On a miss
-    the source walks the live bucket list top-down, LIFO within a bucket
-    — the order the next pops would take — over at most ``depth`` nodes,
-    and hands the non-resident ones to :meth:`PrefetchBuffer.get` as the
-    ride-along candidates ("the prefetched nodes are those with the
-    highest potential move gains in the bucket list", Section V).
-    Resident nodes count toward ``depth``, and the walk stops once it
-    holds the batch's room, so the list is exactly what ``get`` would
-    draw from the whole walk.
-    """
-    resident = buffer.keys()
-    get = buffer.get
-    room = min(buffer.batch_size, buffer.capacity) - 1
+    the source walks the live bucket list for the ride-along candidates
+    ("the prefetched nodes are those with the highest potential move
+    gains in the bucket list", Section V), taking up to
+    :meth:`PrefetchBuffer.room` nodes the buffer does not hold, in the
+    order the next pops would take them (buckets descending, LIFO within
+    a bucket):
 
-    def source(u, heads, nxt, max_b, size):
-        if room < 1 or u in resident:
-            _, friends, rej_out, rej_in = get(u)
-            return friends, rej_out, rej_in
-        walk = []
-        need = room
-        budget = min(depth, size)
-        b = max_b
-        while budget and b >= 0:
-            v = heads[b]
-            while v >= 0 and budget:
-                budget -= 1
-                if v not in resident:
+    1. from the top bucket down, giving up after ``2·batch_size``
+       resident nodes — the unread prefetches of earlier misses, which
+       pile up at the top of the list;
+    2. if room is left, from just after the *cursor* — the last node
+       the previous miss fetched — provided it is still in the list
+       (``bucket_of[cursor] >= 0``), giving up after ``4·batch_size``
+       resident or already taken nodes.
+
+    So one miss visits fewer than ``7·batch_size`` list entries (the
+    walk this replaced went ``4·batch_size`` deep from the top and met
+    mostly resident nodes), and hands ``get`` distinct, non-resident
+    candidates.
+    """
+    unread = buffer.unread
+    read = buffer.read
+    get = buffer.get
+    batch = buffer.batch_size
+    cursor = -1
+
+    def walk_from(v, b, heads, nxt, skips, walk, room, taken):
+        """Take non-resident nodes not in ``taken`` from node ``v`` of
+        bucket ``b`` on, until ``walk`` holds ``room`` or ``skips``
+        nodes were passed over."""
+        while True:
+            while v >= 0:
+                if v in unread or v in read or v in taken:
+                    skips -= 1
+                    if not skips:
+                        return
+                else:
                     walk.append(v)
-                    need -= 1
-                    if not need:
-                        budget = 0
+                    taken.add(v)
+                    if len(walk) == room:
+                        return
                 v = nxt[v]
             b -= 1
+            if b < 0:
+                return
+            v = heads[b]
+
+    def source(u, heads, nxt, max_b, bucket_of):
+        nonlocal cursor
+        if u in unread or u in read:
+            _, friends, rej_out, rej_in = get(u)
+            return friends, rej_out, rej_in
+        room = buffer.room()
+        walk = []
+        if room > 0:
+            taken = set()
+            walk_from(
+                heads[max_b], max_b, heads, nxt, 2 * batch, walk, room, taken
+            )
+            c = cursor
+            if len(walk) < room and c >= 0 and bucket_of[c] >= 0:
+                walk_from(
+                    nxt[c], bucket_of[c], heads, nxt, 4 * batch, walk, room, taken
+                )
+        cursor = walk[-1] if walk else u
         _, friends, rej_out, rej_in = get(u, walk)
         return friends, rej_out, rej_in
 

@@ -1,4 +1,4 @@
-"""LRU prefetch buffer for per-node graph structure.
+"""Two-tier prefetch buffer for per-node graph structure.
 
 Section V: "we prefetch a set of nodes each time instead of just one
 node... The prefetched nodes are those with the highest potential move
@@ -13,14 +13,25 @@ touched, request-ordered records plus the exact reply size (see
 the bucket list land in the buffer. The buffer itself is key→record and
 protocol-agnostic; the engine's fetch callback does the grouping and the
 byte-exact accounting.
+
+Records live in two tiers. A prefetched record is *unread* until its
+node pops; unread records are never evicted, and a miss asks for at
+most the room they leave. Once read, a record joins the *read* tier,
+which keeps the paper's LRU order for later passes and is the only one
+evicted. A single LRU would promote the record just read (which a pass
+never reads again: each node pops once) over prefetches nobody has read
+yet, and evict those instead.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Iterable, List, Sequence
+from itertools import islice
+from typing import Any, Callable, Dict, Iterable, List, Sequence
 
 __all__ = ["PrefetchBuffer", "PrefetchStats"]
+
+_MISSING = object()
 
 
 class PrefetchStats:
@@ -42,18 +53,19 @@ class PrefetchStats:
 
 
 class PrefetchBuffer:
-    """LRU cache of keyed records with batched miss handling.
+    """Keyed records in an unread and a read tier, with batched misses.
 
     Parameters
     ----------
     capacity:
-        Maximum resident records; 0 disables caching entirely (every
-        access is a miss of batch size 1 — the "no prefetch" ablation).
+        Maximum resident records, both tiers together; 0 disables
+        caching entirely (every access is a miss of batch size 1 — the
+        "no prefetch" ablation).
     fetch_batch:
         Callback fetching a list of records for the requested keys from
         the workers (one network round trip per call).
     batch_size:
-        How many extra candidate keys to pull per miss.
+        Most keys one miss fetches, the missed key included.
     """
 
     def __init__(
@@ -69,86 +81,74 @@ class PrefetchBuffer:
         self.capacity = capacity
         self.batch_size = batch_size
         self._fetch_batch = fetch_batch
-        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        #: prefetched, not yet read: never evicted
+        self.unread: Dict[Any, Any] = {}
+        #: read at least once, least recently read first: evicted first
+        self.read: "OrderedDict[Any, Any]" = OrderedDict()
         self.stats = PrefetchStats()
 
     def __contains__(self, key: Any) -> bool:
-        return key in self._entries
+        return key in self.unread or key in self.read
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.unread) + len(self.read)
 
-    def keys(self):
-        """Live view of the resident keys (membership at dict speed)."""
-        return self._entries.keys()
+    def room(self) -> int:
+        """How many candidates the next miss may fetch along with its key.
+
+        At most ``batch_size − 1``, and never more than the unread tier
+        leaves free beside the missed key, so a fetch can evict neither
+        an unread record nor the record it was issued for.
+        """
+        return min(self.batch_size, self.capacity - len(self.unread)) - 1
 
     def get(
         self, key: Any, prefetch_candidates: Iterable[Any] = ()
     ) -> Any:
         """Fetch one record, prefetching candidates on a miss.
 
-        ``prefetch_candidates`` should be the current highest-gain nodes
-        (likely next accesses); at most ``batch_size − 1`` of them ride
-        along with the missed key. It may be a lazy iterable: a hit never
-        iterates it, and a miss stops drawing once the batch is full, all
-        before this call returns. The effective batch is further capped
-        at ``capacity``, and the requested key is inserted as the most
-        recently used entry — so a fetch batch can never evict the very
-        record it was issued for.
+        A hit moves the record to the most recent end of the read tier.
+        On a miss, the first :meth:`room` of ``prefetch_candidates`` ride
+        along with ``key`` in one fetch and join the unread tier, and
+        ``key`` joins the read tier as its most recent record; read
+        records are then evicted, least recent first, down to
+        ``capacity``. The candidates must be distinct and not resident:
+        the buffer takes them as given. They may be a lazy iterable: a
+        hit never iterates it, and a miss stops drawing once the batch is
+        full.
         """
-        if key in self._entries:
+        record = self.unread.pop(key, _MISSING)
+        if record is not _MISSING:
             self.stats.hits += 1
-            self._entries.move_to_end(key)
-            return self._entries[key]
+            self.read[key] = record
+            return record
+        record = self.read.get(key, _MISSING)
+        if record is not _MISSING:
+            self.stats.hits += 1
+            self.read.move_to_end(key)
+            return record
 
         self.stats.misses += 1
         wanted: List[Any] = [key]
-        room = min(self.batch_size, self.capacity) - 1
+        room = self.room()
         if room > 0:
-            entries = self._entries
-            seen = {key}
-            for candidate in prefetch_candidates:
-                if candidate in entries or candidate in seen:
-                    continue
-                wanted.append(candidate)
-                seen.add(candidate)
-                room -= 1
-                if room == 0:
-                    break
+            wanted.extend(islice(prefetch_candidates, room))
         fetched = self._fetch_batch(wanted)
         self.stats.fetch_batches += 1
         self.stats.records_fetched += len(fetched)
-        result = None
-        found = False
+        result = _MISSING
+        unread = self.unread
         for fetched_key, record in fetched:
             if fetched_key == key:
                 result = record
-                found = True
             else:
-                self._insert(fetched_key, record)
-        if not found:
+                unread[fetched_key] = record
+        if result is _MISSING:
             raise KeyError(f"fetch_batch did not return requested key {key!r}")
-        # Inserted last: the requested key ends up most recently used, so
-        # the ride-along candidates can neither evict it nor thrash it
-        # out before the caller's next access.
-        self._insert(key, result)
+        if self.capacity:
+            read = self.read
+            read[key] = result
+            while len(unread) + len(read) > self.capacity:
+                read.popitem(last=False)
+                self.stats.evictions += 1
         return result
-
-    def _insert(self, key: Any, record: Any) -> None:
-        if self.capacity == 0:
-            return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = record
-            return
-        while len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self._entries[key] = record
-
-    def invalidate(self, key: Any) -> None:
-        """Drop one entry (e.g. after the node is pruned)."""
-        self._entries.pop(key, None)
-
-    def clear(self) -> None:
-        self._entries.clear()

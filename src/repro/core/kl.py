@@ -474,10 +474,11 @@ def _bucket_pass(
     ``source`` (unit weights only) replaces ``adj`` as the origin of
     adjacency. The cluster master passes one: there, each popped node's
     ``(friends, rej_out, rej_in)`` comes from ``source(u, heads, nxt,
-    max_b, size)``, called once ``u`` has left the bucket list, so a
+    max_b, bucket_of)``, called once ``u`` has left the bucket list, so a
     prefetcher can walk the live buckets (``heads``/``nxt``, top bucket
-    ``max_b``, ``size`` nodes left) for the next pops. ``state`` only
-    needs ``sides``, ``f_cross`` and ``r_cross``.
+    ``max_b``, each listed node's bucket in ``bucket_of``, ``-1`` once
+    popped) for the next pops. ``state`` only needs ``sides``,
+    ``f_cross`` and ``r_cross``.
 
     Returns ``(applied prefix, switches tested)``.
     """
@@ -546,7 +547,7 @@ def _bucket_pass(
                 rej_out = oi[op[u] : op[u + 1]]
                 rej_in = ii[ip_[u] : ip_[u + 1]]
             else:
-                friends, rej_out, rej_in = source(u, heads, nxt, max_b, size)
+                friends, rej_out, rej_in = source(u, heads, nxt, max_b, bucket_of)
             for v in friends:
                 if sides[v] == s:
                     fd += 1

@@ -53,6 +53,11 @@ class ScalingRow:
     simulated_network_seconds: float
     prefetch_hit_rate: float = 0.0
     fetch_batches: int = 0
+    #: Node records the master fetched, and switches it tested: the
+    #: buffer fetches each record at most once a pass, so the first
+    #: never exceeds the second.
+    records_fetched: int = 0
+    switches_tested: int = 0
     bytes_by_kind: Dict[str, int] = field(default_factory=dict)
     #: Scenario generation time — kept separate from ``wall_seconds`` so
     #: the solve timing never silently absorbs graph acquisition cost.
@@ -140,6 +145,8 @@ def scaling_study(config: Optional[ScalingConfig] = None) -> ScalingResult:
                 ),
                 prefetch_hit_rate=stats.prefetch_hit_rate,
                 fetch_batches=stats.fetch_batches,
+                records_fetched=stats.records_fetched,
+                switches_tested=stats.switches_tested,
                 bytes_by_kind=dict(stats.network.bytes_by_kind),
                 build_seconds=build_seconds,
                 bytes_avoided=stats.network.bytes_avoided,

@@ -284,10 +284,11 @@ class TestWireLedgerPin:
 
     Partition parity alone lets a change to the prefetch candidates slip
     through: the cut stays the same while different nodes ride along in
-    each fetch batch. These values were captured from the eager-list
-    candidate walk; any change to which nodes a fetch batch requests, or
-    in what order, moves the fetch bytes and counters. The tight buffer
-    evicts, so the batch contents matter more there.
+    each fetch batch. These values were captured from the batch-bounded
+    candidate walk over the two-tier buffer; any change to which nodes a
+    fetch batch requests, or in what order, moves the fetch bytes and
+    counters. The tight buffer evicts, so the batch contents matter more
+    there.
 
     The case ids are the rows' original names, from when a heap-index
     row followed each bucket row; they stay stable so test history lines
@@ -297,8 +298,8 @@ class TestWireLedgerPin:
     @pytest.mark.parametrize(
         "buffer, expected",
         [
-            ((4096, 64), (369520, 437, 37, 1920, 2843)),
-            ((96, 16), (1108416, 3797, 554, 5673, 2326)),
+            ((4096, 64), (369424, 435, 41, 1920, 2839)),
+            ((96, 16), (611208, 1852, 390, 2878, 2490)),
         ],
         ids=["bucket-buffer0-expected0", "bucket-buffer2-expected2"],
     )

@@ -40,14 +40,14 @@ def make_state(graph, sides, k=1.0, locked=None):
     )
 
 
-def run_pass(graph, state, k, buffer=None, depth=0):
+def run_pass(graph, state, k, buffer=None):
     """One bucket pass over ``state`` with records served from ``graph``."""
     buffer = buffer or PrefetchBuffer(
         0, lambda nodes: [(u, record_for(graph, u)) for u in nodes]
     )
     return _bucket_pass(
         state, state.eligible, state.gain_b, None, None, round(k * RES), RES,
-        OFFSET, None, source=prefetch_source(buffer, depth),
+        OFFSET, None, source=prefetch_source(buffer),
     )
 
 
@@ -68,8 +68,11 @@ def traced_pass(graph, state, k):
     top bucket it left."""
     trace = []
 
-    def source(u, heads, nxt, max_b, size):
+    def source(u, heads, nxt, max_b, bucket_of):
         buckets = live_buckets(heads, nxt)
+        assert buckets == {
+            v: b for v, b in enumerate(bucket_of) if b >= 0
+        }, "bucket_of disagrees with the live list"
         buckets[u] = max_b
         trace.append((u, buckets, list(state.sides)))
         _, friends, rej_out, rej_in = record_for(graph, u)
@@ -217,14 +220,27 @@ class _Untouchable:
 
 
 def _buckets(entries, size=32):
-    """``heads``/``nxt`` of a bucket list loaded with ``(node, bucket)``
-    in order (LIFO within a bucket), plus its top bucket."""
+    """``heads``/``nxt``/``bucket_of`` of a bucket list loaded with
+    ``(node, bucket)`` in order (LIFO within a bucket), plus its top
+    bucket."""
     heads = [-1] * size
-    nxt = [-1] * 16
+    nxt = [-1] * 40
+    bucket_of = [-1] * 40
     for node, b in entries:
         nxt[node] = heads[b]
         heads[b] = node
-    return heads, nxt, max((b for _, b in entries), default=-1)
+        bucket_of[node] = b
+    return heads, nxt, bucket_of, max((b for _, b in entries), default=-1)
+
+
+def _descending(nodes, top=31):
+    """Bucket-list entries that pop ``nodes`` in the order given."""
+    return [(node, top - i) for i, node in enumerate(nodes)]
+
+
+def _walk(source, u, entries):
+    heads, nxt, bucket_of, top = _buckets(entries)
+    return source(u, heads, nxt, top, bucket_of)
 
 
 class TestPrefetchSource:
@@ -240,42 +256,101 @@ class TestPrefetchSource:
         log = []
         buffer = self.buffer_logging(log)
         buffer.get(3)
-        source = prefetch_source(buffer, depth=32)
-        assert source(3, _Untouchable(), _Untouchable(), 5, 4) == ([], [], [])
+        source = prefetch_source(buffer)
+        untouchable = _Untouchable()
+        assert source(3, untouchable, untouchable, 5, untouchable) == ([], [], [])
         assert buffer.stats.hits == 1
         assert log == [[3]]
 
     def test_miss_walks_top_down_lifo(self):
         log = []
         buffer = self.buffer_logging(log)
-        heads, nxt, top = _buckets([(1, 4), (2, 9), (5, 4), (6, 9), (7, 2)])
-        prefetch_source(buffer, depth=32)(0, heads, nxt, top, 5)
+        _walk(prefetch_source(buffer), 0, [(1, 4), (2, 9), (5, 4), (6, 9), (7, 2)])
         assert log == [[0, 6, 2, 5, 1, 7]]
-
-    def test_residents_count_toward_the_depth(self):
-        """The walk stops after ``depth`` nodes, resident ones included,
-        so a batch may come back short of ``batch_size``."""
-        log = []
-        buffer = self.buffer_logging(log)
-        buffer.get(6)
-        heads, nxt, top = _buckets([(1, 4), (2, 9), (5, 4), (6, 9), (7, 2)])
-        prefetch_source(buffer, depth=3)(0, heads, nxt, top, 5)
-        assert log[-1] == [0, 2, 5]
 
     def test_walk_stops_at_the_batch_room(self):
         log = []
         buffer = self.buffer_logging(log, batch=3)
-        heads, nxt, top = _buckets([(1, 4), (2, 9), (5, 4), (6, 9), (7, 2)])
-        prefetch_source(buffer, depth=32)(0, heads, nxt, top, 5)
+        _walk(prefetch_source(buffer), 0, [(1, 4), (2, 9), (5, 4), (6, 9), (7, 2)])
         assert log == [[0, 6, 2]]
 
-    @pytest.mark.parametrize("capacity, depth", [(0, 32), (64, 0)])
-    def test_no_room_or_depth_fetches_the_node_alone(self, capacity, depth):
+    @pytest.mark.parametrize(
+        "residents, taken", [(7, [20, 21]), (8, [])], ids=["7", "8"]
+    )
+    def test_top_walk_gives_up_after_two_batches_of_residents(
+        self, residents, taken
+    ):
+        """From the top, the walk passes over at most ``2·batch``
+        resident nodes; with no cursor to resume from, the batch may
+        come back short."""
         log = []
-        buffer = self.buffer_logging(log, capacity=capacity)
-        heads, nxt, top = _buckets([(1, 4), (2, 9)])
-        prefetch_source(buffer, depth)(0, heads, nxt, top, 2)
-        assert log == [[0]]
+        buffer = self.buffer_logging(log, batch=4)
+        for node in range(10, 10 + residents):
+            buffer.get(node)
+        nodes = list(range(10, 10 + residents)) + [20, 21]
+        _walk(prefetch_source(buffer), 0, _descending(nodes))
+        assert log[-1] == [0] + taken
+
+    def test_resumes_after_the_cursor(self):
+        """A miss that meets ``2·batch`` residents at the top resumes
+        just after the last node the previous miss fetched, skipping the
+        nodes in between."""
+        log = []
+        buffer = self.buffer_logging(log, batch=4)
+        source = prefetch_source(buffer)
+        _walk(source, 0, _descending([1, 2, 3]))
+        assert log == [[0, 1, 2, 3]]  # the cursor is 3
+        for node in range(10, 16):  # six more residents, read ones
+            buffer.get(node)
+        # Residents 1, 2, 10..15 fill the top walk's skips; 30 sits
+        # between them and the cursor and is passed over.
+        order = [1, 2, 10, 11, 12, 13, 14, 15, 30, 3, 31, 32, 33]
+        _walk(source, 4, _descending(order))
+        assert log[-1] == [4, 31, 32, 33]
+
+    def test_popped_cursor_is_not_resumed(self):
+        log = []
+        buffer = self.buffer_logging(log, batch=4)
+        source = prefetch_source(buffer)
+        _walk(source, 0, _descending([1, 2, 3]))
+        for node in range(10, 16):
+            buffer.get(node)
+        # The cursor 3 has left the list: nothing past the top walk.
+        order = [1, 2, 10, 11, 12, 13, 14, 15, 30, 31]
+        _walk(source, 4, _descending(order))
+        assert log[-1] == [4]
+
+    @pytest.mark.parametrize(
+        "residents, taken", [(15, [39]), (16, [])], ids=["15", "16"]
+    )
+    def test_walk_after_the_cursor_is_bounded(self, residents, taken):
+        """After the cursor the walk passes over at most ``4·batch``
+        resident nodes."""
+        log = []
+        buffer = self.buffer_logging(log, capacity=64, batch=4)
+        source = prefetch_source(buffer)
+        _walk(source, 0, _descending([1]))  # the cursor is 1
+        for node in range(10, 17 + residents):
+            buffer.get(node)
+        # 10..16 and the cursor 1 spend the top walk's eight skips; the
+        # residents after the cursor follow, then the free node 39.
+        order = list(range(10, 17)) + [1] + list(range(17, 17 + residents)) + [39]
+        _walk(source, 4, _descending(order))
+        assert log[-1] == [4] + taken
+
+    @pytest.mark.parametrize(
+        "capacity, batch, unread",
+        [(0, 8, 0), (64, 1, 0), (4, 8, 3)],
+        ids=["no-capacity", "batch-of-one", "unread-fill-the-buffer"],
+    )
+    def test_no_room_fetches_the_node_alone(self, capacity, batch, unread):
+        log = []
+        buffer = self.buffer_logging(log, capacity=capacity, batch=batch)
+        if unread:
+            buffer.get(30, list(range(31, 31 + unread)))
+        assert len(buffer.unread) == unread
+        _walk(prefetch_source(buffer), 0, [(1, 4), (2, 9)])
+        assert log[-1] == [0]
 
     @given(
         st.lists(
@@ -286,15 +361,15 @@ class TestPrefetchSource:
         st.integers(1, 20),
     )
     @settings(max_examples=100, deadline=None)
-    def test_walk_is_the_pop_order(self, entries, depth):
-        """The ride-along candidates are exactly the next pops of the
-        bucket list: buckets descending, LIFO within a bucket."""
+    def test_walk_is_the_pop_order(self, entries, batch):
+        """With nothing resident, the ride-along candidates are exactly
+        the next pops of the bucket list: buckets descending, LIFO
+        within a bucket."""
         log = []
-        buffer = self.buffer_logging(log, capacity=64, batch=64)
-        heads, nxt, top = _buckets(entries)
-        prefetch_source(buffer, depth)(0, heads, nxt, top, len(entries))
+        buffer = self.buffer_logging(log, capacity=64, batch=batch)
+        _walk(prefetch_source(buffer), 0, entries)
         order = sorted(
             range(len(entries)), key=lambda i: (-entries[i][1], -i)
         )
-        expected = [entries[i][0] for i in order][:depth]
+        expected = [entries[i][0] for i in order][: batch - 1]
         assert log == [[0] + expected]

@@ -1,8 +1,9 @@
-"""Tests for the LRU prefetch buffer."""
+"""Tests for the two-tier prefetch buffer."""
 
 import pytest
 
 from repro.cluster import PrefetchBuffer
+from repro.cluster.master import prefetch_source
 
 
 def make_store(size=100):
@@ -61,10 +62,36 @@ class TestPrefetchBuffer:
         assert fetches == [[0], [0]]
 
     def test_duplicate_candidates_not_fetched_twice(self):
-        _, fetch, fetches = make_store()
-        buffer = PrefetchBuffer(capacity=10, fetch_batch=fetch, batch_size=8)
-        buffer.get(0, prefetch_candidates=[0, 1, 1, 2])
-        assert fetches[0] == [0, 1, 2]
+        """The buffer takes candidates as given, so the walk feeding it
+        must not repeat one — not even when the previous miss's cursor
+        sits above where the top walk gave up, and the walk after the
+        cursor meets the nodes the top walk took."""
+        fetches = []
+
+        def fetch(keys):
+            fetches.append(list(keys))
+            return [(k, (k, [], [], [])) for k in keys]
+
+        buffer = PrefetchBuffer(capacity=64, fetch_batch=fetch, batch_size=4)
+        source = prefetch_source(buffer)
+
+        def miss(u, order):
+            """Miss on ``u`` with ``order`` left in the list, one node a
+            bucket, top bucket first."""
+            heads, nxt, bucket_of = [-1] * 32, [-1] * 40, [-1] * 40
+            for i, node in enumerate(order):
+                heads[31 - i] = node
+                bucket_of[node] = 31 - i
+            source(u, heads, nxt, 31, bucket_of)
+
+        miss(0, [1, 2, 3])  # fetches [0, 1, 2, 3]: the cursor is 3
+        for node in range(30, 38):
+            buffer.get(node)
+        # 9 is taken at the top, then 30..36 use up the top walk's eight
+        # skips; after the cursor 3 the walk meets 9 again.
+        miss(20, [3, 9, 30, 31, 32, 33, 34, 35, 36, 37, 10, 11])
+        assert fetches[-1] == [20, 9, 10, 11]
+        assert all(len(set(batch)) == len(batch) for batch in fetches)
 
     def test_batch_capped_at_capacity_keeps_requested_key(self):
         """Regression: a fetch batch larger than remaining capacity used
@@ -81,15 +108,43 @@ class TestPrefetchBuffer:
         assert buffer.stats.hits == 1
 
     def test_requested_key_is_most_recent_after_fetch(self):
-        """The missed key is inserted last (MRU), so ride-alongs are
-        evicted before it under pressure."""
+        """The missed key joins the read tier as its most recent record,
+        so older read records are evicted before it."""
         _, fetch, _ = make_store()
+        buffer = PrefetchBuffer(capacity=3, fetch_batch=fetch, batch_size=2)
+        buffer.get(0)
+        buffer.get(1, prefetch_candidates=[2])  # read: 0, 1(MRU); unread: 2
+        buffer.get(3)  # evicts 0
+        assert 0 not in buffer
+        assert 1 in buffer
+        assert list(buffer.read) == [1, 3]
+
+    def test_unread_records_are_never_evicted(self):
+        """A prefetch outlives every read record, the one just fetched
+        included, until its node is read."""
+        _, fetch, fetches = make_store()
         buffer = PrefetchBuffer(capacity=2, fetch_batch=fetch, batch_size=2)
-        buffer.get(0, prefetch_candidates=[1])  # buffer: {1, 0(MRU)}
-        buffer.get(2)  # evicts 1, not 0
-        assert 0 in buffer
-        assert 1 not in buffer
-        assert 2 in buffer
+        buffer.get(0, prefetch_candidates=[1])  # read: 0; unread: 1
+        buffer.get(2)  # no room for a ride-along; evicts 0, keeps 1
+        assert fetches == [[0, 1], [2]]
+        assert list(buffer.unread) == [1]
+        assert list(buffer.read) == [2]
+        assert buffer.get(1) == "record-1"  # a hit, now a read record
+        assert buffer.stats.hits == 1
+        assert list(buffer.read) == [2, 1]
+        assert not buffer.unread
+
+    def test_room_leaves_space_for_unread_records(self):
+        _, fetch, fetches = make_store()
+        buffer = PrefetchBuffer(capacity=6, fetch_batch=fetch, batch_size=4)
+        assert buffer.room() == 3
+        buffer.get(0, prefetch_candidates=[1, 2, 3])
+        assert buffer.room() == 2  # three unread beside the next key
+        buffer.get(4, prefetch_candidates=[5, 6, 7])  # 7 stays behind
+        assert fetches[-1] == [4, 5, 6]
+        assert buffer.room() == 0
+        assert len(buffer) == 6
+        assert buffer.stats.evictions == 1  # 0, the only older read record
 
     def test_hit_never_iterates_candidates(self):
         """The engine hands over a lazy top-gain walk on every pop; a hit
@@ -109,31 +164,22 @@ class TestPrefetchBuffer:
     def test_miss_stops_drawing_at_batch_size(self):
         _, fetch, fetches = make_store()
         buffer = PrefetchBuffer(capacity=10, fetch_batch=fetch, batch_size=4)
-        buffer.get(1)
         drawn = []
 
         def candidates():
-            for node in range(1, 50):  # 1 is already resident
+            for node in range(1, 50):
                 drawn.append(node)
                 yield node
 
         buffer.get(0, prefetch_candidates=candidates())
-        assert fetches[1] == [0, 2, 3, 4]
-        assert drawn == [1, 2, 3, 4]  # nothing drawn past the full batch
+        assert fetches == [[0, 1, 2, 3]]
+        assert drawn == [1, 2, 3]  # nothing drawn past the full batch
 
     def test_missing_key_raises(self):
         _, fetch, _ = make_store(size=3)
         buffer = PrefetchBuffer(capacity=4, fetch_batch=fetch, batch_size=2)
         with pytest.raises(KeyError):
             buffer.get(99)
-
-    def test_invalidate(self):
-        _, fetch, _ = make_store()
-        buffer = PrefetchBuffer(capacity=4, fetch_batch=fetch, batch_size=1)
-        buffer.get(0)
-        buffer.invalidate(0)
-        buffer.get(0)
-        assert buffer.stats.misses == 2
 
     def test_hit_rate(self):
         _, fetch, _ = make_store()

@@ -202,10 +202,11 @@ def test_bucket_index_matches_brute_force_on_csr_path(graph_and_sides, locked_se
     ]
     pops = []
 
-    def source(u, heads, nxt, max_b, size):
+    def source(u, heads, nxt, max_b, bucket_of):
         fresh = PartitionState(csr.view(), list(state.sides))
         live = _live_buckets(heads, nxt)
-        assert len(live) == size
+        assert len(live) == len(eligible) - len(pops) - 1
+        assert live == {v: b for v, b in enumerate(bucket_of) if b >= 0}
         assert not set(live) & set(pops + [u])
         assert not any(locked[v] for v in live)
         for v, b in live.items():
