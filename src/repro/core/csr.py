@@ -46,12 +46,14 @@ plain lists faster than either ``array`` or numpy scalars. The
 
 from __future__ import annotations
 
+import mmap
 import os
 from array import array
 from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .kernels import (
+    _segment_sums,
     buffer_tolist,
     buffer_typecode,
     contract_arrays,
@@ -131,6 +133,17 @@ def _build_csr(
             idx[pos] = v
             pos += 1
     return ptr, idx
+
+
+def _mapped_zeros(np, shape, dtype):
+    """A zeroed numpy array in its own anonymous memory map: unmapped
+    when the last reference dies, whatever the malloc heap looks like."""
+    count = 1
+    for dim in shape:
+        count *= dim
+    nbytes = count * np.dtype(dtype).itemsize
+    buf = mmap.mmap(-1, max(nbytes, 1))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 #: Largest node count whose ``u·n + v`` pair keys fit in int64.
@@ -413,6 +426,68 @@ class CSRGraph:
             cache["ro_row"] = np.repeat(ids, np.diff(cache["ro_ptr"]))
             cache["ri_row"] = np.repeat(ids, np.diff(cache["ri_ptr"]))
         return cache["f_row"], cache["ro_row"], cache["ri_row"]
+
+    def numpy_matrices(self) -> Dict[str, object]:
+        """Cached dense ``n × n`` row matrices for the matrix FM pass
+        (:func:`repro.core.kl._matrix_pass`), built from
+        :meth:`numpy_arrays` on first use and dropped with the graph:
+
+        * ``"fr"`` — int64 ``(n, 2, n)``: ``fr[u, 0, v]`` is the
+          friendship weight of ``(u, v)`` and ``fr[u, 1, v]`` the
+          rejection weight ``u`` cast on ``v`` plus the weight it
+          received from ``v`` (a pair can carry both).
+        * ``"occ"`` — bool: ``v`` occurs in ``u``'s friends, rejections
+          cast or rejections received.
+        * ``"rank"`` — the slot rank of ``v``'s *last* occurrence in
+          ``u``'s friends → rejections cast → rejections received sweep
+          (the order the bucket pass relinks neighbours in); 0 where
+          ``occ`` is false.
+        * ``"step"`` — one more than the largest rank.
+        * ``"f_sum"``/``"ri_sum"`` — per-row friendship and
+          received-rejection weight sums, as lists.
+
+        The three matrices live in anonymous memory maps, not on the
+        malloc heap, so their pages go back to the system as soon as the
+        level is released instead of raising the process's peak for the
+        finer levels that follow.
+        """
+        cache = self.numpy_arrays()
+        mats = cache.get("matrices")
+        if mats is None:
+            import numpy as np
+
+            n = self.num_nodes
+            layers = []
+            for row, name in zip(self.numpy_rows(), ("f", "ro", "ri")):
+                idx, ptr = cache[name + "_idx"], cache[name + "_ptr"]
+                wt = cache.get(name + "_wt")
+                if wt is None:
+                    wt = np.ones(len(idx), dtype=np.int64)
+                layers.append((row, idx, ptr, wt))
+            sweep = sum(np.diff(ptr) for _, _, ptr, _ in layers)
+            step = int(sweep.max(initial=0)) + 1
+            fr = _mapped_zeros(np, (n, 2, n), np.int64)
+            occ = _mapped_zeros(np, (n, n), np.bool_)
+            rank = _mapped_zeros(np, (n, n), np.int16 if step <= 2**15 else np.int32)
+            base = np.zeros(n, dtype=np.int64)
+            for layer, (row, idx, ptr, wt) in enumerate(layers):
+                # Rows are duplicate-free within a layer, so fancy ``+=``
+                # is exact; a later layer's rank overwrites an earlier
+                # one's, which leaves the *last* occurrence.
+                fr[row, min(layer, 1), idx] += wt
+                occ[row, idx] = True
+                rank[row, idx] = np.arange(len(idx)) - ptr[row] + base[row]
+                base += np.diff(ptr)
+            mats = {
+                "fr": fr,
+                "occ": occ,
+                "rank": rank,
+                "step": step,
+                "f_sum": _segment_sums(np, layers[0][3], layers[0][2]).tolist(),
+                "ri_sum": _segment_sums(np, layers[2][3], layers[2][2]).tolist(),
+            }
+            cache["matrices"] = mats
+        return mats
 
     def block_arrays(self, lo: int, hi: int) -> Tuple[array, ...]:
         """Rebased CSR slices for the contiguous node range ``[lo, hi)``.
@@ -781,34 +856,57 @@ class CSRView:
         mask checks, so engines on either representation are
         bit-identical. All-active views return :meth:`CSRGraph.hot`
         as-is (zero cost); residual views pay one O(V+E) build shared
-        across every ``k`` of the sweep and every pass. Unweighted use
-        only: the weighted engines index weight arrays positionally,
-        which filtering would misalign.
+        across every ``k`` of the sweep and every pass: a masked gather
+        and a cumulative count per layer on the numpy backend, the
+        :meth:`_hot_active_py` loop (the no-numpy path and its oracle)
+        otherwise. Unweighted use only: the weighted engines index
+        weight arrays positionally, which filtering would misalign.
         """
         cached = self._hot_active
         if cached is None:
             csr = self.csr
             if self.num_active == csr.num_nodes:
                 cached = csr.hot()
+            elif csr.backend == "numpy":
+                cached = self._hot_active_np()
             else:
-                active = self.active
-                fp, fi, op, oi, ip_, ii = csr.hot()
-                filtered: List[List[int]] = []
-                for ptr, idx in ((fp, fi), (op, oi), (ip_, ii)):
-                    new_ptr = [0] * (csr.num_nodes + 1)
-                    new_idx: List[int] = []
-                    append = new_idx.append
-                    for u in range(csr.num_nodes):
-                        for i in range(ptr[u], ptr[u + 1]):
-                            v = idx[i]
-                            if active[v]:
-                                append(v)
-                        new_ptr[u + 1] = len(new_idx)
-                    filtered.append(new_ptr)
-                    filtered.append(new_idx)
-                cached = tuple(filtered)
+                cached = self._hot_active_py()
             self._hot_active = cached
         return cached
+
+    def _hot_active_np(self) -> Tuple[List[int], ...]:
+        import numpy as np
+
+        arrs = self.csr.numpy_arrays()
+        active = np.frombuffer(self.active, dtype=np.uint8).astype(bool)
+        filtered: List[List[int]] = []
+        for name in ("f", "ro", "ri"):
+            ptr, idx = arrs[name + "_ptr"], arrs[name + "_idx"]
+            keep = active[idx]
+            kept = np.zeros(len(idx) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept[1:])
+            filtered.append(kept[ptr].tolist())
+            filtered.append(idx[keep].tolist())
+        return tuple(filtered)
+
+    def _hot_active_py(self) -> Tuple[List[int], ...]:
+        csr = self.csr
+        active = self.active
+        fp, fi, op, oi, ip_, ii = csr.hot()
+        filtered: List[List[int]] = []
+        for ptr, idx in ((fp, fi), (op, oi), (ip_, ii)):
+            new_ptr = [0] * (csr.num_nodes + 1)
+            new_idx: List[int] = []
+            append = new_idx.append
+            for u in range(csr.num_nodes):
+                for i in range(ptr[u], ptr[u + 1]):
+                    v = idx[i]
+                    if active[v]:
+                        append(v)
+                new_ptr[u + 1] = len(new_idx)
+            filtered.append(new_ptr)
+            filtered.append(new_idx)
+        return tuple(filtered)
 
     def _check_node(self, u: int) -> None:
         """Reject out-of-range ids. Without this, ``active[-1]`` would

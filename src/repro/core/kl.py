@@ -35,7 +35,7 @@ gain refresh (batch kernel or dirty frontier), the ``frontier=
 write-back. Both entry points run on it: :func:`extended_kl_state`
 over every unlocked active node, and :func:`refine_subset` (multilevel
 region refinement) over a fixed candidate subset. Each pass itself
-runs in one of two bodies:
+runs in one of three bodies:
 
 * :func:`_bucket_pass` — an *inlined* integer-scaled FM bucket list for
   ``k`` on the ``1/resolution`` grid (scaled by ``k``'s reduced
@@ -45,11 +45,20 @@ runs in one of two bodies:
   updates and neighbour relinks happen in one fused sweep per switched
   node with zero per-edge function calls; unit-weight and weighted
   edges each get their own sweep, picked once per switched node.
+* :func:`_matrix_pass` — :func:`_bucket_pass` replayed exactly on the
+  level's dense row matrices, for near-complete levels on the numpy
+  backend (multilevel's coarsest levels, where coarsening has shrunk
+  the nodes but hardly the edges and each bucket-list pop relinks
+  hundreds of neighbours in Python). One int64 key per node, ``bucket
+  · 2**32 + stamp``, makes ``argmax`` pop the node the bucket list
+  pops; :func:`_use_matrix` is the dispatch rule, which keys on the
+  graph's shape alone.
 * :func:`_heap_pass` — a lazy-deletion heap of float gains for off-grid
   ``k`` (the multilevel Dinkelbach polish) and weighted residual views.
 
-Both bodies keep one greedy discipline (same gain arithmetic, same FM
-LIFO tie-breaks, same best-prefix rollback). The simulated cluster's
+All bodies keep one greedy discipline (same gain arithmetic, same FM
+LIFO tie-breaks, same best-prefix rollback), and the bucket pass is the
+matrix pass's oracle (``tests/core/test_matrix_pass.py``). The simulated cluster's
 master (:class:`repro.cluster.engine.DistributedKL`) runs
 :func:`_bucket_pass` too, with a *record source* in place of the CSR
 slices: its adjacency lives on the workers and reaches the pass through
@@ -70,6 +79,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .csr import PartitionState
 from .gains import HeapGainIndex, _lowest_terms, _on_grid
 from .kernels import (
+    _segment_sums,
     boundary_nodes,
     gain_deltas,
     heap_gains,
@@ -239,7 +249,7 @@ def _run_passes(
     bucket: bool,
     subset: Optional[List[int]] = None,
 ) -> None:
-    """The pass skeleton of Algorithm 1, shared by both pass bodies.
+    """The pass skeleton of Algorithm 1, shared by every pass body.
 
     ``subset`` (ascending, active, unlocked node ids) replaces the
     eligible list: only those nodes switch and every other side is
@@ -264,7 +274,9 @@ def _run_passes(
     frontier — identical values either way. A subset's first refresh is
     a dirty one over the candidates. On the numpy backend a frontier
     above a quarter of the eligible nodes (of the level, for a subset)
-    flips back to the batch kernel, a pure-speed choice. The bucket
+    flips back to the batch kernel, a pure-speed choice; a matrix-pass
+    level always refreshes by batch (its frontiers span the level), so
+    it never builds the plain-list adjacency at all. The bucket
     bound comes memoized from :meth:`CSRGraph.bucket_gain_bound`; on
     residual views the full-graph bound only offset-shifts every bucket
     index uniformly, which leaves pop order and recorded gains
@@ -276,20 +288,30 @@ def _run_passes(
     sides = state.sides
     locked = state.locked
     n = csr.num_nodes
-    weights = csr.hot_weights()
     numpy_batch = csr.backend == "numpy"
-    # Bucket passes switch over the active-filtered adjacency (no
-    # per-edge mask checks); weighted buckets need an all-active view,
-    # where it is the full CSR the weights are positional against.
-    adj = view.hot_active() if bucket else csr.hot()
-    fp, fi, op, oi, ip_, ii = adj
-
+    matrix = False
     if bucket:
         k_scaled, res = _lowest_terms(k, config.resolution)
         zero = csr.bucket_gain_bound(res, k_scaled) + 1
+        matrix = _use_matrix(csr, zero)
+    if matrix:
+        # The matrix pass reads only the level's dense row matrices, and
+        # its refreshes are batch kernel calls: no plain-list adjacency.
+        adj = weights = None
+        occ = csr.numpy_matrices()["occ"]
+    else:
+        weights = csr.hot_weights()
+        # Bucket passes switch over the active-filtered adjacency (no
+        # per-edge mask checks); weighted buckets need an all-active
+        # view, where it is the full CSR the weights are positional
+        # against.
+        adj = view.hot_active() if bucket else csr.hot()
+        fp, fi, op, oi, ip_, ii = adj
+
+    if bucket:
 
         def batch() -> list:
-            kernel = gain_deltas if weights is None else weighted_gain_deltas
+            kernel = weighted_gain_deltas if csr.weighted else gain_deltas
             fd_all, rd_all = kernel(view, sides)
             return [
                 k_scaled * rd - fd * res + zero for fd, rd in zip(fd_all, rd_all)
@@ -350,7 +372,7 @@ def _run_passes(
             stats.passes += 1
             stats.objective_history.append(state.objective(k))
 
-        if vals is None or dirty is None or crowded(dirty):
+        if matrix or vals is None or dirty is None or crowded(dirty):
             if use_batch:
                 vals = batch()
             else:
@@ -360,7 +382,11 @@ def _run_passes(
         else:
             fill(vals, dirty)
 
-        if bucket:
+        if matrix:
+            applied, tested = _matrix_pass(
+                state, eligible, vals, k_scaled, res, zero, config.stall_limit
+            )
+        elif bucket:
             applied, tested = _bucket_pass(
                 state, eligible, vals, adj, weights, k_scaled, res, zero,
                 config.stall_limit,
@@ -399,7 +425,7 @@ def _run_passes(
             dirty = set()
             continue
 
-        track_dirty = config.incremental and not crowded(applied)
+        track_dirty = config.incremental and not matrix and not crowded(applied)
         if track_dirty or scope is not None:
             # Rolled-back switches are net no-ops, so only the applied
             # prefix and its neighbourhood can enter the next pass with
@@ -409,10 +435,13 @@ def _run_passes(
             # mode the frontier is always collected: it is also how the
             # scope grows.)
             dirty = set(applied)
-            for u in applied:
-                dirty.update(fi[fp[u] : fp[u + 1]])
-                dirty.update(oi[op[u] : op[u + 1]])
-                dirty.update(ii[ip_[u] : ip_[u + 1]])
+            if matrix:
+                dirty.update(occ[applied].any(axis=0).nonzero()[0].tolist())
+            else:
+                for u in applied:
+                    dirty.update(fi[fp[u] : fp[u + 1]])
+                    dirty.update(oi[op[u] : op[u + 1]])
+                    dirty.update(ii[ip_[u] : ip_[u + 1]])
             if scope is not None:
                 grown = [
                     v
@@ -723,6 +752,21 @@ def _bucket_pass(
         else:
             stall += 1
 
+    return _keep_prefix(state, sequence, best_length, f_cross, r_cross)
+
+
+def _keep_prefix(
+    state: PartitionState,
+    sequence: List[tuple],
+    best_length: int,
+    f_cross: int,
+    r_cross: int,
+) -> Tuple[List[int], int]:
+    """Roll an integer pass back to its best prefix: undo the switches
+    after it (exact reversal of their recorded ``(u, fd, rd)``), write
+    the counters to ``state`` and return ``(applied prefix, switches
+    tested)``."""
+    sides = state.sides
     for u, fd, rd in reversed(sequence[best_length:]):
         f_cross -= fd
         r_cross -= rd
@@ -730,6 +774,165 @@ def _bucket_pass(
     state.f_cross = f_cross
     state.r_cross = r_cross
     return [u for u, _, _ in sequence[:best_length]], len(sequence)
+
+
+#: The matrix pass runs on levels at least this full: adjacency entries
+#: (each friendship in both rows, each rejection in its caster's and
+#: its receiver's row) of at least ``_MATRIX_FILL · n²``. Sparser levels
+#: stay on the bucket list, whose cost follows the edges, not ``n²``
+#: (DESIGN.md §5 has the measured crossover).
+_MATRIX_FILL = 0.5
+#: ... and of at least this many nodes (near-complete graphs cross over
+#: at 64–96 nodes).
+_MATRIX_MIN_NODES = 128
+#: Matrix-pass key layout: ``bucket · 2**_STAMP_BITS + stamp``.
+_STAMP_BITS = 32
+#: Key of a node no pop may return (popped or never eligible).
+_BURIED = -(1 << 62)
+
+
+def _use_matrix(csr, offset: int) -> bool:
+    """Whether a bucket pass over ``csr`` at bucket offset ``offset``
+    runs as :func:`_matrix_pass`: numpy backend, a near-complete level
+    (see ``_MATRIX_FILL``), and a key range that fits int64.
+
+    The headroom: live keys lie in ``[2**32, (2·offset)·2**32)``. A
+    buried key starts at ``-2**62``; each pop of a neighbour ``u`` moves
+    its bucket part by ``±G[u, v]`` (``G = 2·res·F − k_scaled·R``) and
+    replaces its stamp with one below ``2**32``. Each node pops at most
+    once a pass, and ``Σ_u |G[u, v]| ≤ 2·bound`` with ``bound = offset
+    − 1`` the graph's scaled gain bound. With
+    ``2·offset ≤ 2**30`` a buried key stays below ``-2**32``, under
+    every live key, and nothing overflows. Stamps stay below
+    ``n + n·step ≤ 3·n²``, so ``3·n² < 2**32`` keeps them in their field.
+    """
+    n = csr.num_nodes
+    if csr.backend != "numpy" or n < _MATRIX_MIN_NODES:
+        return False
+    entries = len(csr.f_idx) + len(csr.ro_idx) + len(csr.ri_idx)
+    if entries < _MATRIX_FILL * n * n:
+        return False
+    # A row sweep is at most 3·(n − 1) long, so the stamp clock's step
+    # is at most 3n − 2.
+    return 2 * offset <= 1 << 30 and 3 * n * n < 1 << _STAMP_BITS
+
+
+def _matrix_pass(
+    state: PartitionState,
+    eligible: List[int],
+    gain_b: list,
+    k_scaled: int,
+    res: int,
+    offset: int,
+    stall_limit: Optional[int],
+) -> Tuple[List[int], int]:
+    """:func:`_bucket_pass` replayed on dense row matrices, in place.
+
+    Same arguments (bar the adjacency, which comes from
+    :meth:`CSRGraph.numpy_matrices`), same pops, prefix, counters and
+    return value. Each node holds one int64 key ``b·2**32 + stamp``; a
+    node's stamp is its load position, and each relink sets it to
+    ``clock + rank``, where ``rank`` is the slot of the node's *last*
+    occurrence in the popped node's friends → rejections cast →
+    rejections received sweep and ``clock`` moves past every stamp used
+    so far. The bucket list puts each relinked node at the head of its
+    new bucket, so within a bucket the most recently relinked or loaded
+    node pops first: exactly the node with the highest stamp. ``argmax``
+    over the keys therefore pops what the bucket list pops — highest
+    bucket, LIFO within it — and a pop is about ten numpy calls over
+    rows of length ``n`` instead of one Python relink per incident
+    edge. Popped and never-eligible nodes are *buried* at ``-2**62``;
+    :func:`_use_matrix` admits only key ranges where a buried key, which
+    still takes every row update, stays below every live key.
+
+    The level's matrices cover every node; on a residual view inactive
+    neighbours drop out of ``fd``/``rd`` through the active mask (they
+    are never eligible, so their keys stay buried).
+    """
+    import numpy as np
+
+    view = state.view
+    csr = view.csr
+    mats = csr.numpy_matrices()
+    fr, occ, rank, step = mats["fr"], mats["occ"], mats["rank"], mats["step"]
+    # ``scale @ fr[u]`` is ``G[u] << 32`` with ``G = 2·res·F − k·R``.
+    scale = np.array([2 * res << _STAMP_BITS, -k_scaled << _STAMP_BITS])
+    sides = state.sides
+    n = len(sides)
+    side_np = np.array(sides, dtype=np.int64)
+    if view.num_active == n:
+        f_act, ri_act = mats["f_sum"], mats["ri_sum"]
+        sus = side_np
+    else:
+        # Residual bucket passes are unweighted (``_use_bucket``), so
+        # the active weight sums are active neighbour counts.
+        arrs = csr.numpy_arrays()
+        act = np.frombuffer(view.active, dtype=np.uint8).astype(np.int64)
+        f_act = _segment_sums(np, act[arrs["f_idx"]], arrs["f_ptr"]).tolist()
+        ri_act = _segment_sums(np, act[arrs["ri_idx"]], arrs["ri_ptr"]).tolist()
+        sus = side_np * act
+    # ``fd = σ·(2·F[u]·sus − F[u]·act)`` and ``rd = σ·(R[u]·sus −
+    # Ri[u]·act)`` with ``σ = 2·side(u) − 1``; a relink moves ``v`` by
+    # ``σ·(2·side(v) − 1)·G[u, v]`` buckets, so ``up``/``down`` hold
+    # ``±(2·side − 1)`` for the two signs of ``σ``.
+    up = side_np * 2 - 1
+    down = -up
+    key = np.full(n, _BURIED, dtype=np.int64)
+    if eligible:
+        elig = np.array(eligible, dtype=np.int64)
+        loaded = np.array(gain_b, dtype=np.int64)[elig] << _STAMP_BITS
+        key[elig] = loaded + np.arange(len(elig))
+    high = ~((1 << _STAMP_BITS) - 1)
+    moved = np.empty(n, dtype=np.int64)
+    delta = np.empty(n, dtype=np.int64)
+    clock = len(eligible)
+
+    f_cross = state.f_cross
+    r_cross = state.r_cross
+    sequence: List[tuple] = []
+    cumulative = 0
+    best_cumulative = 0
+    best_length = 0
+    stall = 0
+    for _ in range(len(eligible)):
+        if stall_limit is not None and stall >= stall_limit:
+            break
+        u = int(key.argmax())
+        b = int(key[u]) >> _STAMP_BITS
+        key[u] = _BURIED
+        s = sides[u]
+        a, c = fr[u].dot(sus).tolist()
+        if s:
+            fd = 2 * a - f_act[u]
+            rd = c - ri_act[u]
+            np.multiply(scale.dot(fr[u]), up, out=delta)
+        else:
+            fd = f_act[u] - 2 * a
+            rd = ri_act[u] - c
+            np.multiply(scale.dot(fr[u]), down, out=delta)
+        np.bitwise_and(key, high, out=moved)
+        moved += delta
+        moved += rank[u]
+        moved += clock
+        np.copyto(key, moved, where=occ[u])
+        clock += step
+
+        sides[u] = 1 - s
+        sus[u] = 1 - s
+        up[u] = 1 - 2 * s
+        down[u] = 2 * s - 1
+        f_cross += fd
+        r_cross += rd
+        sequence.append((u, fd, rd))
+        cumulative += b - offset
+        if cumulative > best_cumulative:
+            best_cumulative = cumulative
+            best_length = len(sequence)
+            stall = 0
+        else:
+            stall += 1
+
+    return _keep_prefix(state, sequence, best_length, f_cross, r_cross)
 
 
 def _heap_pass(

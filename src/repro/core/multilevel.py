@@ -350,50 +350,14 @@ def _refine_level_boundary(
     return f_cross, r_cross, detail
 
 
-def solve_maar_multilevel(
-    graph,
-    config: Optional[MultilevelConfig] = None,
-    legit_seeds: Sequence[int] = (),
-    spammer_seeds: Sequence[int] = (),
-) -> MultilevelResult:
-    """Approximate the MAAR cut via the multilevel scheme.
+def _coarsen(csr0: CSRGraph, locked, init_sides, config: MultilevelConfig):
+    """The coarsening phase: ``(levels, mappings, locked_levels,
+    sides_levels, coarsen_times)``, finest level first.
 
-    Interface mirrors :func:`repro.core.maar.solve_maar`: returns the
-    suspicious node set of the best valid cut (empty when none exists).
-    ``graph`` may be an :class:`AugmentedSocialGraph` builder or an
-    already-finalized unweighted :class:`~repro.core.csr.CSRGraph`.
-    """
-    t_start = time.perf_counter()
-    config = config or MultilevelConfig()
-    if config.refine_stall is not None and config.refine_stall < 1:
-        raise ValueError(
-            "refine_stall must be a positive int or None, got "
-            f"{config.refine_stall}"
-        )
+    A function of its own so that no local outlives the phase: a name
+    still bound to the last level built would keep that level (and
+    every cache on it) alive through the whole uncoarsening."""
     rng = random.Random(config.seed)
-    if isinstance(graph, AugmentedSocialGraph):
-        csr0 = graph.csr(config.backend)
-    elif isinstance(graph, CSRGraph):
-        if graph.weighted:
-            raise ValueError(
-                "solve_maar_multilevel expects the unweighted fine graph "
-                "(coarse weights are derived internally)"
-            )
-        csr0 = graph
-    else:
-        raise ValueError(
-            f"unsupported graph type {type(graph).__name__}; expected "
-            "AugmentedSocialGraph or CSRGraph"
-        )
-    total_nodes = csr0.num_nodes
-    if total_nodes == 0:
-        return MultilevelResult([], 1.0, None)
-    # The default MAARConfig's "rejection" start: users who received a
-    # rejection begin suspicious; seeds are pinned and locked.
-    fine_init = initial_partition(csr0, MAARConfig(), legit_seeds, spammer_seeds)
-    locked, init_sides = fine_init.locked, fine_init.sides
-
-    # --- Coarsening phase -------------------------------------------------
     levels: List[CSRGraph] = [csr0]
     mappings: List[List[int]] = []
     locked_levels: List[List[bool]] = [locked]
@@ -424,6 +388,55 @@ def solve_maar_multilevel(
         locked_levels.append(coarse_locked)
         sides_levels.append(coarse_sides)
         coarsen_times.append(time.perf_counter() - t_level)
+    return levels, mappings, locked_levels, sides_levels, coarsen_times
+
+
+def solve_maar_multilevel(
+    graph,
+    config: Optional[MultilevelConfig] = None,
+    legit_seeds: Sequence[int] = (),
+    spammer_seeds: Sequence[int] = (),
+) -> MultilevelResult:
+    """Approximate the MAAR cut via the multilevel scheme.
+
+    Interface mirrors :func:`repro.core.maar.solve_maar`: returns the
+    suspicious node set of the best valid cut (empty when none exists).
+    ``graph`` may be an :class:`AugmentedSocialGraph` builder or an
+    already-finalized unweighted :class:`~repro.core.csr.CSRGraph`.
+    """
+    t_start = time.perf_counter()
+    config = config or MultilevelConfig()
+    if config.refine_stall is not None and config.refine_stall < 1:
+        raise ValueError(
+            "refine_stall must be a positive int or None, got "
+            f"{config.refine_stall}"
+        )
+    if isinstance(graph, AugmentedSocialGraph):
+        csr0 = graph.csr(config.backend)
+    elif isinstance(graph, CSRGraph):
+        if graph.weighted:
+            raise ValueError(
+                "solve_maar_multilevel expects the unweighted fine graph "
+                "(coarse weights are derived internally)"
+            )
+        csr0 = graph
+    else:
+        raise ValueError(
+            f"unsupported graph type {type(graph).__name__}; expected "
+            "AugmentedSocialGraph or CSRGraph"
+        )
+    total_nodes = csr0.num_nodes
+    if total_nodes == 0:
+        return MultilevelResult([], 1.0, None)
+    # The default MAARConfig's "rejection" start: users who received a
+    # rejection begin suspicious; seeds are pinned and locked.
+    fine_init = initial_partition(csr0, MAARConfig(), legit_seeds, spammer_seeds)
+    locked, init_sides = fine_init.locked, fine_init.sides
+
+    # --- Coarsening phase -------------------------------------------------
+    levels, mappings, locked_levels, sides_levels, coarsen_times = _coarsen(
+        csr0, locked, init_sides, config
+    )
     level_sizes = [g.num_nodes for g in levels]
     logger.debug("multilevel: %d levels, sizes %s", len(levels), level_sizes)
 
@@ -486,14 +499,14 @@ def solve_maar_multilevel(
     prev_improve: Optional[float] = None
 
     # Each coarser level is released once its cut is projected down, so
-    # the finest levels refine without the whole hierarchy held alive.
+    # the finest levels refine without the whole hierarchy held alive;
+    # hence no local below names a level.
     del coarsest, init, steps
     for level in range(len(levels) - 2, 0, -1):
         t_level = time.perf_counter()
         levels.pop()
-        current = levels[level]
         sides = _project_sides(
-            sides, mappings.pop(), current.num_nodes, current.backend
+            sides, mappings.pop(), levels[level].num_nodes, levels[level].backend
         )
         objective = f_cross - best_k * r_cross
         if _early_exit(config, prev_improve, objective):
@@ -502,7 +515,7 @@ def solve_maar_multilevel(
             refine_times.append(time.perf_counter() - t_level)
             continue
         f_cross, r_cross, detail = _refine_level_boundary(
-            current,
+            levels[level],
             sides,
             locked_levels[level],
             best_k,

@@ -276,6 +276,29 @@ class TestCSRView:
             assert view.rejections_received(old) == sub.rejections_received(new)
 
 
+@pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="numpy not installed"
+)
+class TestHotActive:
+    """The numpy residual adjacency against the python loop."""
+
+    @given(graphs_with_sides())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_loop(self, graph_and_sides):
+        graph, mask = graph_and_sides
+        removed = [u for u, drop in enumerate(mask) if drop]
+        view = graph.csr("numpy").view().without(removed)
+        want = view._hot_active_py()
+        assert view.hot_active() == want
+        assert graph.csr("python").view().without(removed).hot_active() == want
+
+    def test_batch_returns_plain_ints(self):
+        graph = random_augmented_graph(40, 90, 50, seed=4)
+        view = graph.csr("numpy").view().without(range(0, 40, 3))
+        for part in view.hot_active():
+            assert all(type(x) is int for x in part)
+
+
 class TestPartitionState:
     def test_sides_and_locked_validation(self):
         view = small_graph().csr().view()
