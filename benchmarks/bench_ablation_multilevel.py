@@ -17,9 +17,13 @@ Three measurement groups:
   workload the boundary-only refinement unlocks.
 
 ``BENCH_multilevel.json`` rows written before the whole-graph
-refinement scope (``MultilevelConfig.frontier="full"``) was removed
-carry a ``frontiers.full`` leg and ``*_over_full`` speedups; those
-figures come from that deleted path.
+refinement scope (the ``"full"`` value of the removed
+``MultilevelConfig.frontier`` option) was removed carry a
+``frontiers.full`` leg and ``*_over_full`` speedups; those figures come
+from that deleted path. Rows written before the saturated-frontier
+fallback was removed may list ``"dense"`` levels in ``refine_detail``:
+a whole-level KL run that reported its moves but ``tested: 0``. Every
+refined level now reports ``"boundary"``.
 
 Writes ``BENCH_multilevel.json`` at the repo root.
 

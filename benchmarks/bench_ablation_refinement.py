@@ -17,9 +17,10 @@ what it costs. A run also includes the Dinkelbach-polish rows (the
 ``refine_rounds`` ablation on the flat solver): what a few ratio rounds
 buy on a deliberately coarse grid.
 
-Reports written before the whole-graph refinement scope
-(``MultilevelConfig.frontier="full"``) was removed also carried a
-``frontier`` axis and a boundary-over-full refine speedup.
+Reports written before the whole-graph refinement scope (the
+``"full"`` value of the removed ``MultilevelConfig.frontier`` option)
+was removed also carried a ``frontier`` axis and a boundary-over-full
+refine speedup.
 
 Writes ``BENCH_refinement.json`` at the repo root.
 

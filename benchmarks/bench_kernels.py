@@ -1,22 +1,16 @@
-"""Batch kernels vs scalar sweeps, and incremental vs full-rebuild passes.
+"""Batch kernels vs scalar sweeps.
 
-Two measurement groups at the default attack scale (2000 legitimate
-users + 400 fakes):
+At the default attack scale (2000 legitimate users + 400 fakes), the
+O(V+E) sweeps a KL pass opens with, timed as the scalar fallback vs the
+numpy batch kernel: ``gain_deltas`` (bucket/heap gain initialization),
+``heap_gains`` (float gains for the heap engine), and ``recount_active``
+(the counter rebuild every ``PartitionState`` construction pays) — plus
+the two scope kernels every multilevel refinement round opens with,
+``boundary_nodes`` (the movable frontier) and ``cut_regions`` (over
+that frontier, at ``k = 1`` about half the graph, like a finest level's
+first round).
 
-* **per-pass init kernels** — the O(V+E) sweeps every KL pass used to
-  open with, timed as the scalar fallback vs the numpy batch kernel:
-  ``gain_deltas`` (bucket/heap gain initialization), ``heap_gains``
-  (float gains for the heap engine), and ``recount_active`` (the
-  counter rebuild every ``PartitionState`` construction pays) — plus
-  the two scope kernels every multilevel refinement round opens with,
-  ``movable_frontier`` and ``cut_regions`` (over that frontier, at
-  ``k = 1`` about half the graph, like a finest level's first round);
-* **end-to-end solves** — one ``extended_kl`` bucket solve and one heap
-  solve under ``KLConfig(incremental=False)`` (full V+E rebuild every
-  pass, the pre-kernel behaviour) vs the default dirty-frontier
-  incremental mode.
-
-Both modes are bit-identical (asserted here and property-tested in
+Both backends are bit-identical (asserted here and property-tested in
 ``tests/core``); this benchmark records what the identical answer costs.
 Writes ``BENCH_kernels.json`` at the repo root.
 
@@ -33,16 +27,13 @@ from pathlib import Path
 
 from benchmeta import bench_metadata
 from repro.attacks import ScenarioConfig, build_scenario
-from repro.core import KLConfig
-from repro.core.csr import PartitionState
 from repro.core.kernels import (
+    boundary_nodes,
     cut_regions,
     gain_deltas,
     heap_gains,
-    movable_frontier,
     recount_active,
 )
-from repro.core.kl import extended_kl_state
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -75,14 +66,14 @@ def _scenario(num_legit, num_fakes):
     return graph, sides
 
 
-def kernel_timings(graph, sides, rounds=ROUNDS):
+def kernel_timings(graph, sides, rounds=ROUNDS, backends=("python", "numpy")):
     """Scalar fallback vs numpy batch kernel for each per-pass init sweep.
 
     Both backends share the identical flat storage, so this isolates the
     sweep itself; the assertions re-verify bit-identical outputs on the
-    benchmark-scale graph.
+    benchmark-scale graph. With one backend it only times that one.
     """
-    views = {name: graph.csr(name).view() for name in ("python", "numpy")}
+    views = {name: graph.csr(name).view() for name in backends}
     timings = {}
     outputs = {}
     for name, view in views.items():
@@ -96,13 +87,15 @@ def kernel_timings(graph, sides, rounds=ROUNDS):
         timings[name]["recount_seconds"], outputs[name, "rc"] = _best_of(
             lambda view=view: recount_active(view, sides), rounds
         )
-        timings[name]["movable_frontier_seconds"], frontier = _best_of(
-            lambda view=view: movable_frontier(view, sides, 1.0), rounds
+        timings[name]["boundary_nodes_seconds"], frontier = _best_of(
+            lambda view=view: boundary_nodes(view, sides, 1.0), rounds
         )
         outputs[name, "mf"] = frontier
         timings[name]["cut_regions_seconds"], outputs[name, "cr"] = _best_of(
             lambda view=view: cut_regions(view.csr, frontier), rounds
         )
+    if len(backends) == 1:
+        return timings
     for key in ("gd", "hg", "rc", "mf", "cr"):
         assert outputs["python", key] == outputs["numpy", key], key
     timings["speedup_numpy_over_python"] = {
@@ -111,46 +104,6 @@ def kernel_timings(graph, sides, rounds=ROUNDS):
     }
     timings["frontier_nodes"] = len(outputs["numpy", "mf"])
     return timings
-
-
-def solve_timings(graph, sides, rounds=ROUNDS, backends=("numpy", "python")):
-    """Full-rebuild vs dirty-frontier incremental end-to-end solves.
-
-    Measured per backend: on numpy the full rebuild is already a cheap
-    batch kernel, so the incremental mode mostly matters on the python
-    backend, where every avoided re-sweep is a scalar O(V+E) pass.
-    """
-    rows = {}
-    for backend in backends:
-        view = graph.csr(backend).view()
-        rows[backend] = {}
-        results = {}
-        for engine, k in (("bucket", 2.0), ("heap", 0.3)):
-            row = rows[backend][engine] = {}
-            for label, incremental in (
-                ("full_rebuild", False),
-                ("incremental", True),
-            ):
-                config = KLConfig(gain_index=engine, incremental=incremental)
-                seconds, result = _best_of(
-                    lambda config=config: extended_kl_state(
-                        PartitionState(view, list(sides)), k, config=config
-                    ),
-                    rounds,
-                )
-                row[f"{label}_seconds"] = seconds
-                results[engine, label] = result
-            row["speedup_incremental"] = (
-                row["full_rebuild_seconds"] / row["incremental_seconds"]
-            )
-            full = results[engine, "full_rebuild"]
-            inc = results[engine, "incremental"]
-            assert inc.sides == full.sides, (backend, engine)
-            assert (inc.f_cross, inc.r_cross) == (
-                full.f_cross,
-                full.r_cross,
-            ), (backend, engine)
-    return rows
 
 
 def run_report(smoke=False, rounds=ROUNDS):
@@ -168,7 +121,6 @@ def run_report(smoke=False, rounds=ROUNDS):
             "rejections": graph.num_rejections,
         },
         "per_pass_init": kernel_timings(graph, sides, rounds),
-        "kl_single_solve": solve_timings(graph, sides, rounds),
     }
 
 
@@ -197,11 +149,11 @@ def main(argv=None):
     try:
         import numpy  # noqa: F401
     except ImportError:
-        # The pure-python CI job still smoke-tests the solve paths; the
-        # backend comparison needs numpy.
+        # The pure-python CI job still smoke-tests the scalar kernels;
+        # the backend comparison needs numpy.
         graph, sides = _scenario(*SMOKE_SCALE)
-        solve_timings(graph, sides, rounds=2, backends=("python",))
-        print("numpy unavailable: solve smoke ok (kernel comparison skipped)")
+        kernel_timings(graph, sides, rounds=2, backends=("python",))
+        print("numpy unavailable: kernel smoke ok (backend comparison skipped)")
         return 0
     payload = run_report(smoke=args.smoke, rounds=2 if args.smoke else ROUNDS)
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -30,12 +30,7 @@ bucket refresh and every kernel below call them:
   worker-resident slice of the graph, see :mod:`repro.cluster.blocks`),
   so the distributed engine's per-pass gain rebuild runs as whole-array
   kernels on each worker;
-* :func:`boundary_nodes` / :func:`weighted_boundary_nodes` — the cut
-  frontier of a partition: every active node on the cut or with a
-  positive switch gain, plus their active neighbours, which is where
-  the boundary-only KL refinement (``KLConfig.frontier="boundary"``)
-  seeds its tentative passes instead of bulk-loading all gains;
-* :func:`movable_frontier` / :func:`cut_regions` — multilevel region
+* :func:`boundary_nodes` / :func:`cut_regions` — multilevel region
   refinement's scope: the positive-gain nodes plus their friends, split
   into the connected regions that refine independently;
 * :func:`heavy_edge_matching` / :func:`matching_to_mapping` /
@@ -70,8 +65,6 @@ __all__ = [
     "gain_deltas",
     "heap_gains",
     "boundary_nodes",
-    "weighted_boundary_nodes",
-    "movable_frontier",
     "cut_regions",
     "recount_active",
     "active_in_rejections",
@@ -364,126 +357,20 @@ def heap_gains(view, sides: Sequence[int], k: float) -> List[float]:
 
 
 # ----------------------------------------------------------------------
-# Boundary frontier (boundary-only KL refinement)
-# ----------------------------------------------------------------------
-def boundary_nodes(view, sides: Sequence[int], k: float) -> List[int]:
-    """The cut frontier: ascending active node ids worth refining first.
-
-    A node is a frontier *seed* when it is active and (a) incident to an
-    active cross-side friendship, or (b) has a positive switch gain at
-    ``k`` (``k·rd > fd``, which catches every rejection-driven
-    profitable switch — e.g. a side-0 node whose in-rejections would
-    start crossing once it switched — with no crossing edge required).
-    Endpoints of crossing *rejections* are deliberately not seeds: a
-    converged friend-spam cut crosses nearly every rejection edge, so
-    that clause would blanket the graph, and a crossing-rejection
-    endpoint whose switch gain is negative has nothing to offer the
-    greedy prefix anyway. The returned frontier is the seeds plus their
-    active neighbours across all three layers — one switch deep of
-    look-ahead, so a seed's first move finds its chain partners already
-    in scope.
-
-    Entries for locked nodes are *not* filtered (locks are the caller's
-    concern, as with :func:`gain_deltas`). Both backends return the
-    identical sorted list: membership is decided by integer comparisons
-    plus the single IEEE-double comparison ``k·rd > fd`` over the same
-    exact integers.
-    """
-    _check_unweighted(view.csr)
-    return _boundary_nodes(view, sides, k)
-
-
-def weighted_boundary_nodes(view, sides: Sequence[int], k: float) -> List[int]:
-    """Weighted twin of :func:`boundary_nodes` for weighted coarse
-    graphs. Cut membership is structural (every weight is a positive
-    integer, so a crossing edge crosses regardless of weight) and the
-    positive-gain clause uses the weighted deltas — still exact
-    integers, so both backends agree bit for bit."""
-    _check_weighted(view.csr)
-    return _boundary_nodes(view, sides, k)
-
-
-def _boundary_nodes(view, sides, k):
-    if _use_numpy(view.csr):
-        return _boundary_nodes_np(view, sides, k)
-    return _boundary_nodes_py(view, sides, k)
-
-
-def _boundary_nodes_np(view, sides, k):
-    np, arrs, active = _np_state(view)
-    fd, rd = _deltas_np(np, arrs, active, sides)
-    if active is None:
-        active = np.ones(view.csr.num_nodes, dtype=bool)
-    sides_np = np.asarray(sides, dtype=np.int64)
-    f_row, ro_row, ri_row = arrs["f_row"], arrs["ro_row"], arrs["ri_row"]
-    f_idx, ro_idx, ri_idx = arrs["f_idx"], arrs["ro_idx"], arrs["ri_idx"]
-
-    seed = np.zeros(len(active), dtype=bool)
-    # (a) cross-side friendships: symmetric storage marks both endpoints.
-    cross = active[f_row] & active[f_idx] & (sides_np[f_row] != sides_np[f_idx])
-    seed[f_row[cross]] = True
-    # (b) positive switch gain: -(fd - k*rd) > 0 <=> k*rd > fd.
-    seed |= active & (k * rd > fd)
-
-    # One-switch look-ahead: seeds plus their active neighbours. The
-    # rejection layers mirror each other, so row->idx per layer covers
-    # both directions of every rejection edge.
-    out = seed.copy()
-    for row, idx in ((f_row, f_idx), (ro_row, ro_idx), (ri_row, ri_idx)):
-        mark = seed[row] & active[idx]
-        out[idx[mark]] = True
-    out &= active
-    return np.nonzero(out)[0].tolist()
-
-
-def _boundary_nodes_py(view, sides, k):
-    csr = view.csr
-    fp, fi, op, oi, ip_, ii = csr.hot()
-    active = view.active
-    n = csr.num_nodes
-    fd, rd = _deltas_py(*_view_hot(view), sides, 0, n)
-
-    seed = bytearray(n)
-    for u in range(n):
-        if not active[u]:
-            continue
-        if k * rd[u] > fd[u]:
-            seed[u] = 1
-            continue
-        s = sides[u]
-        for i in range(fp[u], fp[u + 1]):
-            v = fi[i]
-            if active[v] and sides[v] != s:
-                seed[u] = 1
-                break
-
-    out = bytearray(seed)
-    for u in range(n):
-        if not seed[u]:
-            continue
-        for ptr, idx in ((fp, fi), (op, oi), (ip_, ii)):
-            for i in range(ptr[u], ptr[u + 1]):
-                v = idx[i]
-                if active[v]:
-                    out[v] = 1
-    return [u for u in range(n) if out[u]]
-
-
-# ----------------------------------------------------------------------
 # Region refinement scope (multilevel)
 # ----------------------------------------------------------------------
-def movable_frontier(view, sides: Sequence[int], k: float) -> List[int]:
-    """The *movable* frontier: positive-gain seeds plus their friends.
+def boundary_nodes(view, sides: Sequence[int], k: float) -> List[int]:
+    """The movable frontier: positive-gain seeds plus their friends.
 
-    On friend-spam graphs the cut frontier of :func:`boundary_nodes`
-    blankets the graph (a converged cut crosses an accepted attack edge
-    at most legitimate users), so multilevel region refinement scopes
-    tighter: only active nodes whose switch is profitable right now
-    (``k·rd > fd``) seed the frontier, plus their *friends* — the
-    partners KL's compound moves pair a seed with. Rejection-layer
-    neighbours stay out: a fake's rejectors are most of the legitimate
-    population, and any of them a seed's switch turns profitable seeds
-    the next round's frontier instead.
+    Multilevel region refinement opens every round with it. Only active
+    nodes whose switch is profitable right now (``k·rd > fd``) seed the
+    frontier, plus their *friends* — the partners KL's compound moves
+    pair a seed with. Cut membership is no seed: a converged friend-spam
+    cut crosses an accepted attack edge at most legitimate users, so
+    that clause would blanket the graph. Rejection-layer neighbours stay
+    out too: a fake's rejectors are most of the legitimate population,
+    and any of them a seed's switch turns profitable seeds the next
+    round's frontier instead.
 
     Unweighted and weighted graphs (the weighted deltas decide the
     gain). Friends come from the full adjacency, so on a residual view

@@ -55,18 +55,18 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .csr import CSRGraph, PartitionState, WeightedCSRGraph
 from .graph import AugmentedSocialGraph
 from .kernels import (
+    boundary_nodes,
     cut_regions,
     heavy_edge_matching,
     matching_to_mapping,
-    movable_frontier,
 )
-from .kl import KLConfig, extended_kl_state, refine_subset
+from .kl import KLConfig, refine_subset
 from .maar import (
     MAARConfig,
     dinkelbach_polish,
@@ -102,21 +102,22 @@ class MultilevelConfig:
 
     Refinement:
 
-    Each uncoarsened level refines only around the movable frontier:
-    the nodes whose switch is profitable right now plus their one-hop
-    neighbours (see :func:`~repro.core.kernels.movable_frontier`). The
-    frontier splits into connected *regions*
-    (:func:`~repro.core.kernels.cut_regions`: components under all
-    three edge layers, so no edge crosses two regions), and each region
-    refines in turn through :func:`~repro.core.kl.refine_subset` —
-    KL's shared pass skeleton with the region as its candidate list:
-    the integer bucket pass at the sweep's grid ``k``, the float heap
-    pass at the Dinkelbach polish's off-grid ratio — and rounds repeat
-    until a round moves nothing. The refinement
-    :class:`~repro.core.kl.KLConfig` runs ``frontier="boundary"``, so
-    the full-state engine run a saturated frontier falls back to
-    scopes its passes with :func:`repro.core.kernels.boundary_nodes`
-    too.
+    Every uncoarsened level, and each Dinkelbach polish round, refines
+    only around the movable frontier: the nodes whose switch is
+    profitable right now plus their friends (see
+    :func:`~repro.core.kernels.boundary_nodes`). The frontier splits
+    into connected *regions* (:func:`~repro.core.kernels.cut_regions`:
+    components under all three edge layers, so no edge crosses two
+    regions), and each region refines in turn through one
+    :func:`~repro.core.kl.refine_subset` pass — KL's shared pass
+    skeleton with the region as its candidate list: the integer bucket
+    pass at the sweep's grid ``k``, the float heap pass at the
+    Dinkelbach polish's off-grid ratio. Rounds repeat, each on a fresh
+    frontier, until a round moves nothing or ``refine_passes`` rounds
+    have run.
+
+    ``refine_passes``
+        Upper bound on refinement rounds per level (a positive int).
 
     ``refine_tolerance``
         Early-exit knob: when positive, a level's refinement is skipped
@@ -134,9 +135,8 @@ class MultilevelConfig:
         near-converged, so the best prefix sits close to the front of
         the gain order and the exhaustive FM tail is almost always
         rollback work. ``None`` restores full passes. Identical on
-        every backend, so determinism is unaffected; an explicit
-        ``stall_limit`` on the engine config is respected.
-        Must be a positive int or ``None``.
+        every backend, so determinism is unaffected. Must be a positive
+        int or ``None``.
     """
 
     coarsest_nodes: int = 400
@@ -166,8 +166,8 @@ class MultilevelResult:
     level, finest last — the last entry includes the Dinkelbach polish)
     and ``"total_seconds"``. ``"refine_detail"`` carries one dict per
     uncoarsening level (same order as ``"refine"``) with the level
-    index, the refinement ``scope`` (``"boundary"``/``"dense"``/
-    ``"skipped"``), the first-round frontier size
+    index, the refinement ``scope`` (``"boundary"``, or ``"skipped"``
+    for a level early exit passed over), the first-round frontier size
     (``boundary``), the peak region count, and the round/move/tested
     tallies; ``"early_exits"`` counts the levels skipped by
     ``refine_tolerance``.
@@ -209,17 +209,6 @@ def _project_coarse_labels(
             coarse_sides[cu] = SUSPICIOUS
     return coarse_locked, coarse_sides
 
-
-#: Frontier fraction beyond which the scoped region machinery would just
-#: re-derive the whole-graph pass with extra bookkeeping — fall back to
-#: one classic full refinement run instead. Only a saturated frontier
-#: (essentially every node movable, where a scoped pass *is* the full
-#: pass minus the engine's batch kernels) should trip this: even a
-#: 9/10-covering frontier wins, because a scoped round costs one
-#: stall-limited pass over the current frontier — which shrinks round
-#: by round as the cut converges — while a full engine run keeps
-#: sweeping every node for every one of its internal passes.
-_DENSE_FRONTIER = 0.98
 
 #: Dinkelbach polish rounds at the finest level
 #: (:func:`repro.core.maar.dinkelbach_polish`).
@@ -279,7 +268,6 @@ def _refine_level_boundary(
     locked: Sequence[bool],
     k: float,
     config: MultilevelConfig,
-    kl_config: KLConfig,
     f_cross,
     r_cross,
 ):
@@ -289,19 +277,16 @@ def _refine_level_boundary(
     :func:`~repro.core.kl.refine_subset` call per region, in order, on
     ``sides`` in place, summing the exact counter deltas. Regions are
     pairwise non-adjacent, so no region reads another's moves. A round
-    that moves nothing (or an empty frontier) ends the level; a frontier
-    covering more than ``_DENSE_FRONTIER`` of the graph falls back to
-    one classic full-state refinement run. Mutates ``sides`` and returns
-    ``(f_cross, r_cross, detail)`` with the updated exact counters.
+    that moves nothing (or an empty frontier) ends the level. Mutates
+    ``sides`` and returns ``(f_cross, r_cross, detail)`` with the
+    updated exact counters.
     """
     view = graph.view()
     # One stall-limited pass per region call: a pass rebuilds gains for
     # the whole region, so iteration belongs to the rounds loop below,
     # which re-derives a *shrinking* frontier instead of re-sweeping the
     # round-one region again and again.
-    region_config = replace(kl_config, max_passes=1)
-    if region_config.stall_limit is None and config.refine_stall is not None:
-        region_config = replace(region_config, stall_limit=config.refine_stall)
+    region_config = KLConfig(max_passes=1, stall_limit=config.refine_stall)
     detail: Dict[str, object] = {
         "scope": "boundary",
         "boundary": 0,
@@ -311,27 +296,12 @@ def _refine_level_boundary(
         "tested": 0,
         "skipped": False,
     }
-    for round_idx in range(max(1, config.refine_passes)):
-        bnodes = [u for u in movable_frontier(view, sides, k) if not locked[u]]
+    for round_idx in range(config.refine_passes):
+        bnodes = [u for u in boundary_nodes(view, sides, k) if not locked[u]]
         if round_idx == 0:
             detail["boundary"] = len(bnodes)
         if not bnodes:
             break
-        if len(bnodes) > _DENSE_FRONTIER * graph.num_nodes:
-            state = extended_kl_state(
-                PartitionState.from_counts(view, sides, locked, f_cross, r_cross),
-                k,
-                kl_config,
-            )
-            detail["scope"] = "dense"
-            detail["rounds"] = round_idx + 1
-            detail["moves"] = detail["moves"] + sum(
-                1
-                for u in range(graph.num_nodes)
-                if state.sides[u] != sides[u]
-            )
-            sides[:] = state.sides
-            return state.f_cross, state.r_cross, detail
         regions = cut_regions(graph, bnodes)
         detail["regions"] = max(detail["regions"], len(regions))
         detail["rounds"] = round_idx + 1
@@ -406,6 +376,10 @@ def solve_maar_multilevel(
     """
     t_start = time.perf_counter()
     config = config or MultilevelConfig()
+    if config.refine_passes < 1:
+        raise ValueError(
+            f"refine_passes must be a positive int, got {config.refine_passes}"
+        )
     if config.refine_stall is not None and config.refine_stall < 1:
         raise ValueError(
             "refine_stall must be a positive int or None, got "
@@ -490,9 +464,6 @@ def solve_maar_multilevel(
     # state's counters stay valid through every level and only the
     # refinement deltas move them — which is what lets the boundary path
     # build states through PartitionState.from_counts with no recount.
-    refine_config = KLConfig(
-        max_passes=config.refine_passes, frontier="boundary"
-    )
     refine_times: List[float] = []
     refine_detail: List[Dict[str, object]] = []
     early_exits = 0
@@ -520,7 +491,6 @@ def solve_maar_multilevel(
             locked_levels[level],
             best_k,
             config,
-            refine_config,
             f_cross,
             r_cross,
         )
@@ -533,7 +503,7 @@ def solve_maar_multilevel(
     if mappings:
         sides = _project_sides(sides, mappings.pop(), total_nodes, csr0.backend)
     f_cross, r_cross, detail = _refine_level_boundary(
-        csr0, sides, locked, best_k, config, refine_config, f_cross, r_cross
+        csr0, sides, locked, best_k, config, f_cross, r_cross
     )
     detail["level"] = 0
     refine_detail.append(detail)
@@ -547,7 +517,6 @@ def solve_maar_multilevel(
             locked,
             k,
             config,
-            refine_config,
             cut.f_cross,
             cut.r_cross,
         )

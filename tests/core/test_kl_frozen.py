@@ -8,10 +8,9 @@ separate loops, so they stay an oracle for any rewrite of the pass
 machinery that claims to change nothing: the bucket and heap engines
 can no longer vouch for each other once they share one skeleton.
 
-One entry per ``(graph kind, gain index, k)``; each entry folds 96 runs
-— four seeds × random and perturbed-converged starts × ``frontier``
-full/boundary × ``stall_limit`` None/1/5 × ``incremental`` on/off —
-into one hash, and both backends must reproduce it. Graph kinds cover
+One entry per ``(graph kind, gain index, k)``; each entry folds 24 runs
+— four seeds × random and perturbed-converged starts × ``stall_limit``
+None/1/5 — into one hash, and both backends must reproduce it. Graph kinds cover
 unweighted and int64-weighted (contracted ``coarse_state``) graphs,
 locked nodes, and unweighted and weighted residual views.
 """
@@ -32,36 +31,36 @@ from .test_weighted_parity import BACKENDS, coarse_state
 SEEDS = (0, 1, 2, 3)
 STALLS = (None, 1, 5)
 
-#: ``(kind, gain_index, k) -> hash`` of the 96 folded run signatures.
+#: ``(kind, gain_index, k) -> hash`` of the 24 folded run signatures.
 FROZEN = {
-    ('plain', 'bucket', 0.5): '8b6e81c94a05c831',
-    ('plain', 'bucket', 2.0): 'a6aa6ccbbd8f3827',
-    ('plain', 'heap', 0.5): '8b6e81c94a05c831',
-    ('plain', 'heap', 2.0): 'a6aa6ccbbd8f3827',
-    ('plain', 'auto', 0.3): '5fb80f0af16f6e74',
-    ('locked', 'bucket', 0.5): '806edb98614ba4b2',
-    ('locked', 'bucket', 2.0): '7ca95faa9fd6f509',
-    ('locked', 'heap', 0.5): '806edb98614ba4b2',
-    ('locked', 'heap', 2.0): '7ca95faa9fd6f509',
-    ('locked', 'auto', 0.3): 'e520cdfbdbd99fa0',
-    ('residual', 'bucket', 0.5): '7fc4dc5b840ded94',
-    ('residual', 'bucket', 2.0): '758127c4a3504497',
-    ('residual', 'heap', 0.5): '7fc4dc5b840ded94',
-    ('residual', 'heap', 2.0): '758127c4a3504497',
-    ('residual', 'auto', 0.3): '5935203a834ea085',
-    ('weighted', 'bucket', 0.5): 'ac282c7f00aba3bc',
-    ('weighted', 'bucket', 2.0): 'b9445cc16ecc74e8',
-    ('weighted', 'heap', 0.5): 'ac282c7f00aba3bc',
-    ('weighted', 'heap', 2.0): 'b9445cc16ecc74e8',
-    ('weighted', 'auto', 0.3): '181a6c622e2fb9aa',
-    ('weighted_locked', 'bucket', 0.5): '14360598eb5dbc40',
-    ('weighted_locked', 'bucket', 2.0): '40620af6c6f93c2a',
-    ('weighted_locked', 'heap', 0.5): '14360598eb5dbc40',
-    ('weighted_locked', 'heap', 2.0): '40620af6c6f93c2a',
-    ('weighted_locked', 'auto', 0.3): 'c7cc26832c3a07d6',
-    ('weighted_residual', 'heap', 0.5): 'c5a9163b6bb8f8cd',
-    ('weighted_residual', 'heap', 2.0): '50d144902a8f49d9',
-    ('weighted_residual', 'auto', 0.3): '3461ab0e7cbd7368',
+    ('plain', 'bucket', 0.5): '5e52e3f0de8dea49',
+    ('plain', 'bucket', 2.0): '8269121cd76ca8ad',
+    ('plain', 'heap', 0.5): '5e52e3f0de8dea49',
+    ('plain', 'heap', 2.0): '8269121cd76ca8ad',
+    ('plain', 'auto', 0.3): '142a7a59d10622f6',
+    ('locked', 'bucket', 0.5): '4ff9afabc8bb2554',
+    ('locked', 'bucket', 2.0): 'cd92a30f1af99880',
+    ('locked', 'heap', 0.5): '4ff9afabc8bb2554',
+    ('locked', 'heap', 2.0): 'cd92a30f1af99880',
+    ('locked', 'auto', 0.3): 'eb37df21eb2edee9',
+    ('residual', 'bucket', 0.5): '85b6f53b715a74d0',
+    ('residual', 'bucket', 2.0): '7d1f1d12895588af',
+    ('residual', 'heap', 0.5): '85b6f53b715a74d0',
+    ('residual', 'heap', 2.0): '7d1f1d12895588af',
+    ('residual', 'auto', 0.3): '6d1a50f4e4d0d9f2',
+    ('weighted', 'bucket', 0.5): '036b8348a6ef7012',
+    ('weighted', 'bucket', 2.0): '12153c785178ae75',
+    ('weighted', 'heap', 0.5): '036b8348a6ef7012',
+    ('weighted', 'heap', 2.0): '12153c785178ae75',
+    ('weighted', 'auto', 0.3): 'ea9699ec12ea59bd',
+    ('weighted_locked', 'bucket', 0.5): '395e3dfa1e6aaa1d',
+    ('weighted_locked', 'bucket', 2.0): 'be8e88105102dfbd',
+    ('weighted_locked', 'heap', 0.5): '395e3dfa1e6aaa1d',
+    ('weighted_locked', 'heap', 2.0): 'be8e88105102dfbd',
+    ('weighted_locked', 'auto', 0.3): '934d976836350a13',
+    ('weighted_residual', 'heap', 0.5): '17371d85290e3eb5',
+    ('weighted_residual', 'heap', 2.0): 'c3be09306f1f4435',
+    ('weighted_residual', 'auto', 0.3): '9e2488ffd75f39e4',
 }
 
 BUCKET_KINDS = ("plain", "locked", "residual", "weighted", "weighted_locked")
@@ -136,17 +135,10 @@ def entry_hash(kind: str, gain_index: str, k: float, backend: str) -> str:
         view, sides, locked = _graph(kind, seed, backend)
         starts = (sides, _perturbed(view, sides, locked, k, seed))
         for start in starts:
-            for frontier in ("full", "boundary"):
-                for stall_limit in STALLS:
-                    for incremental in (True, False):
-                        config = KLConfig(
-                            gain_index=gain_index,
-                            stall_limit=stall_limit,
-                            incremental=incremental,
-                            frontier=frontier,
-                        )
-                        signature = _signature(view, start, locked, k, config)
-                        digest.update(signature.encode())
+            for stall_limit in STALLS:
+                config = KLConfig(gain_index=gain_index, stall_limit=stall_limit)
+                signature = _signature(view, start, locked, k, config)
+                digest.update(signature.encode())
     return digest.hexdigest()[:16]
 
 

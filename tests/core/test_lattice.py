@@ -95,23 +95,15 @@ def test_pass_body_is_scale_invariant(graph_and_sides, k, locked_set, scale):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@given(
-    graphs_with_sides(),
-    ON_GRID,
-    _node_sets,
-    st.sampled_from(["full", "boundary"]),
-)
+@given(graphs_with_sides(), ON_GRID, _node_sets)
 @settings(max_examples=40, deadline=None)
-def test_solve_is_resolution_invariant(
-    backend, graph_and_sides, k, locked_set, frontier
-):
+def test_solve_is_resolution_invariant(backend, graph_and_sides, k, locked_set):
     graph, sides = graph_and_sides
     locked = [u in locked_set for u in range(graph.num_nodes)]
     view = graph.csr(backend).view()
     signatures = [
         solve_signature(
-            view, sides, locked, k, gain_index="bucket", resolution=res,
-            frontier=frontier,
+            view, sides, locked, k, gain_index="bucket", resolution=res
         )
         for res in (8, 16, 24)
     ]

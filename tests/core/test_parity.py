@@ -34,7 +34,7 @@ from hypothesis import given, settings
 
 from repro.attacks.scenario import ScenarioConfig, build_scenario
 from repro.cluster.engine import DistributedKL, distributed_maar
-from repro.core import AugmentedSocialGraph
+from repro.core import AugmentedSocialGraph, maar
 from repro.core.csr import PartitionState
 from repro.core.kl import KLConfig, KLStats, extended_kl, extended_kl_state
 from repro.core.maar import MAARConfig, solve_maar
@@ -50,8 +50,8 @@ from .maar_oracle import (
     stop_index,
 )
 from .partition_oracle import Partition
+from .test_weighted_parity import full_rebuild_kl
 
-FULL_REBUILD = KLConfig(incremental=False)
 PRECISION_FLOOR = 0.9
 
 try:
@@ -415,12 +415,14 @@ def assert_stats_equal(reference: KLStats, other: KLStats) -> None:
 class TestIncrementalParity:
     """Dirty-frontier incremental passes vs the full-rebuild reference.
 
-    ``KLConfig(incremental=False)`` re-sweeps all V+E gains every pass;
-    the default rebuilds only the previous pass's applied prefix and its
-    neighbourhood. The two must be bit-identical — same sides, counters,
-    and complete ``KLStats`` including ``objective_history`` (which
-    records the start-of-pass objective, so any drift in pass structure
-    shows up immediately).
+    :func:`full_rebuild_kl` re-sweeps all V+E gains every pass (one
+    single-pass engine call per pass); the engine rebuilds only the
+    previous pass's applied prefix and its neighbourhood. The two must
+    be bit-identical — same sides, counters, and complete ``KLStats``
+    including ``objective_history`` (which records the start-of-pass
+    objective, so any drift in pass structure shows up immediately).
+    The MAAR and Rejecto checks swap the reference in for the engine
+    wherever :mod:`repro.core.maar` calls it.
     """
 
     @given(graphs_with_sides())
@@ -432,9 +434,9 @@ class TestIncrementalParity:
         for k in (0.125, 1.0, 4.0):
             initial = Partition(graph, list(sides))
             full_stats, inc_stats = KLStats(), KLStats()
-            full = extended_kl(
-                graph, k, initial, locked=locked,
-                config=FULL_REBUILD, stats=full_stats,
+            full = full_rebuild_kl(
+                PartitionState(graph.csr().view(), initial.sides, locked),
+                k, stats=full_stats,
             )
             inc = extended_kl(graph, k, initial, locked=locked, stats=inc_stats)
             assert inc.sides == full.sides
@@ -448,8 +450,9 @@ class TestIncrementalParity:
         graph = canonical(graph)
         initial = Partition(graph, list(sides))
         full_stats, inc_stats = KLStats(), KLStats()
-        full = extended_kl(
-            graph, 0.3, initial, config=FULL_REBUILD, stats=full_stats
+        full = full_rebuild_kl(
+            PartitionState(graph.csr().view(), initial.sides),
+            0.3, stats=full_stats,
         )
         inc = extended_kl(graph, 0.3, initial, stats=inc_stats)
         assert inc.sides == full.sides
@@ -466,9 +469,9 @@ class TestIncrementalParity:
         view = graph.csr().view().without(removed)
         for k, config_inc in ((1.0, KLConfig()), (0.3, KLConfig())):
             full_stats, inc_stats = KLStats(), KLStats()
-            full = extended_kl_state(
+            full = full_rebuild_kl(
                 PartitionState(view, list(sides), locked),
-                k, config=FULL_REBUILD, stats=full_stats,
+                k, stats=full_stats,
             )
             inc = extended_kl_state(
                 PartitionState(view, list(sides), locked),
@@ -480,20 +483,22 @@ class TestIncrementalParity:
             assert_stats_equal(full_stats, inc_stats)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_maar_sweep_identical(self, name):
+    def test_maar_sweep_identical(self, name, monkeypatch):
         scenario = scenario_graph(**SCENARIOS[name])
         graph = canonical(scenario.graph)
-        full = solve_maar(graph, MAARConfig(kl=FULL_REBUILD))
         inc = solve_maar(graph, MAARConfig())
+        monkeypatch.setattr(maar, "extended_kl_state", full_rebuild_kl)
+        full = solve_maar(graph, MAARConfig())
         assert_maar_results_equal(full, inc)
         assert_stats_equal(full.stats, inc.stats)
         assert_precise(full.suspicious_nodes(), scenario)
 
-    def test_rejecto_groups_identical(self):
+    def test_rejecto_groups_identical(self, monkeypatch):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
-        full = Rejecto(RejectoConfig(maar=MAARConfig(kl=FULL_REBUILD))).detect(graph)
         inc = Rejecto().detect(graph)
+        monkeypatch.setattr(maar, "extended_kl_state", full_rebuild_kl)
+        full = Rejecto().detect(graph)
         assert inc.termination == full.termination
         assert [g.members for g in inc.groups] == [g.members for g in full.groups]
         assert inc.detected() == full.detected()

@@ -28,7 +28,7 @@ import random
 import pytest
 
 from repro.core.csr import PartitionState
-from repro.core.kernels import cut_regions, movable_frontier
+from repro.core.kernels import boundary_nodes, cut_regions
 from repro.core.kl import KLConfig, extended_kl_state, refine_subset
 
 from ..conftest import random_augmented_graph
@@ -135,7 +135,7 @@ def _subsets(view, sides, k: float, seed: int):
     yield [list(range(n))]
     yield [sorted(rng.sample(range(n), n // 6))]
     yield [sorted(rng.sample(range(n), n // 2))]
-    yield cut_regions(view.csr, movable_frontier(view, sides, k))
+    yield cut_regions(view.csr, boundary_nodes(view, sides, k))
 
 
 def entry_hash(kind: str, gain_index: str, k: float, backend: str) -> str:

@@ -1,18 +1,15 @@
-"""Boundary-only refinement: frontier kernels, scoped engines, regions.
+"""Boundary-only refinement: region passes and multilevel levels.
 
-Pins the three layers the boundary refinement path is built from:
+Pins the layers the multilevel refinement path is built from (the
+frontier and region kernels themselves are pinned to scalar references
+in ``tests/core/test_region_kernels.py``):
 
-* the frontier kernels (``boundary_nodes``/``weighted_boundary_nodes``)
-  return identical sorted lists on both backends and always contain
-  every positive-gain node;
-* ``KLConfig(frontier="boundary")`` is bit-identical to the full
-  frontier — sides *and* per-pass objective history — on refinement
-  workloads (a converged cut perturbed by a few flips, the shape every
-  uncoarsening level hands the engine), across backend × gain index ×
-  weighted/unweighted;
 * ``refine_subset`` over region decompositions composes exactly:
   counter deltas match a recount and merges are independent of
-  execution order.
+  execution order;
+* every refined multilevel level runs the frontier → regions →
+  ``refine_subset`` rounds, whatever share of the level the frontier
+  covers.
 """
 
 from __future__ import annotations
@@ -24,24 +21,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks import ScenarioConfig, build_scenario
+from repro.attacks.spam import (
+    add_careless_requests,
+    send_friend_spam,
+    simulate_legitimate_rejections,
+)
+from repro.attacks.sybil import SybilRegionConfig, inject_sybil_region
 from repro.core import AugmentedSocialGraph, solve_maar_multilevel
 from repro.core.csr import PartitionState
-from repro.core.kernels import (
-    boundary_nodes,
-    cut_regions,
-    gain_deltas,
-    movable_frontier,
-    weighted_boundary_nodes,
-    weighted_gain_deltas,
-)
-from repro.core.kl import (
-    KLConfig,
-    KLStats,
-    extended_kl_state,
-    refine_subset,
-)
+from repro.core.kernels import boundary_nodes, cut_regions
+from repro.core.kl import KLConfig, extended_kl_state, refine_subset
 from repro.core.maar import is_valid_cut, solve_maar
 from repro.core.multilevel import MultilevelConfig
+from repro.graphgen import barabasi_albert
 
 from ..conftest import random_augmented_graph
 
@@ -72,114 +64,6 @@ def _refinement_workload(rng: random.Random, csr, k: float):
     for _ in range(max(1, n // 10)):
         perturbed[rng.randrange(n)] ^= 1
     return perturbed
-
-
-class TestFrontierKernels:
-    def test_backends_identical(self):
-        rng = random.Random(0)
-        for trial in range(12):
-            n = rng.randrange(10, 50)
-            weighted = trial % 2 == 1
-            graph = _random_graph(rng, n)
-            sides = [rng.randrange(2) for _ in range(n)]
-            k = rng.choice([0.125, 0.5, 1.0, 2.5])
-            kernel = weighted_boundary_nodes if weighted else boundary_nodes
-            got_py = kernel(_as_csr(graph, "python", weighted).view(), sides, k)
-            got_np = kernel(_as_csr(graph, "numpy", weighted).view(), sides, k)
-            assert got_py == got_np
-            assert got_py == sorted(set(got_py))
-
-    def test_positive_gain_nodes_always_in_frontier(self):
-        rng = random.Random(1)
-        for trial in range(12):
-            n = rng.randrange(10, 50)
-            weighted = trial % 2 == 1
-            graph = _random_graph(rng, n)
-            sides = [rng.randrange(2) for _ in range(n)]
-            k = rng.choice([0.25, 1.0, 2.0])
-            csr = _as_csr(graph, "python", weighted)
-            view = csr.view()
-            if weighted:
-                frontier = weighted_boundary_nodes(view, sides, k)
-                fd, rd = weighted_gain_deltas(view, sides)
-            else:
-                frontier = boundary_nodes(view, sides, k)
-                fd, rd = gain_deltas(view, sides)
-            positive = {u for u in range(n) if k * rd[u] > fd[u]}
-            assert positive <= set(frontier)
-
-    def test_weighted_kernel_rejects_unweighted_and_vice_versa(self):
-        graph = _random_graph(random.Random(2), 16)
-        sides = [0] * 16
-        with pytest.raises(ValueError):
-            weighted_boundary_nodes(graph.csr("python").view(), sides, 1.0)
-        weighted = _as_csr(graph, "python", True)
-        with pytest.raises(ValueError):
-            boundary_nodes(weighted.view(), sides, 1.0)
-
-
-class TestScopedEngineParity:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    @pytest.mark.parametrize("gain_index", ["auto", "heap"])
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_boundary_bit_identical_to_full(self, backend, gain_index, weighted):
-        # Pinned refinement workloads (fixed seeds): the scoped pass is
-        # empirically bit-identical to the full one here — partitions,
-        # counters, and objective history. On arbitrary workloads the
-        # two may rarely take different compound-move paths (see the
-        # KLConfig.frontier docstring); the local-optimality test below
-        # covers that general case.
-        rng = random.Random(
-            (backend == "numpy") * 100 + (gain_index == "heap") * 10 + weighted
-        )
-        for _ in range(6):
-            n = rng.randrange(12, 60)
-            csr = _as_csr(_random_graph(rng, n), backend, weighted)
-            k = rng.choice([0.125, 0.5, 1.0, 2.0])
-            perturbed = _refinement_workload(rng, csr, k)
-            base = PartitionState(csr.view(), perturbed)
-            full_stats, bound_stats = KLStats(), KLStats()
-            full = extended_kl_state(
-                base, k, KLConfig(gain_index=gain_index), full_stats
-            )
-            bound = extended_kl_state(
-                base,
-                k,
-                KLConfig(gain_index=gain_index, frontier="boundary"),
-                bound_stats,
-            )
-            assert bound.sides == full.sides
-            assert bound_stats.objective_history == full_stats.objective_history
-            assert (bound.f_cross, bound.r_cross) == (full.f_cross, full.r_cross)
-
-    def test_boundary_result_is_single_switch_optimal(self):
-        # The closure invariant: the scoped search never terminates
-        # while a profitable single switch exists anywhere — true on
-        # EVERY workload, not just the pinned ones above.
-        rng = random.Random(99)
-        for trial in range(12):
-            n = rng.randrange(12, 60)
-            weighted = trial % 2 == 1
-            csr = _as_csr(_random_graph(rng, n), "numpy", weighted)
-            k = rng.choice([0.125, 0.5, 1.0, 2.0])
-            perturbed = _refinement_workload(rng, csr, k)
-            bound = extended_kl_state(
-                PartitionState(csr.view(), perturbed),
-                k,
-                KLConfig(frontier="boundary"),
-            )
-            view = csr.view()
-            if weighted:
-                fd, rd = weighted_gain_deltas(view, bound.sides)
-            else:
-                fd, rd = gain_deltas(view, bound.sides)
-            assert not any(k * rd[u] > fd[u] for u in range(n))
-
-    def test_unknown_frontier_rejected(self):
-        csr = _random_graph(random.Random(3), 10).csr("python")
-        state = PartitionState(csr.view(), [0] * 10)
-        with pytest.raises(ValueError, match="unknown frontier"):
-            extended_kl_state(state, 1.0, KLConfig(frontier="bogus"))
 
 
 class TestRefineSubset:
@@ -249,7 +133,7 @@ class TestRegions:
         csr = _random_graph(rng, n).csr("python")
         k = rng.choice([0.5, 1.0])
         sides = _refinement_workload(rng, csr, k)
-        bnodes = movable_frontier(csr.view(), sides, k)
+        bnodes = boundary_nodes(csr.view(), sides, k)
         return csr, sides, k, bnodes, cut_regions(csr, bnodes)
 
     def test_regions_partition_the_frontier(self):
@@ -323,9 +207,7 @@ class TestMultilevelBoundary:
         detail = result.timings["refine_detail"]
         assert len(detail) == len(result.timings["refine"])
         assert detail[-1]["level"] == 0
-        assert all(
-            d["scope"] in ("boundary", "dense", "skipped") for d in detail
-        )
+        assert all(d["scope"] in ("boundary", "skipped") for d in detail)
         assert result.timings["early_exits"] == 0
 
     def test_early_exit_skips_levels_and_records_them(self, scenario):
@@ -348,6 +230,40 @@ class TestMultilevelBoundary:
             solve_maar_multilevel(
                 scenario.graph, MultilevelConfig(refine_stall=refine_stall)
             )
+
+    @pytest.mark.parametrize("refine_passes", [0, -1])
+    def test_non_positive_refine_passes_rejected(self, scenario, refine_passes):
+        # refine_passes=0 used to run one round anyway.
+        with pytest.raises(ValueError, match="refine_passes"):
+            solve_maar_multilevel(
+                scenario.graph, MultilevelConfig(refine_passes=refine_passes)
+            )
+
+    def test_saturated_frontier_refines_by_regions(self):
+        """A level whose movable frontier covers nearly all of it (106 of
+        its 108 nodes here: a spam-attacked BA graph coarsened to 40
+        nodes) refines through the region passes like every other level,
+        so its tallies count the switches it tested."""
+        rng = random.Random(5)
+        graph = barabasi_albert(500, 4, rng)
+        legit = list(range(graph.num_nodes))
+        simulate_legitimate_rejections(graph, legit, 0.2, rng)
+        fakes = inject_sybil_region(graph, SybilRegionConfig(num_fakes=120), rng)
+        send_friend_spam(graph, fakes, legit, 20, 0.7, rng)
+        add_careless_requests(graph, legit, fakes, 0.15, rng)
+        result = solve_maar_multilevel(
+            graph, MultilevelConfig(max_levels=48, coarsest_nodes=40)
+        )
+        assert result.found
+        detail = result.timings["refine_detail"]
+        assert all(d["scope"] == "boundary" for d in detail)
+        assert all(d["tested"] >= d["moves"] for d in detail)
+        saturated = [
+            d
+            for d in detail
+            if d["boundary"] > 0.98 * result.level_sizes[d["level"]]
+        ]
+        assert saturated and all(d["moves"] > 0 for d in saturated)
 
     @settings(deadline=None, max_examples=6)
     @given(

@@ -1,6 +1,6 @@
 """Twin parity of the region-refinement scope kernels.
 
-:func:`~repro.core.kernels.movable_frontier` and
+:func:`~repro.core.kernels.boundary_nodes` and
 :func:`~repro.core.kernels.cut_regions` must agree across the numpy and
 pure-python backends, and with the scalar reference each replaced: the
 per-node frontier loop and the depth-first region split multilevel
@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from repro.core import AugmentedSocialGraph
 from repro.core.csr import WeightedCSRGraph
 from repro.core.kernels import (
+    boundary_nodes,
     cut_regions,
     gain_deltas,
-    movable_frontier,
     weighted_gain_deltas,
 )
 
@@ -82,7 +82,7 @@ def check_twins(csrs, sides, k, removed=()):
     frontier = reference_frontier(first, first.view().without(removed), sides, k)
     every = list(range(first.num_nodes))
     for csr in csrs:
-        assert movable_frontier(csr.view().without(removed), sides, k) == frontier
+        assert boundary_nodes(csr.view().without(removed), sides, k) == frontier
         assert cut_regions(csr, frontier) == reference_regions(first, frontier)
         assert cut_regions(csr, every) == reference_regions(first, every)
 
@@ -143,7 +143,7 @@ class TestEmptyFrontier:
     def test_no_positive_gain_means_no_frontier(self, backend):
         graph = AugmentedSocialGraph.from_edges(4, [(0, 1), (1, 2)], [])
         view = graph.csr(backend).view()
-        assert movable_frontier(view, [0, 0, 0, 0], 1.0) == []
+        assert boundary_nodes(view, [0, 0, 0, 0], 1.0) == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_no_nodes_means_no_regions(self, backend):
@@ -168,4 +168,4 @@ class TestEmptyFrontier:
         graph = WeightedAugmentedGraph(3)
         graph.add_friendship(0, 1, 1.5)
         with pytest.raises(ValueError, match="int64"):
-            movable_frontier(graph.csr().view(), [0, 1, 0], 1.0)
+            boundary_nodes(graph.csr().view(), [0, 1, 0], 1.0)

@@ -3,14 +3,16 @@
 Pins the reproducibility contract of the weighted hot path: on
 int64-weighted graphs the numpy batch kernels, the pure-python
 fallbacks, the fused weighted bucket engine, the heap engine, and the
-incremental/full-rebuild pass modes are all *bit-identical* — same
-sides, same integer counters, same objective history. Plus the two
+engine against its full-rebuild reference (:func:`full_rebuild_kl`)
+are all *bit-identical* — same sides, same integer counters, same
+objective history. Plus the two
 structural properties the multilevel solver rests on: unit-weight
 contraction always yields exact integer coarse weights, and every
 projection between levels preserves the cut weights exactly.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -64,10 +66,28 @@ def coarse_state(seed: int, levels: int = 1, backend: str = "python"):
     return csr, sides
 
 
-def run_signature(csr, sides, k, config):
+def full_rebuild_kl(state, k, config=None, stats=None):
+    """The engine's full-rebuild reference: one
+    ``extended_kl_state(..., max_passes=1)`` call per pass, so every
+    pass opens with a full gain refresh instead of the dirty-frontier
+    one, all counted into one :class:`KLStats`. Stops after a pass that
+    applies nothing, or after ``config.max_passes`` passes, like the
+    engine. Same signature as :func:`extended_kl_state`."""
+    config = config or KLConfig()
+    stats = stats if stats is not None else KLStats()
+    one_pass = replace(config, max_passes=1)
+    for _ in range(config.max_passes):
+        applied = stats.switches_applied
+        state = extended_kl_state(state, k, one_pass, stats)
+        if stats.switches_applied == applied:
+            break
+    return state
+
+
+def run_signature(csr, sides, k, config, engine=extended_kl_state):
     stats = KLStats()
     state = PartitionState(csr.view(), sides, [False] * csr.num_nodes)
-    out = extended_kl_state(state, k, config, stats=stats)
+    out = engine(state, k, config, stats=stats)
     return (
         list(out.sides),
         out.f_cross,
@@ -168,7 +188,7 @@ class TestCoarseningKernelParity:
 
 
 class TestWeightedKLParity:
-    """Backend × engine × incremental-mode: all bit-identical."""
+    """Backend × engine × full-rebuild reference: all bit-identical."""
 
     K_VALUES = (0.25, 1.0, 4.0)
 
@@ -180,11 +200,9 @@ class TestWeightedKLParity:
             csr, sides = coarse_state(seed, backend=backend)
             for k in self.K_VALUES:
                 for gain_index in ("bucket", "heap"):
-                    for incremental in (False, True):
-                        config = KLConfig(
-                            gain_index=gain_index, incremental=incremental
-                        )
-                        signature = run_signature(csr, sides, k, config)
+                    for engine in (full_rebuild_kl, extended_kl_state):
+                        config = KLConfig(gain_index=gain_index)
+                        signature = run_signature(csr, sides, k, config, engine)
                         signatures.add((k, repr(signature)))
                         proper = proper or nontrivial(signature)
         # One distinct signature per k, whatever the backend/engine/mode.
