@@ -3,7 +3,8 @@
 At the paper's default attack scale (2000 legitimate users, 400 fakes):
 
 * FM bucket list vs lazy-deletion heap inside a single extended-KL
-  solve (Section IV-C's data-structure choice), and
+  solve (Section IV-C's data-structure choice; the pass body is picked
+  by ``kl._use_bucket``, so the heap run patches that rule), and
 * the end-to-end MAAR sweep (``solve_maar``), which is what Rejecto
   runs once per detection round, with its precision against the planted
   fakes.
@@ -41,12 +42,13 @@ import tempfile
 import time
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from benchmeta import bench_metadata
 from repro.attacks import ScenarioConfig, build_scenario
-from repro.core import KLConfig, MAARConfig, extended_kl, initial_partition, solve_maar
+from repro.core import MAARConfig, extended_kl, initial_partition, solve_maar
 from repro.core import kl
 from repro.core.csr import CSRGraph, PartitionState, WeightedCSRGraph
 from repro.core.gains import _lowest_terms
@@ -84,14 +86,11 @@ def run_ablation(rounds=ROUNDS):
 
     kl_times = {}
     kl_results = {}
-    for label, config in (
-        ("csr_bucket", KLConfig(gain_index="bucket")),
-        ("csr_heap", KLConfig(gain_index="heap")),
-    ):
-        kl_times[label], kl_results[label] = _best_of(
-            lambda config=config: extended_kl(graph, 2.0, initial, config=config),
-            rounds,
-        )
+    for label, bucket in (("csr_bucket", True), ("csr_heap", False)):
+        with mock.patch.object(kl, "_use_bucket", lambda view, k: bucket):
+            kl_times[label], kl_results[label] = _best_of(
+                lambda: extended_kl(graph, 2.0, initial), rounds
+            )
     # Every variant implements the same greedy discipline.
     reference = kl_results["csr_bucket"].objective(2.0)
     for label, result in kl_results.items():

@@ -1,26 +1,19 @@
-"""Ablation: multilevel refinement early exit, and the Dinkelbach polish.
+"""Multilevel boundary refinement, and the Dinkelbach polish ablation.
 
-The multilevel pipeline spends most of its wall clock re-refining each
-uncoarsened level around the movable frontier (frontier → connected
-regions → ``refine_subset`` per region, rounds until no frontier move
-remains). This ablation sweeps the early-exit knob of
-:class:`repro.core.multilevel.MultilevelConfig`:
+The multilevel pipeline re-refines each uncoarsened level around the
+movable frontier (frontier → connected regions → ``refine_subset`` per
+region, rounds until no frontier move remains). The ``multilevel`` row
+records that refine leg (the sum of the per-level refine timings) next
+to the end-to-end default solve, its tested/applied switch tallies, and
+detection quality against the planted fakes. The Dinkelbach-polish
+rows (the ``refine_rounds`` ablation on the flat solver) show what a
+few ratio rounds buy on a deliberately coarse grid.
 
-* **refine_tolerance** — skip intermediate levels while the most
-  recent refined level improved the objective by at most the tolerance
-  (the finest level always refines).
-
-Every row records the refine leg (the sum of the per-level refine
-timings) next to the end-to-end solve, plus detection quality against
-the planted fakes, so the report states what the early exit saves and
-what it costs. A run also includes the Dinkelbach-polish rows (the
-``refine_rounds`` ablation on the flat solver): what a few ratio rounds
-buy on a deliberately coarse grid.
-
-Reports written before the whole-graph refinement scope (the
-``"full"`` value of the removed ``MultilevelConfig.frontier`` option)
-was removed also carried a ``frontier`` axis and a boundary-over-full
-refine speedup.
+Reports written before the per-level early exit (the removed
+``MultilevelConfig.refine_tolerance``) was removed carried a
+``tolerance_sweep`` instead of the ``multilevel`` row; it never skipped
+a level in a committed run. Older ones also carried a ``frontier`` axis
+(the removed whole-graph refinement scope).
 
 Writes ``BENCH_refinement.json`` at the repo root.
 
@@ -47,24 +40,27 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_refinement.json"
 FULL_SCALE = (3000, 600)
 SMOKE_SCALE = (400, 80)
 SEED = 7
-TOLERANCES = (0.0, 0.01)
 
 
-def _solve_row(graph, fakes, refine_tolerance):
-    config = MultilevelConfig(refine_tolerance=refine_tolerance)
+def multilevel_row(num_legit, num_fakes):
+    """One default multilevel solve over one scenario.
+
+    ``suspicious`` is the detected count. Asserts that the solve detects
+    the planted population at precision and recall above 0.9.
+    """
+    scenario = build_scenario(
+        ScenarioConfig(num_legit=num_legit, num_fakes=num_fakes, seed=SEED)
+    )
     start = time.perf_counter()
-    result = solve_maar_multilevel(graph, config)
+    result = solve_maar_multilevel(scenario.graph, MultilevelConfig())
     seconds = time.perf_counter() - start
-    metrics = precision_recall(result.suspicious, fakes)
+    metrics = precision_recall(result.suspicious, scenario.fakes)
     detail = result.timings["refine_detail"]
-    return {
-        "refine_tolerance": refine_tolerance,
+    row = {
         "seconds": seconds,
         "refine_seconds": sum(result.timings["refine"]),
         "sweep_seconds": result.timings["coarse_sweep"],
         "coarsen_seconds": sum(result.timings["coarsen"]),
-        "early_exits": result.timings["early_exits"],
-        "scopes": sorted({d["scope"] for d in detail}),
         "tested": sum(d["tested"] for d in detail),
         "moves": sum(d["moves"] for d in detail),
         "found": result.found,
@@ -74,26 +70,9 @@ def _solve_row(graph, fakes, refine_tolerance):
         "precision": metrics.precision,
         "recall": metrics.recall,
     }
-
-
-def tolerance_sweep(num_legit, num_fakes):
-    """One multilevel solve per ``refine_tolerance`` over one scenario.
-
-    Returns the rows (``suspicious`` is the detected count) and asserts
-    inline that every row detects the planted population at precision
-    and recall above 0.9.
-    """
-    scenario = build_scenario(
-        ScenarioConfig(num_legit=num_legit, num_fakes=num_fakes, seed=SEED)
-    )
-    rows = [
-        _solve_row(scenario.graph, scenario.fakes, tolerance)
-        for tolerance in TOLERANCES
-    ]
-    for row in rows:
-        assert row["recall"] > 0.9, row
-        assert row["precision"] > 0.9, row
-    return rows
+    assert row["recall"] > 0.9, row
+    assert row["precision"] > 0.9, row
+    return row
 
 
 def dinkelbach_context(num_legit, num_fakes):
@@ -137,7 +116,7 @@ def run_report(smoke=False):
         "smoke": smoke,
         "num_legit": num_legit,
         "num_fakes": num_fakes,
-        "tolerance_sweep": tolerance_sweep(num_legit, num_fakes),
+        "multilevel": multilevel_row(num_legit, num_fakes),
         "dinkelbach_context": dinkelbach_context(num_legit, num_fakes),
     }
 
@@ -152,7 +131,7 @@ def bench_refinement(benchmark):
     payload = benchmark.pedantic(
         run_report, kwargs={"smoke": True}, rounds=1, iterations=1
     )
-    assert payload["tolerance_sweep"]
+    assert payload["multilevel"]["found"]
 
 
 def main(argv=None):

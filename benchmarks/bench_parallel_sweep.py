@@ -77,7 +77,7 @@ def measure_per_k(graph, config):
     single-step sweep on the shared snapshot."""
     durations = []
     for k in geometric_k_sequence(config.k_min, config.k_factor, config.k_steps):
-        single = MAARConfig(k_min=k, k_steps=1, kl=config.kl)
+        single = MAARConfig(k_min=k, k_steps=1)
         start = time.perf_counter()
         solve_maar(graph, single)
         durations.append(time.perf_counter() - start)

@@ -13,9 +13,10 @@ in the full run; a small planted scenario under ``--smoke``):
   graph and from a pure-python-backed copy of the same graph must hash
   identically (the writer serializes canonical little-endian bytes);
 * **distribution bytes** — uploading the graph to the mini-cluster as
-  block payloads vs as snapshot references
-  (``ClusterContext.distribute_csr(transport=...)``), reporting bytes shipped, bytes
-  avoided, and the reduction factor.
+  block payloads (the in-memory graph) vs as snapshot references (the
+  mapped snapshot; :meth:`ClusterContext.distribute_csr` picks the
+  transport from the graph), reporting bytes shipped, bytes avoided,
+  and the reduction factor.
 
 Running this module directly (``PYTHONPATH=src python
 benchmarks/bench_storage.py``) writes ``BENCH_storage.json`` at the
@@ -112,7 +113,7 @@ def distribution_bytes(csr, mapped):
     for transport, graph in (("payload", csr), ("reference", mapped)):
         network = NetworkSimulator()
         context = ClusterContext(NUM_WORKERS, network)
-        context.distribute_csr(graph, NUM_PARTITIONS, transport=transport)
+        context.distribute_csr(graph, NUM_PARTITIONS)
         out[transport] = {
             "upload_bytes": network.stats.bytes_by_kind.get("upload", 0),
             "messages": network.stats.messages,

@@ -283,14 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         ".csrbin binary snapshot (see `rejecto graph pack`)",
     )
     p.add_argument(
-        "--refine-tolerance",
-        type=float,
-        default=0.0,
-        help="early-exit: skip a level's refinement while the previous "
-        "level improved the objective by at most this fraction of its "
-        "magnitude (0 disables; the finest level always refines)",
-    )
-    p.add_argument(
         "--refine-stall",
         type=int,
         default=256,
@@ -487,7 +479,6 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
 
     graph = load_graph_source(args.graph, as_csr=True).csr()
     config = MultilevelConfig(
-        refine_tolerance=args.refine_tolerance,
         refine_stall=args.refine_stall if args.refine_stall > 0 else None,
     )
     start = _time.perf_counter()
@@ -522,13 +513,12 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
         refine = sum(timings.get("refine", []))
         print(
             f"timings: coarsen {coarsen:.2f}s, coarse sweep "
-            f"{timings.get('coarse_sweep', 0.0):.2f}s, refine {refine:.2f}s, "
-            f"early exits {timings.get('early_exits', 0)}",
+            f"{timings.get('coarse_sweep', 0.0):.2f}s, refine {refine:.2f}s",
             file=out,
         )
         for detail in timings.get("refine_detail", []):
             print(
-                f"  level {detail['level']}: {detail['scope']}, frontier "
+                f"  level {detail['level']}: frontier "
                 f"{detail['boundary']}, regions {detail['regions']}, rounds "
                 f"{detail['rounds']}, moves {detail['moves']}",
                 file=out,
@@ -545,7 +535,7 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
             "level_sizes": result.level_sizes,
             "timings": timings,
             "seconds": seconds,
-            "config": {"refine_tolerance": args.refine_tolerance},
+            "config": {"refine_stall": config.refine_stall},
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             _json.dump(payload, fh, indent=2, sort_keys=True)

@@ -49,7 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..core.gains import _lowest_terms, _on_grid
+from ..core.gains import RESOLUTION, _lowest_terms, _on_grid
 from ..core.kl import _bucket_pass, _check_k
 from ..core.maar import (
     MAARConfig,
@@ -83,16 +83,14 @@ class ClusterConfig:
     ``NetworkStats.bytes_avoided``.
 
     The master runs the integer bucket pass, so ``k`` must sit on the
-    ``1/resolution`` grid (``resolution`` is a positive int). As in
-    local KL, each run's buckets use ``k``'s reduced denominator, not
-    ``resolution`` itself.
+    ``1/8`` grid (:data:`~repro.core.gains.RESOLUTION`). As in local KL,
+    each run's buckets use ``k``'s reduced denominator, not 8 itself.
     """
 
     num_workers: int = 5
     num_partitions: int = 20
     buffer_capacity: int = 4096
     prefetch_batch: int = 64
-    resolution: int = 8
     max_passes: int = 30
     replication: int = 1
 
@@ -100,13 +98,9 @@ class ClusterConfig:
         # Each of these would otherwise fail late (at the first run) or
         # silently turn the search off (max_passes=0 returns the input
         # cut with zeroed counters).
-        res = self.resolution
-        if isinstance(res, bool) or not isinstance(res, int):
-            raise ValueError(f"resolution must be a positive int, got {res!r}")
         for name, floor in (
             ("buffer_capacity", 0),
             ("prefetch_batch", 1),
-            ("resolution", 1),
             ("max_passes", 1),
         ):
             value = getattr(self, name)
@@ -277,11 +271,10 @@ class DistributedKL:
         _check_k(k)
         n = self.graph_size
         config = self.config
-        res = config.resolution
-        if not _on_grid(k, res):
+        if not _on_grid(k, RESOLUTION):
             raise ValueError(
-                f"k={k} is off the 1/{res} bucket grid the cluster master's "
-                "integer bucket pass runs on"
+                f"k={k} is off the 1/{RESOLUTION} bucket grid the cluster "
+                "master's integer bucket pass runs on"
             )
         sides = list(initial_sides)
         if len(sides) != n:
@@ -295,7 +288,7 @@ class DistributedKL:
             raise ValueError(f"locked has length {len(locked)}, expected {n}")
         # Lowest terms, as in local KL: a uniform rescale of every gain,
         # so pops, prefixes and every fetch batch stay the same.
-        k_scaled, res = _lowest_terms(k, res)
+        k_scaled, res = _lowest_terms(k, RESOLUTION)
         offset = self._bucket_offset(k_scaled, res)
 
         buffer = PrefetchBuffer(

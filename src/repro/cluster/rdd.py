@@ -84,43 +84,29 @@ class ClusterContext:
             for offset in range(self.replication)
         ]
 
-    def distribute_csr(
-        self, csr, num_partitions: int, transport: str = "auto"
-    ) -> ShardedCSR:
+    def distribute_csr(self, csr, num_partitions: int) -> ShardedCSR:
         """Shard a finalized :class:`CSRGraph` across the workers as
         contiguous :class:`ShardBlock` ranges.
 
-        ``transport`` picks how blocks travel. ``"payload"`` installs
-        each partition's block on its replicas with the upload charged at
-        the block's exact flat-array wire size. ``"reference"`` requires
-        a snapshot-backed graph (``csr.snapshot_path`` set by
-        :meth:`CSRGraph.open`) and ships O(1) :class:`BlockRef` messages
-        instead — workers map their slices out of the shared file on
-        first access, and the payload bytes that did *not* travel are
-        recorded as ``bytes_avoided``. ``"auto"`` (default) uses
-        references exactly when the graph is snapshot-backed. Returns the
-        master-side :class:`ShardedCSR` handle (bounds + keys only).
+        How blocks travel follows from the graph. A snapshot-backed
+        graph (``csr.snapshot_path`` set by :meth:`CSRGraph.open`) ships
+        O(1) :class:`BlockRef` messages: workers map their slices out of
+        the shared file on first access, and the payload bytes that did
+        *not* travel are recorded as ``bytes_avoided``. An in-memory
+        graph installs each partition's block on its replicas, with the
+        upload charged at the block's exact flat-array wire size.
+        Returns the master-side :class:`ShardedCSR` handle (bounds +
+        keys only).
         """
         if num_partitions < 1:
             raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
-        if transport not in ("auto", "payload", "reference"):
-            raise ValueError(
-                f"transport must be 'auto', 'payload', or 'reference', "
-                f"got {transport!r}"
-            )
         snapshot_path = getattr(csr, "snapshot_path", None)
-        if transport == "reference" and snapshot_path is None:
-            raise ValueError(
-                "transport='reference' requires a snapshot-backed graph "
-                "(open it with CSRGraph.open, or pack it first)"
-            )
-        use_refs = snapshot_path is not None and transport != "payload"
         bounds = partition_bounds(csr.num_nodes, num_partitions)
         sharded = ShardedCSR(next(self._next_shard_id), bounds, csr.backend)
         for pid in range(num_partitions):
             lo, hi = sharded.range_of(pid)
             key = sharded.key(pid)
-            if use_refs:
+            if snapshot_path is not None:
                 ref = BlockRef(snapshot_path, lo, hi)
                 full_bytes = block_payload_bytes(csr, lo, hi)
                 for worker in self.workers_for(pid):

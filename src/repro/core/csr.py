@@ -548,7 +548,7 @@ class CSRGraph:
         residual rounds share this cache instead of re-scanning O(V)
         degrees per KL solve. KL keys it by ``k``'s lowest terms
         (:func:`repro.core.gains._lowest_terms`): a ``k = 2`` solve on
-        the default grid of 8 stores ``(1, 2)``."""
+        the grid of 8 stores ``(1, 2)``."""
         key = (resolution, k_scaled)
         bound = self._bound_cache.get(key)
         if bound is None:
@@ -603,10 +603,6 @@ class CSRGraph:
 
     def rejections_received(self, u: int) -> int:
         return self.ri_ptr[u + 1] - self.ri_ptr[u]
-
-    def friends_of(self, u: int) -> List[int]:
-        """The (sorted) friend list of ``u`` as a fresh list."""
-        return list(self.f_idx[self.f_ptr[u] : self.f_ptr[u + 1]])
 
     def has_friendship(self, u: int, v: int) -> bool:
         lo, hi = self.f_ptr[u], self.f_ptr[u + 1]
@@ -1121,14 +1117,6 @@ class PartitionState:
             u
             for u in range(self.view.csr.num_nodes)
             if active[u] and sides[u] == SUSPICIOUS
-        ]
-
-    def legitimate_nodes(self) -> List[int]:
-        active, sides = self.view.active, self.sides
-        return [
-            u
-            for u in range(self.view.csr.num_nodes)
-            if active[u] and sides[u] == LEGITIMATE
         ]
 
     @property

@@ -6,7 +6,7 @@ the node to the other side would produce. The search repeatedly needs the
 maximum-gain node and O(1)-ish gain updates for the neighbours of a
 switched node.
 
-On the ``1/resolution`` grid (every ``k`` of the default geometric
+On the ``1/RESOLUTION`` grid (every ``k`` of the default geometric
 sequence) both needs are met by the Fiduccia-Mattheyses bucket list
 (Section IV-C, [21]) that :func:`repro.core.kl._bucket_pass` inlines as
 flat integer arrays — for local KL, multilevel region refinement and the
@@ -23,7 +23,14 @@ import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["HeapGainIndex"]
+__all__ = ["HeapGainIndex", "RESOLUTION"]
+
+#: Denominator of the bucket grid: a ``k`` that is a multiple of
+#: ``1/RESOLUTION`` can run the integer bucket pass. Every ``k`` of the
+#: default geometric sequence (``1/8 · 2^i``) is. The grid only decides
+#: which pass body runs; each pass buckets at ``k``'s reduced
+#: denominator (:func:`_lowest_terms`).
+RESOLUTION = 8
 
 
 class HeapGainIndex:
@@ -112,8 +119,8 @@ def _lowest_terms(k: float, resolution: int) -> Tuple[int, int]:
 
     A bucket pass multiplies every gain by ``res``, so the gains of one
     pass are all multiples of ``g = gcd(round(k·resolution),
-    resolution)`` at the configured scale (at ``k = 2`` and resolution
-    8: multiples of 8). Dividing by ``g`` is a uniform positive rescale:
+    resolution)`` at the grid's scale (at ``k = 2`` and resolution 8:
+    multiples of 8). Dividing by ``g`` is a uniform positive rescale:
     pop order, LIFO ties, best prefixes and every counter stay the same,
     while the bucket array shrinks by ``g`` and the pop loop no longer
     steps through the ``g − 1`` empty buckets between two reachable

@@ -562,7 +562,7 @@ def scaled_gain_bound(csr, resolution: int, k_scaled: int) -> int:
     ``k``-sweep and Rejecto's rounds. The KL passes ask for it at ``k``
     in lowest terms (:func:`repro.core.gains._lowest_terms`), so
     ``resolution`` here is the bucket scale of one ``k``, not the
-    configured grid.
+    grid's 8.
     """
     if csr.num_nodes == 0:
         return 0

@@ -37,9 +37,9 @@ it: :func:`extended_kl_state` over every unlocked active node, and
 candidate subset. Each pass itself runs in one of three bodies:
 
 * :func:`_bucket_pass` — an *inlined* integer-scaled FM bucket list for
-  ``k`` on the ``1/resolution`` grid (scaled by ``k``'s reduced
-  denominator, not by ``resolution``), over unweighted graphs and
-  weighted coarse graphs (the multilevel hierarchy's int64
+  ``k`` on the ``1/8`` grid (:data:`~repro.core.gains.RESOLUTION`;
+  scaled by ``k``'s reduced denominator, not by 8), over unweighted
+  graphs and weighted coarse graphs (the multilevel hierarchy's int64
   :class:`~repro.core.csr.WeightedCSRGraph`). Counter
   updates and neighbour relinks happen in one fused sweep per switched
   node with zero per-edge function calls; unit-weight and weighted
@@ -55,6 +55,12 @@ candidate subset. Each pass itself runs in one of three bodies:
   same matrices, so a matrix level calls no gain kernel.
 * :func:`_heap_pass` — a lazy-deletion heap of float gains for off-grid
   ``k`` (the multilevel Dinkelbach polish) and weighted residual views.
+
+:func:`_use_bucket` picks the body from the inputs alone: the bucket
+pass when ``k`` is on the grid and the graph is unweighted or the view
+all-active, the heap pass otherwise. Nothing in the configuration
+selects it; tests force the heap pass at on-grid ``k`` (it is the
+bucket pass's float oracle) by patching :func:`_use_bucket`.
 
 All bodies keep one greedy discipline (same gain arithmetic, same FM
 LIFO tie-breaks, same best-prefix rollback), and the bucket pass is the
@@ -77,7 +83,7 @@ from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .csr import PartitionState
-from .gains import HeapGainIndex, _lowest_terms, _on_grid
+from .gains import RESOLUTION, HeapGainIndex, _lowest_terms, _on_grid
 from .kernels import (
     _segment_sums,
     gain_deltas,
@@ -102,23 +108,11 @@ _EPS = 1e-9
 class KLConfig:
     """Tuning knobs for the extended KL search.
 
+    The pass body is not a setting: :func:`_use_bucket` picks it from
+    ``k`` and the view (see the module docstring).
+
     Attributes
     ----------
-    gain_index:
-        The pass body the shared skeleton runs: ``"bucket"`` (integer FM
-        bucket list), ``"heap"`` (lazy-deletion heap of float gains) or
-        ``"auto"`` (bucket when ``k`` sits on the ``1/resolution`` grid
-        and the graph is unweighted — or weighted on an all-active view —
-        heap otherwise).
-    resolution:
-        Grid denominator (a positive int): ``k`` is *on the grid*, and
-        can run the bucket pass, when it is a multiple of
-        ``1/resolution``. The default geometric ``k`` sequence (k = 1/8 ·
-        2^i) sits on the default grid of 8. It does not fix the bucket
-        scale: each pass runs at ``k``'s reduced denominator (see
-        :func:`repro.core.gains._lowest_terms`), so ``k = 2`` buckets
-        whole gains and ``k = 1/8`` eighths, whatever ``resolution``
-        says.
     max_passes:
         Upper bound on improvement passes. KL converges in a handful of
         passes in practice [21]; the bound only guards pathologies.
@@ -130,8 +124,6 @@ class KLConfig:
         big graphs (see the ablation benchmark).
     """
 
-    gain_index: str = "auto"
-    resolution: int = 8
     max_passes: int = 30
     stall_limit: Optional[int] = None
 
@@ -164,9 +156,6 @@ def _check_config(config: KLConfig) -> None:
             "stall_limit must be a positive int or None, got "
             f"{config.stall_limit}"
         )
-    res = config.resolution
-    if isinstance(res, bool) or not isinstance(res, int) or res < 1:
-        raise ValueError(f"resolution must be a positive int, got {res!r}")
 
 
 def adjust_neighbor_gains(
@@ -220,8 +209,8 @@ def _run_passes(
     ``k_scaled·rd − fd·res + offset``, where ``fd``/``rd`` are the
     switch's friend/rejection counter deltas (weight sums on weighted
     graphs) and ``k_scaled/res`` is ``k`` in lowest terms
-    (:func:`~repro.core.gains._lowest_terms`): ``k = 2`` on the default
-    grid of 8 runs at ``(2, 1)``, not ``(16, 8)``. Every bucket index is
+    (:func:`~repro.core.gains._lowest_terms`): ``k = 2`` on the grid of
+    8 runs at ``(2, 1)``, not ``(16, 8)``. Every bucket index is
     then its gain times ``res`` exactly, so the integer pass reproduces
     the float pop order and best-prefix decisions bit for bit — and the
     reduction, one positive factor on every gain, changes none of them
@@ -252,7 +241,7 @@ def _run_passes(
     numpy_batch = csr.backend == "numpy"
     matrix = False
     if bucket:
-        k_scaled, res = _lowest_terms(k, config.resolution)
+        k_scaled, res = _lowest_terms(k, RESOLUTION)
         zero = csr.bucket_gain_bound(res, k_scaled) + 1
         matrix = _use_matrix(csr, zero)
     if not matrix:
@@ -889,35 +878,19 @@ def _heap_pass(
     return sequence[:best_length], len(sequence)
 
 
-def _use_bucket(view, k: float, config: KLConfig) -> bool:
-    """Resolve ``config.gain_index`` to a pass body: ``True`` for
+def _use_bucket(view, k: float) -> bool:
+    """The pass body for ``k`` on ``view``: ``True`` for
     :func:`_bucket_pass`, ``False`` for :func:`_heap_pass`.
 
-    The weighted bucket pass indexes the positional weight arrays of the
-    *full* slot layout, so it needs an all-active view; residual weighted
-    views fall back to the heap. (Unweighted buckets run on the re-packed
-    ``hot_active`` adjacency, so any view works.)
+    The bucket pass needs ``k`` on the ``1/RESOLUTION`` grid. The
+    weighted bucket pass also indexes the positional weight arrays of
+    the *full* slot layout, so it needs an all-active view; residual
+    weighted views take the heap. (Unweighted buckets run on the
+    re-packed ``hot_active`` adjacency, so any view works.)
     """
     csr = view.csr
     bucket_ok = not csr.weighted or view.num_active == csr.num_nodes
-    kind = config.gain_index
-    if kind == "auto":
-        return bucket_ok and _on_grid(k, config.resolution)
-    if kind == "heap":
-        return False
-    if kind != "bucket":
-        raise ValueError(f"unknown gain index kind {kind!r}")
-    if not bucket_ok:
-        raise ValueError(
-            "the weighted bucket engine requires an all-active view "
-            "(weights are positional); pass gain_index='heap' or 'auto'"
-        )
-    if not _on_grid(k, config.resolution):
-        raise ValueError(
-            f"k={k} is off the 1/{config.resolution} bucket grid; "
-            "pass gain_index='heap' or 'auto'"
-        )
-    return True
+    return bucket_ok and _on_grid(k, RESOLUTION)
 
 
 def extended_kl_state(
@@ -937,7 +910,7 @@ def extended_kl_state(
     config = config or KLConfig()
     _check_config(config)
     out = state.copy()
-    _run_passes(out, k, config, stats, _use_bucket(out.view, k, config))
+    _run_passes(out, k, config, stats, _use_bucket(out.view, k))
     return out
 
 
@@ -963,10 +936,10 @@ def refine_subset(
     which is what makes the region merge independent of worker count
     and execution order.
 
-    ``config.gain_index`` picks the pass body exactly as in
-    :func:`extended_kl_state`: on the ``1/resolution`` grid the fused
-    integer bucket pass (unweighted and weighted graphs), off it —
-    the Dinkelbach polish's ratio — the float heap pass.
+    :func:`_use_bucket` picks the pass body exactly as in
+    :func:`extended_kl_state`: on the ``1/8`` grid the fused integer
+    bucket pass (unweighted and weighted graphs), off it — the
+    Dinkelbach polish's ratio — the float heap pass.
 
     ``sides`` is mutated to the refined labels. Returns ``(moved,
     delta_f, delta_r, tested, applied)``: the ascending list of nodes
@@ -988,7 +961,7 @@ def refine_subset(
         raise ValueError(f"node id {bad} is out of range for {n} nodes")
     active = view.active
     cand = [u for u in cand if active[u] and not locked[u]]
-    bucket = _use_bucket(view, k, config)
+    bucket = _use_bucket(view, k)
     entry = [sides[u] for u in cand]
     stats = KLStats()
     state = PartitionState.counting_deltas(view, sides, locked)

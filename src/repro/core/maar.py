@@ -40,14 +40,14 @@ flat sweep's ``refine_rounds`` and multilevel's finest level.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import random
 
 from .csr import CSRView, PartitionState
 from .kernels import active_in_rejections
-from .kl import KLConfig, KLStats, extended_kl_state
+from .kl import KLStats, extended_kl_state
 from .objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
 from .parallel import parallel_map
 
@@ -185,7 +185,6 @@ class MAARConfig:
     k_min: float = 0.125
     k_factor: float = 2.0
     k_steps: int = 10
-    kl: KLConfig = field(default_factory=KLConfig)
     init: str = "rejection"
     random_fraction: float = 0.5
     random_seed: int = 0
@@ -390,15 +389,14 @@ def run_k_sweep(
 def _sweep_k_task(k: float, shared) -> Tuple[List[int], float, float, List[int], KLStats]:
     """One ``k`` step of the parallel sweep, run inside a worker.
 
-    ``shared`` carries the (read-only) initial :class:`PartitionState`
-    and KL config; only ``k`` varies per task. Returns the switched
+    ``shared`` is the (read-only) initial :class:`PartitionState`; only
+    ``k`` varies per task. Returns the switched
     sides plus counters and this step's own :class:`KLStats`, which the
     parent merges back in ``k`` order for the steps up to the stop, so
     the aggregate diagnostics match the serial sweep exactly.
     """
-    init, kl_config = shared
     stats = KLStats()
-    candidate = extended_kl_state(init, k, config=kl_config, stats=stats)
+    candidate = extended_kl_state(shared, k, stats=stats)
     return (
         candidate.sides,
         candidate.f_cross,
@@ -411,7 +409,6 @@ def _sweep_k_task(k: float, shared) -> Tuple[List[int], float, float, List[int],
 def sweep_k_states(
     init: PartitionState,
     k_values: Sequence[float],
-    kl_config: Optional[KLConfig] = None,
     jobs: int = 1,
     stats: Optional[KLStats] = None,
     *,
@@ -420,7 +417,8 @@ def sweep_k_states(
     """The ``k`` sweep: :func:`extended_kl_state` per grid ``k`` under
     :func:`run_k_sweep`'s stop rule.
 
-    Every step starts from ``init``. ``valid`` judges each cut (the
+    Every step runs the default :class:`~repro.core.kl.KLConfig` from
+    ``init``. ``valid`` judges each cut (the
     caller's :func:`is_valid_cut`). Returns ``run_k_sweep``'s ``(steps,
     winner)``. With ``jobs > 1`` the whole grid goes through one
     :func:`repro.core.parallel.parallel_map` call whose ``stop``
@@ -435,11 +433,10 @@ def sweep_k_states(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    kl_config = kl_config or KLConfig()
     if jobs == 1:
         return run_k_sweep(
             k_values,
-            lambda k: extended_kl_state(init, k, config=kl_config, stats=stats),
+            lambda k: extended_kl_state(init, k, stats=stats),
             valid,
         )
     ks = list(k_values)
@@ -453,7 +450,7 @@ def sweep_k_states(
         return rule.add(ks[len(rule.steps)], cut)
 
     results = parallel_map(
-        _sweep_k_task, ks, shared=(init, kl_config), jobs=jobs, stop=stop
+        _sweep_k_task, ks, shared=init, jobs=jobs, stop=stop
     )
     if stats is not None:
         for *_, k_stats in results:
@@ -537,7 +534,6 @@ def _solve_maar_view(
     steps, winner = sweep_k_states(
         init,
         config.k_values(),
-        config.kl,
         jobs=config.jobs,
         stats=stats,
         valid=valid,
@@ -559,7 +555,7 @@ def _solve_maar_view(
     best, best_k, polish = dinkelbach_polish(
         steps[winner].cut,
         steps[winner].k,
-        lambda cut, k: extended_kl_state(cut, k, config=config.kl, stats=stats),
+        lambda cut, k: extended_kl_state(cut, k, stats=stats),
         valid,
         config.refine_rounds,
     )

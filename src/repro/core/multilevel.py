@@ -92,13 +92,14 @@ __all__ = [
 class MultilevelConfig:
     """Coarsening and sweep parameters.
 
-    Coarsening stops when the graph has at most ``coarsest_nodes`` nodes
-    or a level shrinks by less than ``min_shrink`` (matching has stalled,
-    e.g. on a star). The ``k`` grid mirrors :class:`MAARConfig`.
+    Coarsening stops when the graph has at most ``coarsest_nodes`` nodes,
+    after ``max_levels`` levels, or when a level shrinks by less than
+    :data:`MIN_SHRINK` (matching has stalled, e.g. on a star). The ``k``
+    grid mirrors :class:`MAARConfig`, and the coarse sweep runs the
+    default :class:`~repro.core.kl.KLConfig` at each ``k``.
 
     ``backend`` is the CSR array backend (``"python"``/``"numpy"``/
-    ``"auto"``). ``matching_rounds`` bounds the mutual heavy-edge
-    matching rounds per level.
+    ``"auto"``).
 
     Refinement:
 
@@ -118,14 +119,6 @@ class MultilevelConfig:
 
     ``refine_passes``
         Upper bound on refinement rounds per level (a positive int).
-
-    ``refine_tolerance``
-        Early-exit knob: when positive, a level's refinement is skipped
-        while the *previous* level's refinement improved the objective
-        by at most ``refine_tolerance · max(1, |objective|)`` (the
-        projected cut is already that converged; projections preserve
-        cut weights exactly, so nothing is lost in between). The finest
-        level always refines. ``0.0`` (default) disables early exit.
     ``refine_stall``
         Stall limit for the region passes
         (:attr:`~repro.core.kl.KLConfig.stall_limit` scoped to the
@@ -141,19 +134,24 @@ class MultilevelConfig:
 
     coarsest_nodes: int = 400
     max_levels: int = 24
-    min_shrink: float = 0.05
     k_min: float = 0.125
     k_factor: float = 2.0
     k_steps: int = 10
-    max_passes: int = 30
     refine_passes: int = 8
     min_suspicious: int = 1
     max_suspicious_fraction: float = 0.6
     seed: int = 0
     backend: str = "auto"
-    matching_rounds: int = 8
-    refine_tolerance: float = 0.0
     refine_stall: Optional[int] = 256
+
+
+#: A level that shrinks the graph by less than this fraction ends the
+#: coarsening: matching has stalled.
+MIN_SHRINK = 0.05
+
+#: Mutual heavy-edge matching rounds per level
+#: (:func:`~repro.core.kernels.heavy_edge_matching`).
+MATCHING_ROUNDS = 8
 
 
 @dataclass
@@ -165,12 +163,9 @@ class MultilevelResult:
     coarsest-level ``k`` sweep), ``"refine"`` (seconds per uncoarsening
     level, finest last — the last entry includes the Dinkelbach polish)
     and ``"total_seconds"``. ``"refine_detail"`` carries one dict per
-    uncoarsening level (same order as ``"refine"``) with the level
-    index, the refinement ``scope`` (``"boundary"``, or ``"skipped"``
-    for a level early exit passed over), the first-round frontier size
-    (``boundary``), the peak region count, and the round/move/tested
-    tallies; ``"early_exits"`` counts the levels skipped by
-    ``refine_tolerance``.
+    uncoarsening level (same order as ``"refine"``) with the
+    first-round frontier size (``boundary``), the peak region count,
+    the round/move/tested tallies and the level index.
     """
 
     suspicious: List[int]
@@ -231,37 +226,6 @@ def _project_sides(sides, mapping, num_fine: int, backend: str) -> List[int]:
     return [sides[mapping[u]] for u in range(num_fine)]
 
 
-def _skip_entry(level: int) -> Dict[str, object]:
-    """The ``refine_detail`` record for a level skipped by early exit."""
-    return {
-        "level": level,
-        "scope": "skipped",
-        "boundary": 0,
-        "regions": 0,
-        "rounds": 0,
-        "moves": 0,
-        "tested": 0,
-        "skipped": True,
-    }
-
-
-def _early_exit(
-    config: MultilevelConfig, prev_improve, objective: float
-) -> bool:
-    """Whether to skip this level's refinement.
-
-    True while the most recent level that actually refined improved the
-    objective by at most ``refine_tolerance · max(1, |objective|)`` —
-    the projected cut is already that converged (projection preserves
-    the cut weights exactly), so intermediate levels are skipped until
-    the always-refined finest level. ``prev_improve is None`` (nothing
-    refined yet) and ``refine_tolerance <= 0`` never skip.
-    """
-    if config.refine_tolerance <= 0 or prev_improve is None:
-        return False
-    return prev_improve <= config.refine_tolerance * max(1.0, abs(objective))
-
-
 def _refine_level_boundary(
     graph,
     sides: List[int],
@@ -288,13 +252,11 @@ def _refine_level_boundary(
     # round-one region again and again.
     region_config = KLConfig(max_passes=1, stall_limit=config.refine_stall)
     detail: Dict[str, object] = {
-        "scope": "boundary",
         "boundary": 0,
         "regions": 0,
         "rounds": 0,
         "moves": 0,
         "tested": 0,
-        "skipped": False,
     }
     for round_idx in range(config.refine_passes):
         bnodes = [u for u in boundary_nodes(view, sides, k) if not locked[u]]
@@ -344,10 +306,10 @@ def _coarsen(csr0: CSRGraph, locked, init_sides, config: MultilevelConfig):
             current,
             priority,
             locked=locked_levels[-1],
-            rounds=config.matching_rounds,
+            rounds=MATCHING_ROUNDS,
         )
         mapping, num_coarse = matching_to_mapping(match, current.backend)
-        if num_coarse > (1 - config.min_shrink) * current.num_nodes:
+        if num_coarse > (1 - MIN_SHRINK) * current.num_nodes:
             break
         coarse = current.contract(mapping, num_coarse)
         coarse_locked, coarse_sides = _project_coarse_labels(
@@ -418,14 +380,12 @@ def solve_maar_multilevel(
         sweep: float = 0.0,
         refine: Optional[List[float]] = None,
         refine_detail: Optional[List[Dict[str, object]]] = None,
-        early_exits: int = 0,
     ):
         return {
             "coarsen": coarsen_times,
             "coarse_sweep": sweep,
             "refine": refine or [],
             "refine_detail": refine_detail or [],
-            "early_exits": early_exits,
             "total_seconds": time.perf_counter() - t_start,
         }
 
@@ -444,12 +404,7 @@ def solve_maar_multilevel(
         )
         return is_valid_cut(size, total_nodes, state.r_cross, config)
 
-    steps, winner = sweep_k_states(
-        init,
-        k_values,
-        KLConfig(max_passes=config.max_passes),
-        valid=coarse_valid,
-    )
+    steps, winner = sweep_k_states(init, k_values, valid=coarse_valid)
     sweep_time = time.perf_counter() - t_sweep
     if winner is None:
         return MultilevelResult(
@@ -466,8 +421,6 @@ def solve_maar_multilevel(
     # build states through PartitionState.from_counts with no recount.
     refine_times: List[float] = []
     refine_detail: List[Dict[str, object]] = []
-    early_exits = 0
-    prev_improve: Optional[float] = None
 
     # Each coarser level is released once its cut is projected down, so
     # the finest levels refine without the whole hierarchy held alive;
@@ -479,12 +432,6 @@ def solve_maar_multilevel(
         sides = _project_sides(
             sides, mappings.pop(), levels[level].num_nodes, levels[level].backend
         )
-        objective = f_cross - best_k * r_cross
-        if _early_exit(config, prev_improve, objective):
-            early_exits += 1
-            refine_detail.append(_skip_entry(level))
-            refine_times.append(time.perf_counter() - t_level)
-            continue
         f_cross, r_cross, detail = _refine_level_boundary(
             levels[level],
             sides,
@@ -495,7 +442,6 @@ def solve_maar_multilevel(
             r_cross,
         )
         detail["level"] = level
-        prev_improve = objective - (f_cross - best_k * r_cross)
         refine_detail.append(detail)
         refine_times.append(time.perf_counter() - t_level)
     t_level = time.perf_counter()
@@ -547,14 +493,12 @@ def solve_maar_multilevel(
             1.0,
             None,
             level_sizes=level_sizes,
-            timings=timings(
-                sweep_time, refine_times, refine_detail, early_exits
-            ),
+            timings=timings(sweep_time, refine_times, refine_detail),
         )
     return MultilevelResult(
         suspicious=suspicious,
         acceptance_rate=acceptance_rate(fine.f_cross, fine.r_cross),
         k=best_k,
         level_sizes=level_sizes,
-        timings=timings(sweep_time, refine_times, refine_detail, early_exits),
+        timings=timings(sweep_time, refine_times, refine_detail),
     )

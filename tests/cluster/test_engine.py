@@ -65,9 +65,7 @@ class TestEquivalenceWithCore:
         the core KL; results must match bit for bit."""
         graph = scenario.graph
         init = rejection_init(graph)
-        core = extended_kl(
-            graph, k, Partition(graph, init), config=KLConfig(gain_index="bucket")
-        )
+        core = extended_kl(graph, k, Partition(graph, init))
         engine = DistributedKL(graph)
         sides, f_cross, r_cross = engine.run(k, init)
         assert sides == core.sides
@@ -210,7 +208,6 @@ class TestShardedProtocol:
             graph,
             k,
             Partition(graph, init),
-            config=KLConfig(gain_index="bucket"),
             stats=core_stats,
         )
         engine = DistributedKL(
@@ -374,17 +371,11 @@ class TestValidation:
             ("max_passes", 0),
             ("buffer_capacity", -1),
             ("prefetch_batch", 0),
-            ("resolution", 0),
         ],
     )
     def test_config_rejects_bad_values_up_front(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >="):
             ClusterConfig(**{field: value})
-
-    @pytest.mark.parametrize("resolution", [8.0, 2.5, True, False])
-    def test_config_rejects_non_int_resolution(self, resolution):
-        with pytest.raises(ValueError, match="resolution must be a positive int"):
-            ClusterConfig(resolution=resolution)
 
     def test_single_pass_keeps_true_counters(self, scenario):
         """The smallest pass budget still reports the run's real cut
@@ -405,9 +396,7 @@ class TestValidation:
 @settings(max_examples=25, deadline=None)
 def test_engine_matches_core_on_random_graphs(graph, k):
     init = rejection_init(graph)
-    core = extended_kl(
-        graph, k, Partition(graph, init), config=KLConfig(gain_index="bucket")
-    )
+    core = extended_kl(graph, k, Partition(graph, init))
     engine = DistributedKL(graph, ClusterConfig(num_workers=3, num_partitions=5))
     sides, f_cross, r_cross = engine.run(k, init)
     assert sides == core.sides

@@ -13,7 +13,7 @@ from repro.cluster import (
     ShardBlock,
     WorkerFailure,
 )
-from repro.core import AugmentedSocialGraph, CSRGraph, KLConfig, extended_kl
+from repro.core import AugmentedSocialGraph, CSRGraph, extended_kl
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
 from ..core.partition_oracle import Partition
@@ -49,8 +49,8 @@ class TestWorkerFailure:
         csr = build_csr()
         snapshot = CSRGraph.open(csr.save(tmp_path / "graph.csrbin"))
         context = ClusterContext(2, replication=2)
-        payload = context.distribute_csr(csr, 2, transport="payload")
-        context.distribute_csr(snapshot, 2, transport="reference")
+        payload = context.distribute_csr(csr, 2)
+        context.distribute_csr(snapshot, 2)
         worker = context.workers[0]
         worker.install_sides([LEGITIMATE] * csr.num_nodes)
         assert worker.blocks and worker.block_refs and worker.sides is not None
@@ -106,13 +106,9 @@ class TestReplication:
     def test_replication_charges_extra_upload(self):
         csr = build_csr()
         net1 = NetworkSimulator()
-        ClusterContext(4, net1, replication=1).distribute_csr(
-            csr, 4, transport="payload"
-        )
+        ClusterContext(4, net1, replication=1).distribute_csr(csr, 4)
         net2 = NetworkSimulator()
-        ClusterContext(4, net2, replication=3).distribute_csr(
-            csr, 4, transport="payload"
-        )
+        ClusterContext(4, net2, replication=3).distribute_csr(csr, 4)
         assert net1.stats.bytes_sent > 0
         assert net2.stats.bytes_sent == 3 * net1.stats.bytes_sent
         assert net2.stats.messages == 3 * net1.stats.messages
@@ -130,9 +126,7 @@ class TestEngineUnderFailure:
             SUSPICIOUS if graph.rej_in[u] else LEGITIMATE
             for u in range(graph.num_nodes)
         ]
-        reference = extended_kl(
-            graph, 1.0, Partition(graph, init), config=KLConfig(gain_index="bucket")
-        )
+        reference = extended_kl(graph, 1.0, Partition(graph, init))
         engine = DistributedKL(
             graph,
             ClusterConfig(num_workers=4, num_partitions=8, replication=2),

@@ -2,11 +2,11 @@
 
 When the graph came out of a ``.csrbin`` snapshot, ``distribute_csr``
 ships O(1) :class:`BlockRef` messages instead of pickled array payloads;
-workers map their slices out of the shared file on first access. The
-contract under test: reference mode is bit-identical to payload mode,
+workers map their slices out of the shared file on first access;
+in-memory graphs ship payloads. The contract under test: reference mode
+is bit-identical to payload mode on the same graph held in memory, and
 the avoided payload bytes are ledgered (not silently dropped *or*
-counted as sent), and non-snapshot graphs cannot pretend to be
-reference-shippable.
+counted as sent).
 """
 
 import pytest
@@ -46,17 +46,6 @@ def snapshot(tmp_path):
 
 
 class TestTransportSelection:
-    def test_reference_requires_snapshot(self):
-        context = ClusterContext(2)
-        with pytest.raises(ValueError, match="snapshot-backed"):
-            context.distribute_csr(build_csr(), 2, transport="reference")
-
-    def test_unknown_transport_rejected(self, snapshot):
-        _, path = snapshot
-        context = ClusterContext(2)
-        with pytest.raises(ValueError, match="transport"):
-            context.distribute_csr(CSRGraph.open(path), 2, transport="carrier-pigeon")
-
     def test_auto_uses_payloads_for_plain_graphs(self):
         context = ClusterContext(2)
         sharded = context.distribute_csr(build_csr(), 2)
@@ -72,25 +61,14 @@ class TestTransportSelection:
         assert sharded.key(0) in worker.block_refs
         assert sharded.key(0) not in worker.blocks  # not materialized yet
 
-    def test_payload_override_forces_arrays(self, snapshot):
-        _, path = snapshot
-        context = ClusterContext(2)
-        sharded = context.distribute_csr(
-            CSRGraph.open(path), 2, transport="payload"
-        )
-        worker = context.workers_for(0)[0]
-        assert sharded.key(0) in worker.blocks
-
 
 class TestWireAccounting:
     def test_reference_upload_is_tiny_and_ledgered(self, snapshot):
         csr, path = snapshot
         payload_net = NetworkSimulator()
-        ClusterContext(2, payload_net).distribute_csr(csr, 4, transport="payload")
+        ClusterContext(2, payload_net).distribute_csr(csr, 4)
         ref_net = NetworkSimulator()
-        ClusterContext(2, ref_net).distribute_csr(
-            CSRGraph.open(path), 4, transport="reference"
-        )
+        ClusterContext(2, ref_net).distribute_csr(CSRGraph.open(path), 4)
         payload_bytes = payload_net.stats.bytes_by_kind["upload"]
         ref_bytes = ref_net.stats.bytes_by_kind["upload"]
         assert ref_bytes < payload_bytes
@@ -134,9 +112,7 @@ class TestBlockRef:
     def test_worker_materializes_lazily(self, snapshot):
         _, path = snapshot
         context = ClusterContext(2)
-        sharded = context.distribute_csr(
-            CSRGraph.open(path), 2, transport="reference"
-        )
+        sharded = context.distribute_csr(CSRGraph.open(path), 2)
         worker = context.block_replica_for(0, sharded.key(0))
         assert sharded.key(0) not in worker.blocks
         lo, hi = sharded.range_of(0)
@@ -146,9 +122,7 @@ class TestBlockRef:
     def test_failed_worker_drops_refs(self, snapshot):
         _, path = snapshot
         context = ClusterContext(2, replication=2)
-        sharded = context.distribute_csr(
-            CSRGraph.open(path), 2, transport="reference"
-        )
+        sharded = context.distribute_csr(CSRGraph.open(path), 2)
         worker = context.block_replica_for(0, sharded.key(0))
         worker.fail()
         assert not worker.block_refs

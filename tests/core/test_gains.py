@@ -1,5 +1,5 @@
 """Tests for KL's gain indexes: the heap the off-grid pass runs on, the
-gain-index dispatch, and the inlined integer bucket list of
+pass-body rule, and the inlined integer bucket list of
 :func:`repro.core.kl._bucket_pass`."""
 
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core import (
     AugmentedSocialGraph,
     HeapGainIndex,
-    KLConfig,
     PartitionState,
 )
 from repro.core.kl import _bucket_pass, _use_bucket, adjust_neighbor_gains
@@ -58,7 +57,7 @@ class TestHeapGainIndex:
 
 
 class TestFactory:
-    """The gain-index dispatch: which pass body a ``KLConfig`` runs."""
+    """The pass-body rule: which body runs for a ``k`` and a view."""
 
     @staticmethod
     def view():
@@ -68,22 +67,10 @@ class TestFactory:
         return graph.csr().view()
 
     def test_auto_picks_bucket_on_grid(self):
-        config = KLConfig(gain_index="auto", resolution=8)
-        assert _use_bucket(self.view(), 0.25, config) is True
+        assert _use_bucket(self.view(), 0.25) is True
 
     def test_auto_picks_heap_off_grid(self):
-        config = KLConfig(gain_index="auto", resolution=8)
-        assert _use_bucket(self.view(), 0.3, config) is False
-
-    def test_bucket_with_off_grid_k_rejected(self):
-        config = KLConfig(gain_index="bucket", resolution=8)
-        with pytest.raises(ValueError, match="off the 1/8 bucket grid"):
-            _use_bucket(self.view(), 0.3, config)
-
-    def test_unknown_kind_rejected(self):
-        config = KLConfig(gain_index="fibonacci")
-        with pytest.raises(ValueError, match="unknown gain index kind"):
-            _use_bucket(self.view(), 1.0, config)
+        assert _use_bucket(self.view(), 0.3) is False
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.core.kl import extended_kl_state, refine_subset
 
 from ..conftest import augmented_graphs, random_augmented_graph
 from .partition_oracle import Partition, cut_counts
+from .pass_body import forced_body
 
 
 def planted_spam_graph():
@@ -158,37 +159,6 @@ class TestNoOpConfigsRejected:
                 config,
             )
 
-    @pytest.mark.parametrize("resolution", [0, -8])
-    def test_non_positive_resolution(self, state, resolution):
-        config = KLConfig(resolution=resolution)
-        with pytest.raises(ValueError, match="resolution"):
-            extended_kl_state(state, 1.0, config)
-        with pytest.raises(ValueError, match="resolution"):
-            refine_subset(
-                state.view, list(state.sides), state.locked, range(30), 1.0,
-                config,
-            )
-
-    @pytest.mark.parametrize("resolution", [8.0, 2.5, True, "8"])
-    def test_non_int_resolution(self, state, resolution):
-        """A float resolution used to die inside the bucket pass (list
-        index) or, off the grid, silently run the heap; a bool passed as
-        1."""
-        config = KLConfig(resolution=resolution)
-        with pytest.raises(ValueError, match="resolution must be a positive int"):
-            extended_kl_state(state, 1.0, config)
-        with pytest.raises(ValueError, match="resolution must be a positive int"):
-            refine_subset(
-                state.view, list(state.sides), state.locked, range(30), 1.0,
-                config,
-            )
-        graph = random_augmented_graph(30, 60, 30, seed=4)
-        with pytest.raises(ValueError, match="resolution must be a positive int"):
-            extended_kl(
-                graph, 1.0, Partition.all_legitimate(graph), config=config
-            )
-
-
     @pytest.mark.parametrize("max_passes", [0, -1])
     def test_non_positive_max_passes(self, state, max_passes):
         config = KLConfig(max_passes=max_passes)
@@ -201,23 +171,22 @@ class TestNoOpConfigsRejected:
             )
 
     @pytest.mark.parametrize("k", [float("nan"), float("inf"), -0.5])
-    @pytest.mark.parametrize("gain_index", ["bucket", "heap", "auto"])
-    def test_non_finite_k_named(self, state, k, gain_index):
+    @pytest.mark.parametrize("body", ["bucket", "heap", "auto"])
+    def test_non_finite_k_named(self, state, k, body):
         """NaN passes a plain ``k <= 0`` guard, and neither NaN nor inf
-        has a bucket index, so both must be rejected by name."""
-        config = KLConfig(gain_index=gain_index)
-        with pytest.raises(ValueError, match="k must be a positive finite"):
-            extended_kl_state(state, k, config)
-        with pytest.raises(ValueError, match="k must be a positive finite"):
-            refine_subset(
-                state.view, list(state.sides), state.locked, range(30), k,
-                config,
-            )
+        has a bucket index, so both must be rejected by name, whichever
+        pass body would run."""
+        with forced_body(body):
+            with pytest.raises(ValueError, match="k must be a positive finite"):
+                extended_kl_state(state, k)
+            with pytest.raises(ValueError, match="k must be a positive finite"):
+                refine_subset(
+                    state.view, list(state.sides), state.locked, range(30), k
+                )
 
 
 class TestRefineSubsetInputs:
-    """``refine_subset`` rejects bad node ids, mis-sized vectors and gain
-    index settings with the same errors as ``extended_kl_state``."""
+    """``refine_subset`` rejects bad node ids and mis-sized vectors."""
 
     N = 30
 
@@ -259,33 +228,6 @@ class TestRefineSubsetInputs:
         with pytest.raises(ValueError, match="locked has length"):
             self.refine(state, [0], locked=[False] * length)
 
-    @pytest.mark.parametrize(
-        "gain_index,k,message",
-        [
-            ("bogus", 1.0, "unknown gain index kind 'bogus'"),
-            ("bucket", 0.3, "off the 1/8 bucket grid"),
-        ],
-    )
-    def test_gain_index_errors_match_engine(self, state, gain_index, k, message):
-        config = KLConfig(gain_index=gain_index)
-        with pytest.raises(ValueError, match=message):
-            extended_kl_state(state, k, config)
-        with pytest.raises(ValueError, match=message):
-            self.refine(state, range(self.N), k, config)
-
-    def test_weighted_bucket_needs_all_active_view(self):
-        graph = random_augmented_graph(self.N, 60, 30, seed=4)
-        csr = graph.csr().contract(list(range(self.N)), self.N)
-        view = csr.view().without([0])
-        config = KLConfig(gain_index="bucket")
-        state = PartitionState(view, [0] * self.N)
-        for run in (
-            lambda: extended_kl_state(state, 1.0, config),
-            lambda: refine_subset(view, [0] * self.N, state.locked, [1], 1.0, config),
-        ):
-            with pytest.raises(ValueError, match="all-active view"):
-                run()
-
 
 class TestGainIndexEquivalence:
     @pytest.mark.parametrize("k", [0.125, 0.5, 1.0, 4.0, 64.0])
@@ -294,20 +236,15 @@ class TestGainIndexEquivalence:
         the full pass must produce identical cuts."""
         graph = random_augmented_graph(60, 150, 120, seed=5)
         init = Partition.all_legitimate(graph)
-        bucket = extended_kl(
-            graph, k, init, config=KLConfig(gain_index="bucket")
-        )
-        heap = extended_kl(graph, k, init, config=KLConfig(gain_index="heap"))
+        with forced_body("bucket"):
+            bucket = extended_kl(graph, k, init)
+        with forced_body("heap"):
+            heap = extended_kl(graph, k, init)
         assert bucket.objective(k) == pytest.approx(heap.objective(k))
 
     def test_heap_handles_off_grid_k(self):
         graph = random_augmented_graph(30, 60, 60, seed=9)
-        result = extended_kl(
-            graph,
-            0.3,
-            Partition.all_legitimate(graph),
-            config=KLConfig(gain_index="auto"),
-        )
+        result = extended_kl(graph, 0.3, Partition.all_legitimate(graph))
         assert result.verify_counts()
 
 

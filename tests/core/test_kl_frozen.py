@@ -8,11 +8,13 @@ separate loops, so they stay an oracle for any rewrite of the pass
 machinery that claims to change nothing: the bucket and heap engines
 can no longer vouch for each other once they share one skeleton.
 
-One entry per ``(graph kind, gain index, k)``; each entry folds 24 runs
+One entry per ``(graph kind, pass body, k)``; each entry folds 24 runs
 — four seeds × random and perturbed-converged starts × ``stall_limit``
 None/1/5 — into one hash, and both backends must reproduce it. Graph kinds cover
 unweighted and int64-weighted (contracted ``coarse_state``) graphs,
-locked nodes, and unweighted and weighted residual views.
+locked nodes, and unweighted and weighted residual views. A ``"heap"``
+entry forces the heap pass (:mod:`.pass_body`); ``"bucket"`` and
+``"auto"`` entries reach their body through the engine's own rule.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from repro.core.csr import PartitionState
 from repro.core.kl import KLConfig, KLStats, extended_kl_state
 
 from ..conftest import random_augmented_graph
+from .pass_body import forced_body
 from .test_weighted_parity import BACKENDS, coarse_state
 
 SEEDS = (0, 1, 2, 3)
 STALLS = (None, 1, 5)
 
-#: ``(kind, gain_index, k) -> hash`` of the 24 folded run signatures.
+#: ``(kind, body, k) -> hash`` of the 24 folded run signatures.
 FROZEN = {
     ('plain', 'bucket', 0.5): '5e52e3f0de8dea49',
     ('plain', 'bucket', 2.0): '8269121cd76ca8ad',
@@ -73,10 +76,10 @@ ENGINES = (
     ("auto", 0.3),  # off the 1/8 grid: the heap engine
 )
 CASES = [
-    (kind, gain_index, k)
+    (kind, body, k)
     for kind in BUCKET_KINDS + HEAP_ONLY_KINDS
-    for gain_index, k in ENGINES
-    if kind in BUCKET_KINDS or gain_index != "bucket"
+    for body, k in ENGINES
+    if kind in BUCKET_KINDS or body != "bucket"
 ]
 
 
@@ -128,24 +131,27 @@ def _signature(view, sides, locked, k: float, config: KLConfig) -> str:
     )
 
 
-def entry_hash(kind: str, gain_index: str, k: float, backend: str) -> str:
-    """The folded hash of one ``FROZEN`` entry on one backend."""
+def entry_hash(kind: str, body: str, k: float, backend: str) -> str:
+    """The folded hash of one ``FROZEN`` entry on one backend. The
+    converged starts come from the engine's own rule; only the hashed
+    runs are forced onto ``body``."""
     digest = hashlib.sha256()
     for seed in SEEDS:
         view, sides, locked = _graph(kind, seed, backend)
         starts = (sides, _perturbed(view, sides, locked, k, seed))
         for start in starts:
             for stall_limit in STALLS:
-                config = KLConfig(gain_index=gain_index, stall_limit=stall_limit)
-                signature = _signature(view, start, locked, k, config)
+                config = KLConfig(stall_limit=stall_limit)
+                with forced_body(body):
+                    signature = _signature(view, start, locked, k, config)
                 digest.update(signature.encode())
     return digest.hexdigest()[:16]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("kind,gain_index,k", CASES)
-def test_signature_frozen(kind, gain_index, k, backend):
-    assert entry_hash(kind, gain_index, k, backend) == FROZEN[kind, gain_index, k]
+@pytest.mark.parametrize("kind,body,k", CASES)
+def test_signature_frozen(kind, body, k, backend):
+    assert entry_hash(kind, body, k, backend) == FROZEN[kind, body, k]
 
 
 def test_cases_cover_every_frozen_entry():

@@ -324,18 +324,18 @@ def _bucket_cases(cases):
 
 
 class TestFrozenForced:
-    @pytest.mark.parametrize("kind,gain_index,k", _bucket_cases(kl_frozen.CASES))
-    def test_kl_frozen(self, forced, kind, gain_index, k):
-        got = kl_frozen.entry_hash(kind, gain_index, k, "numpy")
-        assert got == kl_frozen.FROZEN[kind, gain_index, k]
+    @pytest.mark.parametrize("kind,body,k", _bucket_cases(kl_frozen.CASES))
+    def test_kl_frozen(self, forced, kind, body, k):
+        got = kl_frozen.entry_hash(kind, body, k, "numpy")
+        assert got == kl_frozen.FROZEN[kind, body, k]
         assert forced
 
     @pytest.mark.parametrize(
-        "kind,gain_index,k", _bucket_cases(refine_frozen.CASES)
+        "kind,body,k", _bucket_cases(refine_frozen.CASES)
     )
-    def test_refine_frozen(self, forced, kind, gain_index, k):
-        got = refine_frozen.entry_hash(kind, gain_index, k, "numpy")
-        assert got == refine_frozen.FROZEN[kind, gain_index, k]
+    def test_refine_frozen(self, forced, kind, body, k):
+        got = refine_frozen.entry_hash(kind, body, k, "numpy")
+        assert got == refine_frozen.FROZEN[kind, body, k]
         assert forced
 
     @pytest.mark.parametrize("name", sorted(multilevel_frozen.MULTILEVEL_CASES))

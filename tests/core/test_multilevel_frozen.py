@@ -3,11 +3,17 @@
 Each multilevel case runs :func:`~repro.core.multilevel.solve_maar_multilevel`
 on a planted scenario and hashes ``(suspicious, k, acceptance_rate,
 level_sizes, refine_detail)``: the detection, the ratio the final
-polish settled on, and every level's refinement tallies (scope,
-frontier size, regions, rounds, moves, tested). The configurations cover
-the default, early exit (``refine_tolerance > 0``), exhaustive region
-passes (``refine_stall=None``), a deeper hierarchy, and seeded runs
-whose locked nodes coarsen as singletons.
+polish settled on, and every level's refinement tallies (frontier size,
+regions, rounds, moves, tested). The configurations cover the default,
+exhaustive region passes (``refine_stall=None``), a deeper hierarchy,
+and seeded runs whose locked nodes coarsen as singletons.
+
+The hashes were captured while each ``refine_detail`` record also
+carried a ``scope`` key (always ``"boundary"`` on a refined level) and a
+``skipped`` key (always ``False``), which went with the removed
+per-level early exit. :func:`_captured_detail` puts those two constants
+back at their old positions, so the captured hashes still apply to every
+other field.
 
 Each flat case runs :func:`~repro.core.maar.solve_maar` with
 ``refine_rounds`` on and hashes every ``per_k`` entry, the winning ``k``
@@ -41,16 +47,6 @@ MULTILEVEL_CASES = {
     "default_900": ((900, 180, 7), {}, False),
     "deep_400": ((400, 80, 1), {"coarsest_nodes": 80}, False),
     "deep_600": ((600, 120, 2), {"coarsest_nodes": 80}, False),
-    "tolerance_600": (
-        (600, 120, 2),
-        {"coarsest_nodes": 100, "refine_tolerance": 0.2},
-        False,
-    ),
-    "tolerance_900": (
-        (900, 180, 7),
-        {"coarsest_nodes": 100, "refine_tolerance": 1.0},
-        False,
-    ),
     "no_stall_400": ((400, 80, 3), {"refine_stall": None}, False),
     "no_stall_900": ((900, 180, 7), {"refine_stall": None}, False),
     "seeded_400": ((400, 80, 1), {"coarsest_nodes": 80}, True),
@@ -85,8 +81,6 @@ FROZEN_MULTILEVEL = {
     "default_900": "f2510a27ddde6f71",
     "deep_400": "afcb9f44c5d01408",
     "deep_600": "2f3b5b5433fb33ae",
-    "tolerance_600": "d58d867098d840ee",
-    "tolerance_900": "97b74894dea4c8d2",
     "no_stall_400": "0614b69c0ed38805",
     "no_stall_900": "efd25ca5464ef9f8",
     "seeded_400": "b5589e33c1df0794",
@@ -132,6 +126,20 @@ def _digest(signature) -> str:
     return hashlib.sha256(repr(_plain(signature)).encode()).hexdigest()[:16]
 
 
+_DETAIL_KEYS = ("boundary", "regions", "rounds", "moves", "tested")
+
+
+def _captured_detail(detail):
+    """One ``refine_detail`` record in the key order it was hashed in."""
+    assert sorted(detail) == sorted(_DETAIL_KEYS + ("level",))
+    return {
+        "scope": "boundary",
+        **{key: detail[key] for key in _DETAIL_KEYS},
+        "skipped": False,
+        "level": detail["level"],
+    }
+
+
 def multilevel_hash(name: str, backend: str) -> str:
     (num_legit, num_fakes, seed), overrides, seeded = MULTILEVEL_CASES[name]
     scenario = _scenario(num_legit, num_fakes, seed)
@@ -148,7 +156,7 @@ def multilevel_hash(name: str, backend: str) -> str:
             None if result.k is None else float(result.k),
             float(result.acceptance_rate),
             result.level_sizes,
-            result.timings["refine_detail"],
+            [_captured_detail(d) for d in result.timings["refine_detail"]],
         )
     )
 

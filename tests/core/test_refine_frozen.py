@@ -7,7 +7,7 @@ pass loop, so they stay an oracle for running region refinement on the
 shared pass skeleton of :mod:`repro.core.kl`: same cuts, same counter
 deltas, same switch counts.
 
-One entry per ``(graph kind, gain index, k)``; each entry folds, over
+One entry per ``(graph kind, pass body, k)``; each entry folds, over
 four seeds × random and perturbed-converged starts × ``stall_limit``
 None/1/256 × ``max_passes`` 1/30, the runs on four kinds of candidate
 subset: the whole graph, a random sixth and a random half of it (either
@@ -17,7 +17,9 @@ refined in turn against one shared side vector as the multilevel
 region worker does. Graph kinds cover unweighted and int64-weighted
 (contracted ``coarse_state``) graphs, locked nodes, and unweighted and
 weighted residual views; ``k`` covers the 1/8 grid (0.5, 2) and off-grid
-ratios (0.3, 1.7). Both backends must reproduce every hash.
+ratios (0.3, 1.7). A ``"heap"`` entry forces the heap pass
+(:mod:`.pass_body`); ``"auto"`` entries take the engine's own rule. Both
+backends must reproduce every hash.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from repro.core.kernels import boundary_nodes, cut_regions
 from repro.core.kl import KLConfig, extended_kl_state, refine_subset
 
 from ..conftest import random_augmented_graph
+from .pass_body import forced_body
 from .test_weighted_parity import BACKENDS, coarse_state
 
 SEEDS = (0, 1, 2, 3)
 STALLS = (None, 1, 256)
 MAX_PASSES = (1, 30)
 
-#: ``(kind, gain_index, k) -> hash`` of the folded run signatures.
+#: ``(kind, body, k) -> hash`` of the folded run signatures.
 FROZEN = {
     ('plain', 'auto', 0.5): 'a06ebf3fb4763283',
     ('plain', 'auto', 2.0): '7276e64f02f58a99',
@@ -94,7 +97,7 @@ ENGINES = (
     ("auto", 0.3),  # off the 1/8 grid: the heap engine
     ("auto", 1.7),
 )
-CASES = [(kind, gain_index, k) for kind in KINDS for gain_index, k in ENGINES]
+CASES = [(kind, body, k) for kind in KINDS for body, k in ENGINES]
 
 
 def _graph(kind: str, seed: int, backend: str):
@@ -138,8 +141,10 @@ def _subsets(view, sides, k: float, seed: int):
     yield cut_regions(view.csr, boundary_nodes(view, sides, k))
 
 
-def entry_hash(kind: str, gain_index: str, k: float, backend: str) -> str:
-    """The folded hash of one ``FROZEN`` entry on one backend."""
+def entry_hash(kind: str, body: str, k: float, backend: str) -> str:
+    """The folded hash of one ``FROZEN`` entry on one backend. The
+    converged starts come from the engine's own rule; only the hashed
+    ``refine_subset`` runs are forced onto ``body``."""
     digest = hashlib.sha256()
     for seed in SEEDS:
         view, sides, locked = _graph(kind, seed, backend)
@@ -148,24 +153,23 @@ def entry_hash(kind: str, gain_index: str, k: float, backend: str) -> str:
             for stall_limit in STALLS:
                 for max_passes in MAX_PASSES:
                     config = KLConfig(
-                        gain_index=gain_index,
-                        stall_limit=stall_limit,
-                        max_passes=max_passes,
+                        stall_limit=stall_limit, max_passes=max_passes
                     )
                     for regions in _subsets(view, start, k, seed):
                         local = list(start)
                         for region in regions:
-                            result = refine_subset(
-                                view, local, locked, region, k, config
-                            )
+                            with forced_body(body):
+                                result = refine_subset(
+                                    view, local, locked, region, k, config
+                                )
                             digest.update(repr((local, result)).encode())
     return digest.hexdigest()[:16]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("kind,gain_index,k", CASES)
-def test_signature_frozen(kind, gain_index, k, backend):
-    assert entry_hash(kind, gain_index, k, backend) == FROZEN[kind, gain_index, k]
+@pytest.mark.parametrize("kind,body,k", CASES)
+def test_signature_frozen(kind, body, k, backend):
+    assert entry_hash(kind, body, k, backend) == FROZEN[kind, body, k]
 
 
 def test_cases_cover_every_frozen_entry():

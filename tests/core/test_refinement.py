@@ -17,8 +17,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.attacks import ScenarioConfig, build_scenario
 from repro.attacks.spam import (
@@ -36,6 +34,7 @@ from repro.core.multilevel import MultilevelConfig
 from repro.graphgen import barabasi_albert
 
 from ..conftest import random_augmented_graph
+from .pass_body import forced_body
 
 
 def _as_csr(graph: AugmentedSocialGraph, backend: str, weighted: bool):
@@ -75,11 +74,10 @@ class TestRefineSubset:
             csr = _as_csr(_random_graph(rng, n), "python", weighted)
             k = rng.choice([0.3, 1.0, 1.7])
             perturbed = _refinement_workload(rng, csr, k)
-            state = extended_kl_state(
-                PartitionState(csr.view(), perturbed),
-                k,
-                KLConfig(gain_index="heap"),
-            )
+            with forced_body("heap"):
+                state = extended_kl_state(
+                    PartitionState(csr.view(), perturbed), k, KLConfig()
+                )
             sides = list(perturbed)
             locked = [False] * n
             moved, delta_f, delta_r, tested, applied = refine_subset(
@@ -207,21 +205,8 @@ class TestMultilevelBoundary:
         detail = result.timings["refine_detail"]
         assert len(detail) == len(result.timings["refine"])
         assert detail[-1]["level"] == 0
-        assert all(d["scope"] in ("boundary", "skipped") for d in detail)
-        assert result.timings["early_exits"] == 0
-
-    def test_early_exit_skips_levels_and_records_them(self, scenario):
-        config = MultilevelConfig(refine_tolerance=1.0, coarsest_nodes=100)
-        result = solve_maar_multilevel(scenario.graph, config)
-        assert result.found
-        skipped = [
-            d for d in result.timings["refine_detail"] if d["skipped"]
-        ]
-        assert len(skipped) == result.timings["early_exits"]
-        assert result.timings["early_exits"] > 0
-        assert all(d["scope"] == "skipped" for d in skipped)
-        # The finest level always refines.
-        assert not result.timings["refine_detail"][-1]["skipped"]
+        keys = {"level", "boundary", "regions", "rounds", "moves", "tested"}
+        assert all(set(d) == keys for d in detail)
 
     @pytest.mark.parametrize("refine_stall", [0, -1])
     def test_non_positive_refine_stall_rejected(self, scenario, refine_stall):
@@ -256,7 +241,6 @@ class TestMultilevelBoundary:
         )
         assert result.found
         detail = result.timings["refine_detail"]
-        assert all(d["scope"] == "boundary" for d in detail)
         assert all(d["tested"] >= d["moves"] for d in detail)
         saturated = [
             d
@@ -264,33 +248,6 @@ class TestMultilevelBoundary:
             if d["boundary"] > 0.98 * result.level_sizes[d["level"]]
         ]
         assert saturated and all(d["moves"] > 0 for d in saturated)
-
-    @settings(deadline=None, max_examples=6)
-    @given(
-        tolerance=st.floats(min_value=0.001, max_value=0.5),
-        seed=st.integers(min_value=0, max_value=3),
-    )
-    def test_early_exit_never_worsens_acceptance_beyond_tolerance(
-        self, tolerance, seed
-    ):
-        scenario = build_scenario(
-            ScenarioConfig(num_legit=400, num_fakes=80, seed=seed)
-        )
-        config = MultilevelConfig(coarsest_nodes=80)
-        baseline = solve_maar_multilevel(scenario.graph, config)
-        relaxed = solve_maar_multilevel(
-            scenario.graph,
-            MultilevelConfig(coarsest_nodes=80, refine_tolerance=tolerance),
-        )
-        assert relaxed.found == baseline.found
-        if baseline.found:
-            # Skipping intermediate levels may only cost what the final
-            # always-run refinement cannot recover — bounded by the
-            # tolerance itself.
-            assert (
-                relaxed.acceptance_rate
-                <= baseline.acceptance_rate + tolerance
-            )
 
 
 class TestPolishGuard:

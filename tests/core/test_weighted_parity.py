@@ -26,10 +26,11 @@ from repro.core.kernels import (
     recount_active,
     weighted_gain_deltas,
 )
-from repro.core.kl import KLConfig, KLStats, extended_kl_state
+from repro.core.kl import KLConfig, KLStats, _use_bucket, extended_kl_state
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
 from ..conftest import augmented_graphs, graphs_with_sides, random_augmented_graph
+from .pass_body import forced_body
 
 try:
     import numpy  # noqa: F401
@@ -199,10 +200,12 @@ class TestWeightedKLParity:
         for backend in BACKENDS:
             csr, sides = coarse_state(seed, backend=backend)
             for k in self.K_VALUES:
-                for gain_index in ("bucket", "heap"):
+                for body in ("bucket", "heap"):
                     for engine in (full_rebuild_kl, extended_kl_state):
-                        config = KLConfig(gain_index=gain_index)
-                        signature = run_signature(csr, sides, k, config, engine)
+                        with forced_body(body):
+                            signature = run_signature(
+                                csr, sides, k, KLConfig(), engine
+                            )
                         signatures.add((k, repr(signature)))
                         proper = proper or nontrivial(signature)
         # One distinct signature per k, whatever the backend/engine/mode.
@@ -217,10 +220,9 @@ class TestWeightedKLParity:
             for backend in BACKENDS:
                 csr, sides = coarse_state(seed, levels=2, backend=backend)
                 assert isinstance(csr, WeightedCSRGraph)
-                for gain_index in ("bucket", "heap"):
-                    signature = run_signature(
-                        csr, sides, k, KLConfig(gain_index=gain_index)
-                    )
+                for body in ("bucket", "heap"):
+                    with forced_body(body):
+                        signature = run_signature(csr, sides, k, KLConfig())
                     if reference is None:
                         reference = signature
                     assert signature == reference
@@ -250,12 +252,13 @@ class TestWeightedKLParity:
         proper = False
         for k in (0.3, 1.3):
             off_grid = run_signature(csr, sides, k, KLConfig())
-            heap = run_signature(csr, sides, k, KLConfig(gain_index="heap"))
+            with forced_body("heap"):
+                heap = run_signature(csr, sides, k, KLConfig())
             assert off_grid == heap
             proper = proper or nontrivial(heap)
         assert proper
-        with pytest.raises(ValueError, match="bucket grid"):
-            run_signature(csr, sides, 0.3, KLConfig(gain_index="bucket"))
+        assert _use_bucket(csr.view(), 0.5)
+        assert not _use_bucket(csr.view(), 0.3)
 
     def test_float_weighted_graph_rejects_bucket(self):
         """Fractional weights never reach a pass body: neither the
@@ -286,8 +289,9 @@ class TestWeightedKLParity:
         active[0] = 0
         view = CSRView(csr, active)
         state = PartitionState(view, sides, [False] * csr.num_nodes)
-        with pytest.raises(ValueError, match="all-active"):
-            extended_kl_state(state, 1.0, KLConfig(gain_index="bucket"))
-        # auto silently takes the heap on the residual view.
+        # The weighted bucket pass needs an all-active view, so the rule
+        # takes the heap on the residual view even at on-grid k.
+        assert _use_bucket(csr.view(), 1.0)
+        assert not _use_bucket(view, 1.0)
         out = extended_kl_state(state, 1.0, KLConfig())
         assert out.verify_counts()

@@ -241,14 +241,16 @@ class TestMultilevelCommand:
         )
         payload = json.loads(report.read_text())
         assert payload["suspicious"]
-        assert set(payload["config"]) == {"refine_tolerance"}
+        assert payload["config"] == {"refine_stall": None}
 
     def test_no_incremental_flag_is_gone(self):
         """So are the removed fan-out flags ``--refine-jobs`` and
-        ``--jobs`` and the removed ``--frontier`` refinement scope: each
-        is an argparse usage error (exit 2)."""
+        ``--jobs``, the removed ``--frontier`` refinement scope and the
+        removed ``--refine-tolerance`` early exit: each is an argparse
+        usage error (exit 2)."""
         for flag in (
             ["--no-incremental"],
+            ["--refine-tolerance", "0.5"],
             ["--refine-jobs", "2"],
             ["--jobs", "2"],
             ["--frontier", "full"],
