@@ -371,11 +371,25 @@ class TestValidation:
             ("max_passes", 0),
             ("buffer_capacity", -1),
             ("prefetch_batch", 0),
+            ("resolution", 0),
         ],
     )
     def test_config_rejects_bad_values_up_front(self, field, value):
+        if field == "resolution":
+            # No longer a field: the bucket grid is gains.RESOLUTION, so
+            # any value is refused when the config is built.
+            with pytest.raises(TypeError, match="resolution"):
+                ClusterConfig(**{field: value})
+            return
         with pytest.raises(ValueError, match=f"{field} must be >="):
             ClusterConfig(**{field: value})
+
+    @pytest.mark.parametrize("resolution", [8.0, 2.5, True, False])
+    def test_config_rejects_non_int_resolution(self, resolution):
+        """A float or bool grid used to be refused by value; the field is
+        gone, so every value is refused when the config is built."""
+        with pytest.raises(TypeError, match="resolution"):
+            ClusterConfig(resolution=resolution)
 
     def test_single_pass_keeps_true_counters(self, scenario):
         """The smallest pass budget still reports the run's real cut

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import (
     AugmentedSocialGraph,
     HeapGainIndex,
+    KLConfig,
     PartitionState,
 )
 from repro.core.kl import _bucket_pass, _use_bucket, adjust_neighbor_gains
@@ -71,6 +72,12 @@ class TestFactory:
 
     def test_auto_picks_heap_off_grid(self):
         assert _use_bucket(self.view(), 0.3) is False
+
+    def test_unknown_kind_rejected(self):
+        """There is no gain-index kind to name: a config that names one is
+        refused when it is built."""
+        with pytest.raises(TypeError, match="gain_index"):
+            KLConfig(gain_index="fibonacci")
 
 
 # ----------------------------------------------------------------------

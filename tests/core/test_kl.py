@@ -159,6 +159,21 @@ class TestNoOpConfigsRejected:
                 config,
             )
 
+    @pytest.mark.parametrize("resolution", [0, -8])
+    def test_non_positive_resolution(self, resolution):
+        """The bucket grid is gains.RESOLUTION, not a setting, so no
+        resolution reaches either entry point."""
+        with pytest.raises(TypeError, match="resolution"):
+            KLConfig(resolution=resolution)
+
+    @pytest.mark.parametrize("resolution", [8.0, 2.5, True, "8"])
+    def test_non_int_resolution(self, resolution):
+        """A float resolution used to die inside the bucket pass and a
+        bool passed as 1; the field is gone, so every value is refused
+        when the config is built."""
+        with pytest.raises(TypeError, match="resolution"):
+            KLConfig(resolution=resolution)
+
     @pytest.mark.parametrize("max_passes", [0, -1])
     def test_non_positive_max_passes(self, state, max_passes):
         config = KLConfig(max_passes=max_passes)
@@ -222,6 +237,20 @@ class TestRefineSubsetInputs:
     def test_wrong_sides_length(self, state, length):
         with pytest.raises(ValueError, match="sides has length"):
             self.refine(state, [0], sides=[0] * length)
+
+    @pytest.mark.parametrize(
+        "gain_index,k,message",
+        [("bogus", 1.0, "unknown gain index kind 'bogus'")],
+    )
+    def test_gain_index_errors_match_engine(self, state, gain_index, k, message):
+        """The gain-index kind is no longer a setting, so the dispatch
+        error ``message`` cannot be reached: the config is refused when it
+        is built, and both entry points run the default config at ``k``."""
+        with pytest.raises(TypeError, match="gain_index") as refused:
+            KLConfig(gain_index=gain_index)
+        assert message not in str(refused.value)
+        extended_kl_state(PartitionState(state.view, list(state.sides)), k)
+        self.refine(state, range(self.N), k)
 
     @pytest.mark.parametrize("length", [N - 1, N + 1])
     def test_wrong_locked_length(self, state, length):
