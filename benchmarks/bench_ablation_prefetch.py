@@ -2,11 +2,12 @@
 
 Section V's I/O optimization: each miss pulls the bucket list's
 top-gain candidates in one batched block-slice fetch; prefetched records
-stay until read, read ones are evicted LRU; between passes only the
-switched node ids are broadcast. Measures wall
-time and reports the per-kind message/byte breakdown; the computed cut
-must be identical with and without prefetching — it is a pure I/O
-optimization.
+stay until read, and read ones stay for later passes only when every
+unlocked node fits the buffer (here it does: 1,440 nodes, 4,096
+records); between passes only the switched node ids are broadcast.
+Measures wall time and reports the per-kind message/byte breakdown; the
+computed cut must be identical with and without prefetching — it is a
+pure I/O optimization.
 """
 
 import pytest

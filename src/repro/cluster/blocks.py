@@ -13,9 +13,10 @@ with cached plain-list and numpy views mirroring
   many nodes as request-ordered records plus the exact reply size (8
   bytes per int64 element plus a fixed header) instead of a per-tuple
   structural estimate;
-* **vectorized per-pass state** — the master's gain rebuild and
-  cross-cut recount run the :func:`repro.core.kernels.shard_gain_deltas`
-  / :func:`~repro.core.kernels.shard_cut_counts` batch kernels over each
+* **vectorized per-pass state** — the per-pass gains (already scaled
+  to the master's integer buckets) and the cross-cut recount run the
+  :func:`repro.core.kernels.shard_gain_deltas` /
+  :func:`~repro.core.kernels.shard_cut_counts` batch kernels over each
   block (numpy on the numpy backend, bit-identical scalar loops
   otherwise);
 * **delta-friendly wire accounting** — every message's size follows
@@ -52,13 +53,13 @@ MESSAGE_HEADER_BYTES = 24
 COUNTER_BYTES = 16
 #: One packed status byte per node in a full side-vector broadcast.
 SIDE_BYTE = 1
-#: Wire width of one node id / pointer / gain (int64 / float64).
+#: Wire width of one node id / pointer / scaled gain (int64).
 INT_BYTES = 8
 
-#: Per-node adjacency as a block-slice fetch serves it:
-#: ``(node, friends, rej_out, rej_in)``, each adjacency a list sliced
-#: once off the block's rows.
-NodeRecord = Tuple[int, Sequence[int], Sequence[int], Sequence[int]]
+#: Per-node adjacency as a block-slice fetch serves it and the master's
+#: bucket pass reads it: ``(friends, rej_out, rej_in)``, each a list
+#: sliced once off the block's rows.
+NodeRecord = Tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
 def block_payload_bytes(csr, lo: int, hi: int) -> int:
@@ -199,34 +200,34 @@ class ShardBlock:
 
     def slices(self, nodes: Sequence[int]) -> Tuple[List[NodeRecord], int]:
         """Batched block-slice read: the requested (global-id) nodes'
-        ``(node, friends, rej_out, rej_in)`` records in request order,
-        plus the reply's exact wire size. For ``m`` nodes the reply
-        carries the ids, three offset arrays of ``m + 1`` entries and
-        the adjacency, one int64 each, behind the fixed header."""
+        ``(friends, rej_out, rej_in)`` records in request order, plus
+        the reply's exact wire size. For ``m`` nodes the reply carries
+        the ids, three offset arrays of ``m + 1`` entries and the
+        adjacency, one int64 each, behind the fixed header; the
+        adjacency length is read off the offsets."""
         fp, fi, op, oi, ip_, ii = self.hot()
         lo, size = self.lo, self.hi - self.lo
         records: List[NodeRecord] = []
-        elements = 3
+        adjacency = 0
         for node in nodes:
             r = node - lo
             if not 0 <= r < size:
                 raise KeyError(
                     f"node {node} outside block range [{lo}, {self.hi})"
                 )
-            friends = fi[fp[r] : fp[r + 1]]
-            rej_out = oi[op[r] : op[r + 1]]
-            rej_in = ii[ip_[r] : ip_[r + 1]]
-            elements += 4 + len(friends) + len(rej_out) + len(rej_in)
-            records.append((node, friends, rej_out, rej_in))
+            f0, f1 = fp[r], fp[r + 1]
+            o0, o1 = op[r], op[r + 1]
+            i0, i1 = ip_[r], ip_[r + 1]
+            adjacency += f1 - f0 + o1 - o0 + i1 - i0
+            records.append((fi[f0:f1], oi[o0:o1], ii[i0:i1]))
+        elements = 3 + 4 * len(records) + adjacency
         return records, MESSAGE_HEADER_BYTES + INT_BYTES * elements
 
-    def pass_state(self, sides: Sequence[int], k: float):
-        """Worker-side per-pass contribution: the block's per-node switch
-        gains (the single IEEE expression ``-(fd − k·rd)`` over the
-        kernel integers, so both backends are bit-identical) plus its
-        exact ``(f_cross, r_cross)`` parts."""
-        fd, rd = shard_gain_deltas(self, sides)
-        gains = [-(fd[r] - k * rd[r]) for r in range(len(fd))]
+    def pass_state(self, sides: Sequence[int], k_scaled: int, res: int):
+        """Worker-side per-pass contribution: the block's per-node
+        integer-scaled switch gains ``k_scaled·rd − fd·res`` (``k`` is
+        ``k_scaled/res``) plus its exact ``(f_cross, r_cross)`` parts."""
+        gains = shard_gain_deltas(self, sides, k_scaled, res)
         f_part, r_part = shard_cut_counts(self, sides)
         return gains, f_part, r_part
 

@@ -16,14 +16,19 @@ Implements the architecture of Section V:
   worker runs the :func:`repro.core.kernels.shard_gain_deltas` /
   :func:`~repro.core.kernels.shard_cut_counts` batch kernels over its
   block (vectorized on the numpy backend) and replies with the block's
-  per-node gains and its exact boundary-counter parts — the master never
+  per-node gains, as the integers ``k_scaled·rd − fd·res`` the bucket
+  list indexes, and its exact boundary-counter parts — the master never
   re-derives either from adjacency;
 * node structure is pulled through a **prefetch buffer**: each miss
   issues one batched *block-slice* fetch for the missed node plus
   top-gain candidates the buffer does not hold, taken in the order the
   greedy loop will pop them; each partition touched replies with the
-  request-ordered records plus the exact reply size. Prefetched records
-  stay until read; read ones are evicted LRU;
+  request-ordered ``(friends, rej_out, rej_in)`` records plus the exact
+  reply size. Prefetched records stay until read. Read ones stay for
+  later passes when the run's unlocked nodes all fit the buffer, and
+  are dropped at once otherwise (every pass reads every unlocked node
+  once, in a new order, which no LRU tier smaller than the graph
+  survives);
 * status updates travel as **delta broadcasts**: the full side vector is
   installed once per run (1 byte per node), and each subsequent pass
   ships only the ids of the nodes its best prefix actually switched
@@ -194,10 +199,13 @@ class DistributedKL:
             messages=len(targets),
         )
 
-    def _collect_pass_state(self, k: float) -> Tuple[List[float], int, int]:
+    def _collect_pass_state(
+        self, k_scaled: int, res: int
+    ) -> Tuple[List[int], int, int]:
         """One gains exchange per partition: each owning worker runs the
         shard kernels over its block against its side replica and replies
-        ``(gains, f_cross_part, r_cross_part)``.
+        ``(gains, f_cross_part, r_cross_part)``, the gains scaled to the
+        bucket scale ``k = k_scaled/res``.
 
         The per-block counter parts sum to the exact graph-wide counters
         (cross friendships are deduped globally by ``u < v``). Partitions
@@ -206,7 +214,7 @@ class DistributedKL:
         bucket list's LIFO tie-breaks are defined against.
         """
         sharded = self.sharded
-        gains: List[float] = []
+        gains: List[int] = []
         f_cross = r_cross = 0
         for pid in range(sharded.num_partitions):
             lo, hi = sharded.range_of(pid)
@@ -214,7 +222,7 @@ class DistributedKL:
                 continue
             worker = self.context.block_replica_for(pid, sharded.key(pid))
             block_gains, f_part, r_part = worker.block_pass_state(
-                sharded.key(pid), k
+                sharded.key(pid), k_scaled, res
             )
             self.network.send(
                 "gains",
@@ -291,23 +299,25 @@ class DistributedKL:
         k_scaled, res = _lowest_terms(k, RESOLUTION)
         offset = self._bucket_offset(k_scaled, res)
 
+        eligible = [u for u in range(n) if not locked[u]]
         buffer = PrefetchBuffer(
             capacity=config.buffer_capacity,
             fetch_batch=self._fetch_records,
             batch_size=config.prefetch_batch,
+            keys=eligible,
         )
         source = prefetch_source(buffer)
         # Full sync opens every run: replicas must start from this run's
         # initial sides, whatever a previous run left behind.
         self._broadcast_full(sides)
         for _ in range(config.max_passes):
-            gains, f_cross, r_cross = self._collect_pass_state(k)
+            gains, f_cross, r_cross = self._collect_pass_state(k_scaled, res)
             if stats is not None:
                 stats.passes += 1
                 stats.objective_history.append(f_cross - k * r_cross)
 
             state = MasterState.for_pass(
-                n, sides, f_cross, r_cross, gains, locked, res, offset
+                n, sides, f_cross, r_cross, gains, eligible, offset
             )
             applied, tested = _bucket_pass(
                 state, state.eligible, state.gain_b, None, None, k_scaled,

@@ -7,12 +7,14 @@ per node on the master."
 
 :class:`MasterState` is that state for one pass: the side assignment,
 the cut counters, and every unlocked node's start-of-pass gain as an
-integer bucket index. The pass itself is kl's fused integer bucket pass
-(:func:`repro.core.kl._bucket_pass`), the body local KL runs; only the
-origin of adjacency differs. :func:`prefetch_source` serves each
-switched node's record out of the prefetch buffer and, on a miss, walks
-the live bucket list for the top-gain nodes to fetch along with it. The
-workers only ever see structure fetches.
+integer bucket index; the workers send those gains already scaled, so
+the index is one addition away. The pass itself is kl's fused integer
+bucket pass (:func:`repro.core.kl._bucket_pass`), the body local KL
+runs; only the origin of adjacency differs. :func:`prefetch_source`
+serves each switched node's record out of the prefetch buffer, the
+``(friends, rej_out, rej_in)`` tuple as the worker sent it, and, on a
+miss, walks the live bucket list for the top-gain nodes to fetch along
+with it, testing one residency byte per node.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 from .blocks import NodeRecord
-from .prefetch import PrefetchBuffer
+from .prefetch import UNREAD, PrefetchBuffer
 
 __all__ = ["MasterState", "NodeRecord", "prefetch_source"]
 
@@ -51,7 +53,7 @@ class MasterState:
         self.r_cross = r_cross
         #: unlocked nodes, ascending: the bucket list's load order
         self.eligible = eligible
-        #: per-node bucket index ``round(gain·res) + offset``
+        #: per-node bucket index ``scaled gain + offset``
         self.gain_b = gain_b
 
     @classmethod
@@ -61,21 +63,21 @@ class MasterState:
         sides: Sequence[int],
         f_cross: int,
         r_cross: int,
-        gains: Sequence[float],
-        locked: Sequence[bool],
-        resolution: int,
+        gains: Sequence[int],
+        eligible: List[int],
         offset: int,
     ) -> "MasterState":
-        """Build the state for one KL pass from the worker-reported
-        per-node ``gains`` (ascending node order).
+        """Build the state for one KL pass over the ``eligible``
+        (unlocked, ascending) nodes from the worker-reported per-node
+        integer-scaled ``gains`` (ascending node order).
 
-        Each gain becomes the bucket index ``round(gain·resolution) +
-        offset``. ``resolution`` is the pass's bucket scale — ``k``'s
-        reduced denominator (:func:`repro.core.gains._lowest_terms`), not
-        the configured grid — so every gain is an exact multiple of
-        ``1/resolution`` and the integer pass pops in the float order.
-        ``offset`` must exceed every scaled gain magnitude the pass can
-        reach; it is the bucket index of a zero gain.
+        Each gain is ``k_scaled·rd − fd·res`` at the pass's bucket scale
+        ``(k_scaled, res)`` — ``k`` in lowest terms
+        (:func:`repro.core.gains._lowest_terms`), not the configured grid
+        — so the integer pass pops in the float order, and its bucket
+        index is ``gain + offset``. ``offset`` must exceed every scaled
+        gain magnitude the pass can reach; it is the bucket index of a
+        zero gain.
         """
         if len(sides) != num_nodes:
             raise ValueError(
@@ -85,21 +87,20 @@ class MasterState:
             raise ValueError(
                 f"gains has length {len(gains)}, expected {num_nodes}"
             )
-        eligible = [u for u in range(num_nodes) if not locked[u]]
-        gain_b = [round(g * resolution) + offset for g in gains]
+        gain_b = [g + offset for g in gains]
         return cls(list(sides), f_cross, r_cross, eligible, gain_b)
 
 
 def prefetch_source(buffer: PrefetchBuffer) -> RecordSource:
     """The record source the master's bucket pass reads adjacency from.
 
-    A node resident in ``buffer`` is served without walking. On a miss
-    the source walks the live bucket list for the ride-along candidates
-    ("the prefetched nodes are those with the highest potential move
-    gains in the bucket list", Section V), taking up to
-    :meth:`PrefetchBuffer.room` nodes the buffer does not hold, in the
-    order the next pops would take them (buckets descending, LIFO within
-    a bucket):
+    A node whose record ``buffer`` holds is served without walking. On a
+    miss the source walks the live bucket list for the ride-along
+    candidates ("the prefetched nodes are those with the highest
+    potential move gains in the bucket list", Section V), taking up to
+    :meth:`PrefetchBuffer.room` nodes whose records the buffer does not
+    hold, in the order the next pops would take them (buckets
+    descending, LIFO within a bucket):
 
     1. from the top bucket down, giving up after ``2·batch_size``
        resident nodes — the unread prefetches of earlier misses, which
@@ -107,59 +108,66 @@ def prefetch_source(buffer: PrefetchBuffer) -> RecordSource:
     2. if room is left, from just after the *cursor* — the last node
        the previous miss fetched — provided it is still in the list
        (``bucket_of[cursor] >= 0``), giving up after ``4·batch_size``
-       resident or already taken nodes.
+       resident nodes;
+    3. if that walk ran off the end of the list with room left, from
+       just after where the top walk gave up: the gap between there and
+       the cursor holds the only nodes not yet fetched.
 
-    So one miss visits fewer than ``7·batch_size`` list entries (the
-    walk this replaced went ``4·batch_size`` deep from the top and met
-    mostly resident nodes), and hands ``get`` distinct, non-resident
-    candidates.
+    Residency is one byte per node (``buffer.resident``). Each node a
+    walk takes is marked :data:`~repro.cluster.prefetch.UNREAD` at once,
+    ahead of its fetch, so a later walk of the same miss passes it over
+    like any resident node. Steps 2 and 3 share one skip budget, so one
+    miss visits fewer than ``7·batch_size`` list entries and hands
+    ``get`` distinct, non-resident candidates.
     """
-    unread = buffer.unread
-    read = buffer.read
+    resident = buffer.resident
     get = buffer.get
     batch = buffer.batch_size
     cursor = -1
 
-    def walk_from(v, b, heads, nxt, skips, walk, room, taken):
-        """Take non-resident nodes not in ``taken`` from node ``v`` of
-        bucket ``b`` on, until ``walk`` holds ``room`` or ``skips``
-        nodes were passed over."""
+    def walk_from(v, b, heads, nxt, skips, walk, room):
+        """Take non-resident nodes from node ``v`` of bucket ``b`` on,
+        until ``walk`` holds ``room`` or ``skips`` resident nodes were
+        passed over. Returns the node it stopped at (``-1`` once it ran
+        off the end of the list), that node's bucket and the skips
+        left."""
         while True:
             while v >= 0:
-                if v in unread or v in read or v in taken:
+                if resident[v]:
                     skips -= 1
                     if not skips:
-                        return
+                        return v, b, 0
                 else:
+                    resident[v] = UNREAD
                     walk.append(v)
-                    taken.add(v)
                     if len(walk) == room:
-                        return
+                        return v, b, skips
                 v = nxt[v]
             b -= 1
             if b < 0:
-                return
+                return -1, b, skips
             v = heads[b]
 
     def source(u, heads, nxt, max_b, bucket_of):
         nonlocal cursor
-        if u in unread or u in read:
-            _, friends, rej_out, rej_in = get(u)
-            return friends, rej_out, rej_in
+        if resident[u]:
+            return get(u)
         room = buffer.room()
         walk = []
         if room > 0:
-            taken = set()
-            walk_from(
-                heads[max_b], max_b, heads, nxt, 2 * batch, walk, room, taken
+            top, b, _ = walk_from(
+                heads[max_b], max_b, heads, nxt, 2 * batch, walk, room
             )
             c = cursor
             if len(walk) < room and c >= 0 and bucket_of[c] >= 0:
-                walk_from(
-                    nxt[c], bucket_of[c], heads, nxt, 4 * batch, walk, room, taken
+                end, _, skips = walk_from(
+                    nxt[c], bucket_of[c], heads, nxt, 4 * batch, walk, room
                 )
+                if end < 0 and top >= 0:
+                    # Off the end with room left, after a top walk that
+                    # gave up: the gap holds the last unfetched nodes.
+                    walk_from(nxt[top], b, heads, nxt, skips, walk, room)
         cursor = walk[-1] if walk else u
-        _, friends, rej_out, rej_in = get(u, walk)
-        return friends, rej_out, rej_in
+        return get(u, walk)
 
     return source

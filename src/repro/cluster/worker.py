@@ -5,8 +5,9 @@ large social graph structure to the workers") and serves two kinds of
 requests from the master: batched adjacency fetches out of a resident
 block (request-ordered records plus the exact reply size), and the
 per-pass gain/cut state of a block against its local replica of the
-side vector. Every response's size is charged to the
-network simulator by the caller.
+side vector, the gains already scaled to the master's integer buckets.
+Every response's size is charged to the network simulator by the
+caller.
 
 The side-vector replica is what the delta-broadcast protocol keeps in
 sync: the master installs the full vector once per run
@@ -149,14 +150,15 @@ class Worker:
         return block.slices(nodes)
 
     def block_pass_state(
-        self, key: Any, k: float
-    ) -> Tuple[List[float], int, int]:
+        self, key: Any, k_scaled: int, res: int
+    ) -> Tuple[List[int], int, int]:
         """Per-pass contribution of one block against the local side
-        replica: ``(gains, f_cross_part, r_cross_part)``."""
+        replica: ``(scaled gains, f_cross_part, r_cross_part)`` at ``k =
+        k_scaled/res``."""
         self._check_alive()
         block = self._resolve_block(key)
         if block is None:
             raise KeyError(
                 f"worker {self.worker_id} does not hold block {key!r}"
             )
-        return block.pass_state(self._sides_view(block.backend), k)
+        return block.pass_state(self._sides_view(block.backend), k_scaled, res)

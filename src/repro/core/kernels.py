@@ -26,10 +26,10 @@ bucket refresh and every kernel below call them:
 * :func:`scaled_gain_bound` — the integer-scaled lifetime gain bound
   that sizes the FM bucket array;
 * :func:`shard_gain_deltas` / :func:`shard_cut_counts` — the same
-  deltas and counters over one contiguous CSR *shard block* (a
-  worker-resident slice of the graph, see :mod:`repro.cluster.blocks`),
-  so the distributed engine's per-pass gain rebuild runs as whole-array
-  kernels on each worker;
+  deltas (folded into integer-scaled gains) and counters over one
+  contiguous CSR *shard block* (a worker-resident slice of the graph,
+  see :mod:`repro.cluster.blocks`), so the distributed engine's
+  per-pass gain rebuild runs as whole-array kernels on each worker;
 * :func:`boundary_nodes` / :func:`cut_regions` — multilevel region
   refinement's scope: the positive-gain nodes plus their friends, split
   into the connected regions that refine independently;
@@ -608,22 +608,25 @@ def scaled_gain_bound(csr, resolution: int, k_scaled: int) -> int:
 #: ``ri_row``. ``repro.cluster.blocks.ShardBlock`` implements it.
 
 
-def shard_gain_deltas(block, sides: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """Per-node ``(friend_delta, rejection_delta)`` over one shard block.
+def shard_gain_deltas(block, sides: Sequence[int], k_scaled: int, res: int) -> List[int]:
+    """Per-node integer-scaled switch gains over one shard block.
 
-    Exactly :func:`gain_deltas` restricted to the block's contiguous
-    node range ``[lo, lo + num_nodes)`` with every node active — the
-    cluster engine always partitions the *full* graph, so no mask is
-    carried. ``sides`` is the full global side vector (a list on the
-    python backend, an ``int64`` array on numpy). Both backends produce
-    bit-identical integers.
+    :func:`gain_deltas` restricted to the block's contiguous node range
+    ``[lo, lo + num_nodes)`` with every node active — the cluster engine
+    always partitions the *full* graph, so no mask is carried — folded
+    into the bucket-scale gain ``k_scaled·rd − fd·res`` (``k`` is
+    ``k_scaled/res``) the master's integer bucket pass loads. ``sides``
+    is the full global side vector (a list on the python backend, an
+    ``int64`` array on numpy). Both backends produce bit-identical
+    integers.
     """
     if block.backend == "numpy":
         import numpy as np
 
         fd, rd = _deltas_np(np, block.numpy_state(), None, sides, block.lo)
-        return fd.tolist(), rd.tolist()
-    return _deltas_py(block.hot(), None, None, sides, block.lo, block.num_nodes)
+        return (k_scaled * rd - res * fd).tolist()
+    fd, rd = _deltas_py(block.hot(), None, None, sides, block.lo, block.num_nodes)
+    return [k_scaled * r - res * f for f, r in zip(fd, rd)]
 
 
 def shard_cut_counts(block, sides: Sequence[int]) -> Tuple[int, int]:

@@ -396,8 +396,10 @@ def _bucket_pass(
     max_b, bucket_of)``, called once ``u`` has left the bucket list, so a
     prefetcher can walk the live buckets (``heads``/``nxt``, top bucket
     ``max_b``, each listed node's bucket in ``bucket_of``, ``-1`` once
-    popped) for the next pops. ``state`` only needs ``sides``,
-    ``f_cross`` and ``r_cross``.
+    popped) for the next pops. The source may read those arrays but not
+    write them; the pass only iterates the three sequences it returns, so
+    a record can be handed over as fetched, with no copy. ``state`` only
+    needs ``sides``, ``f_cross`` and ``r_cross``.
 
     Returns ``(applied prefix, switches tested)``.
     """

@@ -102,8 +102,7 @@ class TestShardedCSR:
         nodes = [3, 0, 2, 1, 3]
         fetched = dkl._fetch_records(nodes)
         assert sorted(node for node, _ in fetched) == sorted(nodes)
-        for node, (u, friends, rej_out, rej_in) in fetched:
-            assert u == node
+        for u, (friends, rej_out, rej_in) in fetched:
             assert friends == fi[fp[u] : fp[u + 1]]
             assert rej_out == oi[op[u] : op[u + 1]]
             assert rej_in == ii[ip_[u] : ip_[u + 1]]
@@ -128,7 +127,7 @@ def test_blocks_reassemble_adjacency(graph, num_partitions):
         if not node_range:
             continue
         records, _ = block.slices(node_range)
-        for node, friends, rej_out, rej_in in records:
+        for node, (friends, rej_out, rej_in) in zip(node_range, records):
             assert list(friends) == sorted(graph.friends[node])
             assert list(rej_out) == sorted(graph.rej_out[node])
             assert list(rej_in) == sorted(graph.rej_in[node])
@@ -144,21 +143,22 @@ class TestShardKernelParity:
     @given(augmented_graphs(max_nodes=20, max_edges=50), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
     def test_gain_deltas_concat(self, backend, graph, num_partitions):
-        """Concatenating per-block deltas equals the full-graph kernel."""
+        """Concatenating per-block scaled gains equals the full-graph
+        deltas folded at the same scale, and the oracle's."""
         csr = graph.csr(backend)
         sides = sides_for(csr.num_nodes)
+        k_scaled, res = 3, 8
         fd_ref, rd_ref = gain_deltas(csr.view(), sides)
-        fd_cat, rd_cat = [], []
+        gains = []
         for block in make_blocks(csr, num_partitions):
-            fd, rd = shard_gain_deltas(block, sides)
-            fd_cat.extend(fd)
-            rd_cat.extend(rd)
-        assert fd_cat == fd_ref
-        assert rd_cat == rd_ref
+            gains.extend(shard_gain_deltas(block, sides, k_scaled, res))
+        assert gains == [k_scaled * rd - res * fd for fd, rd in zip(fd_ref, rd_ref)]
         oracle = Partition(graph, sides)
-        assert list(zip(fd_cat, rd_cat)) == [
-            switch_deltas(oracle, u) for u in range(csr.num_nodes)
+        assert gains == [
+            k_scaled * rd - res * fd
+            for fd, rd in (switch_deltas(oracle, u) for u in range(csr.num_nodes))
         ]
+        assert all(type(g) is int for g in gains)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(augmented_graphs(max_nodes=20, max_edges=50), st.integers(1, 5))
@@ -188,7 +188,7 @@ class TestShardKernelParity:
             blocks = make_blocks(csr, 3)
             results.append(
                 [
-                    (shard_gain_deltas(b, sides), shard_cut_counts(b, sides))
+                    (shard_gain_deltas(b, sides, 3, 8), shard_cut_counts(b, sides))
                     for b in blocks
                 ]
             )
@@ -196,8 +196,8 @@ class TestShardKernelParity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pass_state_matches_heap_gains(self, backend):
-        """Block gains are the same IEEE expression the heap engine's
-        kernel produces — equal float-for-float."""
+        """Block gains are the heap engine's float gains scaled to the
+        bucket scale of ``k = k_scaled/res``, exactly."""
         from repro.attacks import ScenarioConfig, build_scenario
 
         graph = build_scenario(
@@ -205,16 +205,16 @@ class TestShardKernelParity:
         ).graph
         csr = graph.csr(backend)
         sides = sides_for(csr.num_nodes, seed=2)
-        k = 1.0
-        reference = heap_gains(csr.view(), sides, k)
+        k_scaled, res = 3, 8
+        reference = heap_gains(csr.view(), sides, k_scaled / res)
         sides_arg = sides
         if backend == "numpy":
             import numpy as np
 
             sides_arg = np.asarray(sides, dtype=np.int64)
         for block in make_blocks(csr, 4):
-            gains, _, _ = block.pass_state(sides_arg, k)
-            assert gains == reference[block.lo : block.hi]
+            gains, _, _ = block.pass_state(sides_arg, k_scaled, res)
+            assert gains == [g * res for g in reference[block.lo : block.hi]]
 
 
 class TestSlices:
@@ -231,10 +231,9 @@ class TestSlices:
 
     def test_request_order_preserved(self, block):
         records, _ = block.slices([4, 2, 3])
-        assert [r[0] for r in records] == [4, 2, 3]
-        assert records[1][1] == [1, 3]  # node 2's friends
-        assert records[0] == (4, [3, 5], [], [])
-        assert records[2] == (3, [2, 4], [], [0])
+        assert records[1][0] == [1, 3]  # node 2's friends
+        assert records[0] == ([3, 5], [], [])
+        assert records[2] == ([2, 4], [], [0])
 
     def test_out_of_block_request_rejected(self, block):
         with pytest.raises(KeyError):
@@ -296,9 +295,9 @@ def test_slices_are_csr_rows_at_exact_size(
                     st.lists(st.integers(lo, hi - 1), max_size=2 * (hi - lo))
                 )
                 records, nbytes = block.slices(nodes)
-                assert [record[0] for record in records] == nodes
+                assert len(records) == len(nodes)
                 adjacency = 0
-                for u, friends, rej_out, rej_in in records:
+                for u, (friends, rej_out, rej_in) in zip(nodes, records):
                     assert friends == fi[fp[u] : fp[u + 1]]
                     assert rej_out == oi[op[u] : op[u + 1]]
                     assert rej_in == ii[ip_[u] : ip_[u + 1]]

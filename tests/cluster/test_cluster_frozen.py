@@ -58,31 +58,31 @@ KINDS = {
 
 #: ``(kind, k) -> (outcome hash, ledger hash)`` of the folded runs.
 FROZEN = {
-    ('prefetch', 0.125): ('75a288676121a5ea', '40de4c00944b37c2'),
-    ('prefetch', 0.5): ('5779718039c81c0f', '21d535cab8dacb6a'),
-    ('prefetch', 1.0): ('642f53b190df2920', '14dcce9c2b4405a7'),
+    ('prefetch', 0.125): ('75a288676121a5ea', '0c8668141f328df1'),
+    ('prefetch', 0.5): ('5779718039c81c0f', 'b5c4cb910f701bca'),
+    ('prefetch', 1.0): ('642f53b190df2920', '871a99a0de3af228'),
     ('prefetch', 4.0): ('521c0605bea3d4fe', '600c7cedbe212bb9'),
-    ('tight', 0.125): ('75a288676121a5ea', '00ec5cd9aa2874b7'),
-    ('tight', 0.5): ('5779718039c81c0f', 'cc3da175f524f169'),
-    ('tight', 1.0): ('642f53b190df2920', 'ca459d05eb4b9b21'),
-    ('tight', 4.0): ('521c0605bea3d4fe', 'c12b9be53b4f09a7'),
+    ('tight', 0.125): ('75a288676121a5ea', 'dc29ab2b4dc1e39a'),
+    ('tight', 0.5): ('5779718039c81c0f', 'da833686a96c7af1'),
+    ('tight', 1.0): ('642f53b190df2920', 'ff1cdf5ba473cbab'),
+    ('tight', 4.0): ('521c0605bea3d4fe', 'cf42c3f07768cc25'),
     ('on_demand', 0.125): ('75a288676121a5ea', '93759cd34cbab93f'),
     ('on_demand', 0.5): ('5779718039c81c0f', 'ed980f139ab50ec5'),
     ('on_demand', 1.0): ('642f53b190df2920', '310ac9bec1f65e97'),
     ('on_demand', 4.0): ('521c0605bea3d4fe', '020143f06f6f41f6'),
-    ('locked', 0.125): ('022686e296ee55b3', '04a7b3a76adc4110'),
-    ('locked', 0.5): ('f01a35d1ddfc0a3e', '49e2e2dca1117bff'),
-    ('locked', 1.0): ('f815567d48551cd8', 'df95068f8ed5a9ee'),
-    ('locked', 4.0): ('f8deb582fd9d39cb', '3983a493357db94f'),
-    ('reference', 0.125): ('75a288676121a5ea', 'cc834f93331ad0ee'),
-    ('reference', 0.5): ('5779718039c81c0f', '3a5cf308ca2206bb'),
-    ('reference', 1.0): ('642f53b190df2920', '869faf624e0c668b'),
-    ('reference', 4.0): ('521c0605bea3d4fe', 'f566d065bdcc19c5'),
-    ('failover', 0.125): ('75a288676121a5ea', '9fae03b54a004097'),
-    ('failover', 0.5): ('5779718039c81c0f', '7f1a882b4a4b8250'),
-    ('failover', 1.0): ('642f53b190df2920', 'c504ab9225940da4'),
-    ('failover', 4.0): ('521c0605bea3d4fe', 'ba3138ebc22f2c1e'),
-    ('maar', None): ('c3b885befac57dd7', '2f7c0856182984c3'),
+    ('locked', 0.125): ('022686e296ee55b3', 'a431324165c034d6'),
+    ('locked', 0.5): ('f01a35d1ddfc0a3e', 'd7e03318338d664a'),
+    ('locked', 1.0): ('f815567d48551cd8', '88b85931b3a027e6'),
+    ('locked', 4.0): ('f8deb582fd9d39cb', 'ff0d08bb7f167c51'),
+    ('reference', 0.125): ('75a288676121a5ea', '405211798f9305c6'),
+    ('reference', 0.5): ('5779718039c81c0f', 'd42bb4bf2c287f12'),
+    ('reference', 1.0): ('642f53b190df2920', '22d77659f8b22459'),
+    ('reference', 4.0): ('521c0605bea3d4fe', '9061627c8ec55e86'),
+    ('failover', 0.125): ('75a288676121a5ea', 'c24745c308e43e17'),
+    ('failover', 0.5): ('5779718039c81c0f', 'f4d8c34277a1e95b'),
+    ('failover', 1.0): ('642f53b190df2920', 'a1d103790839d3b5'),
+    ('failover', 4.0): ('521c0605bea3d4fe', '5cc2b4535080eef0'),
+    ('maar', None): ('c3b885befac57dd7', 'c6a2703b603086ea'),
 }
 
 CASES = [(kind, k) for kind in KINDS for k in K_VALUES] + [("maar", None)]

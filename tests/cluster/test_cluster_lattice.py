@@ -15,16 +15,16 @@ from .test_engine import rejection_init
 
 
 def test_master_buckets_at_the_reduced_scale(monkeypatch):
-    """``MasterState.for_pass`` scales gains by ``k``'s reduced
-    denominator: 1 at ``k = 2``, 2 at ``k = 0.5``, 8 at ``k = 0.125``."""
+    """The gains exchange scales gains by ``k``'s reduced denominator:
+    1 at ``k = 2``, 2 at ``k = 0.5``, 8 at ``k = 0.125``."""
     seen = []
-    original = engine_module.MasterState.for_pass
+    original = engine_module.DistributedKL._collect_pass_state
 
-    def spy(*args):
-        seen.append(args[6])
-        return original(*args)
+    def spy(self, k_scaled, res):
+        seen.append(res)
+        return original(self, k_scaled, res)
 
-    monkeypatch.setattr(engine_module.MasterState, "for_pass", spy)
+    monkeypatch.setattr(engine_module.DistributedKL, "_collect_pass_state", spy)
     graph = build_scenario(ScenarioConfig(num_legit=60, num_fakes=12, seed=3)).graph
     engine = DistributedKL(graph)
     for k, scale in ((2.0, 1), (0.5, 2), (0.125, 8)):

@@ -282,10 +282,12 @@ class TestWireLedgerPin:
     Partition parity alone lets a change to the prefetch candidates slip
     through: the cut stays the same while different nodes ride along in
     each fetch batch. These values were captured from the batch-bounded
-    candidate walk over the two-tier buffer; any change to which nodes a
-    fetch batch requests, or in what order, moves the fetch bytes and
-    counters. The tight buffer evicts, so the batch contents matter more
-    there.
+    candidate walk (top, cursor, then the gap between them) over the
+    residency-byte buffer; any change to which nodes a fetch batch
+    requests, or in what order, moves the fetch bytes and counters. The
+    480-node graph fits the default buffer, so read records are kept and
+    only each run's first pass fetches; the tight buffer drops every
+    record once read, so the batch contents matter more there.
 
     The case ids are the rows' original names, from when a heap-index
     row followed each bucket row; they stay stable so test history lines
@@ -295,8 +297,8 @@ class TestWireLedgerPin:
     @pytest.mark.parametrize(
         "buffer, expected",
         [
-            ((4096, 64), (369424, 435, 41, 1920, 2839)),
-            ((96, 16), (611208, 1852, 390, 2878, 2490)),
+            ((4096, 64), (368656, 419, 32, 1920, 2848)),
+            ((96, 16), (611472, 1847, 375, 2880, 2505)),
         ],
         ids=["bucket-buffer0-expected0", "bucket-buffer2-expected2"],
     )

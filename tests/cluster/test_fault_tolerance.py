@@ -41,7 +41,7 @@ class TestWorkerFailure:
         with pytest.raises(WorkerFailure):
             worker.block_slices(key, [0])
         with pytest.raises(WorkerFailure):
-            worker.block_pass_state(key, 1.0)
+            worker.block_pass_state(key, 1, 1)
         with pytest.raises(WorkerFailure):
             worker.install_sides([LEGITIMATE] * csr.num_nodes)
 
@@ -76,7 +76,7 @@ class TestReplication:
             records, nbytes = worker.block_slices(key, nodes)
             fresh = ShardBlock.from_csr(csr, lo, hi)
             assert (records, nbytes) == fresh.slices(nodes)
-            assert [record[0] for record in records] == nodes
+            assert len(records) == len(nodes)
 
     def test_unreplicated_source_is_lost(self):
         context = ClusterContext(3, replication=1)

@@ -17,7 +17,6 @@ OFFSET = 64
 
 def record_for(graph, node):
     return (
-        node,
         list(graph.friends[node]),
         list(graph.rej_out[node]),
         list(graph.rej_in[node]),
@@ -25,17 +24,17 @@ def record_for(graph, node):
 
 
 def make_state(graph, sides, k=1.0, locked=None):
+    """The pass state from scaled gains, as the workers report them."""
     partition = Partition(graph, sides)
     locked = locked or [False] * graph.num_nodes
-    gains = [partition.switch_gain(u, k) for u in range(graph.num_nodes)]
+    gains = [round(partition.switch_gain(u, k) * RES) for u in range(graph.num_nodes)]
     return MasterState.for_pass(
         graph.num_nodes,
         sides,
         partition.f_cross,
         partition.r_cross,
         gains,
-        locked,
-        RES,
+        [u for u in range(graph.num_nodes) if not locked[u]],
         OFFSET,
     )
 
@@ -43,7 +42,9 @@ def make_state(graph, sides, k=1.0, locked=None):
 def run_pass(graph, state, k, buffer=None):
     """One bucket pass over ``state`` with records served from ``graph``."""
     buffer = buffer or PrefetchBuffer(
-        0, lambda nodes: [(u, record_for(graph, u)) for u in nodes]
+        0,
+        lambda nodes: [(u, record_for(graph, u)) for u in nodes],
+        keys=state.eligible,
     )
     return _bucket_pass(
         state, state.eligible, state.gain_b, None, None, round(k * RES), RES,
@@ -75,8 +76,7 @@ def traced_pass(graph, state, k):
         }, "bucket_of disagrees with the live list"
         buckets[u] = max_b
         trace.append((u, buckets, list(state.sides)))
-        _, friends, rej_out, rej_in = record_for(graph, u)
-        return friends, rej_out, rej_in
+        return record_for(graph, u)
 
     applied, tested = _bucket_pass(
         state, state.eligible, state.gain_b, None, None, round(k * RES), RES,
@@ -122,11 +122,11 @@ class TestMasterState:
 
     def test_sides_length_validated(self):
         with pytest.raises(ValueError, match="sides has length"):
-            MasterState.for_pass(3, [0, 1], 0, 0, [0.0] * 3, [False] * 3, RES, 9)
+            MasterState.for_pass(3, [0, 1], 0, 0, [0] * 3, [0, 1, 2], 9)
 
     def test_gains_length_validated(self):
         with pytest.raises(ValueError, match="gains has length"):
-            MasterState.for_pass(3, [0] * 3, 0, 0, [0.0] * 2, [False] * 3, RES, 9)
+            MasterState.for_pass(3, [0] * 3, 0, 0, [0] * 2, [0, 1, 2], 9)
 
     def test_apply_switch_tracks_partition(self, graph):
         """Every pop sees the sides of the switches made before it, and
@@ -248,9 +248,9 @@ class TestPrefetchSource:
     def buffer_logging(wanted_log, capacity=64, batch=8):
         def fetch(nodes):
             wanted_log.append(list(nodes))
-            return [(u, (u, [], [], [])) for u in nodes]
+            return [(u, ([], [], [])) for u in nodes]
 
-        return PrefetchBuffer(capacity, fetch, batch_size=batch)
+        return PrefetchBuffer(capacity, fetch, batch_size=batch, keys=range(40))
 
     def test_hit_is_served_without_walking(self):
         log = []
@@ -308,6 +308,35 @@ class TestPrefetchSource:
         _walk(source, 4, _descending(order))
         assert log[-1] == [4, 31, 32, 33]
 
+    def test_gap_is_walked_once_the_cursor_walk_runs_off_the_end(self):
+        """When the walk after the cursor reaches the end of the list
+        with room left, the nodes between where the top walk gave up and
+        the cursor ride along too, in pop order, on the same skip
+        budget."""
+        log = []
+        buffer = self.buffer_logging(log, batch=4)
+        source = prefetch_source(buffer)
+        _walk(source, 0, _descending([1, 2, 3]))  # the cursor is 3
+        for node in range(10, 16):
+            buffer.get(node)
+        # 30 and 34 sit in the gap; 31 follows the cursor, then the end.
+        order = [1, 2, 10, 11, 12, 13, 14, 15, 30, 34, 3, 31]
+        _walk(source, 4, _descending(order))
+        assert log[-1] == [4, 31, 30, 34]
+
+    def test_gap_walk_stops_at_the_room(self):
+        log = []
+        buffer = self.buffer_logging(log, batch=3)
+        source = prefetch_source(buffer)
+        _walk(source, 0, _descending([1, 2]))  # the cursor is 2
+        for node in range(10, 15):
+            buffer.get(node)
+        # Six residents end the top walk at 14; nothing follows the
+        # cursor 2, so the gap after 14 fills the room of two.
+        order = [10, 11, 12, 13, 1, 14, 30, 34, 35, 2]
+        _walk(source, 4, _descending(order))
+        assert log[-1] == [4, 30, 34]
+
     def test_popped_cursor_is_not_resumed(self):
         log = []
         buffer = self.buffer_logging(log, batch=4)
@@ -348,7 +377,7 @@ class TestPrefetchSource:
         buffer = self.buffer_logging(log, capacity=capacity, batch=batch)
         if unread:
             buffer.get(30, list(range(31, 31 + unread)))
-        assert len(buffer.unread) == unread
+        assert buffer.unread == unread
         _walk(prefetch_source(buffer), 0, [(1, 4), (2, 9)])
         assert log[-1] == [0]
 

@@ -1,9 +1,10 @@
-"""Tests for the two-tier prefetch buffer."""
+"""Tests for the prefetch buffer."""
 
 import pytest
 
 from repro.cluster import PrefetchBuffer
 from repro.cluster.master import prefetch_source
+from repro.cluster.prefetch import READ, UNREAD
 
 
 def make_store(size=100):
@@ -21,7 +22,7 @@ def make_store(size=100):
 class TestPrefetchBuffer:
     def test_miss_then_hit(self):
         _, fetch, fetches = make_store()
-        buffer = PrefetchBuffer(capacity=10, fetch_batch=fetch, batch_size=4)
+        buffer = PrefetchBuffer(10, fetch, batch_size=4, keys=range(10))
         assert buffer.get(3) == "record-3"
         assert buffer.stats.misses == 1
         assert buffer.get(3) == "record-3"
@@ -30,7 +31,7 @@ class TestPrefetchBuffer:
 
     def test_prefetch_candidates_ride_along(self):
         _, fetch, fetches = make_store()
-        buffer = PrefetchBuffer(capacity=10, fetch_batch=fetch, batch_size=4)
+        buffer = PrefetchBuffer(10, fetch, batch_size=4, keys=range(100))
         buffer.get(0, prefetch_candidates=[1, 2, 3, 4, 5])
         assert fetches[0] == [0, 1, 2, 3]  # batch_size caps the ride-alongs
         # The prefetched nodes are now hits.
@@ -39,27 +40,16 @@ class TestPrefetchBuffer:
         assert buffer.stats.hits == 2
         assert buffer.stats.fetch_batches == 1
 
-    def test_lru_eviction_order(self):
-        _, fetch, _ = make_store()
-        buffer = PrefetchBuffer(capacity=2, fetch_batch=fetch, batch_size=1)
-        buffer.get(0)
-        buffer.get(1)
-        buffer.get(0)  # refresh 0; 1 is now least recent
-        buffer.get(2)  # evicts 1
-        assert 0 in buffer
-        assert 1 not in buffer
-        assert 2 in buffer
-        assert buffer.stats.evictions == 1
-
     def test_zero_capacity_disables_caching(self):
         _, fetch, fetches = make_store()
-        buffer = PrefetchBuffer(capacity=0, fetch_batch=fetch, batch_size=8)
+        buffer = PrefetchBuffer(0, fetch, batch_size=8, keys=range(100))
         buffer.get(0, prefetch_candidates=[1, 2])
         buffer.get(0)
         assert buffer.stats.misses == 2
         assert buffer.stats.hits == 0
         # No ride-alongs when nothing can be retained.
         assert fetches == [[0], [0]]
+        assert len(buffer) == 0
 
     def test_duplicate_candidates_not_fetched_twice(self):
         """The buffer takes candidates as given, so the walk feeding it
@@ -70,9 +60,9 @@ class TestPrefetchBuffer:
 
         def fetch(keys):
             fetches.append(list(keys))
-            return [(k, (k, [], [], [])) for k in keys]
+            return [(k, ([], [], [])) for k in keys]
 
-        buffer = PrefetchBuffer(capacity=64, fetch_batch=fetch, batch_size=4)
+        buffer = PrefetchBuffer(64, fetch, batch_size=4, keys=range(40))
         source = prefetch_source(buffer)
 
         def miss(u, order):
@@ -98,53 +88,39 @@ class TestPrefetchBuffer:
         to evict the just-fetched key (inserted first, evicted by its
         own ride-alongs), wasting the very next access."""
         _, fetch, fetches = make_store()
-        buffer = PrefetchBuffer(capacity=2, fetch_batch=fetch, batch_size=8)
+        buffer = PrefetchBuffer(2, fetch, batch_size=8, keys=range(2))
         buffer.get(0, prefetch_candidates=[1, 2, 3, 4, 5])
         assert fetches[0] == [0, 1]  # capacity caps the batch
-        assert 0 in buffer  # the requested key stays resident...
+        assert 0 in buffer  # the requested key stays resident
         assert len(buffer) <= buffer.capacity
-        assert buffer.stats.evictions == 0  # ...without churning the LRU
         buffer.get(0)
         assert buffer.stats.hits == 1
-
-    def test_requested_key_is_most_recent_after_fetch(self):
-        """The missed key joins the read tier as its most recent record,
-        so older read records are evicted before it."""
-        _, fetch, _ = make_store()
-        buffer = PrefetchBuffer(capacity=3, fetch_batch=fetch, batch_size=2)
-        buffer.get(0)
-        buffer.get(1, prefetch_candidates=[2])  # read: 0, 1(MRU); unread: 2
-        buffer.get(3)  # evicts 0
-        assert 0 not in buffer
-        assert 1 in buffer
-        assert list(buffer.read) == [1, 3]
 
     def test_unread_records_are_never_evicted(self):
         """A prefetch outlives every read record, the one just fetched
         included, until its node is read."""
         _, fetch, fetches = make_store()
-        buffer = PrefetchBuffer(capacity=2, fetch_batch=fetch, batch_size=2)
-        buffer.get(0, prefetch_candidates=[1])  # read: 0; unread: 1
-        buffer.get(2)  # no room for a ride-along; evicts 0, keeps 1
+        buffer = PrefetchBuffer(2, fetch, batch_size=2, keys=range(3))
+        buffer.get(0, prefetch_candidates=[1])  # read and dropped: 0
+        buffer.get(2)  # no room for a ride-along; 1 stays
         assert fetches == [[0, 1], [2]]
-        assert list(buffer.unread) == [1]
-        assert list(buffer.read) == [2]
-        assert buffer.get(1) == "record-1"  # a hit, now a read record
+        assert buffer.unread == 1
+        assert [k for k in range(3) if k in buffer] == [1]
+        assert buffer.get(1) == "record-1"  # a hit, then dropped
         assert buffer.stats.hits == 1
-        assert list(buffer.read) == [2, 1]
-        assert not buffer.unread
+        assert buffer.unread == 0
+        assert len(buffer) == 0
 
     def test_room_leaves_space_for_unread_records(self):
         _, fetch, fetches = make_store()
-        buffer = PrefetchBuffer(capacity=6, fetch_batch=fetch, batch_size=4)
+        buffer = PrefetchBuffer(6, fetch, batch_size=4, keys=range(8))
         assert buffer.room() == 3
         buffer.get(0, prefetch_candidates=[1, 2, 3])
         assert buffer.room() == 2  # three unread beside the next key
         buffer.get(4, prefetch_candidates=[5, 6, 7])  # 7 stays behind
         assert fetches[-1] == [4, 5, 6]
         assert buffer.room() == 0
-        assert len(buffer) == 6
-        assert buffer.stats.evictions == 1  # 0, the only older read record
+        assert len(buffer) == buffer.unread == 5
 
     def test_hit_never_iterates_candidates(self):
         """The engine hands over a lazy top-gain walk on every pop; a hit
@@ -155,7 +131,7 @@ class TestPrefetchBuffer:
                 raise AssertionError("candidates iterated on a hit")
 
         _, fetch, fetches = make_store()
-        buffer = PrefetchBuffer(capacity=10, fetch_batch=fetch, batch_size=4)
+        buffer = PrefetchBuffer(10, fetch, batch_size=4, keys=range(10))
         buffer.get(3)
         assert buffer.get(3, prefetch_candidates=Untouchable()) == "record-3"
         assert buffer.stats.hits == 1
@@ -163,7 +139,7 @@ class TestPrefetchBuffer:
 
     def test_miss_stops_drawing_at_batch_size(self):
         _, fetch, fetches = make_store()
-        buffer = PrefetchBuffer(capacity=10, fetch_batch=fetch, batch_size=4)
+        buffer = PrefetchBuffer(10, fetch, batch_size=4, keys=range(100))
         drawn = []
 
         def candidates():
@@ -177,13 +153,13 @@ class TestPrefetchBuffer:
 
     def test_missing_key_raises(self):
         _, fetch, _ = make_store(size=3)
-        buffer = PrefetchBuffer(capacity=4, fetch_batch=fetch, batch_size=2)
+        buffer = PrefetchBuffer(4, fetch, batch_size=2, keys=range(100))
         with pytest.raises(KeyError):
             buffer.get(99)
 
     def test_hit_rate(self):
         _, fetch, _ = make_store()
-        buffer = PrefetchBuffer(capacity=10, fetch_batch=fetch, batch_size=1)
+        buffer = PrefetchBuffer(10, fetch, batch_size=1, keys=range(10))
         assert buffer.stats.hit_rate == 0.0
         buffer.get(0)
         buffer.get(0)
@@ -193,6 +169,23 @@ class TestPrefetchBuffer:
     def test_invalid_arguments(self):
         _, fetch, _ = make_store()
         with pytest.raises(ValueError):
-            PrefetchBuffer(capacity=-1, fetch_batch=fetch)
+            PrefetchBuffer(capacity=-1, fetch_batch=fetch, keys=range(4))
         with pytest.raises(ValueError):
-            PrefetchBuffer(capacity=4, fetch_batch=fetch, batch_size=0)
+            PrefetchBuffer(capacity=4, fetch_batch=fetch, batch_size=0, keys=range(4))
+
+
+class TestReadRecords:
+    """What a read record becomes: kept when every key fits, else dropped."""
+
+    @pytest.mark.parametrize("keys, kept", [(10, True), (11, False)])
+    def test_kept_only_when_every_key_fits(self, keys, kept):
+        _, fetch, fetches = make_store()
+        buffer = PrefetchBuffer(10, fetch, batch_size=4, keys=range(keys))
+        assert buffer.keep_read is kept
+        buffer.get(0, prefetch_candidates=[1, 2, 3])
+        buffer.get(1)
+        state = READ if kept else 0
+        assert [buffer.resident[k] for k in range(4)] == [state, state, UNREAD, UNREAD]
+        assert len(buffer) == (4 if kept else 2)
+        buffer.get(0)
+        assert len(fetches) == (1 if kept else 2)
